@@ -158,13 +158,13 @@ struct SloOutcome {
 /// Scenario 1: drive the seeded tenant mix under daemon churn.
 fn run_slo_mix(ops_target: usize) -> SloOutcome {
     let storage = Arc::new(TieredStorage::in_memory());
-    let mut shard = ShardConfig::default();
-    shard.umzi.merge = MergePolicy { k: 4, t: 4 };
-    shard.umzi.telemetry = Some(TelemetryConfig {
+    storage.telemetry().configure(&TelemetryConfig {
         enabled: true,
         slow_query_threshold: Duration::from_millis(50),
         slow_query_log_len: 32,
     });
+    let mut shard = ShardConfig::default();
+    shard.umzi.merge = MergePolicy { k: 4, t: 4 };
     let engine = WildfireEngine::create(
         Arc::clone(&storage),
         Arc::new(iot_table()),

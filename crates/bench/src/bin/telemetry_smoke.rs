@@ -90,15 +90,16 @@ fn main() {
         },
     ));
 
-    let mut shard = ShardConfig::default();
-    shard.umzi.merge = MergePolicy { k: 4, t: 4 };
     // Threshold zero: every query lands in the slow-query log, so the
     // artifact demonstrates trace capture without needing a slow machine.
-    shard.umzi.telemetry = Some(TelemetryConfig {
+    storage.telemetry().configure(&TelemetryConfig {
         enabled: true,
         slow_query_threshold: Duration::ZERO,
         slow_query_log_len: 64,
     });
+
+    let mut shard = ShardConfig::default();
+    shard.umzi.merge = MergePolicy { k: 4, t: 4 };
     let engine = WildfireEngine::create(
         Arc::clone(&storage),
         Arc::new(iot_table()),

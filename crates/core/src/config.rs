@@ -42,7 +42,7 @@ pub struct ZoneConfig {
     pub max_level: u32,
 }
 
-/// Cache-manager thresholds (§6.2) and read-path cache sizing.
+/// Cache-manager thresholds (§6.2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// SSD-utilization fraction above which the manager purges runs,
@@ -51,18 +51,6 @@ pub struct CacheConfig {
     /// SSD-utilization fraction below which the manager loads runs back,
     /// starting from the lowest purged level.
     pub ssd_low_watermark: f64,
-    /// Override for the storage hierarchy's decoded-block cache (capacity,
-    /// replacement policy, segment sizing and frequency-sketch knobs),
-    /// applied when the index is created or recovered. `None` (the
-    /// default) keeps the configuration the [`umzi_storage::TieredConfig`]
-    /// was built with. **The decoded cache is shared by every index on the
-    /// same `TieredStorage`** — setting this reconfigures that shared
-    /// cache (a changed shard count is rejected: it is fixed when the
-    /// `TieredStorage` is built), and when several indexes
-    /// specify different values the last one created wins; prefer sizing
-    /// it once in `TieredConfig` and reserve this knob for single-index
-    /// deployments, benchmarks and tests.
-    pub decoded_cache: Option<umzi_storage::DecodedCacheConfig>,
 }
 
 impl Default for CacheConfig {
@@ -70,7 +58,6 @@ impl Default for CacheConfig {
         Self {
             ssd_high_watermark: 0.90,
             ssd_low_watermark: 0.70,
-            decoded_cache: None,
         }
     }
 }
@@ -269,32 +256,11 @@ pub struct UmziConfig {
     pub cache: CacheConfig,
     /// Read-path scan tuning (partitioned parallel reconcile).
     pub scan: ScanConfig,
-    /// Override for the storage hierarchy's transient-IO retry policy,
-    /// applied when the index is created or recovered. `None` keeps the
-    /// policy the [`umzi_storage::TieredConfig`] was built with. Like
-    /// [`CacheConfig::decoded_cache`], this reconfigures state shared by
-    /// every index on the same `TieredStorage`.
-    pub retry: Option<umzi_storage::RetryConfig>,
     /// Background-maintenance daemon tuning (worker count, ingest
     /// watermarks, throttle, janitor cadence). Consumed by
     /// [`crate::daemon::IndexDaemon::spawn`] for a standalone index; the
     /// Wildfire engine carries its own copy in its `EngineConfig`.
     pub maintenance: MaintenanceConfig,
-    /// Override for the storage hierarchy's telemetry (master switch,
-    /// slow-query threshold and log capacity), applied when the index is
-    /// created or recovered. `None` keeps the handle's current settings
-    /// (enabled, 100 ms threshold by default). Like
-    /// [`CacheConfig::decoded_cache`], this reconfigures state shared by
-    /// every index on the same `TieredStorage`; applying it never resets
-    /// accumulated histograms.
-    pub telemetry: Option<umzi_storage::TelemetryConfig>,
-    /// Override for the storage hierarchy's pipelined block-prefetch policy
-    /// (readahead depth and in-flight byte budget for cold range scans),
-    /// applied when the index is created or recovered. `None` keeps the
-    /// policy the [`umzi_storage::TieredConfig`] was built with. Like
-    /// [`CacheConfig::decoded_cache`], this reconfigures state shared by
-    /// every index on the same `TieredStorage`.
-    pub prefetch: Option<umzi_storage::PrefetchConfig>,
 }
 
 impl UmziConfig {
@@ -320,10 +286,7 @@ impl UmziConfig {
             non_persisted_levels: Vec::new(),
             cache: CacheConfig::default(),
             scan: ScanConfig::default(),
-            retry: None,
             maintenance: MaintenanceConfig::default(),
-            telemetry: None,
-            prefetch: None,
         }
     }
 
@@ -388,22 +351,6 @@ impl UmziConfig {
         }
         if self.offset_bits > 24 {
             return Err(UmziError::Config("offset_bits must be ≤ 24".into()));
-        }
-        if let Some(dc) = &self.cache.decoded_cache {
-            dc.validate()
-                .map_err(|e| UmziError::Config(e.to_string()))?;
-        }
-        if let Some(retry) = &self.retry {
-            retry
-                .validate()
-                .map_err(|e| UmziError::Config(e.to_string()))?;
-        }
-        if let Some(tc) = &self.telemetry {
-            tc.validate().map_err(UmziError::Config)?;
-        }
-        if let Some(pf) = &self.prefetch {
-            pf.validate()
-                .map_err(|e| UmziError::Config(e.to_string()))?;
         }
         self.scan.validate()?;
         self.maintenance.validate()?;
@@ -577,45 +524,6 @@ mod tests {
             ..s
         };
         assert_eq!(s.adaptive_partitions(8), 8);
-    }
-
-    #[test]
-    fn rejects_bad_decoded_cache_override() {
-        let mut c = UmziConfig::two_zone("t");
-        c.cache.decoded_cache = Some(umzi_storage::DecodedCacheConfig {
-            protected_fraction: 2.0,
-            ..umzi_storage::DecodedCacheConfig::default()
-        });
-        assert!(c.validate().is_err());
-        c.cache.decoded_cache = Some(umzi_storage::DecodedCacheConfig::default());
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_bad_prefetch_override() {
-        let mut c = UmziConfig::two_zone("t");
-        c.prefetch = Some(umzi_storage::PrefetchConfig {
-            depth: 4,
-            max_inflight_bytes: 0,
-        });
-        assert!(c.validate().is_err());
-        c.prefetch = Some(umzi_storage::PrefetchConfig {
-            depth: 4,
-            ..umzi_storage::PrefetchConfig::default()
-        });
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_bad_telemetry_override() {
-        let mut c = UmziConfig::two_zone("t");
-        c.telemetry = Some(umzi_storage::TelemetryConfig {
-            slow_query_log_len: (1 << 20) + 1,
-            ..umzi_storage::TelemetryConfig::default()
-        });
-        assert!(c.validate().is_err());
-        c.telemetry = Some(umzi_storage::TelemetryConfig::default());
-        c.validate().unwrap();
     }
 
     #[test]

@@ -125,21 +125,6 @@ impl UmziIndex {
         config: UmziConfig,
     ) -> Result<Arc<UmziIndex>> {
         config.validate()?;
-        if let Some(dc) = &config.cache.decoded_cache {
-            storage
-                .decoded_cache()
-                .reconfigure(dc)
-                .map_err(|e| crate::error::UmziError::Config(e.to_string()))?;
-        }
-        if let Some(retry) = config.retry {
-            storage.set_retry_config(retry);
-        }
-        if let Some(tc) = &config.telemetry {
-            storage.telemetry().configure(tc);
-        }
-        if let Some(pf) = config.prefetch {
-            storage.set_prefetch_config(pf);
-        }
         let index = Self::empty(storage, def, config);
         index.persist_manifest()?;
         Ok(Arc::new(index))

@@ -21,19 +21,19 @@
 //! offset_bits                 u8
 //! offset_array                u64 × 2^offset_bits (if flag set)
 //! block_prefix_counts         u64 × n_data_blocks (cumulative entries)
-//! fence_keys                  len-prefixed bytes × n_data_blocks (if flag
-//!                             set): the first key of each data block
-//! block_checksums             u64 × n_data_blocks (if flag set): hash64 of
+//! fence_keys                  len-prefixed bytes × n_data_blocks (flag bit
+//!                             1): the first key of each data block
+//! block_checksums             u64 × n_data_blocks (flag bit 2): hash64 of
 //!                             each raw data block, for read-path integrity
 //! synopsis                    min/max beginTS + per-column byte ranges
 //! ancestors                   persisted ancestor run names (§6.1)
 //! checksum                    u64   hash64 of all preceding bytes
 //! ```
 //!
-//! The fence index (flag bit 1) lets a searcher pick the one data block that
-//! can contain the first key ≥ a bound without touching storage; headers
-//! written before the flag existed parse fine (empty `fence_keys`) and the
-//! reader reconstructs the fences lazily from block first-entries.
+//! The fence index lets a searcher pick the one data block that can contain
+//! the first key ≥ a bound without touching storage. Every run with data
+//! blocks carries both the fence index and the block checksums; a header
+//! missing either section is rejected as corrupt.
 
 use umzi_encoding::hash64;
 
@@ -85,14 +85,11 @@ pub struct RunHeader {
     pub offset_array: Vec<u64>,
     /// `block_prefix_counts[b]` = total entries in blocks `0..=b`.
     pub block_prefix_counts: Vec<u64>,
-    /// `fence_keys[b]` = full key of the first entry in block `b`. Empty for
-    /// runs serialized before the fence index existed (the reader rebuilds
-    /// them lazily); otherwise length `n_data_blocks`.
+    /// `fence_keys[b]` = full key of the first entry in block `b`; length
+    /// `n_data_blocks`.
     pub fence_keys: Vec<Vec<u8>>,
     /// `block_checksums[b]` = `hash64` of raw data block `b`, verified on
-    /// every cache-miss block read. Empty for runs serialized before block
-    /// checksums existed (those runs skip verification); otherwise length
-    /// `n_data_blocks`.
+    /// every cache-miss block read; length `n_data_blocks`.
     pub block_checksums: Vec<u64>,
     /// Key-column min/max synopsis.
     pub synopsis: Synopsis,
@@ -242,6 +239,18 @@ impl RunHeader {
         let data_block_size = r.u32()?;
         let n_data_blocks = r.u32()?;
         let header_chunks = r.u32()?;
+        if n_data_blocks > 0 {
+            for (flag, section) in [
+                (FLAG_HAS_FENCE_INDEX, "fence index"),
+                (FLAG_HAS_BLOCK_CHECKSUMS, "block checksums"),
+            ] {
+                if flags & flag == 0 {
+                    return Err(RunError::Corrupt {
+                        context: format!("header with data blocks lacks its {section}"),
+                    });
+                }
+            }
+        }
         let offset_bits = r.u8()?;
         let offset_array = if flags & FLAG_HAS_OFFSET_ARRAY != 0 {
             if offset_bits == 0 || offset_bits > 24 {
@@ -463,33 +472,32 @@ mod tests {
         assert_eq!(parsed.offset_array.len(), 4096);
     }
 
+    /// Headers from before the fence index or the block checksums existed
+    /// (flag bit clear, section absent) are rejected, naming the section.
     #[test]
-    fn legacy_header_without_fence_keys_roundtrips() {
-        // Runs serialized before the fence index existed carry no fence
-        // section; the flag bit stays clear and parsing yields empty fences.
-        let mut h = sample_header();
-        h.fence_keys = Vec::new();
-        let buf = h.serialize(4096);
-        let parsed = RunHeader::deserialize(&buf).unwrap();
-        assert!(parsed.fence_keys.is_empty());
-        assert_eq!(parsed.block_prefix_counts, h.block_prefix_counts);
-        assert_eq!(parsed.synopsis, h.synopsis);
-        assert_eq!(parsed.ancestors, h.ancestors);
-    }
-
-    #[test]
-    fn legacy_header_without_block_checksums_roundtrips() {
-        // Runs serialized before block checksums existed carry no checksum
-        // section; the flag bit stays clear and the reader simply skips
-        // verification for them.
-        let mut h = sample_header();
-        h.block_checksums = Vec::new();
-        let buf = h.serialize(4096);
-        let parsed = RunHeader::deserialize(&buf).unwrap();
-        assert!(parsed.block_checksums.is_empty());
-        assert_eq!(parsed.fence_keys, h.fence_keys);
-        assert_eq!(parsed.synopsis, h.synopsis);
-        assert_eq!(parsed.ancestors, h.ancestors);
+    fn legacy_header_is_rejected_with_corrupt() {
+        type Strip = fn(&mut RunHeader);
+        let cases: [(Strip, &str); 2] = [
+            (|h| h.fence_keys = Vec::new(), "fence index"),
+            (|h| h.block_checksums = Vec::new(), "block checksums"),
+        ];
+        for (strip, section) in cases {
+            let mut h = sample_header();
+            strip(&mut h);
+            match RunHeader::deserialize(&h.serialize(4096)) {
+                Err(RunError::Corrupt { context }) => {
+                    assert!(context.contains(section), "{context}")
+                }
+                other => panic!("header without {section} must be Corrupt, got {other:?}"),
+            }
+        }
+        // A run without data blocks has nothing to fence or checksum.
+        let mut empty = sample_header();
+        empty.n_data_blocks = 0;
+        empty.block_prefix_counts = Vec::new();
+        empty.fence_keys = Vec::new();
+        empty.block_checksums = Vec::new();
+        RunHeader::deserialize(&empty.serialize(4096)).unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! latency and statistics.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use umzi_encoding::hash64;
@@ -32,13 +32,6 @@ pub struct Run {
     /// until it grows past the seal threshold. Not persisted — re-derived on
     /// recovery from run sizes.
     sealed: AtomicBool,
-    /// Fence keys reconstructed for runs whose header predates the fence
-    /// index (built once, on first search, by reading each block's first
-    /// entry). Headers with persisted fences never touch this. The mutex
-    /// serializes the rebuild so concurrent first searches don't each sweep
-    /// every block of the run.
-    lazy_fences: OnceLock<Vec<Vec<u8>>>,
-    fence_build_lock: std::sync::Mutex<()>,
 }
 
 impl std::fmt::Debug for Run {
@@ -88,8 +81,6 @@ impl Run {
             layout,
             name: name.to_owned(),
             sealed: AtomicBool::new(false),
-            lazy_fences: OnceLock::new(),
-            fence_build_lock: std::sync::Mutex::new(()),
         })
     }
 
@@ -108,8 +99,6 @@ impl Run {
             layout,
             name: name.to_owned(),
             sealed: AtomicBool::new(false),
-            lazy_fences: OnceLock::new(),
-            fence_build_lock: std::sync::Mutex::new(()),
         }
     }
 
@@ -263,7 +252,7 @@ impl Run {
         let block = DataBlock::parse(chunk)?;
         let cache = self.storage.decoded_cache();
         if bypass_insert {
-            cache.insert_scan_bypassed(key, Arc::new(block.clone()), block.size_bytes() as u64);
+            cache.insert_scan_bypassed(block.size_bytes() as u64);
         } else {
             cache.insert(
                 key,
@@ -301,10 +290,8 @@ impl Run {
         let cache = self.storage.decoded_cache();
         for (chunk_no, chunk) in fetched {
             let b = chunk_no - self.header.header_chunks;
-            if let Some(&expected) = self.header.block_checksums.get(b as usize) {
-                if hash64(&chunk) != expected {
-                    continue;
-                }
+            if self.header.block_checksums.get(b as usize) != Some(&hash64(&chunk)) {
+                continue;
             }
             let Ok(block) = DataBlock::parse(chunk) else {
                 continue;
@@ -312,7 +299,7 @@ impl Run {
             let key = (self.handle.raw(), b);
             let weight = block.size_bytes() as u64;
             if bypass_insert {
-                cache.insert_scan_bypassed(key, Arc::new(block), weight);
+                cache.insert_scan_bypassed(weight);
             } else {
                 cache.insert(key, Arc::new(block), weight, AccessPattern::RangeScan);
             }
@@ -321,16 +308,13 @@ impl Run {
     }
 
     /// Corruption containment for one fetched data block: verify the raw
-    /// bytes against the header's persisted `hash64` (runs written before
-    /// block checksums existed skip this). On a mismatch the poisoned chunk
-    /// is evicted from every cache tier and re-fetched from shared storage
-    /// **once** — a flipped bit in a cache or on the local SSD heals
-    /// transparently — before the read fails as [`RunError::Corrupt`] with
-    /// the run name and block number.
+    /// bytes against the header's persisted `hash64`. On a mismatch the
+    /// poisoned chunk is evicted from every cache tier and re-fetched from
+    /// shared storage **once** — a flipped bit in a cache or on the local
+    /// SSD heals transparently — before the read fails as
+    /// [`RunError::Corrupt`] with the run name and block number.
     fn verify_block_checksum(&self, b: u32, chunk_no: u32, chunk: Bytes) -> Result<Bytes> {
-        let Some(&expected) = self.header.block_checksums.get(b as usize) else {
-            return Ok(chunk);
-        };
+        let expected = self.header.block_checksums[b as usize];
         if hash64(&chunk) == expected {
             return Ok(chunk);
         }
@@ -374,38 +358,9 @@ impl Run {
     }
 
     /// The fence index: `fence_keys()[b]` is the full key of the first
-    /// entry in block `b`. Served from the header when persisted; rebuilt
-    /// once (one pass over the blocks) for runs written before the fence
-    /// index existed.
+    /// entry in block `b`, served from the header.
     pub fn fence_keys(&self) -> Result<&[Vec<u8>]> {
-        if !self.header.fence_keys.is_empty() || self.header.n_data_blocks == 0 {
-            return Ok(&self.header.fence_keys);
-        }
-        if let Some(f) = self.lazy_fences.get() {
-            return Ok(f);
-        }
-        // One thread rebuilds (a full-run block sweep); latecomers block on
-        // the mutex and then find the fences already published.
-        let _build = self
-            .fence_build_lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(f) = self.lazy_fences.get() {
-            return Ok(f);
-        }
-        let mut fences = Vec::with_capacity(self.header.n_data_blocks as usize);
-        for b in 0..self.header.n_data_blocks {
-            // One-pass sweep over every block of the run: maintenance
-            // traffic, kept out of the decoded cache.
-            let block = self.data_block_as(b, AccessPattern::Maintenance)?;
-            if block.entry_count() == 0 {
-                return Err(RunError::Corrupt {
-                    context: format!("data block {b} is empty"),
-                });
-            }
-            fences.push(block.key_at(0)?.to_vec());
-        }
-        Ok(self.lazy_fences.get_or_init(|| fences))
+        Ok(&self.header.fence_keys)
     }
 
     /// Ordinal of the first entry whose key is ≥ `target` across the whole
@@ -820,27 +775,5 @@ mod tests {
         }
         assert_eq!(faulty.stats().bit_flips, 2);
         assert_eq!(storage.stats().corruption_refetches, 1);
-    }
-
-    #[test]
-    fn legacy_run_without_checksums_still_reads() {
-        // A header with the checksum section stripped (as written before the
-        // flag existed) must skip verification rather than reject every
-        // block.
-        let storage = Arc::new(TieredStorage::in_memory());
-        let run = build_run(&storage, 50);
-        let mut header = run.header().clone();
-        header.block_checksums = Vec::new();
-        let legacy = Run::from_parts(
-            Arc::clone(&storage),
-            run.handle(),
-            header,
-            layout(),
-            "runs/t",
-        );
-        for ord in 0..legacy.entry_count() {
-            legacy.entry(ord).unwrap();
-        }
-        assert_eq!(storage.stats().corruption_refetches, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Property test: the fence-index search must be byte-for-byte equivalent
 //! to the brute-force per-entry binary search — across random runs, random
-//! targets, every offset-array bucket, and both fence sources (persisted in
-//! the header, and lazily reconstructed for pre-fence runs).
+//! targets and every offset-array bucket — and the persisted fences must be
+//! exactly the first key of each data block.
 
 use std::sync::Arc;
 
@@ -76,42 +76,6 @@ fn build_run(
         .unwrap()
 }
 
-/// Rewrite `run`'s object with the fence section stripped from the header —
-/// a byte-faithful stand-in for a run built before the fence index existed,
-/// forcing the reader down the lazy-reconstruction path.
-fn strip_fences(storage: &Arc<TieredStorage>, run: &Run, name: &str) -> Run {
-    let mut header = run.header().clone();
-    header.fence_keys = Vec::new();
-    let chunk = storage.chunk_size();
-    let mut object = header.serialize(chunk);
-    let new_header_chunks = (object.len() / chunk) as u32;
-    for b in 0..run.data_block_count() {
-        let data = storage
-            .read_chunk(run.handle(), run.header().header_chunks + b)
-            .unwrap();
-        object.extend_from_slice(&data);
-        // Blocks are chunk-sized except possibly the last.
-        if data.len() < chunk && b + 1 < run.data_block_count() {
-            panic!("only the last block may be short");
-        }
-    }
-    storage
-        .create_object(
-            name,
-            object.into(),
-            Durability::Persisted,
-            new_header_chunks,
-            true,
-        )
-        .unwrap();
-    let reopened = Run::open(Arc::clone(storage), name, run.layout().clone()).unwrap();
-    assert!(
-        reopened.header().fence_keys.is_empty(),
-        "legacy run must have no stored fences"
-    );
-    reopened
-}
-
 /// Targets worth probing: exact entry keys, query-range bounds, and
 /// neighbors on both sides of every block boundary.
 fn targets(run: &Run, device: i64, msg: i64) -> Vec<Vec<u8>> {
@@ -159,42 +123,36 @@ proptest! {
     ) {
         let storage = storage();
         let run = build_run(&storage, &rows, offset_bits, "runs/fprop");
-        let legacy = strip_fences(&storage, &run, "runs/fprop-legacy");
-
-        for r in [&run, &legacy] {
-            let searcher = RunSearcher::new(r);
-            let l = layout();
-            for target in targets(r, device, msg) {
-                // Every bucket, plus no bucket: the narrowed result must
-                // match the brute force probe-by-probe search exactly.
-                let mut buckets: Vec<Option<u32>> = vec![None];
-                if offset_bits > 0 {
-                    buckets.extend((0..(1u32 << offset_bits)).map(Some));
-                    let h = l.hash_equality(&[Datum::Int64(device)]).unwrap();
-                    buckets.push(Some(hash_prefix(h, offset_bits)));
-                }
-                for bucket in buckets {
-                    let fast = searcher.find_first_geq(&target, bucket).unwrap();
-                    let slow = searcher.find_first_geq_scalar(&target, bucket).unwrap();
-                    prop_assert_eq!(
-                        fast, slow,
-                        "target {:?} bucket {:?} legacy={}",
-                        target, bucket, r.header().fence_keys.is_empty()
-                    );
-                }
+        let searcher = RunSearcher::new(&run);
+        let l = layout();
+        for target in targets(&run, device, msg) {
+            // Every bucket, plus no bucket: the narrowed result must
+            // match the brute force probe-by-probe search exactly.
+            let mut buckets: Vec<Option<u32>> = vec![None];
+            if offset_bits > 0 {
+                buckets.extend((0..(1u32 << offset_bits)).map(Some));
+                let h = l.hash_equality(&[Datum::Int64(device)]).unwrap();
+                buckets.push(Some(hash_prefix(h, offset_bits)));
+            }
+            for bucket in buckets {
+                let fast = searcher.find_first_geq(&target, bucket).unwrap();
+                let slow = searcher.find_first_geq_scalar(&target, bucket).unwrap();
+                prop_assert_eq!(fast, slow, "target {:?} bucket {:?}", target, bucket);
             }
         }
     }
 
     #[test]
-    fn persisted_and_lazy_fences_agree(
+    fn persisted_fences_are_block_first_keys(
         rows in proptest::collection::vec((0i64..4, -4i64..8, 1u64..30), 1..120),
     ) {
         let storage = storage();
         let run = build_run(&storage, &rows, 3, "runs/fagree");
-        let legacy = strip_fences(&storage, &run, "runs/fagree-legacy");
-        let persisted = run.fence_keys().unwrap().to_vec();
-        let lazy = legacy.fence_keys().unwrap().to_vec();
-        prop_assert_eq!(persisted, lazy);
+        let fences = run.fence_keys().unwrap();
+        prop_assert_eq!(fences.len(), run.data_block_count() as usize);
+        for (b, fence) in fences.iter().enumerate() {
+            let block = run.data_block(b as u32).unwrap();
+            prop_assert_eq!(fence.as_slice(), block.key_at(0).unwrap());
+        }
     }
 }

@@ -223,7 +223,6 @@ fn large_scan_stops_inserting_past_bypass_threshold() {
                 capacity_bytes: 1 << 20,
                 shards: 1,
                 scan_bypass_bytes: 4096, // ~4 blocks
-                ..DecodedCacheConfig::default()
             },
             ..TieredConfig::default()
         },
@@ -268,7 +267,6 @@ fn partitioned_scan_shares_one_bypass_budget() {
                 capacity_bytes: 1 << 20,
                 shards: 1,
                 scan_bypass_bytes: 4096, // ~4 blocks
-                ..DecodedCacheConfig::default()
             },
             ..TieredConfig::default()
         },
@@ -325,7 +323,6 @@ fn multi_run_scan_shares_one_bypass_budget() {
                     capacity_bytes: 1 << 20,
                     shards: 1,
                     scan_bypass_bytes: 4096, // ~4 blocks
-                    ..DecodedCacheConfig::default()
                 },
                 ..TieredConfig::default()
             },

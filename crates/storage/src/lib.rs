@@ -56,7 +56,7 @@ mod sketch;
 pub mod stats;
 pub mod tiered;
 
-pub use block_cache::{AccessPattern, CachePolicy, DecodedBlockCache, DecodedCacheConfig};
+pub use block_cache::{AccessPattern, DecodedBlockCache, DecodedCacheConfig};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::CacheTier;
 pub use context::{CancelToken, ContextGuard, OpClass, Priority, QueryContext};

@@ -130,7 +130,7 @@ pub struct DecodedCacheStats {
     pub point: PatternCounters,
     /// Range-scan traffic.
     pub scan: PatternCounters,
-    /// Background-maintenance traffic (merge, groom, fence rebuilds).
+    /// Background-maintenance traffic (merge, groom).
     pub maintenance: PatternCounters,
     /// Blocks inserted.
     pub insertions: u64,

@@ -168,9 +168,8 @@ pub struct TieredConfig {
     pub shared_latency: TierLatency,
     /// Whether latencies sleep or only account.
     pub latency_mode: LatencyMode,
-    /// Decoded-block cache sizing and replacement policy. Parsed blocks are
-    /// served without a chunk read or re-parse; a zero capacity disables
-    /// the cache.
+    /// Decoded-block cache sizing. Parsed blocks are served without a chunk
+    /// read or re-parse; a zero capacity disables the cache.
     pub decoded_cache: DecodedCacheConfig,
     /// Bounded retry with backoff for transient shared-storage failures.
     pub retry: RetryConfig,
@@ -232,9 +231,6 @@ pub struct TieredStorage {
     /// Total `read_chunk` calls, regardless of which tier served them.
     chunk_reads: std::sync::atomic::AtomicU64,
     registry: RwLock<Registry>,
-    /// Retry policy for shared-storage IO; reconfigurable (index configs may
-    /// override the hierarchy default).
-    retry: RwLock<RetryConfig>,
     /// Jitter source for retry backoff. Seeded deterministically so tests
     /// replay the same delays.
     retry_rng: Mutex<StdRng>,
@@ -258,7 +254,7 @@ pub struct TieredStorage {
     /// Object names whose GC delete failed — awaiting janitor re-attempt.
     leaked_gc: Mutex<BTreeSet<String>>,
     corruption_refetches: std::sync::atomic::AtomicU64,
-    /// Readahead policy; reconfigurable like the retry policy.
+    /// Readahead policy (see [`Self::set_prefetch_config`]).
     prefetch: RwLock<PrefetchConfig>,
     /// Chunks staged ahead of demand that no read has consumed yet. Bounded
     /// FIFO window: keys that age out unconsumed count as wasted readahead.
@@ -308,7 +304,6 @@ impl TieredStorage {
             LatencyModel::new(config.ssd_latency, config.latency_mode),
         );
         let decoded = DecodedBlockCache::new(config.decoded_cache.clone());
-        let retry = config.retry;
         let prefetch = config.prefetch;
         let breaker = CircuitBreaker::new(config.breaker);
         Self {
@@ -319,7 +314,6 @@ impl TieredStorage {
             decoded,
             chunk_reads: std::sync::atomic::AtomicU64::new(0),
             registry: RwLock::new(Registry::default()),
-            retry: RwLock::new(retry),
             retry_rng: Mutex::new(StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15)),
             retries: std::sync::atomic::AtomicU64::new(0),
             retries_exhausted: std::sync::atomic::AtomicU64::new(0),
@@ -381,22 +375,13 @@ impl TieredStorage {
         }
     }
 
-    /// The active retry policy.
-    pub fn retry_config(&self) -> RetryConfig {
-        *self.retry.read()
-    }
-
-    /// Replace the retry policy (index configs may override the default).
-    pub fn set_retry_config(&self, retry: RetryConfig) {
-        *self.retry.write() = retry;
-    }
-
     /// The active readahead policy.
     pub fn prefetch_config(&self) -> PrefetchConfig {
         *self.prefetch.read()
     }
 
-    /// Replace the readahead policy (index configs may override the default).
+    /// Replace the readahead policy, so a test or bench can compare
+    /// readahead depths over the same runs on the same storage.
     pub fn set_prefetch_config(&self, prefetch: PrefetchConfig) {
         *self.prefetch.write() = prefetch;
     }
@@ -557,7 +542,7 @@ impl TieredStorage {
             self.breaker.record_neutral(class);
             return Err(e);
         }
-        let retry = *self.retry.read();
+        let retry = self.config.retry;
         let mut prev = retry.base_backoff;
         let mut attempt = 0u32;
         loop {

@@ -1,69 +1,18 @@
 //! Property tests for the decoded-block cache.
 //!
-//! * Under [`CachePolicy::Lru`] the cache must behave exactly like the
-//!   oracle model — a weight-accounted LRU list — across arbitrary op
-//!   sequences (the always-admit fallback is the pre-scan-resistance
-//!   semantics, so any divergence is a regression).
-//! * Under [`CachePolicy::ScanResistant`] admission and promotion may
-//!   reorder and reject, but structural invariants must hold: capacity is
-//!   never exceeded, byte accounting matches residency, and a hit always
-//!   returns the most recently inserted value for its key.
+//! Admission and promotion may reorder and reject, but structural
+//! invariants must hold: capacity is never exceeded, byte accounting
+//! matches residency, and a hit always returns the most recently inserted
+//! value for its key.
 
 use std::any::Any;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use umzi_storage::{AccessPattern, CachePolicy, DecodedBlockCache, DecodedCacheConfig};
+use umzi_storage::{AccessPattern, DecodedBlockCache, DecodedCacheConfig};
 
-const CAPACITY: u64 = 500;
-
-fn one_shard(policy: CachePolicy) -> DecodedBlockCache {
-    DecodedBlockCache::new(DecodedCacheConfig {
-        capacity_bytes: CAPACITY,
-        shards: 1,
-        policy,
-        protected_fraction: 0.5,
-        scan_bypass_bytes: 0,
-        sketch_counters: 1 << 14,
-        ..DecodedCacheConfig::default()
-    })
-}
-
-/// The oracle: an MRU-front list with byte accounting, replicating the
-/// plain-LRU semantics (replace refreshes recency; evict from the tail
-/// while over capacity; oversized entries are not cached).
-#[derive(Default)]
-struct OracleLru {
-    entries: Vec<((u64, u32), u64)>, // MRU first
-}
-
-impl OracleLru {
-    fn used(&self) -> u64 {
-        self.entries.iter().map(|(_, w)| w).sum()
-    }
-
-    fn insert(&mut self, key: (u64, u32), weight: u64) {
-        if weight > CAPACITY {
-            return;
-        }
-        self.entries.retain(|(k, _)| *k != key);
-        self.entries.insert(0, (key, weight));
-        while self.used() > CAPACITY {
-            self.entries.pop();
-        }
-    }
-
-    fn get(&mut self, key: (u64, u32)) -> bool {
-        match self.entries.iter().position(|(k, _)| *k == key) {
-            Some(i) => {
-                let e = self.entries.remove(i);
-                self.entries.insert(0, e);
-                true
-            }
-            None => false,
-        }
-    }
-}
+/// Per-shard capacity: one heavy block fits, two usually do not.
+const SHARD_CAPACITY: u64 = 500;
 
 fn value_of(n: u32) -> Arc<dyn Any + Send + Sync> {
     Arc::new(n)
@@ -72,74 +21,45 @@ fn value_of(n: u32) -> Arc<dyn Any + Send + Sync> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Lru policy ≡ oracle: membership, recency-driven eviction order and
-    /// byte accounting all match after every operation.
-    #[test]
-    fn lru_policy_matches_oracle(
-        ops in proptest::collection::vec(
-            (any::<bool>(), 0u32..12, 20u64..260), 1..120),
-    ) {
-        let cache = one_shard(CachePolicy::Lru);
-        let mut oracle = OracleLru::default();
-        for (i, (is_insert, key, weight)) in ops.into_iter().enumerate() {
-            let key = (9, key);
-            if is_insert {
-                cache.insert(key, value_of(i as u32), weight, AccessPattern::PointLookup);
-                oracle.insert(key, weight);
-            } else {
-                let got = cache.get(key, AccessPattern::PointLookup).is_some();
-                let want = oracle.get(key);
-                prop_assert_eq!(got, want, "get({:?}) diverged at op {}", key, i);
-            }
-            let stats = cache.stats();
-            prop_assert_eq!(stats.used_bytes, oracle.used(), "bytes diverged at op {}", i);
-            prop_assert_eq!(stats.entries as usize, oracle.entries.len());
-            for b in 0..12u32 {
-                prop_assert_eq!(
-                    cache.contains((9, b)),
-                    oracle.entries.iter().any(|(k, _)| *k == (9, b)),
-                    "membership of {:?} diverged at op {}", (9, b), i
-                );
-            }
-        }
-    }
-
-    /// Scan-resistant invariants: capacity never exceeded, accounting
-    /// consistent, hits return the latest value, and the two segments sum
-    /// to the total.
+    /// Capacity never exceeded, accounting consistent, hits return the
+    /// latest value, and the two segments sum to the total — on one shard
+    /// (every key contends) and at the default shard count.
     #[test]
     fn scan_resistant_structural_invariants(
         ops in proptest::collection::vec(
             (0u8..6, 0u32..24, 20u64..260), 1..200),
     ) {
-        let cache = one_shard(CachePolicy::ScanResistant);
-        let mut latest: std::collections::HashMap<(u64, u32), u32> = Default::default();
-        for (i, (op, key, weight)) in ops.into_iter().enumerate() {
-            let key = (3, key);
-            let pattern = match op % 3 {
-                0 => AccessPattern::PointLookup,
-                1 => AccessPattern::RangeScan,
-                _ => AccessPattern::Maintenance,
-            };
-            if op < 3 {
-                cache.insert(key, value_of(i as u32), weight, pattern);
-                // The insert may be rejected/bypassed; only a *resident* key
-                // is guaranteed to carry the new value.
-                if cache.contains(key) {
-                    latest.insert(key, i as u32);
-                } else {
-                    latest.remove(&key);
+        for shards in [1, DecodedCacheConfig::default().shards] {
+            let capacity = SHARD_CAPACITY * shards as u64;
+            let cache = DecodedBlockCache::with_capacity(capacity, shards);
+            let mut latest: std::collections::HashMap<(u64, u32), u32> = Default::default();
+            for (i, &(op, key, weight)) in ops.iter().enumerate() {
+                let key = (3, key);
+                let pattern = match op % 3 {
+                    0 => AccessPattern::PointLookup,
+                    1 => AccessPattern::RangeScan,
+                    _ => AccessPattern::Maintenance,
+                };
+                if op < 3 {
+                    cache.insert(key, value_of(i as u32), weight, pattern);
+                    // The insert may be rejected/bypassed; only a *resident* key
+                    // is guaranteed to carry the new value.
+                    if cache.contains(key) {
+                        latest.insert(key, i as u32);
+                    } else {
+                        latest.remove(&key);
+                    }
+                } else if let Some(v) = cache.get(key, pattern) {
+                    let got = *v.downcast::<u32>().expect("u32 payload");
+                    prop_assert_eq!(Some(&got), latest.get(&key),
+                        "hit on {:?} returned a stale value at op {}", key, i);
                 }
-            } else if let Some(v) = cache.get(key, pattern) {
-                let got = *v.downcast::<u32>().expect("u32 payload");
-                prop_assert_eq!(Some(&got), latest.get(&key),
-                    "hit on {:?} returned a stale value at op {}", key, i);
+                let s = cache.stats();
+                prop_assert!(s.used_bytes <= capacity, "over capacity at op {}: {:?}", i, s);
+                prop_assert_eq!(s.used_bytes, s.probation_bytes + s.protected_bytes);
+                // Eviction may drop any entry; prune the shadow map accordingly.
+                latest.retain(|k, _| cache.contains(*k));
             }
-            let s = cache.stats();
-            prop_assert!(s.used_bytes <= CAPACITY, "over capacity at op {}: {:?}", i, s);
-            prop_assert_eq!(s.used_bytes, s.probation_bytes + s.protected_bytes);
-            // Eviction may drop any entry; prune the shadow map accordingly.
-            latest.retain(|k, _| cache.contains(*k));
         }
     }
 }

@@ -177,8 +177,7 @@ impl Telemetry {
 
     /// Apply a configuration to the live handle. Counters and histograms
     /// are preserved — only the switch, threshold, and ring capacity move —
-    /// so re-applying the same config (engine create + per-shard index
-    /// creates) is idempotent.
+    /// so re-applying the same config is idempotent.
     pub fn configure(&self, config: &TelemetryConfig) {
         self.enabled.store(config.enabled, Ordering::Relaxed);
         self.slow_threshold_nanos.store(
