@@ -1,10 +1,10 @@
 //! Read-path query micro-benchmark: point lookup, range scan and batch
-//! lookup at three run-count settings, a before/after comparison of the
-//! run-search hot path (pre-change: per-entry binary search with no
-//! decoded-block cache; post-change: fence index + decoded-block cache),
-//! and a `parallel_reconcile` group comparing the sequential k-way merge
-//! against the partitioned parallel merge (1 vs N threads at a fixed run
-//! count) on a large scan over sleep-mode SSD latency.
+//! lookup at three run-count settings, and a `parallel_reconcile` group
+//! comparing the sequential k-way merge against the partitioned parallel
+//! merge (1 vs N threads at a fixed run count) on a large scan over
+//! sleep-mode SSD latency. (The run-search before/after A/B — per-entry
+//! binary search without a decoded cache vs fence index + cache — is
+//! decided and retired; its last numbers are archived in CHANGES.md.)
 //!
 //! Emits `BENCH_query.json` (override the path with `UMZI_BENCH_QUERY_OUT`)
 //! with ops/sec and blocks-read-per-op so successive PRs can track the
@@ -17,7 +17,7 @@ use std::time::Instant;
 use umzi_bench::{bench_index, ingest_runs, point_groups, scan_groups, POINT_SPAN};
 use umzi_core::{MergePolicy, RangeQuery, ReconcileStrategy, UmziConfig, UmziIndex};
 use umzi_encoding::Datum;
-use umzi_run::{RunSearcher, SortBound};
+use umzi_run::SortBound;
 use umzi_storage::{
     DecodedCacheConfig, InMemoryObjectStore, LatencyMode, LatencyModel, PrefetchConfig,
     SharedStorage, TierLatency, TieredConfig, TieredStorage,
@@ -74,29 +74,6 @@ fn measure(
         secs,
         blocks_per_op: blocks as f64 / ops as f64,
     }
-}
-
-/// An index whose storage matches the pre-change world: no decoded-block
-/// cache, so every block touch is a chunk read.
-fn index_without_decoded_cache(name: &str) -> Arc<UmziIndex> {
-    let storage = Arc::new(TieredStorage::new(
-        SharedStorage::in_memory(),
-        TieredConfig {
-            mem_capacity: 8 << 30,
-            ssd_capacity: 64 << 30,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 0,
-                ..DecodedCacheConfig::default()
-            },
-            ..TieredConfig::default()
-        },
-    ));
-    let mut config = UmziConfig::two_zone(name);
-    config.merge = MergePolicy {
-        k: usize::MAX / 2,
-        t: 4,
-    };
-    UmziIndex::create(storage, IndexPreset::I1.def(), config).expect("create index")
 }
 
 /// An index over storage that behaves like a cold SSD: sleep-mode latency
@@ -492,54 +469,6 @@ fn main() {
         telemetry_results.push(off);
     }
 
-    // Before/after on the run-search hot path itself: one 20k-entry run,
-    // searched 2000 times. "Before" = per-entry binary search, decoded
-    // cache off (the pre-change read path); "after" = fence index +
-    // decoded cache.
-    let before_idx = index_without_decoded_cache("qlat-before");
-    ingest_runs(
-        &before_idx,
-        IndexPreset::I1,
-        umzi_workload::KeyDist::Random,
-        1,
-        PER_RUN,
-        false,
-        7,
-    );
-    let before_run = before_idx.zones()[0].list.snapshot()[0].clone();
-    let target = {
-        let (eq, sort) = point_groups(IndexPreset::I1, next(PER_RUN));
-        let mut full = before_idx.layout().build_key(&eq, &sort, 0).expect("key");
-        full.truncate(full.len() - 8);
-        full
-    };
-    let before = measure("search_before_scalar_nocache", 1, &before_idx, 2000, |_| {
-        std::hint::black_box(
-            RunSearcher::new(&before_run)
-                .find_first_geq_scalar(&target, None)
-                .expect("search"),
-        );
-    });
-
-    let after_idx = bench_index(IndexPreset::I1, "qlat-after");
-    ingest_runs(
-        &after_idx,
-        IndexPreset::I1,
-        umzi_workload::KeyDist::Random,
-        1,
-        PER_RUN,
-        false,
-        7,
-    );
-    let after_run = after_idx.zones()[0].list.snapshot()[0].clone();
-    let after = measure("search_after_fence_cached", 1, &after_idx, 2000, |_| {
-        std::hint::black_box(
-            RunSearcher::new(&after_run)
-                .find_first_geq(&target, None)
-                .expect("search"),
-        );
-    });
-
     // Report.
     eprintln!("\n== query_latency ==");
     eprintln!(
@@ -552,7 +481,6 @@ fn main() {
         .chain(&prefetch_results)
         .chain(&cache_results)
         .chain(&telemetry_results)
-        .chain([&before, &after])
     {
         eprintln!(
             "{:<28} {:>5} {:>14.0} {:>18.3}",
@@ -562,11 +490,6 @@ fn main() {
             m.blocks_per_op
         );
     }
-    let speedup = after.ops_per_sec() / before.ops_per_sec().max(1e-9);
-    eprintln!(
-        "\nrun-search before→after: {:.1}x ops/sec, {:.2} → {:.2} blocks/op",
-        speedup, before.blocks_per_op, after.blocks_per_op
-    );
     let par_speedup = par_results[1].ops_per_sec() / par_results[0].ops_per_sec().max(1e-9);
     eprintln!(
         "parallel reconcile 1→{PAR_THREADS} threads ({PAR_RUNS} runs, {} rows): {:.2}x ops/sec",
@@ -591,12 +514,10 @@ fn main() {
         .chain(&prefetch_results)
         .chain(&cache_results)
         .chain(&telemetry_results)
-        .chain([&before, &after])
         .map(json_entry)
         .collect();
     let _ = writeln!(json, "{}", lines.join(",\n"));
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"search_speedup_ops_per_sec\": {speedup:.2},");
     let _ = writeln!(
         json,
         "  \"parallel_scan_speedup_ops_per_sec\": {par_speedup:.2},"

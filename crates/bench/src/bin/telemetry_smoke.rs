@@ -2,12 +2,14 @@
 //! a real engine under daemon churn, dump the unified snapshot as a JSON
 //! artifact, and fail loudly if any registered latency histogram recorded
 //! zero samples — the regression this guards against is an instrumentation
-//! site silently falling off a refactored code path.
+//! site silently falling off a refactored code path — or if the Prometheus
+//! rendering names the same series twice.
 //!
 //! Run with `cargo run --release -p umzi-bench --bin telemetry_smoke`.
 //! Writes `TELEMETRY_smoke.json` (override with `UMZI_TELEMETRY_SMOKE_OUT`).
 //! Exits non-zero when coverage is incomplete.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,7 +18,9 @@ use umzi_core::{
 };
 use umzi_encoding::Datum;
 use umzi_run::SortBound;
-use umzi_storage::{SharedStorage, TelemetryConfig, TieredConfig, TieredStorage};
+use umzi_storage::{
+    PrefetchConfig, QueryContext, SharedStorage, TelemetryConfig, TieredConfig, TieredStorage,
+};
 use umzi_wildfire::{iot_table, EngineConfig, Freshness, ShardConfig, WildfireEngine};
 use umzi_workload::{IndexPreset, MixedConfig, MixedOp, MixedWorkload};
 
@@ -38,11 +42,25 @@ fn key_probe(k: u64) -> (Vec<Datum>, Vec<Datum>) {
     )
 }
 
+/// Drop every run of `idx` from the local tiers and the decoded cache, so
+/// the next read of its data pays the shared-storage path.
+fn purge_runs(idx: &UmziIndex) {
+    for zone in idx.zones() {
+        for run in zone.list.snapshot() {
+            // Non-persisted runs have no other home and refuse the purge.
+            let _ = idx.storage().purge_object(run.handle());
+        }
+    }
+}
+
 /// Drive the partitioned-scan path on an auxiliary index sharing the
 /// engine's storage (and therefore its telemetry handle): the engine's own
 /// per-device scans stay under the parallel threshold, so the
 /// `range_scan_partitioned` histogram needs a scan that actually fans out.
-fn drive_partitioned_scan(storage: &Arc<TieredStorage>) {
+/// Then the readahead path: prefetch ships disabled (`depth: 0`), so switch
+/// it on and rescan the same runs cold — a multi-block scan off shared
+/// storage is what fills `prefetch_batch` and `readahead_depth`.
+fn drive_partitioned_and_readahead_scans(storage: &Arc<TieredStorage>) {
     let mut config = UmziConfig::two_zone("telemetry-smoke-par");
     config.merge = MergePolicy {
         k: usize::MAX / 2,
@@ -76,6 +94,15 @@ fn drive_partitioned_scan(storage: &Arc<TieredStorage>) {
                 .expect("partitioned scan"),
         );
     }
+    storage.set_prefetch_config(PrefetchConfig {
+        depth: 4,
+        ..PrefetchConfig::default()
+    });
+    purge_runs(&idx);
+    std::hint::black_box(
+        idx.range_scan(&whole, ReconcileStrategy::PriorityQueue)
+            .expect("cold readahead scan"),
+    );
 }
 
 fn main() {
@@ -135,10 +162,12 @@ fn main() {
         42,
     );
     let mut ingests = 0usize;
+    let mut first_key = None;
     let mut last_key = 0u64;
     while ingests < INGEST_CYCLES {
         match stream.next_op() {
             MixedOp::IngestBatch(batch) => {
+                first_key = first_key.or(batch.first().map(|&(k, _)| k));
                 last_key = batch.last().map(|&(k, _)| k).unwrap_or(last_key);
                 let rows: Vec<Vec<Datum>> = batch.iter().map(|&(k, _)| key_row(k)).collect();
                 engine.upsert_many(rows).expect("upsert");
@@ -173,7 +202,7 @@ fn main() {
         std::hint::black_box(engine.get(&eq, &sort, Freshness::Latest).expect("get"));
     }
 
-    drive_partitioned_scan(&storage);
+    drive_partitioned_and_readahead_scans(&storage);
 
     // Let the daemon drain so every job kind has executed (idle retire and
     // evolve pokes are recorded too), then snapshot while it is still
@@ -182,6 +211,23 @@ fn main() {
         d.wait_idle(Duration::from_secs(30));
     }
     std::thread::sleep(Duration::from_millis(100)); // one more janitor tick
+
+    // One lookup under an already-expired deadline, for the overshoot
+    // histogram. The key is long groomed and its runs were just purged, so
+    // the lookup must go to shared storage, whose first cooperative check
+    // turns the dead deadline into the typed error.
+    let mut failures: Vec<String> = Vec::new();
+    for s in engine.shards() {
+        purge_runs(s.index());
+    }
+    let (eq, sort) = key_probe(first_key.expect("at least one ingest batch"));
+    let expired = QueryContext::with_deadline(Duration::ZERO);
+    match engine.get_with(&expired, &eq, &sort, Freshness::Latest) {
+        Err(e) if e.is_deadline_exceeded() => {}
+        other => failures.push(format!(
+            "get under an expired deadline: expected DeadlineExceeded, got {other:?}"
+        )),
+    }
     let snap = engine.telemetry();
     daemons.shutdown();
 
@@ -192,7 +238,6 @@ fn main() {
     eprintln!("wrote {out_path}");
 
     // Coverage gate: every registered histogram must have samples.
-    let mut failures: Vec<String> = Vec::new();
     eprintln!("\n== telemetry_smoke coverage ==");
     for (name, h) in &snap.metrics.histograms {
         eprintln!(
@@ -227,6 +272,14 @@ fn main() {
     let prom = snap.to_prometheus();
     if !prom.contains("umzi_query_duration_nanos{op=\"point_lookup\",quantile=\"0.5\"}") {
         failures.push("prometheus export missing point-lookup quantiles".into());
+    }
+    // One name, one number: the fold must never say a series twice.
+    let mut seen = BTreeSet::new();
+    for line in prom.lines() {
+        let name = line.rsplit_once(' ').map_or(line, |(name, _)| name);
+        if !seen.insert(name) {
+            failures.push(format!("prometheus export repeats series {name}"));
+        }
     }
 
     if failures.is_empty() {

@@ -7,7 +7,6 @@
 //! pruned by their synopses (§4.2). Per-run results are reconciled with the
 //! set or priority-queue strategy (§7.1.2).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -225,25 +224,28 @@ impl UmziIndex {
     /// block don't each fetch it again. Output is byte-for-byte the
     /// sequential [`reconcile_pq`] result — partitions are key-disjoint,
     /// cut at logical-key granularity, and concatenated in ascending order.
+    ///
+    /// Returns the hits and the number of partitions merged (0 = the
+    /// sequential path), which is what classifies this scan in telemetry.
     fn reconcile_pq_maybe_parallel(
         &self,
         iters: Vec<umzi_run::RunRangeIter<'_>>,
         lower: &[u8],
         upper: Option<&Bytes>,
         candidates: &[Arc<Run>],
-    ) -> umzi_run::Result<Vec<SearchHit>> {
+    ) -> umzi_run::Result<(Vec<SearchHit>, u64)> {
         let scan = &self.config.scan;
         let estimated_rows: u64 = iters.iter().map(|it| it.remaining_entries()).sum();
         // Adaptive fan-out: never cut the scan into partitions smaller than
         // min_partition_rows — a tiny partition wastes its thread spawn.
         let target = scan.adaptive_partitions(estimated_rows);
         if target <= 1 || estimated_rows < scan.parallel_row_threshold.max(1) {
-            return reconcile_pq(iters);
+            return Ok((reconcile_pq(iters)?, 0));
         }
         let boundaries =
             plan_scan_partitions(candidates, lower, upper.map(|u| u.as_ref()), target)?;
         if boundaries.is_empty() {
-            return reconcile_pq(iters);
+            return Ok((reconcile_pq(iters)?, 0));
         }
         // Resolve every run's boundary ordinals on scoped threads — each
         // resolution may cost a block read, and they are the only
@@ -299,14 +301,14 @@ impl UmziIndex {
                 carry.take().into_iter().collect(),
             ));
         }
+        let n_partitions = partitions.len() as u64;
         self.counters
             .parallel_scans
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.counters.scan_partitions.fetch_add(
-            partitions.len() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        reconcile_partitioned(partitions)
+        self.counters
+            .scan_partitions
+            .fetch_add(n_partitions, std::sync::atomic::Ordering::Relaxed);
+        Ok((reconcile_partitioned(partitions)?, n_partitions))
     }
 
     /// Range scan (§7.1): returns the newest visible version of every
@@ -330,12 +332,11 @@ impl UmziIndex {
             return self.range_scan_impl(query, strategy, None);
         }
         // Storage-counter deltas attribute block/cache/retry activity to
-        // this scan (approximately, under concurrency — see the telemetry
-        // crate docs); the parallel_scans delta classifies seq vs
-        // partitioned without threading a flag through the reconcile path.
+        // this scan only approximately: the counters are hierarchy-global,
+        // so a concurrent neighbour's IO lands in this trace too. The
+        // partition count (and with it seq vs partitioned) is exact — the
+        // reconcile path reports what this scan did.
         let probe0 = self.storage.trace_probe();
-        let pscans0 = self.counters.parallel_scans.load(Ordering::Relaxed);
-        let parts0 = self.counters.scan_partitions.load(Ordering::Relaxed);
         let mut trace = QueryTrace::begin("range_scan_seq");
         let out = self.range_scan_impl(query, strategy, Some(&mut trace));
         let probe = self.storage.trace_probe().since(&probe0);
@@ -343,15 +344,10 @@ impl UmziIndex {
         trace.cache_hits = probe.cache_hits;
         trace.bytes_decoded = probe.decoded_bytes;
         trace.retries = probe.retries;
-        if self.counters.parallel_scans.load(Ordering::Relaxed) > pscans0 {
-            trace.op = "range_scan_partitioned";
-            trace.partitions = self
-                .counters
-                .scan_partitions
-                .load(Ordering::Relaxed)
-                .saturating_sub(parts0);
-        }
         let partitioned = trace.partitions > 0;
+        if partitioned {
+            trace.op = "range_scan_partitioned";
+        }
         let record = trace.finish();
         let hist = if partitioned {
             &tel.ops().range_scan_partitioned
@@ -442,14 +438,15 @@ impl UmziIndex {
             t.position_nanos = t.elapsed_nanos() - t.plan_nanos;
         }
 
-        let hits = match strategy {
-            ReconcileStrategy::Set => reconcile_set(iters)?,
+        let (hits, partitions) = match strategy {
+            ReconcileStrategy::Set => (reconcile_set(iters)?, 0),
             ReconcileStrategy::PriorityQueue => {
                 self.reconcile_pq_maybe_parallel(iters, &lower, upper.as_ref(), &candidates)?
             }
         };
         if let Some(t) = trace {
             t.merge_nanos = t.elapsed_nanos() - t.plan_nanos - t.position_nanos;
+            t.partitions = partitions;
         }
         Ok(hits.into_iter().map(QueryOutput::from_hit).collect())
     }

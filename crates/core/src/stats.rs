@@ -3,11 +3,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use umzi_storage::StorageStats;
-
 use crate::index::UmziIndex;
 
-/// A snapshot of index state for dashboards, benchmarks and tests.
+/// A snapshot of index state for dashboards, benchmarks and tests. The
+/// storage hierarchy is shared by every index stacked on it and is
+/// snapshotted separately (`idx.storage().stats()`).
 #[derive(Debug, Clone)]
 pub struct IndexStats {
     /// Live runs per zone (zone order as configured).
@@ -40,8 +40,6 @@ pub struct IndexStats {
     pub cached_level: u32,
     /// Runs awaiting deferred deletion.
     pub graveyard: usize,
-    /// Storage-hierarchy statistics.
-    pub storage: StorageStats,
 }
 
 impl UmziIndex {
@@ -78,7 +76,6 @@ impl UmziIndex {
             indexed_psn: self.indexed_psn(),
             cached_level: self.current_cached_level(),
             graveyard: self.graveyard_len(),
-            storage: self.storage.stats(),
         }
     }
 }

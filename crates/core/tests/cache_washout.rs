@@ -105,9 +105,9 @@ fn post_scan_point_hit_rate(idx: &UmziIndex) -> f64 {
     // Re-measure the warmed lookups.
     let mut served_cached = 0;
     for (eq, sort) in &hot {
-        let before = idx.stats().storage.chunk_reads;
+        let before = idx.storage().stats().chunk_reads;
         idx.point_lookup(eq, sort, u64::MAX).unwrap().unwrap();
-        if idx.stats().storage.chunk_reads == before {
+        if idx.storage().stats().chunk_reads == before {
             served_cached += 1;
         }
     }
@@ -144,7 +144,7 @@ fn scan_resistant_cache_survives_full_table_scan() {
 
     // The scan itself must have been admitted probation-only: the protected
     // segment still holds (only) the point working set.
-    let d = sr.stats().storage.decoded;
+    let d = sr.storage().stats().decoded;
     assert!(
         d.protected_bytes <= (CACHE_BYTES as f64 * 0.8) as u64,
         "protected segment exceeded its cap: {d:?}"

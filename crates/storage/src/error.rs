@@ -42,8 +42,6 @@ pub enum StorageError {
     },
     /// Underlying filesystem error (filesystem-backed object store).
     Io(std::io::Error),
-    /// Invalid configuration (e.g. decoded-cache knobs out of range).
-    Config(String),
     /// A transient fault: the operation failed but left no side effects and
     /// may succeed if retried (network hiccup, throttling, injected fault).
     Transient {
@@ -132,7 +130,6 @@ impl fmt::Display for StorageError {
             }
             StorageError::StaleHandle { handle } => write!(f, "stale object handle {handle}"),
             StorageError::Io(e) => write!(f, "I/O error: {e}"),
-            StorageError::Config(msg) => write!(f, "invalid storage configuration: {msg}"),
             StorageError::Transient { op, name, detail } => {
                 write!(f, "transient {op} failure on {name}: {detail}")
             }

@@ -91,17 +91,6 @@ impl RetryConfig {
             ..Self::default()
         }
     }
-
-    /// Validate the knobs.
-    pub fn validate(&self) -> crate::Result<()> {
-        if self.base_backoff > self.max_backoff {
-            return Err(StorageError::Config(format!(
-                "retry base_backoff ({:?}) exceeds max_backoff ({:?})",
-                self.base_backoff, self.max_backoff
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// Readahead pipelining for sequential block IO.
@@ -129,26 +118,6 @@ impl Default for PrefetchConfig {
             depth: 0,
             max_inflight_bytes: 4 << 20,
         }
-    }
-}
-
-impl PrefetchConfig {
-    /// Validate the knobs.
-    pub fn validate(&self) -> crate::Result<()> {
-        if self.depth > 1024 {
-            return Err(StorageError::Config(format!(
-                "prefetch depth {} is absurd (cap is 1024)",
-                self.depth
-            )));
-        }
-        if self.depth > 0 && self.max_inflight_bytes == 0 {
-            return Err(StorageError::Config(
-                "prefetch max_inflight_bytes must be > 0 when depth > 0 \
-                 (a zero budget silently disables every batch)"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 }
 

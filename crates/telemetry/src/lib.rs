@@ -44,7 +44,8 @@ pub const JOB_KINDS: usize = 4;
 /// Labels of the per-job-kind histograms, in [`OpMetrics::jobs`] order.
 pub const JOB_LABELS: [&str; JOB_KINDS] = ["groom", "merge", "evolve", "retire_deprecated"];
 
-/// Tuning knobs for the telemetry subsystem, carried on `UmziConfig`.
+/// Tuning knobs for the telemetry subsystem, applied to a live handle with
+/// [`Telemetry::configure`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch: when false, instrumentation sites skip clock reads and
@@ -63,19 +64,6 @@ impl Default for TelemetryConfig {
             slow_query_threshold: Duration::from_millis(100),
             slow_query_log_len: 128,
         }
-    }
-}
-
-impl TelemetryConfig {
-    /// Validate structural invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.slow_query_log_len > 1 << 20 {
-            return Err(format!(
-                "telemetry slow_query_log_len {} is absurd (cap is 2^20)",
-                self.slow_query_log_len
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -320,16 +308,5 @@ mod tests {
         assert!(!t.is_enabled());
         assert_eq!(t.ops().ingest.count(), 1, "history survives reconfigure");
         assert_eq!(t.slow_threshold_nanos(), 5_000_000);
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(TelemetryConfig::default().validate().is_ok());
-        assert!(TelemetryConfig {
-            slow_query_log_len: (1 << 20) + 1,
-            ..TelemetryConfig::default()
-        }
-        .validate()
-        .is_err());
     }
 }

@@ -138,7 +138,11 @@ impl Registry {
 }
 
 /// An owned copy of a registry's state, extendable with derived values
-/// before export (the engine folds its domain stats structs in as gauges).
+/// before export. The one caller of [`Self::push_counter`] /
+/// [`Self::push_gauge`] is `umzi_wildfire::TelemetrySnapshot`'s fold, which
+/// appends every domain stats struct (storage, index, daemon, admission,
+/// health) as `umzi_*` series and then [`Self::sort`]s, so both renderers in
+/// this crate see one flat, ordered list.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name at capture.
@@ -158,6 +162,13 @@ impl MetricsSnapshot {
     /// Append a derived counter value.
     pub fn push_counter(&mut self, name: impl Into<String>, value: u64) {
         self.counters.push((name.into(), value));
+    }
+
+    /// Re-establish name order after pushes, so rendered output does not
+    /// depend on the order derived values were appended in.
+    pub fn sort(&mut self) {
+        self.counters.sort();
+        self.gauges.sort();
     }
 
     /// The histogram registered under `name`, if any.
@@ -195,5 +206,19 @@ mod tests {
         assert_eq!(s.gauges, vec![("g".to_string(), -7)]);
         assert_eq!(s.histogram("h").unwrap().count(), 1);
         assert!(s.histogram("nope").is_none());
+    }
+
+    #[test]
+    fn pushed_values_sort_in_with_registered_ones() {
+        let r = Registry::new();
+        r.counter("b_total").add(1);
+        r.gauge("y").set(1);
+        let mut s = r.snapshot();
+        s.push_counter("a_total", 2);
+        s.push_gauge("x", -3);
+        s.sort();
+        let names = |v: &[(String, u64)]| v.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&s.counters), ["a_total", "b_total"]);
+        assert_eq!(s.gauges, vec![("x".to_string(), -3), ("y".to_string(), 1)]);
     }
 }

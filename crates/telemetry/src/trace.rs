@@ -6,7 +6,9 @@
 //! deltas are read from shared atomic counters, so under concurrent queries
 //! they attribute *approximately*: a trace may absorb a neighbour's block
 //! fetch. That is the documented trade-off for keeping the read path free of
-//! per-query plumbing through every storage layer.
+//! per-query plumbing through every storage layer. `partitions` (and the
+//! seq/partitioned `op` derived from it) is not a delta: the reconcile path
+//! reports what this query did, so it is exact.
 //!
 //! Records whose total latency crosses the configured threshold land in the
 //! ring-buffered [`SlowQueryLog`]; the newest `capacity` records survive.

@@ -26,7 +26,9 @@ use umzi_core::{
 use umzi_encoding::Datum;
 use umzi_run::{Rid, SortBound};
 use umzi_storage::telemetry::{Counter, Histogram, Registry};
-use umzi_storage::{context, AccessPattern, BreakerState, OpClass, QueryContext, TieredStorage};
+use umzi_storage::{
+    context, AccessPattern, BreakerState, OpClass, QueryContext, StorageStats, TieredStorage,
+};
 
 use crate::admission::{AdmissionConfig, ReadAdmission, ScanPermit};
 use crate::maintenance::EngineExecutor;
@@ -315,7 +317,16 @@ impl WildfireEngine {
     /// maintenance quarantine state and write-path backpressure in one
     /// struct. Daemon-related fields are zero when no daemon is running.
     pub fn health(&self) -> EngineHealth {
-        let st = self.storage.stats();
+        self.health_from(&self.storage.stats(), self.maintenance_stats().as_ref())
+    }
+
+    /// [`Self::health`] distilled from snapshots the caller already holds,
+    /// so [`Self::telemetry`] pays for one storage snapshot, not two.
+    pub(crate) fn health_from(
+        &self,
+        st: &StorageStats,
+        ms: Option<&MaintenanceStats>,
+    ) -> EngineHealth {
         let mut h = EngineHealth {
             storage_retries: st.retries,
             storage_retries_exhausted: st.retries_exhausted,
@@ -332,13 +343,12 @@ impl WildfireEngine {
                 .any(|s| *s != BreakerState::Closed.as_u8()),
             ..EngineHealth::default()
         };
-        if let Some(daemon) = self.daemon() {
-            let ms = daemon.stats();
+        if let Some(ms) = ms {
             h.maintenance_retries = ms.per_kind.iter().map(|(_, s)| s.retries).sum();
             h.quarantined_jobs = ms.quarantined_now;
             h.degraded = ms.degraded;
             h.backpressure_timeouts = ms.backpressure.timeouts;
-            h.ingest_stalled = daemon.backpressure().is_stalled();
+            h.ingest_stalled = ms.backpressure.stalled;
         }
         h
     }

@@ -1,28 +1,41 @@
-//! The unified telemetry surface: one snapshot folding every layer's stats.
+//! The unified telemetry surface: one snapshot, one fold, two renderers.
 //!
 //! The lower layers each keep their own counters — the metrics registry and
 //! operation histograms live on the shared [`umzi_storage::Telemetry`]
 //! handle, the storage hierarchy snapshots [`StorageStats`] (tiers, decoded
 //! cache, retries), each shard's index snapshots [`IndexStats`], the daemon
-//! snapshots [`MaintenanceStats`], and [`WildfireEngine::health`] distills
-//! the fault-and-recovery view. [`WildfireEngine::telemetry`] captures all
-//! of them at once and renders the whole thing through two exporters:
-//! Prometheus text exposition ([`TelemetrySnapshot::to_prometheus`]) and
-//! JSON ([`TelemetrySnapshot::to_json`]). There is deliberately no network
-//! server — embedders scrape the strings.
+//! snapshots [`MaintenanceStats`], read admission snapshots
+//! [`AdmissionStats`], and [`WildfireEngine::health`] distills the
+//! fault-and-recovery view. [`WildfireEngine::telemetry`] captures all of
+//! them at once as typed fields.
+//!
+//! For export there is exactly one path: [`TelemetrySnapshot::folded`]
+//! copies the registry snapshot and appends every domain value to it as a
+//! `umzi_*` series — this module is the only caller of
+//! [`MetricsSnapshot::push_counter`] / [`MetricsSnapshot::push_gauge`] and
+//! the only place a series name is spelled. Prometheus text
+//! ([`TelemetrySnapshot::to_prometheus`]) and JSON
+//! ([`TelemetrySnapshot::to_json`]) are the telemetry crate's two renderers
+//! applied to that one list, so they cannot disagree. There is deliberately
+//! no network server — embedders scrape the strings.
+//!
+//! Every stats struct is destructured exhaustively by [`fold!`] (no `..`
+//! rest pattern), so a field added below without a decision here — a series
+//! name, a hand fold, or an explicit `field: _` — does not compile.
 //!
 //! Naming follows the registry's convention (`umzi_<domain>_<quantity>`
-//! with inline labels), so folded gauges and registry-native series line up
-//! in the same scrape.
+//! with inline labels): `_total` marks a monotonic counter, anything else is
+//! a gauge; per-class, per-kind, per-zone and per-level vectors become one
+//! series per element under an `op` / `kind` / `zone` / `level` label.
 
-use umzi_core::{IndexStats, JobKind, MaintenanceStats};
-use umzi_storage::telemetry::{
-    to_json as metrics_to_json, to_prometheus as metrics_to_prometheus, traces_to_json,
-    MetricsSnapshot, TraceRecord,
+use umzi_core::{BackpressureStats, IndexStats, JobKind, JobKindStats, MaintenanceStats};
+use umzi_storage::telemetry::{self, HistogramSnapshot, MetricsSnapshot, TraceRecord};
+use umzi_storage::{
+    DecodedCacheStats, FaultOp, FaultStats, OpClass, PatternCounters, SharedStats, StorageStats,
+    TierStats,
 };
-use umzi_storage::{DecodedCacheStats, StorageStats, TierStats};
 
-use crate::engine::{EngineHealth, WildfireEngine};
+use crate::{AdmissionStats, EngineHealth, WildfireEngine};
 
 /// Everything the engine knows about itself, captured at one instant
 /// (per-field atomic reads; cross-field consistency is best-effort, which
@@ -42,543 +55,300 @@ pub struct TelemetrySnapshot {
     pub shards: Vec<IndexStats>,
     /// Maintenance daemon, when one is running.
     pub maintenance: Option<MaintenanceStats>,
+    /// Read admission control for analytical scans.
+    pub admission: AdmissionStats,
     /// The fault-and-recovery health distillation.
     pub health: EngineHealth,
 }
 
 impl WildfireEngine {
-    /// Capture the unified telemetry snapshot.
+    /// Capture the unified telemetry snapshot. Takes exactly one
+    /// [`umzi_storage::TieredStorage::stats`] snapshot (it locks both chunk
+    /// tiers and every decoded-cache shard); health is distilled from it.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let tel = self.storage().telemetry();
+        let storage = self.storage().stats();
+        let maintenance = self.maintenance_stats();
         TelemetrySnapshot {
             metrics: tel.snapshot(),
             slow_queries: tel.slow_queries(),
             slow_queries_evicted: tel.slow_queries_evicted(),
-            storage: self.storage().stats(),
+            health: self.health_from(&storage, maintenance.as_ref()),
+            storage,
             shards: self.shards().iter().map(|s| s.index().stats()).collect(),
-            maintenance: self.maintenance_stats(),
-            health: self.health(),
+            maintenance,
+            admission: self.admission().stats(),
         }
     }
 }
 
-fn prom_line(out: &mut String, name: &str, value: u64) {
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
-}
-
-fn prom_tier(out: &mut String, tier: &str, s: &TierStats) {
-    let l = |metric: &str| format!("umzi_storage_tier_{metric}{{tier=\"{tier}\"}}");
-    prom_line(out, &l("hits_total"), s.hits);
-    prom_line(out, &l("misses_total"), s.misses);
-    prom_line(out, &l("evictions_total"), s.evictions);
-    prom_line(out, &l("bytes_read_total"), s.bytes_read);
-    prom_line(out, &l("bytes_written_total"), s.bytes_written);
-    prom_line(out, &l("used_bytes"), s.used_bytes);
-}
-
-fn prom_cache(out: &mut String, d: &DecodedCacheStats) {
-    for (pattern, c) in [
-        ("point", &d.point),
-        ("scan", &d.scan),
-        ("maintenance", &d.maintenance),
-    ] {
-        prom_line(
-            out,
-            &format!("umzi_cache_hits_total{{pattern=\"{pattern}\"}}"),
-            c.hits,
-        );
-        prom_line(
-            out,
-            &format!("umzi_cache_misses_total{{pattern=\"{pattern}\"}}"),
-            c.misses,
-        );
-    }
-    prom_line(out, "umzi_cache_insertions_total", d.insertions);
-    prom_line(out, "umzi_cache_evictions_total", d.evictions);
-    prom_line(
-        out,
-        "umzi_cache_admission_rejected_total",
-        d.admission_rejected,
-    );
-    prom_line(out, "umzi_cache_promotions_total", d.promotions);
-    prom_line(out, "umzi_cache_demotions_total", d.demotions);
-    prom_line(out, "umzi_cache_bypassed_inserts_total", d.bypassed_inserts);
-    prom_line(out, "umzi_cache_entries", d.entries);
-    prom_line(out, "umzi_cache_used_bytes", d.used_bytes);
-    prom_line(out, "umzi_cache_probation_bytes", d.probation_bytes);
-    prom_line(out, "umzi_cache_protected_bytes", d.protected_bytes);
-    prom_line(out, "umzi_cache_sketch_occupancy", d.sketch_occupancy);
-    prom_line(out, "umzi_cache_sketch_halvings_total", d.sketch_halvings);
-    prom_line(out, "umzi_cache_decoded_bytes_total", d.decoded_bytes);
-}
-
-fn prom_shard(out: &mut String, shard: usize, s: &IndexStats) {
-    let l = |metric: &str| format!("umzi_index_{metric}{{shard=\"{shard}\"}}");
-    prom_line(out, &l("entries"), s.total_entries);
-    prom_line(out, &l("builds_total"), s.builds);
-    prom_line(out, &l("merges_total"), s.merges);
-    prom_line(out, &l("evolves_total"), s.evolves);
-    prom_line(out, &l("gc_runs_total"), s.gc_runs);
-    prom_line(out, &l("merge_conflicts_total"), s.merge_conflicts);
-    prom_line(out, &l("parallel_scans_total"), s.parallel_scans);
-    prom_line(out, &l("scan_partitions_total"), s.scan_partitions);
-    prom_line(out, &l("graveyard"), s.graveyard as u64);
-    prom_line(out, &l("indexed_psn"), s.indexed_psn);
-    for (zone, runs) in s.runs_per_zone.iter().enumerate() {
-        prom_line(
-            out,
-            &format!("umzi_index_runs{{shard=\"{shard}\",zone=\"{zone}\"}}"),
-            *runs as u64,
-        );
-    }
-}
-
-fn prom_maintenance(out: &mut String, m: &MaintenanceStats) {
-    for kind in JobKind::ALL {
-        let s = m.kind(kind);
-        let l = |metric: &str| format!("umzi_daemon_job_{metric}{{kind=\"{}\"}}", kind.label());
-        prom_line(out, &l("runs_total"), s.runs);
-        prom_line(out, &l("no_work_total"), s.no_work);
-        prom_line(out, &l("failures_total"), s.failures);
-        prom_line(out, &l("retries_total"), s.retries);
-        prom_line(out, &l("quarantined_total"), s.quarantined);
-        prom_line(out, &l("items_moved_total"), s.items_moved);
-        prom_line(out, &l("bytes_moved_total"), s.bytes_moved);
-        prom_line(out, &l("busy_nanos_total"), s.busy_nanos);
-    }
-    prom_line(out, "umzi_daemon_queue_depth", m.queue_depth as u64);
-    prom_line(out, "umzi_daemon_peak_queue_depth", m.peak_queue_depth);
-    prom_line(out, "umzi_daemon_dedup_hits_total", m.dedup_hits);
-    prom_line(out, "umzi_daemon_enqueued_total", m.enqueued);
-    prom_line(out, "umzi_daemon_workers", m.workers as u64);
-    prom_line(out, "umzi_daemon_quarantined_now", m.quarantined_now as u64);
-    prom_line(out, "umzi_backpressure_stalls_total", m.backpressure.stalls);
-    prom_line(
-        out,
-        "umzi_backpressure_stall_nanos_total",
-        m.backpressure.stall_nanos,
-    );
-    prom_line(
-        out,
-        "umzi_backpressure_timeouts_total",
-        m.backpressure.timeouts,
-    );
-    prom_line(
-        out,
-        "umzi_backpressure_stalled",
-        m.backpressure.stalled as u64,
-    );
-}
-
-fn prom_health(out: &mut String, h: &EngineHealth) {
-    prom_line(out, "umzi_health_storage_retries_total", h.storage_retries);
-    prom_line(
-        out,
-        "umzi_health_storage_retries_exhausted_total",
-        h.storage_retries_exhausted,
-    );
-    prom_line(
-        out,
-        "umzi_health_corruption_refetches_total",
-        h.corruption_refetches,
-    );
-    prom_line(
-        out,
-        "umzi_health_maintenance_retries_total",
-        h.maintenance_retries,
-    );
-    prom_line(
-        out,
-        "umzi_health_quarantined_jobs",
-        h.quarantined_jobs as u64,
-    );
-    prom_line(out, "umzi_health_degraded", h.degraded as u64);
-    prom_line(out, "umzi_health_ingest_stalled", h.ingest_stalled as u64);
-    prom_line(
-        out,
-        "umzi_health_gc_delete_failures_total",
-        h.gc_delete_failures,
-    );
-    prom_line(
-        out,
-        "umzi_health_gc_leaked_outstanding",
-        h.gc_leaked_outstanding,
-    );
-    prom_line(out, "umzi_health_query_timeouts_total", h.query_timeouts);
-    prom_line(
-        out,
-        "umzi_health_query_cancellations_total",
-        h.query_cancellations,
-    );
-    prom_line(out, "umzi_health_query_sheds_total", h.query_sheds);
-    prom_line(out, "umzi_health_breaker_tripped", h.breaker_tripped as u64);
-    if let Some(f) = &h.fault {
-        prom_line(out, "umzi_fault_injected_total", f.total_injected());
-        prom_line(out, "umzi_fault_torn_writes_total", f.torn_writes);
-        prom_line(out, "umzi_fault_bit_flips_total", f.bit_flips);
-        prom_line(
-            out,
-            "umzi_fault_rejected_while_crashed_total",
-            f.rejected_while_crashed,
-        );
-        prom_line(out, "umzi_fault_crashed", f.crashed as u64);
-    }
-}
-
-fn json_tier(s: &TierStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bytes_read\":{},\
-         \"bytes_written\":{},\"used_bytes\":{}}}",
-        s.hits, s.misses, s.evictions, s.bytes_read, s.bytes_written, s.used_bytes
-    )
-}
-
-fn json_cache(d: &DecodedCacheStats) -> String {
-    let pattern = |c: &umzi_storage::PatternCounters| {
-        format!("{{\"hits\":{},\"misses\":{}}}", c.hits, c.misses)
+/// Destructure `$val` (a reference to a `$ty`) exhaustively and push one
+/// series per row as `umzi_<prefix><metric><labels>`. Row forms:
+/// `field => "metric"` pushes a scalar; `field => "metric" .method()` pushes
+/// `field.method()` (durations, as nanos); `field => "metric" per labels`
+/// pushes one series per element of a vector-valued field, labelled in
+/// order; a bare `field` binds it for a hand fold right after the invocation
+/// (leaving it unused is a compile error under `-D warnings`); `field: _`
+/// names a field that deliberately has no series.
+macro_rules! fold {
+    ($out:expr, $prefix:literal, $l:expr, $ty:ident { $(
+        $field:ident $(: $pat:pat)? $(=> $metric:literal $(. $conv:ident ())? $(per $each:expr)?)?
+    ),* $(,)? } = $val:expr) => {
+        let $ty { $($field $(: $pat)?),* } = $val;
+        $($( fold!(@row $out, concat!($prefix, $metric), $l, $field $(, . $conv)? $(, $each)?); )?)*
     };
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"point\":{},\"scan\":{},\"maintenance\":{},\
-         \"insertions\":{},\"evictions\":{},\"admission_rejected\":{},\
-         \"promotions\":{},\"demotions\":{},\"bypassed_inserts\":{},\
-         \"entries\":{},\"used_bytes\":{},\"probation_bytes\":{},\
-         \"protected_bytes\":{},\"sketch_occupancy\":{},\"sketch_halvings\":{},\
-         \"decoded_bytes\":{}}}",
-        d.hits,
-        d.misses,
-        pattern(&d.point),
-        pattern(&d.scan),
-        pattern(&d.maintenance),
-        d.insertions,
-        d.evictions,
-        d.admission_rejected,
-        d.promotions,
-        d.demotions,
-        d.bypassed_inserts,
-        d.entries,
-        d.used_bytes,
-        d.probation_bytes,
-        d.protected_bytes,
-        d.sketch_occupancy,
-        d.sketch_halvings,
-        d.decoded_bytes
-    )
+    (@row $out:expr, $stem:expr, $l:expr, $field:ident) => { put($out, $stem, $l, *$field) };
+    (@row $out:expr, $stem:expr, $l:expr, $field:ident, . $conv:ident) => {
+        put($out, $stem, $l, $field.$conv())
+    };
+    (@row $out:expr, $stem:expr, $l:expr, $field:ident, $each:expr) => {
+        for (labels, v) in $each.iter().zip($field) {
+            put($out, $stem, labels, *v);
+        }
+    };
 }
 
-fn json_shard(s: &IndexStats) -> String {
-    let runs: Vec<String> = s.runs_per_zone.iter().map(|r| r.to_string()).collect();
-    format!(
-        "{{\"total_entries\":{},\"builds\":{},\"merges\":{},\"evolves\":{},\
-         \"gc_runs\":{},\"merge_conflicts\":{},\"parallel_scans\":{},\
-         \"scan_partitions\":{},\"graveyard\":{},\"indexed_psn\":{},\
-         \"runs_per_zone\":[{}]}}",
-        s.total_entries,
-        s.builds,
-        s.merges,
-        s.evolves,
-        s.gc_runs,
-        s.merge_conflicts,
-        s.parallel_scans,
-        s.scan_partitions,
-        s.graveyard,
-        s.indexed_psn,
-        runs.join(",")
-    )
+/// A rendered one-label set, `{key="value"}`.
+fn label(key: &str, value: impl std::fmt::Display) -> String {
+    format!("{{{key}=\"{value}\"}}")
 }
 
-fn json_maintenance(m: &MaintenanceStats) -> String {
-    let kinds: Vec<String> = JobKind::ALL
-        .iter()
-        .map(|kind| {
-            let s = m.kind(*kind);
-            format!(
-                "\"{}\":{{\"runs\":{},\"no_work\":{},\"failures\":{},\"retries\":{},\
-                 \"quarantined\":{},\"items_moved\":{},\"bytes_moved\":{},\
-                 \"busy_nanos\":{}}}",
-                kind.label(),
-                s.runs,
-                s.no_work,
-                s.failures,
-                s.retries,
-                s.quarantined,
-                s.items_moved,
-                s.bytes_moved,
-                s.busy_nanos
-            )
-        })
+/// Push `umzi_<stem><labels>` into the snapshot being extended. The naming
+/// rule is the typing rule: a stem ending in `_total` is a counter, anything
+/// else a gauge.
+fn put(out: &mut MetricsSnapshot, stem: &str, labels: &str, v: impl TryInto<u64>) {
+    let name = format!("umzi_{stem}{labels}");
+    let v = v.try_into().unwrap_or(u64::MAX);
+    if stem.ends_with("_total") {
+        out.push_counter(name, v);
+    } else {
+        out.push_gauge(name, v.min(i64::MAX as u64) as i64);
+    }
+}
+
+fn fold_storage(out: &mut MetricsSnapshot, s: &StorageStats) {
+    // Per-op-class series: retry breakdown and circuit-breaker state
+    // (0=closed, 1=open, 2=half-open).
+    let ops = OpClass::ALL.map(|c| label("op", c.label()));
+    fold!(out, "storage_", "", StorageStats {
+        mem,
+        ssd,
+        shared,
+        decoded,
+        chunk_reads => "chunk_reads_total",
+        ssd_charged_latency => "ssd_charged_latency_nanos_total" .as_nanos(),
+        retries => "retries_total",
+        retries_exhausted => "retries_exhausted_total",
+        retries_by_class => "class_retries_total" per &ops,
+        retries_exhausted_by_class => "class_retries_exhausted_total" per &ops,
+        deadline_aborted_retries => "deadline_aborted_retries_total",
+        cancelled_retries => "cancelled_retries_total",
+        gc_delete_failures => "gc_delete_failures_total",
+        gc_leaked_outstanding => "gc_leaked_outstanding",
+        gc_leaked_reclaimed => "gc_leaked_reclaimed_total",
+        breaker_state => "breaker_state" per &ops,
+        breaker_transitions => "breaker_transitions_total" per &ops,
+        breaker_rejections => "breaker_rejections_total" per &ops,
+        corruption_refetches => "corruption_refetches_total",
+        blocks_prefetched => "blocks_prefetched_total",
+        prefetch_hits => "prefetch_hits_total",
+        prefetch_wasted => "prefetch_wasted_total",
+    } = s);
+    for (tier, t) in [("mem", mem), ("ssd", ssd)] {
+        fold!(out, "storage_tier_", &label("tier", tier), TierStats {
+            hits => "hits_total",
+            misses => "misses_total",
+            insertions => "insertions_total",
+            evictions => "evictions_total",
+            bytes_read => "bytes_read_total",
+            bytes_written => "bytes_written_total",
+            used_bytes => "used_bytes",
+            pinned_bytes => "pinned_bytes",
+            entries => "entries",
+        } = t);
+    }
+    fold!(out, "storage_shared_", "", SharedStats {
+        reads => "reads_total",
+        writes => "writes_total",
+        deletes => "deletes_total",
+        bytes_read => "bytes_read_total",
+        bytes_written => "bytes_written_total",
+        charged_latency => "charged_latency_nanos_total" .as_nanos(),
+    } = shared);
+    // `hits` / `misses` are the sums of the per-pattern series.
+    fold!(out, "cache_", "", DecodedCacheStats {
+        hits: _, misses: _,
+        point,
+        scan,
+        maintenance: maint,
+        insertions => "insertions_total",
+        evictions => "evictions_total",
+        admission_rejected => "admission_rejected_total",
+        promotions => "promotions_total",
+        demotions => "demotions_total",
+        bypassed_inserts => "bypassed_inserts_total",
+        entries => "entries",
+        used_bytes => "used_bytes",
+        probation_bytes => "probation_bytes",
+        protected_bytes => "protected_bytes",
+        sketch_occupancy => "sketch_occupancy",
+        sketch_halvings => "sketch_halvings_total",
+        decoded_bytes => "decoded_bytes_total",
+    } = decoded);
+    for (pattern, c) in [("point", point), ("scan", scan), ("maintenance", maint)] {
+        fold!(out, "cache_", &label("pattern", pattern), PatternCounters {
+            hits => "hits_total",
+            misses => "misses_total",
+        } = c);
+    }
+}
+
+fn fold_shard(out: &mut MetricsSnapshot, shard: usize, s: &IndexStats) {
+    // `watermarks[z]` is the boundary above zone `z`, so it zips one
+    // short of the zone list.
+    let zones: Vec<String> = (0..s.runs_per_zone.len())
+        .map(|zone| format!("{{shard=\"{shard}\",zone=\"{zone}\"}}"))
         .collect();
-    format!(
-        "{{\"per_kind\":{{{}}},\"queue_depth\":{},\"peak_queue_depth\":{},\
-         \"dedup_hits\":{},\"enqueued\":{},\"workers\":{},\"quarantined_now\":{},\
-         \"degraded\":{},\"backpressure\":{{\"stalls\":{},\"stall_nanos\":{},\
-         \"timeouts\":{},\"stalled\":{}}}}}",
-        kinds.join(","),
-        m.queue_depth,
-        m.peak_queue_depth,
-        m.dedup_hits,
-        m.enqueued,
-        m.workers,
-        m.quarantined_now,
-        m.degraded,
-        m.backpressure.stalls,
-        m.backpressure.stall_nanos,
-        m.backpressure.timeouts,
-        m.backpressure.stalled
-    )
+    fold!(out, "index_", &label("shard", shard), IndexStats {
+        runs_per_zone => "runs" per &zones,
+        runs_per_level,
+        entries_per_zone => "zone_entries" per &zones,
+        total_entries => "entries",
+        builds => "builds_total",
+        merges => "merges_total",
+        evolves => "evolves_total",
+        gc_runs => "gc_runs_total",
+        merge_conflicts => "merge_conflicts_total",
+        parallel_scans => "parallel_scans_total",
+        scan_partitions => "scan_partitions_total",
+        watermarks => "watermark" per &zones,
+        indexed_psn => "indexed_psn",
+        cached_level => "cached_level",
+        graveyard => "graveyard",
+    } = s);
+    for (level, runs) in runs_per_level {
+        let labels = format!("{{shard=\"{shard}\",level=\"{level}\"}}");
+        put(out, "index_level_runs", &labels, *runs);
+    }
 }
 
-fn json_health(h: &EngineHealth) -> String {
-    let fault = match &h.fault {
-        Some(f) => format!(
-            "{{\"injected\":{},\"torn_writes\":{},\"bit_flips\":{},\
-             \"rejected_while_crashed\":{},\"crashed\":{}}}",
-            f.total_injected(),
-            f.torn_writes,
-            f.bit_flips,
-            f.rejected_while_crashed,
-            f.crashed
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"storage_retries\":{},\"storage_retries_exhausted\":{},\
-         \"corruption_refetches\":{},\"maintenance_retries\":{},\
-         \"quarantined_jobs\":{},\"degraded\":{},\"backpressure_timeouts\":{},\
-         \"ingest_stalled\":{},\"gc_delete_failures\":{},\
-         \"gc_leaked_outstanding\":{},\"query_timeouts\":{},\
-         \"query_cancellations\":{},\"query_sheds\":{},\
-         \"breaker_tripped\":{},\"fault\":{}}}",
-        h.storage_retries,
-        h.storage_retries_exhausted,
-        h.corruption_refetches,
-        h.maintenance_retries,
-        h.quarantined_jobs,
-        h.degraded,
-        h.backpressure_timeouts,
-        h.ingest_stalled,
-        h.gc_delete_failures,
-        h.gc_leaked_outstanding,
-        h.query_timeouts,
-        h.query_cancellations,
-        h.query_sheds,
-        h.breaker_tripped,
-        fault
-    )
+fn fold_maintenance(out: &mut MetricsSnapshot, m: &MaintenanceStats) {
+    let kinds = JobKind::ALL.map(|k| label("kind", k.label()));
+    // `degraded` is exported once, as `umzi_health_degraded`.
+    fold!(out, "daemon_", "", MaintenanceStats {
+        per_kind,
+        queue_depth => "queue_depth",
+        peak_queue_depth => "peak_queue_depth",
+        dedup_hits => "dedup_hits_total",
+        enqueued => "enqueued_total",
+        workers => "workers",
+        backpressure,
+        quarantined_now => "quarantined_now",
+        degraded: _,
+        quarantined_jobs: _,
+        peak_dequeue_age => "job_peak_dequeue_age" per &kinds,
+    } = m);
+    for (kind, k) in per_kind {
+        fold!(out, "daemon_job_", &label("kind", kind.label()), JobKindStats {
+            runs => "runs_total",
+            no_work => "no_work_total",
+            failures => "failures_total",
+            retries => "retries_total",
+            quarantined => "quarantined_total",
+            items_moved => "items_moved_total",
+            bytes_moved => "bytes_moved_total",
+            busy_nanos => "busy_nanos_total",
+        } = k);
+    }
+    fold!(out, "backpressure_", "", BackpressureStats {
+        stalls => "stalls_total",
+        stall_nanos => "stall_nanos_total",
+        stalled => "stalled",
+        timeouts => "timeouts_total",
+    } = backpressure);
+}
+
+fn fold_health(out: &mut MetricsSnapshot, h: &EngineHealth) {
+    // Ten fields restate a number another struct already exports; two
+    // names for one number is what this module exists to prevent.
+    fold!(out, "health_", "", EngineHealth {
+        // = umzi_storage_{retries,retries_exhausted,corruption_refetches,
+        //   gc_delete_failures}_total and umzi_storage_gc_leaked_outstanding
+        storage_retries: _, storage_retries_exhausted: _, corruption_refetches: _,
+        gc_delete_failures: _, gc_leaked_outstanding: _,
+        // = the registry's own umzi_query_{timeouts,cancellations,sheds}_total
+        query_timeouts: _, query_cancellations: _, query_sheds: _,
+        // = umzi_daemon_quarantined_now, umzi_backpressure_{timeouts_total,stalled}
+        quarantined_jobs: _, backpressure_timeouts: _, ingest_stalled: _,
+        maintenance_retries => "maintenance_retries_total",
+        degraded => "degraded",
+        breaker_tripped => "breaker_tripped",
+        fault,
+    } = h);
+    let Some(fault) = fault else { return };
+    let classes = FaultOp::ALL.map(|op| label("op", op.label()));
+    fold!(out, "fault_", "", FaultStats {
+        ops => "class_ops_total" per &classes,
+        injected => "class_injected_total" per &classes,
+        torn_writes => "torn_writes_total",
+        bit_flips => "bit_flips_total",
+        rejected_while_crashed => "rejected_while_crashed_total",
+        crashed => "crashed",
+    } = fault);
+    put(out, "fault_injected_total", "", fault.total_injected());
 }
 
 impl TelemetrySnapshot {
-    /// Render the whole snapshot in the Prometheus text exposition format:
-    /// the registry's native series (histograms in the summary convention)
-    /// followed by gauges folded from the domain stats structs.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = metrics_to_prometheus(&self.metrics);
-        prom_line(
-            &mut out,
-            "umzi_slow_queries",
-            self.slow_queries.len() as u64,
-        );
-        prom_line(
-            &mut out,
-            "umzi_slow_queries_evicted_total",
-            self.slow_queries_evicted,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_chunk_reads_total",
-            self.storage.chunk_reads,
-        );
-        prom_line(&mut out, "umzi_storage_retries_total", self.storage.retries);
-        prom_line(
-            &mut out,
-            "umzi_storage_retries_exhausted_total",
-            self.storage.retries_exhausted,
-        );
-        // Per-op-class retry breakdown and circuit-breaker state (0=closed,
-        // 1=open, 2=half-open), one series per class.
-        for (i, class) in umzi_storage::OpClass::ALL.iter().enumerate() {
-            let op = class.label();
-            prom_line(
-                &mut out,
-                &format!("umzi_storage_class_retries_total{{op=\"{op}\"}}"),
-                self.storage.retries_by_class[i],
-            );
-            prom_line(
-                &mut out,
-                &format!("umzi_storage_class_retries_exhausted_total{{op=\"{op}\"}}"),
-                self.storage.retries_exhausted_by_class[i],
-            );
-            prom_line(
-                &mut out,
-                &format!("umzi_storage_breaker_state{{op=\"{op}\"}}"),
-                self.storage.breaker_state[i] as u64,
-            );
-            prom_line(
-                &mut out,
-                &format!("umzi_storage_breaker_transitions_total{{op=\"{op}\"}}"),
-                self.storage.breaker_transitions[i],
-            );
-            prom_line(
-                &mut out,
-                &format!("umzi_storage_breaker_rejections_total{{op=\"{op}\"}}"),
-                self.storage.breaker_rejections[i],
-            );
-        }
-        prom_line(
-            &mut out,
-            "umzi_storage_deadline_aborted_retries_total",
-            self.storage.deadline_aborted_retries,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_cancelled_retries_total",
-            self.storage.cancelled_retries,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_gc_delete_failures_total",
-            self.storage.gc_delete_failures,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_gc_leaked_outstanding",
-            self.storage.gc_leaked_outstanding,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_gc_leaked_reclaimed_total",
-            self.storage.gc_leaked_reclaimed,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_corruption_refetches_total",
-            self.storage.corruption_refetches,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_blocks_prefetched_total",
-            self.storage.blocks_prefetched,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_prefetch_hits_total",
-            self.storage.prefetch_hits,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_prefetch_wasted_total",
-            self.storage.prefetch_wasted,
-        );
-        prom_tier(&mut out, "mem", &self.storage.mem);
-        prom_tier(&mut out, "ssd", &self.storage.ssd);
-        prom_line(
-            &mut out,
-            "umzi_storage_shared_reads_total",
-            self.storage.shared.reads,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_shared_writes_total",
-            self.storage.shared.writes,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_shared_bytes_read_total",
-            self.storage.shared.bytes_read,
-        );
-        prom_line(
-            &mut out,
-            "umzi_storage_shared_bytes_written_total",
-            self.storage.shared.bytes_written,
-        );
-        prom_cache(&mut out, &self.storage.decoded);
+    /// The single export form: the registry snapshot plus every domain
+    /// value (storage, shards, daemon, admission, health, fault injection)
+    /// as `umzi_*` counters and gauges, sorted by name.
+    pub fn folded(&self) -> MetricsSnapshot {
+        let mut out = self.metrics.clone();
+        put(&mut out, "slow_queries", "", self.slow_queries.len());
+        let evicted = self.slow_queries_evicted;
+        put(&mut out, "slow_queries_evicted_total", "", evicted);
+        fold_storage(&mut out, &self.storage);
         for (i, s) in self.shards.iter().enumerate() {
-            prom_shard(&mut out, i, s);
+            fold_shard(&mut out, i, s);
         }
         if let Some(m) = &self.maintenance {
-            prom_maintenance(&mut out, m);
+            fold_maintenance(&mut out, m);
         }
-        prom_health(&mut out, &self.health);
+        fold!(&mut out, "admission_", "", AdmissionStats {
+            admitted => "admitted_total",
+            shed => "shed_total",
+            running => "running",
+            queued => "queued",
+            avg_scan_nanos => "avg_scan_nanos",
+        } = &self.admission);
+        fold_health(&mut out, &self.health);
+        out.sort();
         out
     }
 
-    /// Render the whole snapshot as one JSON object with `metrics`,
-    /// `slow_queries`, `storage`, `shards`, `maintenance` (null without a
-    /// daemon), and `health` members. The same data as
-    /// [`TelemetrySnapshot::to_prometheus`], structured for artifacts and
-    /// offline analysis.
+    /// Render [`Self::folded`] in the Prometheus text exposition format
+    /// (histograms in the summary convention).
+    pub fn to_prometheus(&self) -> String {
+        telemetry::to_prometheus(&self.folded())
+    }
+
+    /// Render the snapshot as one JSON object:
+    /// `{"metrics":{"counters":{…},"gauges":{…},"histograms":{…}},
+    /// "slow_queries":[…],"slow_queries_evicted":n}`. `metrics` is
+    /// [`Self::folded`], keyed by the same series names Prometheus shows.
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self.shards.iter().map(json_shard).collect();
-        let maintenance = match &self.maintenance {
-            Some(m) => json_maintenance(m),
-            None => "null".to_string(),
-        };
-        // Per-op-class breakdowns keyed by class label, e.g.
-        // {"block_fetch":3,"manifest":0,...}.
-        let by_class = |vals: &dyn Fn(usize) -> u64| {
-            let fields: Vec<String> = umzi_storage::OpClass::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("\"{}\":{}", c.label(), vals(i)))
-                .collect();
-            format!("{{{}}}", fields.join(","))
-        };
         format!(
-            "{{\"metrics\":{},\"slow_queries\":{},\"slow_queries_evicted\":{},\
-             \"storage\":{{\"chunk_reads\":{},\"retries\":{},\"retries_exhausted\":{},\
-             \"retries_by_class\":{},\"retries_exhausted_by_class\":{},\
-             \"breaker_state\":{},\"breaker_transitions\":{},\
-             \"breaker_rejections\":{},\"deadline_aborted_retries\":{},\
-             \"cancelled_retries\":{},\"gc_delete_failures\":{},\
-             \"gc_leaked_outstanding\":{},\"gc_leaked_reclaimed\":{},\
-             \"corruption_refetches\":{},\"blocks_prefetched\":{},\
-             \"prefetch_hits\":{},\"prefetch_wasted\":{},\"mem\":{},\"ssd\":{},\
-             \"shared\":{{\"reads\":{},\"writes\":{},\"bytes_read\":{},\
-             \"bytes_written\":{}}},\"decoded\":{}}},\
-             \"shards\":[{}],\"maintenance\":{},\"health\":{}}}",
-            metrics_to_json(&self.metrics),
-            traces_to_json(&self.slow_queries),
-            self.slow_queries_evicted,
-            self.storage.chunk_reads,
-            self.storage.retries,
-            self.storage.retries_exhausted,
-            by_class(&|i| self.storage.retries_by_class[i]),
-            by_class(&|i| self.storage.retries_exhausted_by_class[i]),
-            by_class(&|i| self.storage.breaker_state[i] as u64),
-            by_class(&|i| self.storage.breaker_transitions[i]),
-            by_class(&|i| self.storage.breaker_rejections[i]),
-            self.storage.deadline_aborted_retries,
-            self.storage.cancelled_retries,
-            self.storage.gc_delete_failures,
-            self.storage.gc_leaked_outstanding,
-            self.storage.gc_leaked_reclaimed,
-            self.storage.corruption_refetches,
-            self.storage.blocks_prefetched,
-            self.storage.prefetch_hits,
-            self.storage.prefetch_wasted,
-            json_tier(&self.storage.mem),
-            json_tier(&self.storage.ssd),
-            self.storage.shared.reads,
-            self.storage.shared.writes,
-            self.storage.shared.bytes_read,
-            self.storage.shared.bytes_written,
-            json_cache(&self.storage.decoded),
-            shards.join(","),
-            maintenance,
-            json_health(&self.health)
+            "{{\"metrics\":{},\"slow_queries\":{},\"slow_queries_evicted\":{}}}",
+            telemetry::to_json(&self.folded()),
+            telemetry::traces_to_json(&self.slow_queries),
+            self.slow_queries_evicted
         )
     }
 
     /// The histogram snapshot registered under `name` (exact registry key,
     /// including inline labels), if present.
-    pub fn histogram(&self, name: &str) -> Option<&umzi_storage::telemetry::HistogramSnapshot> {
-        self.metrics
-            .histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, h)| h)
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+        self.metrics.histogram(name)
     }
 }
 
@@ -587,6 +357,7 @@ mod tests {
     use super::*;
     use crate::engine::{EngineConfig, Freshness};
     use crate::table::iot_table;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
     use umzi_core::ReconcileStrategy;
     use umzi_encoding::Datum;
@@ -666,46 +437,199 @@ mod tests {
         assert!(snap.maintenance.is_none());
     }
 
-    #[test]
-    fn exporters_round_trip_the_same_data() {
-        let e = loaded_engine();
-        let snap = e.telemetry();
+    /// An engine whose snapshot has every optional domain populated: a
+    /// running daemon and a fault-injecting (but fault-free) store.
+    fn fully_equipped_engine() -> (Arc<WildfireEngine>, crate::EngineDaemons) {
+        use umzi_storage::{
+            FaultInjectingStore, FaultPlan, InMemoryObjectStore, LatencyModel, ObjectStore,
+            SharedStorage, TieredConfig,
+        };
+        let inner: Arc<dyn ObjectStore> = Arc::new(InMemoryObjectStore::new());
+        let faulty: Arc<dyn ObjectStore> =
+            Arc::new(FaultInjectingStore::new(inner, FaultPlan::none()));
+        let storage = Arc::new(TieredStorage::new(
+            SharedStorage::new(faulty, LatencyModel::off()),
+            TieredConfig::default(),
+        ));
+        let config = EngineConfig {
+            n_shards: 1,
+            ..EngineConfig::default()
+        };
+        let e = WildfireEngine::create(storage, Arc::new(iot_table()), config).unwrap();
+        let daemons = e.start_daemons();
+        e.upsert(vec![
+            Datum::Int64(1),
+            Datum::Int64(1),
+            Datum::Int64(100),
+            Datum::Int64(7),
+        ])
+        .unwrap();
+        e.quiesce().unwrap();
+        (e, daemons)
+    }
 
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("umzi_query_duration_nanos{op=\"point_lookup\",quantile=\"0.5\"}"));
-        assert!(prom.contains("umzi_storage_chunk_reads_total "));
-        assert!(prom.contains("umzi_cache_hits_total{pattern=\"point\"}"));
-        assert!(prom.contains("umzi_index_entries{shard=\"0\"}"));
-        assert!(prom.contains("umzi_health_degraded 0\n"));
-        // Every line is `name[{labels}] value`.
-        for line in prom.lines() {
-            assert_eq!(
-                line.rsplitn(2, ' ').count(),
-                2,
-                "malformed exposition line: {line:?}"
-            );
+    /// The series names of a Prometheus rendering (labels kept), checking
+    /// on the way that every line is `name[{labels}] value`.
+    fn series_names(prom: &str) -> Vec<String> {
+        prom.lines()
+            .map(|line| {
+                let (name, value) = line.rsplit_once(' ').expect("name value");
+                value.parse::<i64>().expect("integer sample");
+                name.to_string()
+            })
+            .collect()
+    }
+
+    /// Collapse the summary expansion back to registry keys: drop the
+    /// `quantile` label, and fold `x_sum` / `x_count` into `x` when `x` is a
+    /// histogram (i.e. has quantile series).
+    fn collapse_histograms(series: &[String]) -> BTreeSet<String> {
+        let strip_quantile = |s: &str| -> Option<String> {
+            let q = s.find("quantile=\"")?;
+            let end = q + s[q..].find("\"}").expect("quantile is the last label") + 1;
+            let mut out = format!("{}{}", &s[..q], &s[end..]);
+            out = out.replace(",}", "}").replace("{}", "");
+            Some(out)
+        };
+        let hists: BTreeSet<String> = series.iter().filter_map(|s| strip_quantile(s)).collect();
+        let mut out = hists.clone();
+        for s in series.iter().filter(|s| !s.contains("quantile=\"")) {
+            let (base, labels) = s.split_at(s.find('{').unwrap_or(s.len()));
+            let folded = ["_sum", "_count"]
+                .iter()
+                .filter_map(|suffix| base.strip_suffix(suffix))
+                .map(|b| format!("{b}{labels}"))
+                .find(|name| hists.contains(name));
+            out.insert(folded.unwrap_or_else(|| s.clone()));
         }
+        out
+    }
 
+    /// The keys of `{"metrics":{"counters":{..},"gauges":{..},"histograms":{..}}`
+    /// in a `to_json()` rendering, unescaped. A deliberately small scanner:
+    /// a key is a string at object depth 3 followed by `:`.
+    fn metric_keys_in_json(json: &str) -> Vec<String> {
+        let metrics_end = json
+            .find(",\"slow_queries\":")
+            .expect("slow_queries member");
+        let body = &json[..metrics_end];
+        assert!(body.starts_with("{\"metrics\":{\"counters\":{"));
+        let (mut keys, mut depth, mut chars) = (Vec::new(), 0usize, body.chars().peekable());
+        while let Some(c) = chars.next() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let mut s = String::new();
+                    while let Some(c) = chars.next() {
+                        match c {
+                            '\\' => s.push(chars.next().expect("escaped char")),
+                            '"' => break,
+                            c => s.push(c),
+                        }
+                    }
+                    if depth == 3 && chars.peek() == Some(&':') {
+                        keys.push(s);
+                    }
+                }
+                _ => {}
+            }
+        }
+        keys
+    }
+
+    fn assert_no_repeats(what: &str, names: &[String]) {
+        let unique: BTreeSet<&String> = names.iter().collect();
+        assert_eq!(unique.len(), names.len(), "{what} repeats a series name");
+    }
+
+    /// Prometheus/JSON parity by construction: both renderings carry the
+    /// same set of series (summary expansions collapsed), each exactly once.
+    #[test]
+    fn renderings_carry_the_same_series() {
+        let (e, daemons) = fully_equipped_engine();
+        let snap = e.telemetry();
+        daemons.shutdown();
+
+        let prom_text = snap.to_prometheus();
+        let prom = series_names(&prom_text);
+        assert_no_repeats("to_prometheus()", &prom);
         let json = snap.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"metrics\":",
-            "\"slow_queries\":",
-            "\"storage\":",
-            "\"shards\":",
-            "\"maintenance\":null",
-            "\"health\":",
-            "\"decoded\":",
+        let keys = metric_keys_in_json(&json);
+        assert_no_repeats("to_json()", &keys);
+        let keys: BTreeSet<String> = keys.into_iter().collect();
+        assert_eq!(collapse_histograms(&prom), keys);
+
+        // Fields no exporter carried before this fold existed now appear
+        // (in both renderings, by the equality above).
+        for name in [
+            "umzi_storage_tier_insertions_total{tier=\"mem\"}",
+            "umzi_storage_tier_pinned_bytes{tier=\"ssd\"}",
+            "umzi_storage_tier_entries{tier=\"mem\"}",
+            "umzi_storage_shared_deletes_total",
+            "umzi_storage_shared_charged_latency_nanos_total",
+            "umzi_storage_ssd_charged_latency_nanos_total",
+            "umzi_index_level_runs{shard=\"0\",level=\"",
+            "umzi_index_zone_entries{shard=\"0\",zone=\"0\"}",
+            "umzi_index_watermark{shard=\"0\",zone=\"0\"}",
+            "umzi_index_cached_level{shard=\"0\"}",
+            "umzi_daemon_job_peak_dequeue_age{kind=\"groom\"}",
+            "umzi_admission_admitted_total",
+            "umzi_admission_shed_total",
+            "umzi_admission_running",
+            "umzi_admission_queued",
+            "umzi_admission_avg_scan_nanos",
+            "umzi_fault_class_ops_total{op=\"put\"}",
+            "umzi_fault_class_injected_total{op=\"get\"}",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(keys.iter().any(|k| k.starts_with(name)), "missing {name}");
         }
-        // The folded chunk-read counter agrees between the two renderings.
-        let prom_reads = prom
-            .lines()
-            .find_map(|l| l.strip_prefix("umzi_storage_chunk_reads_total "))
-            .unwrap()
-            .to_string();
-        assert!(json.contains(&format!("\"chunk_reads\":{prom_reads}")));
+        // Typed fields and rendered series are the same numbers.
+        let rendered = |name: &str| {
+            let value = prom_text.lines().find_map(|l| l.strip_prefix(name));
+            value.unwrap().parse::<u64>().unwrap()
+        };
+        assert_eq!(
+            rendered("umzi_storage_chunk_reads_total "),
+            snap.storage.chunk_reads
+        );
+        assert_eq!(
+            rendered("umzi_index_entries{shard=\"0\"} "),
+            snap.shards[0].total_entries
+        );
+        assert_eq!(rendered("umzi_health_degraded "), 0);
+    }
+
+    /// The compatibility promise: every series the exporter emitted at the
+    /// parent commit is still emitted under the same name and labels, except
+    /// the ten `umzi_health_*` aliases of numbers exported elsewhere.
+    #[test]
+    fn parent_series_names_survive() {
+        let (e, daemons) = fully_equipped_engine();
+        let prom = series_names(&e.telemetry().to_prometheus());
+        daemons.shutdown();
+        let prom: BTreeSet<&str> = prom.iter().map(String::as_str).collect();
+
+        let golden = include_str!("../tests/data/series_at_12c6810.txt");
+        assert_eq!(golden.lines().count(), 219, "golden list truncated");
+        for name in golden.lines() {
+            assert!(prom.contains(name), "series {name} disappeared");
+        }
+        for alias in [
+            "umzi_health_storage_retries_total",
+            "umzi_health_storage_retries_exhausted_total",
+            "umzi_health_corruption_refetches_total",
+            "umzi_health_gc_delete_failures_total",
+            "umzi_health_gc_leaked_outstanding",
+            "umzi_health_query_timeouts_total",
+            "umzi_health_query_cancellations_total",
+            "umzi_health_query_sheds_total",
+            "umzi_health_quarantined_jobs",
+            "umzi_health_ingest_stalled",
+        ] {
+            assert!(!prom.contains(alias), "alias {alias} is back");
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 Counts non-blank, non-comment lines before the first `#[cfg(test)]` of
 every `src/**/*.rs` and `crates/*/src/**/*.rs`. The `crates/compat/*`
 shims stand in for published crates and are reported separately, not in
-`non_test_loc`.
+`non_test_loc`. `--file PATH` (repeatable, relative to the root) also
+prints that one file's count by the same rule.
 
-Usage: loc.py [REPO_ROOT]
+Usage: loc.py [REPO_ROOT] [--file PATH]...
 """
-import sys
+import argparse
 from pathlib import Path
 
 
@@ -36,7 +37,11 @@ def tree(src: Path) -> int:
 
 
 def main() -> None:
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("root", nargs="?", default=".", type=Path)
+    ap.add_argument("--file", action="append", default=[], metavar="PATH")
+    args = ap.parse_args()
+    root = args.root
     crates = {"umzi (facade)": tree(root / "src")}
     for src in sorted((root / "crates").glob("*/src")):
         crates[src.parent.name] = tree(src)
@@ -45,6 +50,8 @@ def main() -> None:
     for name, n in crates.items():
         print(f"  {name:<16}{n:>7}")
     print(f"compat_shim_loc={compat}")
+    for rel in args.file:
+        print(f"file_loc[{rel}]={code_lines(root / rel)}")
 
 
 if __name__ == "__main__":
