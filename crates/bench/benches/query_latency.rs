@@ -1,10 +1,8 @@
 //! Read-path query micro-benchmark: point lookup, range scan and batch
-//! lookup at three run-count settings, and a `parallel_reconcile` group
-//! comparing the sequential k-way merge against the partitioned parallel
-//! merge (1 vs N threads at a fixed run count) on a large scan over
-//! sleep-mode SSD latency. (The run-search before/after A/B — per-entry
-//! binary search without a decoded cache vs fence index + cache — is
-//! decided and retired; its last numbers are archived in CHANGES.md.)
+//! lookup at three run-count settings, a scan-interference group and a
+//! telemetry-overhead A/B. (The decided A/Bs — run search before/after the
+//! fence index, sequential vs partitioned parallel merge, readahead depth 0
+//! vs 8 — are retired; their last numbers are archived in CHANGES.md.)
 //!
 //! Emits `BENCH_query.json` (override the path with `UMZI_BENCH_QUERY_OUT`)
 //! with ops/sec and blocks-read-per-op so successive PRs can track the
@@ -19,18 +17,12 @@ use umzi_core::{MergePolicy, RangeQuery, ReconcileStrategy, UmziConfig, UmziInde
 use umzi_encoding::Datum;
 use umzi_run::SortBound;
 use umzi_storage::{
-    DecodedCacheConfig, InMemoryObjectStore, LatencyMode, LatencyModel, PrefetchConfig,
-    SharedStorage, TierLatency, TieredConfig, TieredStorage,
+    DecodedCacheConfig, LatencyMode, SharedStorage, TierLatency, TieredConfig, TieredStorage,
 };
 use umzi_workload::IndexPreset;
 
 const PER_RUN: u64 = 20_000;
 const RUN_COUNTS: [usize; 3] = [1, 8, 32];
-/// Runs in the parallel-reconcile comparison (fixed; only the thread count
-/// varies between the two legs).
-const PAR_RUNS: usize = 6;
-/// Partition count of the parallel leg.
-const PAR_THREADS: usize = 4;
 
 struct Measurement {
     workload: &'static str,
@@ -74,67 +66,6 @@ fn measure(
         secs,
         blocks_per_op: blocks as f64 / ops as f64,
     }
-}
-
-/// An index over storage that behaves like a cold SSD: sleep-mode latency
-/// per chunk read, a memory tier too small to hold the scan working set,
-/// and no decoded-block cache — the regime where a large scan is dominated
-/// by block waits and the partitioned merge can overlap them.
-fn index_with_scan_partitions(name: &str, partitions: usize) -> Arc<UmziIndex> {
-    let storage = Arc::new(TieredStorage::new(
-        SharedStorage::in_memory(),
-        TieredConfig {
-            mem_capacity: 128 << 10,
-            ssd_capacity: 64 << 30,
-            ssd_latency: TierLatency::micros(100, 0),
-            latency_mode: LatencyMode::Sleep,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 0,
-                ..DecodedCacheConfig::default()
-            },
-            ..TieredConfig::default()
-        },
-    ));
-    let mut config = UmziConfig::two_zone(name);
-    config.merge = MergePolicy {
-        k: usize::MAX / 2,
-        t: 4,
-    };
-    config.scan.max_scan_partitions = partitions;
-    config.scan.parallel_row_threshold = 1;
-    UmziIndex::create(storage, IndexPreset::I1.def(), config).expect("create index")
-}
-
-/// An index whose reads come off a slow *shared* tier: sleep-mode latency
-/// per shared GET (charged once per batched multi-range fetch), no decoded
-/// cache — the cold-scan regime where pipelined readahead amortises the
-/// per-request wait across a whole batch of blocks.
-fn index_with_prefetch(name: &str, depth: usize) -> Arc<UmziIndex> {
-    let storage = Arc::new(TieredStorage::new(
-        SharedStorage::new(
-            Arc::new(InMemoryObjectStore::new()),
-            LatencyModel::new(TierLatency::micros(200, 0), LatencyMode::Sleep),
-        ),
-        TieredConfig {
-            mem_capacity: 8 << 30,
-            ssd_capacity: 64 << 30,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 0,
-                ..DecodedCacheConfig::default()
-            },
-            ..TieredConfig::default()
-        },
-    ));
-    storage.set_prefetch_config(PrefetchConfig {
-        depth,
-        ..PrefetchConfig::default()
-    });
-    let mut config = UmziConfig::two_zone(name);
-    config.merge = MergePolicy {
-        k: usize::MAX / 2,
-        t: 4,
-    };
-    UmziIndex::create(storage, IndexPreset::I1.def(), config).expect("create index")
 }
 
 /// An index whose decoded cache is the decisive tier: a memory tier too
@@ -232,115 +163,6 @@ fn main() {
             let batch = &batches[(i as usize) % batches.len()];
             std::hint::black_box(idx.batch_lookup(batch, u64::MAX).expect("batch"));
         }));
-    }
-
-    // Parallel reconcile: the same large multi-run scan, merged
-    // sequentially (1 thread) vs partitioned across PAR_THREADS threads.
-    // Sequential reconcile_pq stays the oracle — the outputs are asserted
-    // identical before timing.
-    type FlatRows = Vec<(Vec<u8>, Vec<u8>, u64)>;
-    let mut par_results = Vec::new();
-    {
-        let whole_range = RangeQuery {
-            equality: vec![Datum::Int64(0)],
-            lower: SortBound::Unbounded,
-            upper: SortBound::Unbounded,
-            query_ts: u64::MAX,
-        };
-        let mut oracle: Option<FlatRows> = None;
-        for (label, partitions) in [
-            ("parallel_reconcile_1t", 1usize),
-            ("parallel_reconcile_4t", PAR_THREADS),
-        ] {
-            let idx = index_with_scan_partitions(&format!("qlat-{label}"), partitions);
-            ingest_runs(
-                &idx,
-                IndexPreset::I1,
-                umzi_workload::KeyDist::Random,
-                PAR_RUNS,
-                PER_RUN,
-                true,
-                11,
-            );
-            let rows: FlatRows = idx
-                .range_scan(&whole_range, ReconcileStrategy::PriorityQueue)
-                .expect("scan")
-                .iter()
-                .map(|o| (o.key.to_vec(), o.value.to_vec(), o.begin_ts))
-                .collect();
-            match oracle {
-                None => oracle = Some(rows),
-                Some(ref want) => {
-                    assert_eq!(want, &rows, "parallel merge diverged from the oracle")
-                }
-            }
-            par_results.push(measure(label, PAR_RUNS, &idx, 8, |_| {
-                std::hint::black_box(
-                    idx.range_scan(&whole_range, ReconcileStrategy::PriorityQueue)
-                        .expect("scan"),
-                );
-            }));
-        }
-    }
-
-    // Pipelined-prefetch A/B: the same cold multi-run scan off a slow
-    // shared tier, readahead off (depth 0, the synchronous block-at-a-time
-    // path) vs on. Every op purges the runs back to shared storage first,
-    // so each scan pays the full cold-read path; the depth-0 leg sleeps
-    // once per block, the pipelined leg once per batch.
-    const PF_RUNS: usize = 4;
-    const PF_DEPTH: usize = 8;
-    let mut prefetch_results = Vec::new();
-    {
-        let whole_range = RangeQuery {
-            equality: vec![Datum::Int64(0)],
-            lower: SortBound::Unbounded,
-            upper: SortBound::Unbounded,
-            query_ts: u64::MAX,
-        };
-        let mut oracle: Option<FlatRows> = None;
-        for (label, depth) in [
-            ("prefetch_cold_scan_depth0", 0usize),
-            ("prefetch_cold_scan_pipelined", PF_DEPTH),
-        ] {
-            let idx = index_with_prefetch(&format!("qlat-{label}"), depth);
-            ingest_runs(
-                &idx,
-                IndexPreset::I1,
-                umzi_workload::KeyDist::Random,
-                PF_RUNS,
-                PER_RUN,
-                true,
-                17,
-            );
-            let handles: Vec<_> = idx.zones()[0]
-                .list
-                .snapshot()
-                .iter()
-                .map(|r| r.handle())
-                .collect();
-            let rows: FlatRows = idx
-                .range_scan(&whole_range, ReconcileStrategy::PriorityQueue)
-                .expect("scan")
-                .iter()
-                .map(|o| (o.key.to_vec(), o.value.to_vec(), o.begin_ts))
-                .collect();
-            match oracle {
-                None => oracle = Some(rows),
-                Some(ref want) => {
-                    assert_eq!(want, &rows, "pipelined scan diverged from depth 0")
-                }
-            }
-            prefetch_results.push(measure(label, PF_RUNS, &idx, 8, |_| {
-                for h in &handles {
-                    idx.storage().purge_object(*h).expect("purge");
-                }
-                std::hint::black_box(
-                    idx.range_scan(&whole_range, ReconcileStrategy::PriorityQueue)
-                        .expect("scan"),
-                );
-            }));
-        }
     }
 
     // Scan interference: a mixed HTAP workload — point lookups on a hot
@@ -477,8 +299,6 @@ fn main() {
     );
     for m in results
         .iter()
-        .chain(&par_results)
-        .chain(&prefetch_results)
         .chain(&cache_results)
         .chain(&telemetry_results)
     {
@@ -490,18 +310,6 @@ fn main() {
             m.blocks_per_op
         );
     }
-    let par_speedup = par_results[1].ops_per_sec() / par_results[0].ops_per_sec().max(1e-9);
-    eprintln!(
-        "parallel reconcile 1→{PAR_THREADS} threads ({PAR_RUNS} runs, {} rows): {:.2}x ops/sec",
-        PAR_RUNS as u64 * PER_RUN,
-        par_speedup
-    );
-    let prefetch_speedup =
-        prefetch_results[1].ops_per_sec() / prefetch_results[0].ops_per_sec().max(1e-9);
-    eprintln!(
-        "pipelined prefetch depth 0→{PF_DEPTH} ({PF_RUNS} runs, cold shared reads): {:.2}x ops/sec",
-        prefetch_speedup
-    );
     eprintln!("{CACHE_LABEL}: point hit rate {cache_hit_rate:.3}");
     eprintln!(
         "telemetry overhead: disabled/enabled = {telemetry_speedup:.3}x ops/sec (1.0 = free)"
@@ -510,22 +318,12 @@ fn main() {
     let mut json = String::from("{\n  \"bench\": \"query_latency\",\n  \"results\": [\n");
     let lines: Vec<String> = results
         .iter()
-        .chain(&par_results)
-        .chain(&prefetch_results)
         .chain(&cache_results)
         .chain(&telemetry_results)
         .map(json_entry)
         .collect();
     let _ = writeln!(json, "{}", lines.join(",\n"));
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"parallel_scan_speedup_ops_per_sec\": {par_speedup:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"prefetch_speedup_ops_per_sec\": {prefetch_speedup:.2},"
-    );
     let _ = writeln!(
         json,
         "  \"{CACHE_LABEL}_point_hit_rate\": {cache_hit_rate:.3},"

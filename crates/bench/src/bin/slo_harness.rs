@@ -1,6 +1,6 @@
 //! Multi-tenant SLO harness: tail-latency percentiles per tenant and
-//! operation class, plus a maintenance-fairness A/B that measures what the
-//! weighted-aging dequeue buys a cold shard sharing a daemon with a hot one.
+//! operation class, plus a maintenance-fairness scenario: a cold shard
+//! sharing one slowed daemon worker with a hot one.
 //!
 //! Three scenarios, one artifact:
 //!
@@ -10,13 +10,13 @@
 //!    timed in the driver into per-`(tenant, class)` histograms; the
 //!    engine's own per-op-class telemetry histograms ride along so the
 //!    driver-side and engine-side views can be cross-checked.
-//! 2. **Fairness A/B** — one slowed worker serves a hot shard under
+//! 2. **Fairness** — one slowed worker serves a hot shard under
 //!    continuous ingest (an endless groom→merge cascade) and a cold shard
-//!    taking light ingest plus freshest-point reads. FIFO dequeue starves
-//!    the cold shard's groom behind the hot merge stream, so its un-groomed
-//!    live zone — which freshest reads scan linearly — grows without bound;
-//!    the weighted-aging dequeue lets the aged groom overtake. Cold-shard
-//!    point p99 under both modes lands in the artifact as scalars.
+//!    taking light ingest plus freshest-point reads. A groom starved behind
+//!    the hot merge stream would let the cold shard's un-groomed live zone
+//!    — which freshest reads scan linearly — grow without bound; the
+//!    weighted-aging dequeue lets the aged groom overtake. Cold-shard point
+//!    p99 lands in the artifact as a scalar.
 //! 3. **Brownout degradation** — the shared store turns sick mid-run while
 //!    deadline-bounded scans and interactive point reads keep arriving.
 //!    Scans get shed by read admission, deadline-expired queries die typed
@@ -300,11 +300,11 @@ const FAIR_SHARDS: usize = 8;
 /// hands the daemon fresh level-0 runs to merge) while a cold shard takes a
 /// trickle of ingest plus freshest-point reads. Those reads overlay the
 /// cold shard's un-groomed live zone linearly, so a starved cold groom
-/// shows up directly as read latency. FIFO dequeue serves strictly by
-/// priority class — merges always beat grooms, and the cold groom waits out
-/// the entire hot backlog; the weighted-aging dequeue lets it overtake once
-/// its queue age exceeds the priority gap.
-fn run_fairness(fair: bool, cycles: usize) -> FairnessOutcome {
+/// shows up directly as read latency. By priority class alone merges always
+/// beat grooms and the cold groom would wait out the entire hot backlog; the
+/// weighted-aging dequeue lets it overtake once its queue age exceeds the
+/// priority gap.
+fn run_fairness(cycles: usize) -> FairnessOutcome {
     let table = Arc::new(iot_table());
     // Partition the device space by the engine's own routing so "hot" and
     // "cold" mean actual shards, not a guess about the hash.
@@ -341,7 +341,6 @@ fn run_fairness(fair: bool, cycles: usize) -> FairnessOutcome {
             groom_trigger_rows: 128,
             maintenance: Some(MaintenanceConfig {
                 workers: 1,
-                fair_dequeue: fair,
                 // One slowed worker against seven shards' worth of merge
                 // arrivals: the higher-priority classes never drain, which
                 // is the regime the aging dequeue exists for. Watermarks
@@ -452,10 +451,8 @@ fn run_fairness(fair: bool, cycles: usize) -> FairnessOutcome {
         .sum();
 
     eprintln!(
-        "  {} mode: cold live zone at end of window = {} rows, groom peak dequeue age = {}",
-        if fair { "fair" } else { "fifo" },
-        cold_live_at_end,
-        groom_peak_dequeue_age
+        "  cold live zone at end of window = {} rows, groom peak dequeue age = {}",
+        cold_live_at_end, groom_peak_dequeue_age
     );
 
     FairnessOutcome {
@@ -750,15 +747,12 @@ fn main() {
         }
     }
 
-    eprintln!("== slo_harness: fairness A/B ({cycles} cycles) ==");
-    let fair = run_fairness(true, cycles);
-    let fifo = run_fairness(false, cycles);
+    eprintln!("== slo_harness: fairness ({cycles} cycles) ==");
+    let fair = run_fairness(cycles);
     eprintln!(
-        "cold point p99: fair={} fifo={}  groom peak dequeue age: fair={} fifo={}",
+        "cold point p99: {}  groom peak dequeue age: {}",
         fair.cold_point.p99(),
-        fifo.cold_point.p99(),
-        fair.groom_peak_dequeue_age,
-        fifo.groom_peak_dequeue_age
+        fair.groom_peak_dequeue_age
     );
 
     eprintln!("== slo_harness: brownout degradation ({cycles} cycles) ==");
@@ -775,16 +769,14 @@ fn main() {
             }
         }
     }
-    for (label, out) in [("fair", &fair), ("fifo", &fifo)] {
-        if out.cold_point.count() == 0 {
-            failures.push(format!("{label}: no cold-shard point samples"));
-        }
-        if out.rows_counted != out.rows_written {
-            failures.push(format!(
-                "{label}: acked rows lost under the ingest gate: wrote {} counted {}",
-                out.rows_written, out.rows_counted
-            ));
-        }
+    if fair.cold_point.count() == 0 {
+        failures.push("fairness: no cold-shard point samples".into());
+    }
+    if fair.rows_counted != fair.rows_written {
+        failures.push(format!(
+            "fairness: acked rows lost under the ingest gate: wrote {} counted {}",
+            fair.rows_written, fair.rows_counted
+        ));
     }
 
     // Brownout acceptance: the degradation has to be *graceful*, with
@@ -862,15 +854,13 @@ fn main() {
         "  \"engine_op_nanos\": {{\n{}\n  }},",
         engine_rows.join(",\n")
     );
-    for (label, out) in [("fair", &fair), ("fifo", &fifo)] {
-        let _ = writeln!(
-            json,
-            "  \"fairness_{label}\": {{{}, \"groom_peak_dequeue_age\": {}, \"rows\": {}}},",
-            quantile_fields(&out.cold_point),
-            out.groom_peak_dequeue_age,
-            out.rows_written
-        );
-    }
+    let _ = writeln!(
+        json,
+        "  \"fairness_fair\": {{{}, \"groom_peak_dequeue_age\": {}, \"rows\": {}}},",
+        quantile_fields(&fair.cold_point),
+        fair.groom_peak_dequeue_age,
+        fair.rows_written
+    );
     let _ = writeln!(
         json,
         "  \"brownout\": {{\"point\": {{{}}}, \"overshoot\": {{{}}}, \
@@ -905,23 +895,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"cold_shard_point_p999_nanos_fair\": {},",
+        "  \"cold_shard_point_p999_nanos_fair\": {}",
         fair.cold_point.p999()
-    );
-    let _ = writeln!(
-        json,
-        "  \"cold_shard_point_p99_nanos_fifo\": {},",
-        fifo.cold_point.p99()
-    );
-    let _ = writeln!(
-        json,
-        "  \"cold_shard_point_p999_nanos_fifo\": {},",
-        fifo.cold_point.p999()
-    );
-    let _ = writeln!(
-        json,
-        "  \"fairness_cold_p99_fifo_over_fair_speedup\": {:.2}",
-        fifo.cold_point.p99() as f64 / fair.cold_point.p99().max(1) as f64
     );
     json.push_str("}\n");
 
@@ -937,11 +912,5 @@ fn main() {
             eprintln!("  - {f}");
         }
         std::process::exit(1);
-    }
-    if fifo.cold_point.p99() <= fair.cold_point.p99() {
-        eprintln!(
-            "warning: FIFO cold p99 not worse than fair on this run — \
-             fairness headroom not visible at this scale"
-        );
     }
 }

@@ -18,9 +18,7 @@ use umzi_core::{
 };
 use umzi_encoding::Datum;
 use umzi_run::SortBound;
-use umzi_storage::{
-    PrefetchConfig, QueryContext, SharedStorage, TelemetryConfig, TieredConfig, TieredStorage,
-};
+use umzi_storage::{QueryContext, SharedStorage, TelemetryConfig, TieredConfig, TieredStorage};
 use umzi_wildfire::{iot_table, EngineConfig, Freshness, ShardConfig, WildfireEngine};
 use umzi_workload::{IndexPreset, MixedConfig, MixedOp, MixedWorkload};
 
@@ -53,26 +51,20 @@ fn purge_runs(idx: &UmziIndex) {
     }
 }
 
-/// Drive the partitioned-scan path on an auxiliary index sharing the
-/// engine's storage (and therefore its telemetry handle): the engine's own
-/// per-device scans stay under the parallel threshold, so the
-/// `range_scan_partitioned` histogram needs a scan that actually fans out.
-/// Then the readahead path: prefetch ships disabled (`depth: 0`), so switch
-/// it on and rescan the same runs cold — a multi-block scan off shared
-/// storage is what fills `prefetch_batch` and `readahead_depth`.
-fn drive_partitioned_and_readahead_scans(storage: &Arc<TieredStorage>) {
-    let mut config = UmziConfig::two_zone("telemetry-smoke-par");
+/// Drive the readahead path on an auxiliary index sharing the engine's
+/// storage (and therefore its telemetry handle): a cold multi-block scan
+/// off shared storage is what fills `prefetch_batch` and `readahead_depth`,
+/// and the engine's own per-device scans are too short to be sure of one.
+fn drive_cold_readahead_scan(storage: &Arc<TieredStorage>) {
+    let mut config = UmziConfig::two_zone("telemetry-smoke-scan");
     config.merge = MergePolicy {
         k: usize::MAX / 2,
         t: 4,
     };
-    config.scan.max_scan_partitions = 4;
-    config.scan.parallel_row_threshold = 1;
     let idx = UmziIndex::create(Arc::clone(storage), IndexPreset::I1.def(), config)
         .expect("create aux index");
     // `scan_workload: true` puts every key under one device, so the
-    // whole-range scan below covers all 4 runs × 2000 rows — enough to
-    // clear the default parallel thresholds.
+    // whole-range scan below covers all 4 runs × 2000 rows.
     umzi_bench::ingest_runs(
         &idx,
         IndexPreset::I1,
@@ -88,16 +80,6 @@ fn drive_partitioned_and_readahead_scans(storage: &Arc<TieredStorage>) {
         upper: SortBound::Unbounded,
         query_ts: u64::MAX,
     };
-    for _ in 0..3 {
-        std::hint::black_box(
-            idx.range_scan(&whole, ReconcileStrategy::PriorityQueue)
-                .expect("partitioned scan"),
-        );
-    }
-    storage.set_prefetch_config(PrefetchConfig {
-        depth: 4,
-        ..PrefetchConfig::default()
-    });
     purge_runs(&idx);
     std::hint::black_box(
         idx.range_scan(&whole, ReconcileStrategy::PriorityQueue)
@@ -202,7 +184,7 @@ fn main() {
         std::hint::black_box(engine.get(&eq, &sort, Freshness::Latest).expect("get"));
     }
 
-    drive_partitioned_and_readahead_scans(&storage);
+    drive_cold_readahead_scan(&storage);
 
     // Let the daemon drain so every job kind has executed (idle retire and
     // evolve pokes are recorded too), then snapshot while it is still

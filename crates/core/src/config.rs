@@ -62,74 +62,6 @@ impl Default for CacheConfig {
     }
 }
 
-/// Read-path scan tuning: the partitioned parallel reconcile (§7.1.2's
-/// priority-queue merge, split by key range across threads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanConfig {
-    /// Upper bound on partitions (= merge threads) per range scan. `0`
-    /// means auto: `available_parallelism`, capped at 8. `1` disables the
-    /// partitioned path entirely. Values above the core count are honored
-    /// — useful when scans are storage-latency-bound rather than CPU-bound.
-    pub max_scan_partitions: usize,
-    /// Estimated result rows (positioned-iterator entries across candidate
-    /// runs) below which a scan always uses the sequential merge; the
-    /// per-partition positioning and thread spawns only pay off on large
-    /// scans.
-    pub parallel_row_threshold: u64,
-    /// Minimum estimated rows each partition of a parallel scan should
-    /// cover: the partition count adapts to
-    /// `min(partition_target, estimated_rows / min_partition_rows)` so a
-    /// moderately sized scan no longer spawns a full complement of threads
-    /// for tiny partitions. `0` behaves as `1` (no adaptive cap).
-    pub min_partition_rows: u64,
-}
-
-impl Default for ScanConfig {
-    fn default() -> Self {
-        Self {
-            max_scan_partitions: 0,
-            parallel_row_threshold: 4096,
-            min_partition_rows: 2048,
-        }
-    }
-}
-
-impl ScanConfig {
-    /// Validate structural invariants.
-    pub fn validate(&self) -> Result<()> {
-        if self.max_scan_partitions > 1024 {
-            return Err(UmziError::Config(format!(
-                "max_scan_partitions {} is absurd (cap is 1024)",
-                self.max_scan_partitions
-            )));
-        }
-        Ok(())
-    }
-
-    /// The partition target for one scan: the configured cap, or the core
-    /// count (≤ 8) when auto.
-    pub fn partition_target(&self) -> usize {
-        if self.max_scan_partitions != 0 {
-            return self.max_scan_partitions;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    }
-
-    /// The partition count for a scan expected to produce `estimated_rows`:
-    /// the target, adaptively capped so every partition covers at least
-    /// [`Self::min_partition_rows`] rows (a tiny partition wastes its
-    /// thread spawn).
-    pub fn adaptive_partitions(&self, estimated_rows: u64) -> usize {
-        let target = self.partition_target();
-        let floor = self.min_partition_rows.max(1);
-        let by_rows = (estimated_rows / floor).max(1);
-        target.min(usize::try_from(by_rows).unwrap_or(usize::MAX))
-    }
-}
-
 /// Background-maintenance daemon tuning: worker pool, ingest backpressure
 /// watermarks, throttling and the janitor cadence.
 #[derive(Debug, Clone)]
@@ -154,12 +86,6 @@ pub struct MaintenanceConfig {
     /// this (and the run count is at or below its own low watermark).
     /// Ignored when `l0_bytes_high_watermark` is 0.
     pub l0_bytes_low_watermark: u64,
-    /// Weighted-aging per-shard dequeue: the scheduler picks each worker's
-    /// next job across per-shard queues with a priority score that decays
-    /// as a job waits, so one hot shard's endless merge chain cannot
-    /// starve another shard's groom indefinitely. `false` restores strict
-    /// global (priority, FIFO) order.
-    pub fair_dequeue: bool,
     /// Minimum pause a worker inserts after each job that did work — bounds
     /// the background IO/CPU share. `None` runs flat out.
     pub throttle: Option<std::time::Duration>,
@@ -190,7 +116,6 @@ impl Default for MaintenanceConfig {
             l0_low_watermark: 6,
             l0_bytes_high_watermark: 256 << 20,
             l0_bytes_low_watermark: 128 << 20,
-            fair_dequeue: true,
             throttle: None,
             janitor_interval: std::time::Duration::from_millis(100),
             adaptive_cache: true,
@@ -254,8 +179,6 @@ pub struct UmziConfig {
     pub non_persisted_levels: Vec<u32>,
     /// Cache-manager thresholds.
     pub cache: CacheConfig,
-    /// Read-path scan tuning (partitioned parallel reconcile).
-    pub scan: ScanConfig,
     /// Background-maintenance daemon tuning (worker count, ingest
     /// watermarks, throttle, janitor cadence). Consumed by
     /// [`crate::daemon::IndexDaemon::spawn`] for a standalone index; the
@@ -285,7 +208,6 @@ impl UmziConfig {
             ],
             non_persisted_levels: Vec::new(),
             cache: CacheConfig::default(),
-            scan: ScanConfig::default(),
             maintenance: MaintenanceConfig::default(),
         }
     }
@@ -352,7 +274,6 @@ impl UmziConfig {
         if self.offset_bits > 24 {
             return Err(UmziError::Config("offset_bits must be ≤ 24".into()));
         }
-        self.scan.validate()?;
         self.maintenance.validate()?;
         Ok(())
     }
@@ -486,44 +407,6 @@ mod tests {
         c.validate().unwrap();
         c.maintenance = MaintenanceConfig::default();
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_bad_scan_config() {
-        let mut c = UmziConfig::two_zone("t");
-        c.scan.max_scan_partitions = 4096;
-        assert!(c.validate().is_err());
-        c.scan.max_scan_partitions = 1024;
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn scan_partition_target_resolution() {
-        let mut s = ScanConfig::default();
-        assert!(s.partition_target() >= 1, "auto resolves to the core count");
-        s.max_scan_partitions = 1;
-        assert_eq!(s.partition_target(), 1);
-        // Explicit values above the core count are honored (I/O-bound scans).
-        s.max_scan_partitions = 64;
-        assert_eq!(s.partition_target(), 64);
-    }
-
-    #[test]
-    fn adaptive_partitions_respect_min_rows_floor() {
-        let s = ScanConfig {
-            max_scan_partitions: 8,
-            parallel_row_threshold: 1,
-            min_partition_rows: 1000,
-        };
-        assert_eq!(s.adaptive_partitions(500), 1, "sub-floor scans don't split");
-        assert_eq!(s.adaptive_partitions(3500), 3);
-        assert_eq!(s.adaptive_partitions(1 << 30), 8, "target still caps");
-        // A zero floor behaves as 1 (no adaptive cap).
-        let s = ScanConfig {
-            min_partition_rows: 0,
-            ..s
-        };
-        assert_eq!(s.adaptive_partitions(8), 8);
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl MaintenanceDaemon {
         executor: Arc<dyn JobExecutor>,
         config: MaintenanceConfig,
     ) -> Arc<MaintenanceDaemon> {
-        let queue = Arc::new(JobQueue::new(config.fair_dequeue));
+        let queue = Arc::new(JobQueue::new());
         let counters = Arc::new(DaemonCounters::default());
         let gate = Arc::new(
             Backpressure::new(config.l0_high_watermark, config.l0_low_watermark)

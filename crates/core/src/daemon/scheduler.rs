@@ -12,7 +12,7 @@
 //! A strict global (priority, seq) order lets one hot shard starve the rest:
 //! its merge chain re-enqueues level-0 merges forever, and a cold shard's
 //! `Groom` (the lowest priority) never runs even though its live zone keeps
-//! growing. In fair mode, `pop` instead scores each shard's head job as
+//! growing. `pop` instead scores each shard's head job as
 //!
 //! ```text
 //! score = priority_class * AGE_WEIGHT - age        (saturating at 0)
@@ -23,9 +23,7 @@
 //! `(score, priority, seq)` across shard heads. A freshly queued job keeps
 //! its class order, but every [`AGE_WEIGHT`] enqueues a waiting job
 //! effectively climbs one priority class, so a starved groom overtakes a
-//! stream of fresh merges after a bounded number of pushes. With `fair`
-//! off, every score is zero and the order reduces exactly to the old global
-//! (priority, seq) FIFO.
+//! stream of fresh merges after a bounded number of pushes.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
@@ -91,8 +89,6 @@ pub(crate) struct JobQueue {
     state: std::sync::Mutex<QueueState>,
     cv: std::sync::Condvar,
     seq: AtomicU64,
-    /// Weighted-aging dequeue on; off reduces to strict global priority FIFO.
-    fair: bool,
     /// Deduplicated enqueue attempts (observability).
     pub(crate) dedup_hits: AtomicU64,
     /// Accepted enqueues.
@@ -106,12 +102,11 @@ pub(crate) struct JobQueue {
 }
 
 impl JobQueue {
-    pub(crate) fn new(fair: bool) -> JobQueue {
+    pub(crate) fn new() -> JobQueue {
         JobQueue {
             state: std::sync::Mutex::new(QueueState::default()),
             cv: std::sync::Condvar::new(),
             seq: AtomicU64::new(0),
-            fair,
             dedup_hits: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
             peak_depth: AtomicU64::new(0),
@@ -172,11 +167,7 @@ impl JobQueue {
         let mut best: Option<(u64, (u8, u32), u64, usize)> = None;
         for (&shard, heap) in &s.shards {
             let Some(head) = heap.peek() else { continue };
-            let score = if self.fair {
-                (u64::from(head.priority.0) * AGE_WEIGHT).saturating_sub(now - head.seq)
-            } else {
-                0
-            };
+            let score = (u64::from(head.priority.0) * AGE_WEIGHT).saturating_sub(now - head.seq);
             let key = (score, head.priority, head.seq, shard);
             if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
                 best = Some(key);
@@ -278,8 +269,10 @@ impl JobQueue {
 mod tests {
     use super::*;
 
-    fn priority_then_fifo_order(fair: bool) {
-        let q = JobQueue::new(fair);
+    /// Without pending-time aging the order is strict (priority, FIFO).
+    #[test]
+    fn pops_in_priority_then_fifo_order() {
+        let q = JobQueue::new();
         q.push(Job::Groom { shard: 0 });
         q.push(Job::Merge { shard: 0, level: 2 });
         q.push(Job::Merge { shard: 0, level: 0 });
@@ -310,15 +303,8 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_priority_then_fifo_order() {
-        // Without pending-time aging, fair mode agrees with strict FIFO.
-        priority_then_fifo_order(false);
-        priority_then_fifo_order(true);
-    }
-
-    #[test]
     fn aged_groom_overtakes_fresh_merges_in_fair_mode() {
-        let q = JobQueue::new(true);
+        let q = JobQueue::new();
         q.push(Job::Groom { shard: 1 });
         // A hot shard keeps producing fresh merges; each pop sees one merge
         // and the ever-older groom.
@@ -348,23 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_mode_starves_low_priority_under_merge_pressure() {
-        let q = JobQueue::new(false);
-        q.push(Job::Groom { shard: 1 });
-        for i in 0..200u32 {
-            q.push(Job::Merge { shard: 0, level: i });
-            let job = q.pop().expect("queue is non-empty");
-            q.done();
-            assert!(
-                matches!(job, Job::Merge { .. }),
-                "strict priority order never reaches the groom at iteration {i}"
-            );
-        }
-    }
-
-    #[test]
     fn duplicate_pending_jobs_dedup() {
-        let q = JobQueue::new(true);
+        let q = JobQueue::new();
         assert!(q.push(Job::Groom { shard: 0 }));
         assert!(!q.push(Job::Groom { shard: 0 }));
         assert_eq!(q.depth(), 1);
@@ -377,7 +348,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_stops() {
-        let q = JobQueue::new(true);
+        let q = JobQueue::new();
         q.push(Job::Groom { shard: 0 });
         q.close(false);
         assert!(!q.push(Job::Groom { shard: 1 }), "closed queue rejects");
@@ -388,7 +359,7 @@ mod tests {
 
     #[test]
     fn close_discard_drops_pending() {
-        let q = JobQueue::new(true);
+        let q = JobQueue::new();
         q.push(Job::Groom { shard: 0 });
         q.push(Job::Evolve { shard: 0 });
         q.close(true);

@@ -65,11 +65,6 @@ pub struct IndexCounters {
     pub gc_runs: AtomicU64,
     /// Merge conflicts (abandoned merges).
     pub merge_conflicts: AtomicU64,
-    /// Range scans that took the partitioned parallel-reconcile path.
-    pub parallel_scans: AtomicU64,
-    /// Total partitions executed across all parallel scans (so
-    /// `scan_partitions / parallel_scans` is the average fan-out).
-    pub scan_partitions: AtomicU64,
 }
 
 /// The Umzi unified multi-zone index.

@@ -74,7 +74,7 @@ pub mod runlist;
 pub mod stats;
 
 pub use cache_mgr::CacheMaintainReport;
-pub use config::{CacheConfig, MaintenanceConfig, MergePolicy, ScanConfig, UmziConfig, ZoneConfig};
+pub use config::{CacheConfig, MaintenanceConfig, MergePolicy, UmziConfig, ZoneConfig};
 pub use daemon::{
     Backpressure, BackpressureStats, GateLoad, IndexDaemon, Job, JobExecutor, JobKind,
     JobKindStats, JobOutcome, JobResult, MaintenanceDaemon, MaintenanceStats, StopSignal,

@@ -7,6 +7,7 @@
 //! pruned by their synopses (§4.2). Per-run results are reconciled with the
 //! set or priority-queue strategy (§7.1.2).
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -16,9 +17,7 @@ use umzi_run::{AccessPattern, KeyLayout, Rid, Run, RunSearcher, SearchHit, SortB
 use umzi_storage::telemetry::QueryTrace;
 
 use crate::index::UmziIndex;
-use crate::reconcile::{
-    plan_scan_partitions, reconcile_partitioned, reconcile_pq, reconcile_set, ReconcileStrategy,
-};
+use crate::reconcile::{reconcile_pq, reconcile_set, ReconcileStrategy};
 use crate::Result;
 
 /// A range-scan query (§7.1): values for all equality columns, bounds for
@@ -72,6 +71,69 @@ impl QueryOutput {
     }
 }
 
+/// Worker threads one query may fan out over: what the OS grants the
+/// *calling* thread (so a pinned caller gets 1 and runs inline), capped at
+/// 8. The call walks cgroup files on Linux — tens of microseconds — so a
+/// query asks at most once, and only after a size guard says fan-out could
+/// pay. Not cached process-wide: affinity differs per caller.
+fn thread_budget() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
+}
+
+/// Run `per_chunk` over `chunk`-sized slices of `items`, claimed from a
+/// shared cursor by up to `threads` workers (the calling thread is one of
+/// them), and concatenate the slice results **in input order**. No worker
+/// owns a fixed share: when per-item cost is skewed (a cold run among
+/// cached ones, probes hitting one hot hash bucket), fast workers keep
+/// claiming slices instead of idling behind the slow one. Spawned workers
+/// re-enter the caller's [`umzi_storage::QueryContext`], so deadline and
+/// cancellation reach every slice. One worker, or a single slice, runs
+/// `per_chunk(items)` inline.
+pub(crate) fn fan_out<'a, T, R, F>(
+    items: &'a [T],
+    chunk: usize,
+    threads: usize,
+    per_chunk: F,
+) -> umzi_run::Result<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&'a [T]) -> umzi_run::Result<Vec<R>> + Sync,
+{
+    let chunk = chunk.max(1);
+    let threads = threads.min(items.len().div_ceil(chunk));
+    if threads <= 1 {
+        return per_chunk(items);
+    }
+    let cursor = AtomicUsize::new(0);
+    let ctx = umzi_storage::context::current();
+    let worker = || -> umzi_run::Result<Vec<(usize, Vec<R>)>> {
+        let _g = umzi_storage::context::enter(ctx.clone());
+        let mut claimed = Vec::new();
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= items.len() {
+                return Ok(claimed);
+            }
+            let end = (start + chunk).min(items.len());
+            claimed.push((start, per_chunk(&items[start..end])?));
+        }
+    };
+    let mut slices = std::thread::scope(|s| -> umzi_run::Result<_> {
+        let handles: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+        let mut slices = worker()?;
+        for h in handles {
+            slices.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
+        }
+        Ok(slices)
+    })?;
+    slices.sort_unstable_by_key(|(start, _)| *start);
+    Ok(slices.into_iter().flat_map(|(_, r)| r).collect())
+}
+
 impl UmziIndex {
     /// Collect the runs a query must consider, newest data first: all zone
     /// lists are walked lock-free; zone-`i` runs already covered by later
@@ -108,220 +170,16 @@ impl UmziIndex {
         }
     }
 
-    /// Run `per_chunk` over contiguous chunks of `items` on at most
-    /// `min(available_parallelism, 8)` scoped threads, concatenating the
-    /// chunk results in order (so callers' ordering guarantees hold).
-    /// Falls back to the calling thread when `items` has fewer than
-    /// `min_items` elements or only one thread is available.
-    fn fan_out_chunks<'a, T, R, F>(
-        items: &'a [T],
-        min_items: usize,
-        per_chunk: F,
-    ) -> umzi_run::Result<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&'a [T]) -> umzi_run::Result<Vec<R>> + Sync,
-    {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-            .min(items.len().max(1));
-        if threads <= 1 || items.len() < min_items {
-            return per_chunk(items);
-        }
-        let chunk = items.len().div_ceil(threads);
-        // Propagate the caller's deadline/cancellation to the workers.
-        let ctx = umzi_storage::context::current();
-        std::thread::scope(|s| {
-            let (per_chunk, ctx) = (&per_chunk, &ctx);
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|c| {
-                    s.spawn(move || {
-                        let _g = umzi_storage::context::enter(ctx.clone());
-                        per_chunk(c)
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(items.len());
-            for h in handles {
-                all.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
-            }
-            Ok(all)
-        })
-    }
-
-    /// Run `per_chunk` over small chunks of `items` claimed from a shared
-    /// atomic cursor by up to `min(available_parallelism, 8)` scoped
-    /// threads. Unlike [`Self::fan_out_chunks`], no thread owns a fixed
-    /// slice: when per-item cost is skewed (e.g. probes hitting one hot
-    /// hash bucket), fast threads keep stealing chunks instead of idling
-    /// behind the slow one. Results concatenate in claim order, which is
-    /// **not** the input order — use only when the caller doesn't rely on
-    /// ordering (batch-lookup results are positional).
-    fn steal_chunks<'a, T, R, F>(
-        items: &'a [T],
-        chunk: usize,
-        min_items: usize,
-        per_chunk: F,
-    ) -> umzi_run::Result<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&'a [T]) -> umzi_run::Result<Vec<R>> + Sync,
-    {
-        let chunk = chunk.max(1);
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-            .min(items.len().div_ceil(chunk).max(1));
-        if threads <= 1 || items.len() < min_items {
-            return per_chunk(items);
-        }
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        // Propagate the caller's deadline/cancellation to the stealers.
-        let ctx = umzi_storage::context::current();
-        std::thread::scope(|s| {
-            let (cursor, per_chunk, ctx) = (&cursor, &per_chunk, &ctx);
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move || -> umzi_run::Result<Vec<R>> {
-                        let _g = umzi_storage::context::enter(ctx.clone());
-                        let mut out = Vec::new();
-                        loop {
-                            let start =
-                                cursor.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                            if start >= items.len() {
-                                return Ok(out);
-                            }
-                            let end = (start + chunk).min(items.len());
-                            out.extend(per_chunk(&items[start..end])?);
-                        }
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(items.len());
-            for h in handles {
-                all.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
-            }
-            Ok(all)
-        })
-    }
-
-    /// Reconcile positioned per-run iterators, taking the partitioned
-    /// parallel path when the scan is large enough (§7.1.2 merge, split by
-    /// key range): plan boundaries from the merged block fences of every
-    /// candidate run, resolve each boundary to a per-run ordinal through the
-    /// fence index (one cheap, usually-cached lookup per run × boundary),
-    /// split every iterator with
-    /// [`umzi_run::RunRangeIter::sub_range_seeded`], and merge the
-    /// partitions on scoped threads. Boundary resolution decodes the block
-    /// containing each cut; that decoded block is handed to the partition
-    /// that *starts* at the cut, so adjacent partitions sharing a boundary
-    /// block don't each fetch it again. Output is byte-for-byte the
-    /// sequential [`reconcile_pq`] result — partitions are key-disjoint,
-    /// cut at logical-key granularity, and concatenated in ascending order.
-    ///
-    /// Returns the hits and the number of partitions merged (0 = the
-    /// sequential path), which is what classifies this scan in telemetry.
-    fn reconcile_pq_maybe_parallel(
-        &self,
-        iters: Vec<umzi_run::RunRangeIter<'_>>,
-        lower: &[u8],
-        upper: Option<&Bytes>,
-        candidates: &[Arc<Run>],
-    ) -> umzi_run::Result<(Vec<SearchHit>, u64)> {
-        let scan = &self.config.scan;
-        let estimated_rows: u64 = iters.iter().map(|it| it.remaining_entries()).sum();
-        // Adaptive fan-out: never cut the scan into partitions smaller than
-        // min_partition_rows — a tiny partition wastes its thread spawn.
-        let target = scan.adaptive_partitions(estimated_rows);
-        if target <= 1 || estimated_rows < scan.parallel_row_threshold.max(1) {
-            return Ok((reconcile_pq(iters)?, 0));
-        }
-        let boundaries =
-            plan_scan_partitions(candidates, lower, upper.map(|u| u.as_ref()), target)?;
-        if boundaries.is_empty() {
-            return Ok((reconcile_pq(iters)?, 0));
-        }
-        // Resolve every run's boundary ordinals on scoped threads — each
-        // resolution may cost a block read, and they are the only
-        // sequential I/O left in front of the parallel merge. Exact cuts:
-        // no logical-key group straddles a boundary (prefix-free logical
-        // keys), so every version of a group lands on one side. The decoded
-        // block each resolution already paid for rides along as a seed.
-        type Cut = (u64, Option<(u32, umzi_run::DataBlock, u64)>);
-        let cuts: Vec<Vec<Cut>> = Self::fan_out_chunks(&iters, 2, |chunk| {
-            chunk
-                .iter()
-                .map(|it| {
-                    let (start, end) = it.ordinal_bounds();
-                    let mut prev = start;
-                    boundaries
-                        .iter()
-                        .map(|boundary| {
-                            let (ord, seed) = it
-                                .run()
-                                .locate_first_geq_with_block(boundary, AccessPattern::RangeScan)?;
-                            prev = ord.clamp(prev, end);
-                            Ok((prev, seed))
-                        })
-                        .collect()
-                })
-                .collect()
-        })?;
-        let mut partitions: Vec<Vec<umzi_run::RunRangeIter<'_>>> = (0..=boundaries.len())
-            .map(|_| Vec::with_capacity(iters.len()))
-            .collect();
-        for (it, run_cuts) in iters.iter().zip(cuts) {
-            let (start, end) = it.ordinal_bounds();
-            let mut prev = start;
-            // A mid-block cut's decoded block holds the last entries of the
-            // partition ending at the cut AND the first entries of the one
-            // starting there — seed both sides (the clone is a refcount
-            // bump, not a byte copy). Fence-aligned cuts carry no block.
-            let mut carry: Option<(u32, umzi_run::DataBlock, u64)> = None;
-            for (p, (cut, seed)) in run_cuts.into_iter().enumerate() {
-                let mut seeds: Vec<_> = carry.take().into_iter().collect();
-                if let Some(s) = &seed {
-                    if seeds.first().map(|c: &(u32, _, _)| c.0) != Some(s.0) {
-                        seeds.push(s.clone());
-                    }
-                }
-                partitions[p].push(it.sub_range_seeded(prev, cut, seeds));
-                prev = cut;
-                carry = seed;
-            }
-            partitions[boundaries.len()].push(it.sub_range_seeded(
-                prev,
-                end,
-                carry.take().into_iter().collect(),
-            ));
-        }
-        let n_partitions = partitions.len() as u64;
-        self.counters
-            .parallel_scans
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.counters
-            .scan_partitions
-            .fetch_add(n_partitions, std::sync::atomic::Ordering::Relaxed);
-        Ok((reconcile_partitioned(partitions)?, n_partitions))
-    }
-
     /// Range scan (§7.1): returns the newest visible version of every
     /// matching key, sorted by key.
     ///
-    /// Iterator *positioning* — the per-run `find_first_geq`, which is where
-    /// the block fetches happen — fans out across candidate runs on scoped
-    /// threads (runs are `Arc`s and reads are lock-free). Large
-    /// priority-queue scans then also *merge* in parallel: the key range is
-    /// partitioned at block-fence boundaries and each partition merges on
-    /// its own thread ([`Self::reconcile_pq_maybe_parallel`]); small scans
-    /// and the set strategy reconcile sequentially. Results are identical
-    /// and deterministic either way.
+    /// Iterator *positioning* — the per-run `find_first_geq`, one or two
+    /// block fetches per run — fans out across candidate runs ([`fan_out`];
+    /// runs are `Arc`s and reads are lock-free). The merge itself is one
+    /// sequential reconcile whose per-run iterators keep
+    /// [`umzi_storage::READAHEAD_DEPTH`] blocks staged ahead of it, so a
+    /// cold scan pays one batched fetch per sixteen blocks, not one stall
+    /// per block.
     pub fn range_scan(
         &self,
         query: &RangeQuery,
@@ -333,9 +191,7 @@ impl UmziIndex {
         }
         // Storage-counter deltas attribute block/cache/retry activity to
         // this scan only approximately: the counters are hierarchy-global,
-        // so a concurrent neighbour's IO lands in this trace too. The
-        // partition count (and with it seq vs partitioned) is exact — the
-        // reconcile path reports what this scan did.
+        // so a concurrent neighbour's IO lands in this trace too.
         let probe0 = self.storage.trace_probe();
         let mut trace = QueryTrace::begin("range_scan_seq");
         let out = self.range_scan_impl(query, strategy, Some(&mut trace));
@@ -344,17 +200,8 @@ impl UmziIndex {
         trace.cache_hits = probe.cache_hits;
         trace.bytes_decoded = probe.decoded_bytes;
         trace.retries = probe.retries;
-        let partitioned = trace.partitions > 0;
-        if partitioned {
-            trace.op = "range_scan_partitioned";
-        }
         let record = trace.finish();
-        let hist = if partitioned {
-            &tel.ops().range_scan_partitioned
-        } else {
-            &tel.ops().range_scan_seq
-        };
-        hist.record(record.total_nanos);
+        tel.ops().range_scan_seq.record(record.total_nanos);
         tel.maybe_log_slow(record);
         out
     }
@@ -402,7 +249,7 @@ impl UmziIndex {
             upper: Option<Bytes>,
             bucket: Option<u32>,
             query_ts: u64,
-            budget: Arc<std::sync::atomic::AtomicU64>,
+            budget: Arc<AtomicU64>,
         ) -> umzi_run::Result<umzi_run::RunRangeIter<'r>> {
             RunSearcher::new(run).scan_shared_with_budget(
                 lower,
@@ -417,10 +264,15 @@ impl UmziIndex {
         // iterator draws from the same scan-bypass budget, so a multi-run
         // scan stops churning the decoded cache after the *query* (not each
         // run) crosses the threshold.
-        let scan_budget = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        // Bounded fan-out over candidate runs; chunk results concatenate in
-        // order, so the reconcile order is unchanged.
-        let iters = Self::fan_out_chunks(&candidates, 2, |runs| {
+        let scan_budget = Arc::new(AtomicU64::new(0));
+        // One run per claim; results come back in candidate order, so the
+        // reconcile order is unchanged.
+        let threads = if candidates.len() < 2 {
+            1
+        } else {
+            thread_budget()
+        };
+        let iters = fan_out(&candidates, 1, threads, |runs| {
             runs.iter()
                 .map(|run| {
                     position(
@@ -438,15 +290,12 @@ impl UmziIndex {
             t.position_nanos = t.elapsed_nanos() - t.plan_nanos;
         }
 
-        let (hits, partitions) = match strategy {
-            ReconcileStrategy::Set => (reconcile_set(iters)?, 0),
-            ReconcileStrategy::PriorityQueue => {
-                self.reconcile_pq_maybe_parallel(iters, &lower, upper.as_ref(), &candidates)?
-            }
+        let hits = match strategy {
+            ReconcileStrategy::Set => reconcile_set(iters)?,
+            ReconcileStrategy::PriorityQueue => reconcile_pq(iters)?,
         };
         if let Some(t) = trace {
             t.merge_nanos = t.elapsed_nanos() - t.plan_nanos - t.position_nanos;
-            t.partitions = partitions;
         }
         Ok(hits.into_iter().map(QueryOutput::from_hit).collect())
     }
@@ -509,9 +358,9 @@ impl UmziIndex {
     /// from newest to oldest, one run at a time, until all keys are found or
     /// the runs are exhausted. Results are positionally aligned with `keys`.
     ///
-    /// Within each run, unresolved probes are partitioned into contiguous
-    /// (still sorted) slices and looked up on scoped threads; runs stay
-    /// sequential so the paper's newest-first early exit is preserved.
+    /// Within each run, unresolved probes are looked up in small (still
+    /// sorted) slices across [`fan_out`] workers; runs stay sequential so
+    /// the paper's newest-first early exit is preserved.
     pub fn batch_lookup(
         &self,
         keys: &[(Vec<Datum>, Vec<Datum>)],
@@ -554,10 +403,10 @@ impl UmziIndex {
         /// Below this many pending probes, thread spawn overhead beats the
         /// fan-out win and the run is searched on the calling thread.
         const PARALLEL_THRESHOLD: usize = 32;
-        /// Probes claimed per steal: small enough that a skewed batch (one
+        /// Probes per claimed slice: small enough that a skewed batch (one
         /// hot hash bucket) re-balances, large enough that the shared
         /// cursor isn't contended.
-        const STEAL_CHUNK: usize = 16;
+        const PROBE_CHUNK: usize = 16;
 
         let n_key_cols = self.def.key_column_count();
         let mut col_mins: Vec<Vec<u8>> = vec![Vec::new(); n_key_cols];
@@ -595,6 +444,8 @@ impl UmziIndex {
 
         let mut results: Vec<Option<QueryOutput>> = vec![None; keys.len()];
         let mut remaining = probes.len();
+        // Asked of the OS by the first run with enough pending probes.
+        let mut budget: Option<usize> = None;
 
         // "The sorted input keys are searched against each run sequentially
         // from newest to oldest, one run at a time, until all keys are found
@@ -626,11 +477,12 @@ impl UmziIndex {
                 }
                 Ok(found)
             };
-            // Work stealing: skewed batches (hot hash buckets make some
-            // probes far costlier than others) no longer leave threads idle
-            // behind one overloaded equal-size slice. Found hits are
-            // positional, so the claim order doesn't matter.
-            let found = Self::steal_chunks(&pending, STEAL_CHUNK, PARALLEL_THRESHOLD, probe_slice)?;
+            let threads = if pending.len() < PARALLEL_THRESHOLD {
+                1
+            } else {
+                *budget.get_or_insert_with(thread_budget)
+            };
+            let found = fan_out(&pending, PROBE_CHUNK, threads, probe_slice)?;
             for (pos, hit) in found {
                 results[pos] = Some(QueryOutput::from_hit(hit));
                 remaining -= 1;
@@ -834,263 +686,8 @@ mod tests {
         assert_eq!(out[2].as_ref().unwrap().begin_ts, 55);
     }
 
-    /// The partitioned parallel merge must return byte-for-byte what the
-    /// sequential merge returns, and the fan-out must be visible in the
-    /// index counters.
-    #[test]
-    fn parallel_reconcile_matches_sequential_and_counts() {
-        let build = |name: &str, partitions: usize, threshold: u64| {
-            let storage = Arc::new(TieredStorage::in_memory());
-            let def = Arc::new(
-                IndexDef::builder("t")
-                    .equality("device", ColumnType::Int64)
-                    .sort("msg", ColumnType::Int64)
-                    .included("val", ColumnType::Int64)
-                    .build()
-                    .unwrap(),
-            );
-            let mut cfg = UmziConfig::two_zone(name);
-            cfg.scan.max_scan_partitions = partitions;
-            cfg.scan.parallel_row_threshold = threshold;
-            let idx = UmziIndex::create(storage, def, cfg).unwrap();
-            // Overlapping runs: every run rewrites a sliding window of msgs.
-            for r in 0..4u64 {
-                let entries = (0..3000i64)
-                    .map(|m| {
-                        entry(
-                            &idx,
-                            ZoneId::GROOMED,
-                            1,
-                            (m + r as i64 * 500) % 3500,
-                            10 + r * 100 + (m % 7) as u64,
-                            m,
-                        )
-                    })
-                    .collect();
-                idx.build_groomed_run(entries, r + 1, r + 1).unwrap();
-            }
-            idx
-        };
-        let seq = build("q-seq", 1, u64::MAX);
-        let par = build("q-par", 4, 1);
-
-        for (lo, hi, ts) in [
-            (0i64, 3499i64, u64::MAX),
-            (0, 3499, 215),
-            (100, 100, u64::MAX), // single-key range
-            (700, 2600, 330),
-        ] {
-            let q = RangeQuery {
-                equality: vec![Datum::Int64(1)],
-                lower: SortBound::Included(vec![Datum::Int64(lo)]),
-                upper: SortBound::Included(vec![Datum::Int64(hi)]),
-                query_ts: ts,
-            };
-            let a = seq
-                .range_scan(&q, ReconcileStrategy::PriorityQueue)
-                .unwrap();
-            let b = par
-                .range_scan(&q, ReconcileStrategy::PriorityQueue)
-                .unwrap();
-            let flat = |o: &[QueryOutput]| -> Vec<(Vec<u8>, Vec<u8>, u64)> {
-                o.iter()
-                    .map(|x| (x.key.to_vec(), x.value.to_vec(), x.begin_ts))
-                    .collect()
-            };
-            assert_eq!(flat(&a), flat(&b), "range [{lo},{hi}] ts={ts}");
-        }
-        assert_eq!(seq.stats().parallel_scans, 0, "P=1 keeps the oracle path");
-        let pstats = par.stats();
-        assert!(pstats.parallel_scans > 0, "forced config must fan out");
-        assert!(pstats.scan_partitions >= 2 * pstats.parallel_scans);
-    }
-
-    /// PR 9 boundary over-fetch regression: adjacent partitions of a
-    /// parallel scan share their boundary blocks, and the cut resolution
-    /// already decodes each of them — the partitioned path must reuse those
-    /// decoded blocks instead of fetching once per side. A tiny decoded
-    /// cache keeps cache hits from masking a refetch; the partitioned scan
-    /// may then read at most one extra block per partition (the
-    /// fence-resolution reads) over the sequential scan.
-    #[test]
-    fn partitioned_scan_does_not_refetch_boundary_blocks() {
-        let build = |name: &str, partitions: usize, threshold: u64| {
-            // Effectively no decoded cache: every block fetch must hit the
-            // chunk tiers, so a boundary-block refetch is visible in
-            // `chunk_reads` instead of being absorbed as a cache hit.
-            let storage = Arc::new(TieredStorage::new(
-                umzi_storage::SharedStorage::in_memory(),
-                umzi_storage::TieredConfig {
-                    decoded_cache: umzi_storage::DecodedCacheConfig {
-                        capacity_bytes: 1,
-                        ..umzi_storage::DecodedCacheConfig::default()
-                    },
-                    ..umzi_storage::TieredConfig::default()
-                },
-            ));
-            let def = Arc::new(
-                IndexDef::builder("t")
-                    .equality("device", ColumnType::Int64)
-                    .sort("msg", ColumnType::Int64)
-                    .included("val", ColumnType::Int64)
-                    .build()
-                    .unwrap(),
-            );
-            let mut cfg = UmziConfig::two_zone(name);
-            cfg.scan.max_scan_partitions = partitions;
-            cfg.scan.parallel_row_threshold = threshold;
-            cfg.scan.min_partition_rows = 1;
-            let idx = UmziIndex::create(storage, def, cfg).unwrap();
-            // Overlapping runs so merged-fence boundaries land mid-block in
-            // most runs — the shape that over-fetched before the fix.
-            for r in 0..4u64 {
-                let entries = (0..3000i64)
-                    .map(|m| {
-                        entry(
-                            &idx,
-                            ZoneId::GROOMED,
-                            1,
-                            (m + r as i64 * 500) % 3500,
-                            10 + r * 100 + (m % 7) as u64,
-                            m,
-                        )
-                    })
-                    .collect();
-                idx.build_groomed_run(entries, r + 1, r + 1).unwrap();
-            }
-            idx
-        };
-        let seq = build("q-reads-seq", 1, u64::MAX);
-        let par = build("q-reads-par", 4, 1);
-        let q = RangeQuery {
-            equality: vec![Datum::Int64(1)],
-            lower: SortBound::Unbounded,
-            upper: SortBound::Unbounded,
-            query_ts: u64::MAX,
-        };
-        let reads = |idx: &Arc<UmziIndex>| {
-            let p0 = idx.storage().trace_probe();
-            let out = idx
-                .range_scan(&q, ReconcileStrategy::PriorityQueue)
-                .unwrap();
-            assert_eq!(out.len(), 3500);
-            idx.storage().trace_probe().since(&p0).chunk_reads
-        };
-        let seq_reads = reads(&seq);
-        let par_reads = reads(&par);
-        let pstats = par.stats();
-        assert!(pstats.parallel_scans > 0, "forced config must fan out");
-        assert!(
-            par_reads <= seq_reads + pstats.scan_partitions,
-            "partitioned scan refetches boundary blocks: \
-             {par_reads} reads > {seq_reads} sequential + {} partitions",
-            pstats.scan_partitions
-        );
-    }
-
-    /// PR 9 planner-skew regression: partition boundaries must be planned
-    /// from the merged fences of every candidate run, not any single run —
-    /// with two same-size runs over disjoint key ranges, a single-run plan
-    /// clusters every boundary inside that run's half and leaves the other
-    /// half as one giant partition.
-    #[test]
-    fn partition_planner_spans_all_candidate_runs() {
-        let idx = setup();
-        idx.build_groomed_run(
-            (0..3000i64)
-                .map(|m| entry(&idx, ZoneId::GROOMED, 1, m, 10, 0))
-                .collect(),
-            1,
-            1,
-        )
-        .unwrap();
-        idx.build_groomed_run(
-            (0..3000i64)
-                .map(|m| entry(&idx, ZoneId::GROOMED, 1, 100_000 + m, 11, 0))
-                .collect(),
-            2,
-            2,
-        )
-        .unwrap();
-        let runs = idx.candidate_runs();
-        assert_eq!(runs.len(), 2);
-        let boundaries = plan_scan_partitions(&runs, &[], None, 4).unwrap();
-        assert!(boundaries.len() >= 2, "two 3000-row runs must yield cuts");
-        // Any key of the low run sorts strictly below this split key (the
-        // largest possible key for msg = 100_000).
-        let split = idx
-            .layout()
-            .build_key(&[Datum::Int64(1)], &[Datum::Int64(100_000)], 0)
-            .unwrap();
-        assert!(
-            boundaries.iter().any(|b| b.as_slice() < split.as_slice()),
-            "no boundary in the low run's range — planned from one run only"
-        );
-        assert!(
-            boundaries.iter().any(|b| b.as_slice() > split.as_slice()),
-            "no boundary in the high run's range — planned from one run only"
-        );
-    }
-
-    /// ROADMAP "adaptive partition counts": the parallel fan-out must not
-    /// cut a scan into partitions smaller than `min_partition_rows`.
-    #[test]
-    fn partition_count_adapts_to_row_estimate() {
-        let build = |name: &str, min_rows: u64| {
-            let storage = Arc::new(TieredStorage::in_memory());
-            let def = Arc::new(
-                IndexDef::builder("t")
-                    .equality("device", ColumnType::Int64)
-                    .sort("msg", ColumnType::Int64)
-                    .included("val", ColumnType::Int64)
-                    .build()
-                    .unwrap(),
-            );
-            let mut cfg = UmziConfig::two_zone(name);
-            cfg.scan.max_scan_partitions = 8;
-            cfg.scan.parallel_row_threshold = 1;
-            cfg.scan.min_partition_rows = min_rows;
-            let idx = UmziIndex::create(storage, def, cfg).unwrap();
-            for r in 0..2u64 {
-                let entries = (0..6000i64)
-                    .map(|m| entry(&idx, ZoneId::GROOMED, 1, m, 10 + r, 0))
-                    .collect();
-                idx.build_groomed_run(entries, r + 1, r + 1).unwrap();
-            }
-            idx
-        };
-        let q = RangeQuery {
-            equality: vec![Datum::Int64(1)],
-            lower: SortBound::Unbounded,
-            upper: SortBound::Unbounded,
-            query_ts: u64::MAX,
-        };
-        // ~12k estimated rows, floor 100k ⇒ adaptive target 1 ⇒ sequential.
-        let coarse = build("q-adapt-seq", 100_000);
-        coarse
-            .range_scan(&q, ReconcileStrategy::PriorityQueue)
-            .unwrap();
-        assert_eq!(
-            coarse.stats().parallel_scans,
-            0,
-            "tiny scans stay sequential"
-        );
-        // Floor 3000 ⇒ at most 4 partitions despite the 8-way cap.
-        let adaptive = build("q-adapt-4", 3000);
-        adaptive
-            .range_scan(&q, ReconcileStrategy::PriorityQueue)
-            .unwrap();
-        let s = adaptive.stats();
-        assert_eq!(s.parallel_scans, 1);
-        assert!(
-            (2..=4).contains(&s.scan_partitions),
-            "12k rows / 3k floor must cap fan-out at 4, got {}",
-            s.scan_partitions
-        );
-    }
-
     /// Skewed batches (every probe in one hot hash bucket, interleaved with
-    /// misses) exercise the work-stealing fan-out; results must stay
+    /// misses) exercise the cursor-claiming fan-out; results must stay
     /// positionally correct.
     #[test]
     fn batch_lookup_skewed_batch_over_steal_threshold() {
@@ -1154,5 +751,53 @@ mod tests {
         assert!(got.is_empty());
         let after = idx.storage().stats().mem.hits + idx.storage().stats().mem.misses;
         assert_eq!(after, before, "fully pruned query must read nothing");
+    }
+
+    proptest::proptest! {
+        /// `fan_out` is a parallel `map` that keeps input order: whatever
+        /// the slice size, worker count and per-item cost skew, every item
+        /// comes back exactly once and in place. With the ambient context
+        /// cancelled at an arbitrary checkpoint mid-flight, the call is the
+        /// typed abort — never a short or reordered result.
+        #[test]
+        fn fan_out_keeps_order_and_completeness_under_skew_and_cancel(
+            costs in proptest::collection::vec(0u64..40, 0..120),
+            chunk in 0usize..20,
+            threads in 1usize..6,
+            trip in 0u64..200,
+        ) {
+            use umzi_storage::{context, CancelToken, QueryContext};
+            // One checkpoint per item; item `i` costs `costs[i]` µs, so a
+            // few expensive items leave their worker far behind the rest.
+            let work = |slice: &[(usize, u64)]| -> umzi_run::Result<Vec<usize>> {
+                slice
+                    .iter()
+                    .map(|&(i, cost)| {
+                        context::check_current("fan_out_item")?;
+                        std::thread::sleep(std::time::Duration::from_micros(cost));
+                        Ok(i)
+                    })
+                    .collect()
+            };
+            let items: Vec<(usize, u64)> = costs.iter().copied().enumerate().collect();
+            let want: Vec<usize> = (0..items.len()).collect();
+            proptest::prop_assert_eq!(&fan_out(&items, chunk, threads, work).unwrap(), &want);
+
+            // The token trips at the `trip`-th of the `items.len()` checks
+            // (0 = tripped from the start).
+            let reached = !items.is_empty() && trip <= items.len() as u64;
+            let token = CancelToken::trip_after(trip);
+            let _g = context::enter(QueryContext::unbounded().with_cancel(token));
+            match fan_out(&items, chunk, threads, work) {
+                Ok(got) => {
+                    proptest::prop_assert!(!reached, "cancel at check {} ignored", trip);
+                    proptest::prop_assert_eq!(&got, &want);
+                }
+                Err(umzi_run::RunError::Storage(e)) => {
+                    proptest::prop_assert!(reached && e.is_query_abort(), "{}", e);
+                }
+                Err(e) => proptest::prop_assert!(false, "untyped failure: {}", e),
+            }
+        }
     }
 }

@@ -19,9 +19,8 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::Arc;
 
-use umzi_run::{KeyLayout, Result, Run, SearchHit};
+use umzi_run::{Result, SearchHit};
 
 /// How multi-run results are reconciled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,128 +125,6 @@ where
     Ok(out)
 }
 
-/// Partitioned parallel reconcile: each element of `partitions` holds one
-/// key-disjoint sub-range's per-run streams (same newest-first run order in
-/// every partition, ascending key ranges across partitions). Every
-/// partition is merged independently with [`reconcile_pq`] — partitions
-/// after the first on scoped threads — and the per-partition outputs are
-/// concatenated in partition order.
-///
-/// Because partitions cover disjoint, ascending key ranges and each is cut
-/// at **logical-key** boundaries (no group straddles a cut; logical keys
-/// are prefix-free, see `umzi_encoding::keycodec`), the concatenation is
-/// byte-for-byte the sequential [`reconcile_pq`] output. The sequential
-/// merge remains the oracle for tests and the small-scan fast path.
-pub fn reconcile_partitioned<I>(partitions: Vec<Vec<I>>) -> Result<Vec<SearchHit>>
-where
-    I: Iterator<Item = Result<SearchHit>> + Send,
-{
-    let mut partitions = partitions;
-    match partitions.len() {
-        0 => return Ok(Vec::new()),
-        1 => return reconcile_pq(partitions.pop().expect("one partition")),
-        _ => {}
-    }
-    let first = partitions.remove(0);
-    // Worker threads re-install the caller's query context so deadline and
-    // cancellation reach every partition's merge, not just partition 0.
-    let ctx = umzi_storage::context::current();
-    let (head, rest) = std::thread::scope(|s| {
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .map(|streams| {
-                let ctx = ctx.clone();
-                s.spawn(move || {
-                    let _g = umzi_storage::context::enter(ctx);
-                    reconcile_pq(streams)
-                })
-            })
-            .collect();
-        // The calling thread merges partition 0 while the others run.
-        let head = reconcile_pq(first);
-        let rest: Vec<Result<Vec<SearchHit>>> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect();
-        (head, rest)
-    });
-    let mut out = head?;
-    for part in rest {
-        out.extend(part?);
-    }
-    Ok(out)
-}
-
-/// Pick up to `target − 1` interior partition boundaries from a sorted
-/// fence-key list (the first full key of each data block of one run),
-/// evenly spaced **by block count** so partitions balance by data volume
-/// rather than key space. Boundaries are returned as *logical* keys,
-/// strictly inside `(lower, upper)`, strictly increasing — each is a valid
-/// scan cut because no logical-key group straddles it (logical keys are
-/// prefix-free).
-///
-/// `target ≤ 1`, fewer than two fences, or bounds that exclude every fence
-/// all yield an empty plan (the caller falls back to the sequential merge).
-pub fn plan_partition_boundaries(
-    fences: &[Vec<u8>],
-    lower: &[u8],
-    upper: Option<&[u8]>,
-    target: usize,
-) -> Vec<Vec<u8>> {
-    if target <= 1 || fences.len() < 2 {
-        return Vec::new();
-    }
-    // Candidate cuts: logical keys of in-range fences. A boundary equal to
-    // the scan lower bound would create an empty leading partition;
-    // `> lower` also keeps partition 0 non-degenerate when a fence key
-    // *is* the bound.
-    let cands: Vec<&[u8]> = fences
-        .iter()
-        .map(|f| KeyLayout::logical_key(f))
-        .filter(|l| *l > lower && upper.is_none_or(|u| *l < u))
-        .collect();
-    if cands.is_empty() {
-        return Vec::new();
-    }
-    let mut out: Vec<Vec<u8>> = Vec::with_capacity(target - 1);
-    for i in 1..target {
-        // Evenly spaced by candidate (≈ block) index.
-        let cand = cands[(i * cands.len() / target).min(cands.len() - 1)];
-        if out.last().is_none_or(|prev| prev.as_slice() < cand) {
-            out.push(cand.to_vec());
-        }
-    }
-    out
-}
-
-/// Boundary planner over candidate runs: merges the fence keys of **every**
-/// candidate run into one sorted list — each fence stands for roughly one
-/// block of data volume in its run, so the merged list is a histogram of
-/// where the merge's total input volume lies — and plans `target`-way
-/// boundaries within the scan range from it.
-///
-/// Planning from a single run (the earlier largest-run-only heuristic)
-/// skews badly when same-sized runs cover disjoint key ranges: the chosen
-/// run's fences say nothing about the other runs' share of the key space,
-/// so every boundary lands inside one run's range and the other runs' rows
-/// all pile into a single partition.
-pub fn plan_scan_partitions(
-    runs: &[Arc<Run>],
-    lower: &[u8],
-    upper: Option<&[u8]>,
-    target: usize,
-) -> Result<Vec<Vec<u8>>> {
-    if target <= 1 || runs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut merged: Vec<Vec<u8>> = Vec::new();
-    for run in runs {
-        merged.extend_from_slice(run.fence_keys()?);
-    }
-    merged.sort();
-    Ok(plan_partition_boundaries(&merged, lower, upper, target))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,145 +225,5 @@ mod tests {
         let out = reconcile_set(vec![s0, s1]).unwrap();
         let keys: Vec<_> = out.iter().map(|h| h.logical_key().to_vec()).collect();
         assert_eq!(keys, vec![b"a".to_vec(), b"m".to_vec(), b"z".to_vec()]);
-    }
-
-    /// Split each run's (sorted) hits at logical-key boundaries — the same
-    /// cut rule the production path applies via `locate_first_geq`.
-    fn split_at(
-        runs: &[Vec<SearchHit>],
-        boundaries: &[&[u8]],
-    ) -> Vec<Vec<std::vec::IntoIter<Result<SearchHit>>>> {
-        let mut partitions = Vec::with_capacity(boundaries.len() + 1);
-        for p in 0..=boundaries.len() {
-            let mut streams = Vec::with_capacity(runs.len());
-            for run in runs {
-                let lo = if p == 0 {
-                    0
-                } else {
-                    run.partition_point(|h| h.logical_key() < boundaries[p - 1])
-                };
-                let hi = if p == boundaries.len() {
-                    run.len()
-                } else {
-                    run.partition_point(|h| h.logical_key() < boundaries[p])
-                };
-                let hits: Vec<Result<SearchHit>> = run[lo..hi].iter().cloned().map(Ok).collect();
-                streams.push(hits.into_iter());
-            }
-            partitions.push(streams);
-        }
-        partitions
-    }
-
-    fn bytes_of(hits: &[SearchHit]) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
-        hits.iter()
-            .map(|h| (h.key.to_vec(), h.value.to_vec(), h.begin_ts))
-            .collect()
-    }
-
-    #[test]
-    fn partitioned_equals_pq_including_boundary_duplicates() {
-        // Cross-run conflicts sitting exactly at the partition cuts: "c" is
-        // duplicated across zones, "b" has a newer-run-wins conflict.
-        let runs = vec![
-            vec![hit(b"a", 30), hit(b"b", 25), hit(b"c", 10)],
-            vec![hit(b"b", 15), hit(b"c", 10), hit(b"d", 2)],
-            vec![hit(b"b", 5), hit(b"c", 8), hit(b"e", 1)],
-        ];
-        for boundaries in [
-            vec![],
-            vec![b"b".as_slice()],
-            vec![b"b".as_slice(), b"c".as_slice()],
-            vec![
-                b"a".as_slice(),
-                b"b".as_slice(),
-                b"c".as_slice(),
-                b"e".as_slice(),
-            ],
-            vec![b"0".as_slice(), b"z".as_slice()], // outside the key population
-        ] {
-            let seq = reconcile_pq(runs.iter().map(|r| ok_stream(r.clone())).collect()).unwrap();
-            let par = reconcile_partitioned(split_at(&runs, &boundaries)).unwrap();
-            assert_eq!(bytes_of(&par), bytes_of(&seq), "boundaries {boundaries:?}");
-        }
-    }
-
-    #[test]
-    fn partitioned_empty_and_error_cases() {
-        let none: Vec<Vec<std::vec::IntoIter<Result<SearchHit>>>> = Vec::new();
-        assert!(reconcile_partitioned(none).unwrap().is_empty());
-
-        // An error inside any partition's stream propagates.
-        let bad: Vec<Result<SearchHit>> = vec![
-            Ok(hit(b"x", 1)),
-            Err(umzi_run::RunError::Corrupt {
-                context: "boom".into(),
-            }),
-        ];
-        let good: Vec<Result<SearchHit>> = vec![Ok(hit(b"a", 1))];
-        assert!(
-            reconcile_partitioned(vec![vec![good.into_iter()], vec![bad.into_iter()]]).is_err()
-        );
-    }
-
-    /// Fabricate a fence key (full key, like the run format stores).
-    fn fence(logical: &[u8], ts: u64) -> Vec<u8> {
-        let mut k = logical.to_vec();
-        k.extend_from_slice(&(!ts).to_be_bytes());
-        k
-    }
-
-    #[test]
-    fn planner_degenerates_to_sequential_for_p1_and_tiny_runs() {
-        let fences = vec![fence(b"b", 1), fence(b"m", 1), fence(b"x", 1)];
-        // P = 1 never plans boundaries: the caller keeps the sequential path.
-        assert!(plan_partition_boundaries(&fences, b"a", None, 1).is_empty());
-        // A single-block run has nothing to cut at.
-        assert!(plan_partition_boundaries(&fences[..1], b"a", None, 4).is_empty());
-        assert!(plan_partition_boundaries(&[], b"a", None, 4).is_empty());
-    }
-
-    #[test]
-    fn planner_skips_boundaries_equal_to_scan_bounds() {
-        let fences = vec![fence(b"b", 1), fence(b"m", 1), fence(b"x", 1)];
-        // Lower bound exactly at a fence's logical key: that fence would
-        // create an empty partition 0 and is excluded.
-        let b = plan_partition_boundaries(&fences, b"b", None, 3);
-        assert!(!b.iter().any(|x| x == b"b"), "{b:?}");
-        // Upper bound exactly at a fence's logical key: excluded too.
-        let b = plan_partition_boundaries(&fences, b"a", Some(b"x"), 8);
-        assert!(!b.iter().any(|x| x == b"x"), "{b:?}");
-        // Bounds that exclude every fence: empty plan.
-        assert!(plan_partition_boundaries(&fences, b"y", None, 4).is_empty());
-        assert!(plan_partition_boundaries(&fences, b"a", Some(b"b"), 4).is_empty());
-    }
-
-    #[test]
-    fn planner_boundaries_strictly_increase_even_when_p_exceeds_blocks() {
-        let fences: Vec<Vec<u8>> = (b'a'..=b'f').map(|c| fence(&[c], 1)).collect();
-        let b = plan_partition_boundaries(&fences, b"a", None, 32);
-        assert!(!b.is_empty());
-        for w in b.windows(2) {
-            assert!(w[0] < w[1], "boundaries must strictly increase: {b:?}");
-        }
-        // Logical keys only — the ¬ts suffix must have been stripped.
-        assert!(b.iter().all(|x| x.len() == 1), "{b:?}");
-    }
-
-    #[test]
-    fn planner_balances_by_block_count_under_skew() {
-        // Fences heavily skewed towards the low key range — e.g. all the
-        // data lives in one dense prefix. Boundaries follow the *blocks*
-        // (data volume), not the key space: with 8 of 10 blocks below "c",
-        // the 2-way cut lands inside the dense region.
-        let mut fences: Vec<Vec<u8>> = (0..8u8).map(|i| fence(&[b'a', i], 1)).collect();
-        fences.push(fence(b"m", 1));
-        fences.push(fence(b"x", 1));
-        let b = plan_partition_boundaries(&fences, b"a", None, 2);
-        assert_eq!(b.len(), 1);
-        assert!(
-            b[0] < b"c".to_vec(),
-            "cut must land in the dense region: {b:?}"
-        );
     }
 }

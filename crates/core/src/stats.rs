@@ -28,9 +28,12 @@ pub struct IndexStats {
     pub gc_runs: u64,
     /// Abandoned merges.
     pub merge_conflicts: u64,
-    /// Range scans that took the partitioned parallel-reconcile path.
+    /// Always 0: the partitioned parallel reconcile is gone (every range
+    /// scan merges sequentially behind readahead). The field stays, without
+    /// a counter or an exported series, only because `benchmark/src/sut.rs`
+    /// reads it.
     pub parallel_scans: u64,
-    /// Partitions executed across all parallel scans.
+    /// Always 0, kept for the same reason as [`Self::parallel_scans`].
     pub scan_partitions: u64,
     /// Current watermarks (one per zone boundary).
     pub watermarks: Vec<u64>,
@@ -68,8 +71,8 @@ impl UmziIndex {
             evolves: self.counters.evolves.load(Ordering::Relaxed),
             gc_runs: self.counters.gc_runs.load(Ordering::Relaxed),
             merge_conflicts: self.counters.merge_conflicts.load(Ordering::Relaxed),
-            parallel_scans: self.counters.parallel_scans.load(Ordering::Relaxed),
-            scan_partitions: self.counters.scan_partitions.load(Ordering::Relaxed),
+            parallel_scans: 0,
+            scan_partitions: 0,
             watermarks: (0..self.watermarks.len())
                 .map(|i| self.watermark(i))
                 .collect(),

@@ -1,10 +1,11 @@
 //! Cancellation-safety property harness: a query aborted at an *arbitrary*
-//! cooperative checkpoint — mid-partition merge, mid-prefetch batch, even
-//! mid-retry backoff against a faulted store — must come back as a typed
-//! query-abort error (`Cancelled` / `DeadlineExceeded`), never a panic and
-//! never a partial result presented as complete. And the very next
-//! uncancelled query over the same index must return byte-identical results:
-//! an abort may leave caches warm or cold, but never wrong.
+//! cooperative checkpoint — mid-positioning fan-out, mid-merge, mid-readahead
+//! batch, even mid-retry backoff against a faulted store — must come back as
+//! a typed query-abort error (`Cancelled` / `DeadlineExceeded`), never a
+//! panic and never a partial result presented as complete. And the very next
+//! uncancelled query over the same index must return exactly the rows a
+//! brute-force pass over the generated input predicts: an abort may leave
+//! caches warm or cold, but never wrong.
 //!
 //! The trip point is deterministic: [`CancelToken::trip_after`] counts
 //! cooperative checkpoints (block positioning, block advance, reconcile
@@ -12,7 +13,7 @@
 //! proptest shrinking walks the abort backward through the read path one
 //! checkpoint at a time.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::collection::vec;
@@ -22,8 +23,8 @@ use umzi_encoding::{ColumnType, Datum, IndexDef};
 use umzi_run::{IndexEntry, Rid, SortBound, ZoneId};
 use umzi_storage::{
     context, CancelToken, FaultInjectingStore, FaultOp, FaultPlan, InMemoryObjectStore,
-    LatencyModel, ObjectStore, PrefetchConfig, QueryContext, RetryConfig, SharedStorage,
-    StorageError, TieredConfig, TieredStorage,
+    LatencyModel, ObjectStore, QueryContext, RetryConfig, SharedStorage, StorageError,
+    TieredConfig, TieredStorage,
 };
 
 /// A query abort (deadline / cancellation) surfaced through the core error
@@ -43,9 +44,9 @@ struct Fixture {
 }
 
 /// An index over a fault-injectable store with tiny chunks (multi-block
-/// runs), readahead pipelining armed, and the partitioned scan path enabled
-/// — every cooperative checkpoint class is reachable.
-fn fixture(partitions: usize, raw_runs: &[Vec<(i64, i64, u64)>]) -> Fixture {
+/// runs, so readahead has batches to stage) — every cooperative checkpoint
+/// class is reachable.
+fn fixture(raw_runs: &[Vec<(i64, i64, u64)>]) -> Fixture {
     let inner: Arc<dyn ObjectStore> = Arc::new(InMemoryObjectStore::new());
     let faults = Arc::new(FaultInjectingStore::new(
         inner,
@@ -73,10 +74,6 @@ fn fixture(partitions: usize, raw_runs: &[Vec<(i64, i64, u64)>]) -> Fixture {
                 capacity_bytes: 0,
                 ..umzi_storage::DecodedCacheConfig::default()
             },
-            prefetch: PrefetchConfig {
-                depth: 2,
-                ..PrefetchConfig::default()
-            },
             retry: RetryConfig {
                 max_retries: 2,
                 base_backoff: std::time::Duration::from_millis(5),
@@ -92,10 +89,7 @@ fn fixture(partitions: usize, raw_runs: &[Vec<(i64, i64, u64)>]) -> Fixture {
             .build()
             .unwrap(),
     );
-    let mut cfg = UmziConfig::two_zone("prop-cancel");
-    cfg.scan.max_scan_partitions = partitions;
-    cfg.scan.parallel_row_threshold = if partitions > 1 { 1 } else { u64::MAX };
-    let index = UmziIndex::create(storage, def, cfg).unwrap();
+    let index = UmziIndex::create(storage, def, UmziConfig::two_zone("prop-cancel")).unwrap();
     for (r, entries) in raw_runs.iter().enumerate() {
         let specs: BTreeSet<(i64, i64, u64)> = entries.iter().cloned().collect();
         let run_entries: Vec<IndexEntry> = specs
@@ -119,34 +113,59 @@ fn fixture(partitions: usize, raw_runs: &[Vec<(i64, i64, u64)>]) -> Fixture {
     Fixture { index, faults }
 }
 
-fn flat(o: &[umzi_core::QueryOutput]) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
+/// `(msg, beginTS, RID block)` of every returned row. The fixture stamps
+/// run `r`'s entries with RID block `r + 1`, so the last element says which
+/// run's copy won.
+fn flat(index: &UmziIndex, o: &[umzi_core::QueryOutput]) -> Vec<(i64, u64, u64)> {
     o.iter()
-        .map(|x| (x.key.to_vec(), x.value.to_vec(), x.begin_ts))
+        .map(|x| {
+            let cols = x.key_columns(index.layout()).unwrap();
+            (
+                cols[1].as_i64().unwrap(),
+                x.begin_ts,
+                x.rid().unwrap().block_id,
+            )
+        })
+        .collect()
+}
+
+/// What a whole-device scan at `query_ts = MAX` must return, straight from
+/// the generated input: per msg the largest beginTS, and of the runs holding
+/// that version the newest (highest-numbered) one.
+fn oracle(raw_runs: &[Vec<(i64, i64, u64)>], device: i64) -> Vec<(i64, u64, u64)> {
+    let mut best: BTreeMap<i64, (u64, u64)> = BTreeMap::new();
+    for (r, entries) in raw_runs.iter().enumerate() {
+        for &(_, m, ts) in entries.iter().filter(|e| e.0 == device) {
+            let v = best.entry(m).or_insert((0, 0));
+            *v = (*v).max((ts, r as u64 + 1));
+        }
+    }
+    best.into_iter()
+        .map(|(m, (ts, run))| (m, ts, run))
         .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Cancel at the n-th cooperative checkpoint of a cold partitioned
-    /// scan: either the scan finished before the trip (byte-identical to
-    /// the oracle) or it aborted with a typed `Cancelled` error. The
-    /// follow-up uncancelled scan is byte-identical either way.
+    /// Cancel at the n-th cooperative checkpoint of a cold scan: either
+    /// the scan finished before the trip (exactly the oracle's rows) or it
+    /// aborted with a typed `Cancelled` error. The follow-up uncancelled
+    /// scan returns the oracle's rows either way.
     #[test]
     fn cancel_at_arbitrary_checkpoint_is_typed_and_leaves_no_residue(
         raw_runs in vec(vec((0i64..3, 0i64..16, 1u64..40), 8..40), 1..4),
-        p in 1usize..5,
         trip in 0u32..64,
         device in 0i64..3,
     ) {
-        let fx = fixture(p, &raw_runs);
+        let fx = fixture(&raw_runs);
         let query = RangeQuery {
             equality: vec![Datum::Int64(device)],
             lower: SortBound::Unbounded,
             upper: SortBound::Unbounded,
             query_ts: u64::MAX,
         };
-        let oracle = flat(&fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue).unwrap());
+        let want = oracle(&raw_runs, device);
 
         let token = CancelToken::trip_after(trip as u64);
         let out = {
@@ -156,7 +175,7 @@ proptest! {
             fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue)
         };
         match out {
-            Ok(hits) => prop_assert_eq!(flat(&hits), oracle.clone()),
+            Ok(hits) => prop_assert_eq!(&flat(&fx.index, &hits), &want),
             Err(e) => {
                 prop_assert!(is_query_abort(&e), "untyped abort: {e}");
                 prop_assert!(token.is_cancelled());
@@ -164,9 +183,9 @@ proptest! {
         }
 
         // The immediately following uncancelled query sees the exact same
-        // data, whatever state the abort left caches and prefetch in.
+        // data, whatever state the abort left caches and readahead in.
         let again = fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue).unwrap();
-        prop_assert_eq!(flat(&again), oracle);
+        prop_assert_eq!(&flat(&fx.index, &again), &want);
     }
 
     /// Deadline expiry against a *sick* store: every shared get faults, so
@@ -176,17 +195,16 @@ proptest! {
     #[test]
     fn deadline_mid_retry_backoff_is_typed_and_recoverable(
         raw_runs in vec(vec((0i64..3, 0i64..16, 1u64..40), 8..30), 1..3),
-        p in 1usize..4,
         budget_micros in 0u64..3000,
     ) {
-        let fx = fixture(p, &raw_runs);
+        let fx = fixture(&raw_runs);
         let query = RangeQuery {
             equality: vec![Datum::Int64(0)],
             lower: SortBound::Unbounded,
             upper: SortBound::Unbounded,
             query_ts: u64::MAX,
         };
-        let oracle = flat(&fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue).unwrap());
+        let want = oracle(&raw_runs, 0);
 
         fx.faults.set_armed(true);
         let out = {
@@ -200,7 +218,7 @@ proptest! {
         // (also typed, but a storage failure, not an abort). A scan that
         // needed no storage at all may still succeed.
         match out {
-            Ok(hits) => prop_assert_eq!(flat(&hits), oracle.clone()),
+            Ok(hits) => prop_assert_eq!(&flat(&fx.index, &hits), &want),
             Err(e) => {
                 // No panic, and the failure shape is from the known
                 // taxonomy: a query abort (deadline killed the backoff) or
@@ -217,6 +235,6 @@ proptest! {
 
         fx.faults.set_armed(false);
         let healed = fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue).unwrap();
-        prop_assert_eq!(flat(&healed), oracle);
+        prop_assert_eq!(&flat(&fx.index, &healed), &want);
     }
 }

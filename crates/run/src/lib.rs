@@ -92,7 +92,7 @@ pub use entry::{EntryRef, IndexEntry};
 pub use error::RunError;
 pub use format::{RunHeader, FORMAT_VERSION};
 pub use key::{KeyLayout, SortBound};
-pub use reader::{DataBlock, LocatedBlock, Run};
+pub use reader::{DataBlock, Run};
 pub use rid::{Rid, ZoneId, RID_LEN};
 pub use search::{RunRangeIter, RunSearcher, SearchHit};
 pub use synopsis::Synopsis;

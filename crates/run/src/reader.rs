@@ -387,8 +387,7 @@ impl Run {
             return Ok(0);
         }
         // Exact fence hit: the answer is the start of block `pb`, already
-        // known from the in-memory prefix counts — no block read. Common
-        // for partitioned scans, whose cut boundaries are fence keys.
+        // known from the in-memory prefix counts — no block read.
         if pb < fences.len() && fences[pb].as_slice() == target {
             return Ok(self.header.block_prefix_counts[pb - 1]);
         }
@@ -400,43 +399,6 @@ impl Run {
         };
         let block = self.data_block_as(b, pattern)?;
         Ok(base + u64::from(block.partition_point_geq(target)?))
-    }
-
-    /// Like [`Self::locate_first_geq_as`], but also returning the decoded
-    /// candidate block as a [`LocatedBlock`] when one was fetched. A partitioned scan resolves each cut boundary this way and
-    /// seeds the adjacent partition's iterator with the block
-    /// ([`crate::search::RunRangeIter::sub_range_seeded`]), so the two
-    /// partitions sharing the boundary do not each fetch it again. `None`
-    /// means the answer came from the fence index and prefix counts alone
-    /// (ordinal 0, or a target exactly on a fence key) — nothing was
-    /// fetched, so there is nothing to reuse.
-    pub fn locate_first_geq_with_block(
-        &self,
-        target: &[u8],
-        pattern: AccessPattern,
-    ) -> Result<(u64, Option<LocatedBlock>)> {
-        if self.header.entry_count == 0 {
-            return Ok((0, None));
-        }
-        let fences = self.fence_keys()?;
-        let pb = fences.partition_point(|f| f.as_slice() < target);
-        if pb == 0 {
-            return Ok((0, None));
-        }
-        // Exact fence hit — resolved from the prefix counts without a block
-        // read, so there is no decoded block to hand back.
-        if pb < fences.len() && fences[pb].as_slice() == target {
-            return Ok((self.header.block_prefix_counts[pb - 1], None));
-        }
-        let b = (pb - 1) as u32;
-        let base = if b == 0 {
-            0
-        } else {
-            self.header.block_prefix_counts[b as usize - 1]
-        };
-        let block = self.data_block_as(b, pattern)?;
-        let ordinal = base + u64::from(block.partition_point_geq(target)?);
-        Ok((ordinal, Some((b, block, base))))
     }
 
     /// The binary-search range `[lo, hi)` for a hash bucket, from the offset
@@ -456,11 +418,6 @@ impl Run {
         }
     }
 }
-
-/// A decoded block handed back by [`Run::locate_first_geq_with_block`]:
-/// `(block_no, block, first_ordinal)`. Cloning the block is a refcount
-/// bump, not a byte copy.
-pub type LocatedBlock = (u32, DataBlock, u64);
 
 /// A parsed data block: entries at the front, `u16` offset trailer at the
 /// back.

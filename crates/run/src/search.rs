@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use umzi_storage::AccessPattern;
+use umzi_storage::{AccessPattern, READAHEAD_DEPTH};
 
 use crate::entry::EntryRef;
 use crate::key::KeyLayout;
@@ -181,13 +181,7 @@ impl<'a> RunSearcher<'a> {
             },
             streamed: (pattern == AccessPattern::RangeScan)
                 .then(|| budget.unwrap_or_else(|| Arc::new(AtomicU64::new(0)))),
-            prefetch_depth: if pattern == AccessPattern::RangeScan {
-                self.run.storage().prefetch_config().depth
-            } else {
-                0
-            },
             prefetched_until: 0,
-            seeds: Vec::new(),
         })
     }
 
@@ -261,99 +255,18 @@ pub struct RunRangeIter<'a> {
     /// inserting into the decoded cache (0 = never); snapshot of
     /// [`umzi_storage::DecodedBlockCache::scan_bypass_bytes`].
     scan_bypass: u64,
-    /// Block bytes streamed so far — shared across the sub-range pieces of
-    /// one partitioned scan, and (via
+    /// Block bytes streamed so far — shared (via
     /// [`RunSearcher::scan_shared_with_budget`]) across every run of one
-    /// multi-run query, so the bypass budget is per query, not per run or
-    /// partition. `None` for non-scan patterns (bypass can never apply), so
-    /// point/batch probes skip the allocation on their hot path.
+    /// multi-run query, so the bypass budget is per query, not per run.
+    /// `None` for non-scan patterns (bypass can never apply), so point/batch
+    /// probes skip the allocation on their hot path.
     streamed: Option<Arc<AtomicU64>>,
-    /// Readahead depth (blocks kept staged ahead of the consumer), a
-    /// snapshot of the storage's [`umzi_storage::PrefetchConfig`] taken at
-    /// positioning time; 0 disables readahead (and is forced for non-scan
-    /// patterns, whose access order the fence index does not predict).
-    prefetch_depth: usize,
     /// First block number not yet requested for readahead, so overlapping
     /// triggers never re-request a block this iterator already asked for.
     prefetched_until: u32,
-    /// Already-decoded blocks handed over by cut resolution
-    /// ([`Run::locate_first_geq_with_block`] via
-    /// [`Self::sub_range_seeded`]): a partition's first and/or last block,
-    /// consumed in place of a fetch when iteration reaches them. At most
-    /// two entries, so a linear scan beats any map.
-    seeds: Vec<(u32, DataBlock, u64)>,
 }
 
 impl<'a> RunRangeIter<'a> {
-    /// The resolved `[start, end)` ordinal bounds. On a freshly positioned
-    /// iterator `start` is the first in-range ordinal, so `end − start` is
-    /// an exact row estimate for scan planners (before visibility
-    /// filtering).
-    pub fn ordinal_bounds(&self) -> (u64, u64) {
-        (self.ordinal, self.end)
-    }
-
-    /// Entries left to visit (exact before iteration starts).
-    pub fn remaining_entries(&self) -> u64 {
-        self.end.saturating_sub(self.ordinal)
-    }
-
-    /// The run this iterator reads.
-    pub fn run(&self) -> &'a Run {
-        self.run
-    }
-
-    /// Cheap sub-range re-bounding: a fresh iterator over the ordinal
-    /// intersection `[lo, hi) ∩ [self.ordinal, self.end)`, without any
-    /// re-positioning block reads — partitioned scans split one positioned
-    /// iterator into per-partition pieces this way.
-    ///
-    /// Call on a freshly positioned iterator (before `next`). The caller
-    /// must cut only at logical-key group boundaries (e.g. ordinals from
-    /// [`Run::locate_first_geq`] of a logical key): the newest-visible
-    /// filter restarts per piece, so a group straddling a cut would emit
-    /// one version on each side.
-    pub fn sub_range(&self, lo: u64, hi: u64) -> RunRangeIter<'a> {
-        let start = lo.clamp(self.ordinal, self.end);
-        let end = hi.clamp(start, self.end);
-        RunRangeIter {
-            run: self.run,
-            ordinal: start,
-            end,
-            query_ts: self.query_ts,
-            cur_block: None,
-            block_base: 0,
-            last_group: Vec::new(),
-            group_done: false,
-            done: false,
-            pattern: self.pattern,
-            scan_bypass: self.scan_bypass,
-            streamed: self.streamed.clone(),
-            prefetch_depth: self.prefetch_depth,
-            prefetched_until: 0,
-            seeds: Vec::new(),
-        }
-    }
-
-    /// Like [`Self::sub_range`], but seeding the piece with already-decoded
-    /// blocks — `(block_no, block, first_ordinal)` tuples, typically from
-    /// [`Run::locate_first_geq_with_block`] resolving this piece's own cut
-    /// boundaries. A mid-block cut makes one block both the last block of
-    /// the partition ending there and the first block of the partition
-    /// starting there; handing each side the resolution's decoded copy
-    /// means the block is fetched once per scan, not once per side. Seeds
-    /// for blocks the piece never reaches are simply dropped.
-    pub fn sub_range_seeded(
-        &self,
-        lo: u64,
-        hi: u64,
-        seeds: Vec<(u32, DataBlock, u64)>,
-    ) -> RunRangeIter<'a> {
-        let mut piece = self.sub_range(lo, hi);
-        piece.seeds = seeds;
-        piece
-    }
-
     /// Whether the next block fetch should skip cache admission: a range
     /// scan that has already streamed past the bypass threshold clearly
     /// exceeds the cache, so its tail stops churning probation (it still
@@ -366,19 +279,7 @@ impl<'a> RunRangeIter<'a> {
                 .is_some_and(|s| s.load(Ordering::Relaxed) >= self.scan_bypass)
     }
 
-    /// Consume the cut-resolution seed for block `b`, if one was attached.
-    /// Seeded blocks skip the fetch entirely and do not count against the
-    /// scan-bypass budget — the resolution already paid for them, the scan
-    /// streams no new bytes.
-    fn take_seed(&mut self, b: u32) -> Option<DataBlock> {
-        let i = self.seeds.iter().position(|(sb, _, _)| *sb == b)?;
-        Some(self.seeds.swap_remove(i).1)
-    }
-
     fn load_block(&mut self, b: u32) -> Result<DataBlock> {
-        if let Some(block) = self.take_seed(b) {
-            return Ok(block);
-        }
         let block = if self.bypassing() {
             self.run.data_block_scan_bypassed(b)?
         } else {
@@ -391,15 +292,16 @@ impl<'a> RunRangeIter<'a> {
     }
 
     /// Refill the readahead pipeline when it has drained: stage the next
-    /// `prefetch_depth` blocks past `cur` in one batch, never past the
+    /// [`READAHEAD_DEPTH`] blocks past `cur` in one batch, never past the
     /// scan's last block. Refilling only on a drained pipeline keeps every
     /// batch at full depth — one batched (concurrently issued) fetch per
     /// `depth` consumed blocks, instead of degrading to one single-block
     /// batch per step once primed. Advisory: a failed batch is dropped — the
     /// demand path fetches (and retries) synchronously — so readahead can
-    /// never poison the iterator.
+    /// never poison the iterator. Range scans only: the fence index does
+    /// not predict the access order of the other patterns.
     fn maybe_readahead(&mut self, cur: u32) {
-        if self.prefetch_depth == 0 || self.end == 0 {
+        if self.pattern != AccessPattern::RangeScan || self.end == 0 {
             return;
         }
         // A cancelled or expired query must not keep staging readahead —
@@ -417,7 +319,7 @@ impl<'a> RunRangeIter<'a> {
             return;
         };
         let from = next.max(self.prefetched_until);
-        let to = last.min(cur.saturating_add(self.prefetch_depth as u32));
+        let to = last.min(cur.saturating_add(READAHEAD_DEPTH));
         if from > to {
             return;
         }
@@ -703,110 +605,116 @@ mod tests {
         }
     }
 
-    /// Splitting a positioned iterator at logical-key boundaries and
-    /// concatenating the pieces yields exactly the unsplit scan, including
-    /// the per-group newest-visible filtering.
-    #[test]
-    fn sub_range_pieces_equal_whole_scan() {
-        let storage = Arc::new(TieredStorage::in_memory());
-        // Many versions per key so groups span several entries.
-        let mut rows = Vec::new();
-        for msg in 0..200i64 {
-            for v in 0..4u64 {
-                rows.push((2, msg, 10 + v * 10));
+    /// The newest visible version of every logical key in device `device`
+    /// with `lo ≤ msg ≤ hi`, read entry by entry through [`Run::entry`] —
+    /// no iterator, no readahead, no bound resolution.
+    fn brute_force(run: &Run, device: i64, lo: i64, hi: i64, ts: u64) -> Vec<(i64, i64, u64)> {
+        let l = layout();
+        let mut best: std::collections::BTreeMap<i64, u64> = Default::default();
+        for ord in 0..run.entry_count() {
+            let e = run.entry(ord).unwrap();
+            let cols = l.decode_key_columns(&e.key).unwrap();
+            let (d, m) = (cols[0].as_i64().unwrap(), cols[1].as_i64().unwrap());
+            let t = e.begin_ts().unwrap();
+            if d == device && (lo..=hi).contains(&m) && t <= ts {
+                let v = best.entry(m).or_insert(0);
+                *v = (*v).max(t);
             }
         }
-        let run = build(&storage, &rows, "runs/sub");
-        let l = layout();
-        let (lower, upper) = l
-            .query_range(
-                &[Datum::Int64(2)],
-                &SortBound::Included(vec![Datum::Int64(0)]),
-                &SortBound::Included(vec![Datum::Int64(199)]),
-            )
-            .unwrap();
-        for ts in [5u64, 15, 25, 100] {
-            let searcher = RunSearcher::new(&run);
-            let whole = searcher.scan(&lower, upper.as_deref(), None, ts).unwrap();
-            let (start, end) = whole.ordinal_bounds();
-            let full: Vec<_> = whole.map(|r| r.unwrap().key).collect();
-
-            // Cut at the logical keys of msg 50, 120 and 180.
-            let mut cuts = vec![start];
-            for msg in [50i64, 120, 180] {
-                let mut b = l.equality_prefix(&[Datum::Int64(2)]).unwrap();
-                umzi_encoding::encode_datum(&Datum::Int64(msg), &mut b);
-                cuts.push(run.locate_first_geq(&b).unwrap().clamp(start, end));
-            }
-            cuts.push(end);
-            let template = searcher.scan(&lower, upper.as_deref(), None, ts).unwrap();
-            let mut stitched = Vec::new();
-            for w in cuts.windows(2) {
-                let piece = template.sub_range(w[0], w[1]);
-                assert_eq!(piece.ordinal_bounds(), (w[0], w[1].max(w[0])));
-                stitched.extend(piece.map(|r| r.unwrap().key));
-            }
-            assert_eq!(stitched, full, "ts={ts}");
-        }
+        best.into_iter().map(|(m, t)| (device, m, t)).collect()
     }
 
-    #[test]
-    fn sub_range_clamps_to_parent_bounds() {
-        let storage = Arc::new(TieredStorage::in_memory());
-        let rows: Vec<(i64, i64, u64)> = (0..50).map(|m| (1, m, 10)).collect();
-        let run = build(&storage, &rows, "runs/clamp");
-        let l = layout();
-        let (lower, upper) = l
-            .query_range(
-                &[Datum::Int64(1)],
-                &SortBound::Included(vec![Datum::Int64(10)]),
-                &SortBound::Included(vec![Datum::Int64(39)]),
-            )
-            .unwrap();
-        let it = RunSearcher::new(&run)
-            .scan(&lower, upper.as_deref(), None, u64::MAX)
-            .unwrap();
-        let (start, end) = it.ordinal_bounds();
-        assert_eq!(it.remaining_entries(), end - start);
-        // Out-of-parent requests clamp to the parent range.
-        assert_eq!(it.sub_range(0, u64::MAX).ordinal_bounds(), (start, end));
-        // Inverted/empty requests yield an empty piece, not a panic.
-        let empty = it.sub_range(end, start);
-        assert_eq!(empty.remaining_entries(), 0);
-        assert_eq!(empty.count(), 0);
-    }
-
-    /// A cold scan with readahead configured returns exactly what the warm
-    /// scan returned, and the storage counters attribute the staged blocks.
+    /// A cold scan — served by batched readahead instead of one stall per
+    /// block — returns exactly what reading the run entry by entry returns,
+    /// and the storage counters attribute the staged blocks.
     #[test]
     fn readahead_scan_is_equivalent_and_attributed() {
         let cfg = umzi_storage::TieredConfig {
             chunk_size: 256,
-            prefetch: umzi_storage::PrefetchConfig {
-                depth: 3,
-                max_inflight_bytes: 1 << 20,
-            },
             ..umzi_storage::TieredConfig::default()
         };
         let storage = Arc::new(TieredStorage::new(
             umzi_storage::SharedStorage::in_memory(),
             cfg,
         ));
-        let rows: Vec<(i64, i64, u64)> = (0..400).map(|m| (3, m, 10)).collect();
+        let rows: Vec<(i64, i64, u64)> = (0..400).map(|m| (3, m, 10 + (m as u64 % 3))).collect();
         let run = build(&storage, &rows, "runs/ra");
         assert!(run.data_block_count() > 6, "need several blocks");
-
-        let warm = scan_pairs(&run, 3, 0, 399, 100);
-        assert_eq!(warm.len(), 400);
+        let want = brute_force(&run, 3, 0, 399, 11);
+        assert_eq!(want.len(), 267, "msgs with beginTS 12 are invisible");
 
         // Purge drops the local copies; the cold scan streams batched
         // prefetches back in instead of stalling per block.
         storage.purge_object(run.handle()).unwrap();
-        let cold = scan_pairs(&run, 3, 0, 399, 100);
-        assert_eq!(cold, warm, "readahead must not change scan results");
+        assert_eq!(scan_pairs(&run, 3, 0, 399, 11), want);
         let s = storage.stats();
         assert!(s.blocks_prefetched > 0, "scan staged blocks: {s:?}");
         assert!(s.prefetch_hits > 0, "staged blocks served reads: {s:?}");
+    }
+
+    /// Readahead is on for every range scan: a cold scan over a hierarchy
+    /// built from `TieredConfig::default()` stages blocks ahead of demand.
+    #[test]
+    fn default_config_cold_scan_prefetches() {
+        let storage = Arc::new(TieredStorage::new(
+            umzi_storage::SharedStorage::in_memory(),
+            umzi_storage::TieredConfig::default(),
+        ));
+        let rows: Vec<(i64, i64, u64)> = (0..3000).map(|m| (3, m, 10)).collect();
+        let run = build(&storage, &rows, "runs/default-ra");
+        assert!(run.data_block_count() > 6, "need several blocks");
+        storage.purge_object(run.handle()).unwrap();
+        assert_eq!(scan_pairs(&run, 3, 0, 2999, 100).len(), 3000);
+        let s = storage.stats();
+        assert!(
+            s.blocks_prefetched > 0,
+            "default config must read ahead: {s:?}"
+        );
+        assert_eq!(s.prefetch_hits, s.blocks_prefetched, "{s:?}");
+    }
+
+    /// A bounded cold scan reads ahead only inside its own range: every
+    /// staged block is consumed and nothing past the scan's last block is
+    /// brought into the local tiers.
+    #[test]
+    fn bounded_cold_scan_never_reads_past_its_last_block() {
+        let cfg = umzi_storage::TieredConfig {
+            chunk_size: 256,
+            ..umzi_storage::TieredConfig::default()
+        };
+        let storage = Arc::new(TieredStorage::new(
+            umzi_storage::SharedStorage::in_memory(),
+            cfg,
+        ));
+        let rows: Vec<(i64, i64, u64)> = (0..2000).map(|m| (3, m, 10)).collect();
+        let run = build(&storage, &rows, "runs/bounded-ra");
+        let want = brute_force(&run, 3, 500, 599, 100);
+        assert_eq!(want.len(), 100);
+        // Ordinal of the scan's last entry: rows are one device, msg-ordered.
+        let (last_block, _) = run.locate(599).unwrap();
+        assert!(
+            last_block + READAHEAD_DEPTH < run.data_block_count(),
+            "the run must extend a full readahead batch past the scan"
+        );
+
+        storage.purge_object(run.handle()).unwrap();
+        assert_eq!(scan_pairs(&run, 3, 500, 599, 100), want);
+        let s = storage.stats();
+        assert!(s.blocks_prefetched > 0, "{s:?}");
+        assert_eq!(
+            s.prefetch_hits, s.blocks_prefetched,
+            "unused readahead: {s:?}"
+        );
+        assert_eq!(s.prefetch_wasted, 0);
+        let first_chunk_past = run.header().header_chunks + last_block + 1;
+        let chunks = storage.chunk_count(run.handle()).unwrap();
+        for chunk in first_chunk_past..chunks {
+            let key = (run.handle().raw(), chunk);
+            assert!(
+                !storage.ssd_tier().contains(key) && !storage.mem_tier().contains(key),
+                "chunk {chunk} lies past the scan's last block {last_block}"
+            );
+        }
     }
 
     #[test]

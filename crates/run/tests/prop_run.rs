@@ -8,7 +8,7 @@ use umzi_encoding::{hash_prefix, ColumnType, Datum, IndexDef};
 use umzi_run::{
     IndexEntry, KeyLayout, Rid, Run, RunBuilder, RunParams, RunSearcher, SortBound, ZoneId,
 };
-use umzi_storage::{Durability, PrefetchConfig, SharedStorage, TieredConfig, TieredStorage};
+use umzi_storage::{Durability, SharedStorage, TieredConfig, TieredStorage};
 
 fn layout() -> KeyLayout {
     let def = IndexDef::builder("prop")
@@ -165,14 +165,13 @@ proptest! {
         }
     }
 
-    /// Pipelined readahead is invisible in results: a cold scan with ANY
-    /// prefetch depth (including 0 = off) is byte-for-byte the depth-0 scan
-    /// over the same run, and a positive depth on a cold multi-block scan
-    /// actually stages blocks.
+    /// Pipelined readahead is invisible in results: a cold scan is
+    /// byte-for-byte what reading the run entry by entry through
+    /// `Run::entry` yields, and a cold multi-block scan actually stages
+    /// blocks.
     #[test]
-    fn prefetch_scan_equals_depth_zero(
+    fn cold_readahead_scan_equals_entry_oracle(
         rows in proptest::collection::vec((0i64..3, -20i64..40, 1u64..40), 1..300),
-        depth in 0usize..=9,
         device in 0i64..3,
         lo in -21i64..41,
         len in 0i64..40,
@@ -232,35 +231,40 @@ proptest! {
                 &SortBound::Included(vec![Datum::Int64(hi)]),
             )
             .unwrap();
-        let cold_scan = |d: usize| -> Vec<(Vec<u8>, Vec<u8>, u64)> {
-            storage.set_prefetch_config(PrefetchConfig {
-                depth: d,
-                ..PrefetchConfig::default()
-            });
-            storage.purge_object(run.handle()).unwrap();
-            storage.decoded_cache().clear();
-            RunSearcher::new(&run)
-                .scan(&lower, upper.as_deref(), None, query_ts)
-                .unwrap()
-                .map(|r| {
-                    let h = r.unwrap();
-                    (h.key.to_vec(), h.value.to_vec(), h.begin_ts)
-                })
-                .collect()
-        };
-        let baseline = cold_scan(0);
+        // Oracle: walk every ordinal; entries are sorted by full key, so the
+        // first visible entry of each logical-key group is its newest.
+        let mut want: Vec<(Vec<u8>, Vec<u8>, u64)> = Vec::new();
+        let mut emitted: Option<Vec<u8>> = None;
+        for ord in 0..run.entry_count() {
+            let e = run.entry(ord).unwrap();
+            let in_range = e.key.as_ref() >= lower.as_slice()
+                && upper.as_deref().is_none_or(|u| e.key.as_ref() < u);
+            let ts = e.begin_ts().unwrap();
+            if !in_range || ts > query_ts || emitted.as_deref() == Some(e.logical_key()) {
+                continue;
+            }
+            emitted = Some(e.logical_key().to_vec());
+            want.push((e.key.to_vec(), e.value.to_vec(), ts));
+        }
+
+        storage.purge_object(run.handle()).unwrap();
         let staged0 = storage.stats().blocks_prefetched;
-        let with_readahead = cold_scan(depth);
-        prop_assert_eq!(&with_readahead, &baseline, "depth {} diverged", depth);
-        // A configured depth on a scan spanning several blocks must have
-        // actually staged something: ≥ 30 result rows at 256-byte chunks
-        // means the scanned range covers several data blocks, so at least
-        // one readahead trigger fires inside it.
-        if depth > 0 && baseline.len() >= 30 {
+        let got: Vec<(Vec<u8>, Vec<u8>, u64)> = RunSearcher::new(&run)
+            .scan(&lower, upper.as_deref(), None, query_ts)
+            .unwrap()
+            .map(|r| {
+                let h = r.unwrap();
+                (h.key.to_vec(), h.value.to_vec(), h.begin_ts)
+            })
+            .collect();
+        prop_assert_eq!(&got, &want);
+        // ≥ 30 result rows at 256-byte chunks means the scanned range covers
+        // several data blocks, so at least one readahead trigger fires
+        // inside it.
+        if want.len() >= 30 {
             prop_assert!(
                 storage.stats().blocks_prefetched > staged0,
-                "multi-block cold scan at depth {} staged nothing",
-                depth
+                "multi-block cold scan staged nothing"
             );
         }
     }

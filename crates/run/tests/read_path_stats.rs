@@ -255,55 +255,6 @@ fn large_scan_stops_inserting_past_bypass_threshold() {
 }
 
 #[test]
-fn partitioned_scan_shares_one_bypass_budget() {
-    // sub_range pieces of one scan must draw on a single scan_bypass_bytes
-    // budget — otherwise an N-way partitioned scan gets N× the insert
-    // allowance and churns probation exactly as if the knob were off.
-    let storage = Arc::new(TieredStorage::new(
-        SharedStorage::in_memory(),
-        TieredConfig {
-            chunk_size: 1024,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 1 << 20,
-                shards: 1,
-                scan_bypass_bytes: 4096, // ~4 blocks
-            },
-            ..TieredConfig::default()
-        },
-    ));
-    let run = build_multi_block_run(&storage, 4000);
-    let searcher = RunSearcher::new(&run);
-    let it = searcher.scan(&[], None, None, u64::MAX).unwrap();
-    let (lo, hi) = it.ordinal_bounds();
-    // Every logical key is single-version here, so any ordinal is a valid
-    // group boundary for the cut.
-    let cuts = [
-        lo,
-        lo + (hi - lo) / 4,
-        lo + (hi - lo) / 2,
-        lo + 3 * (hi - lo) / 4,
-        hi,
-    ];
-    let mut n = 0usize;
-    for w in cuts.windows(2) {
-        n += it
-            .sub_range(w[0], w[1])
-            .collect::<umzi_run::Result<Vec<_>>>()
-            .unwrap()
-            .len();
-    }
-    assert_eq!(n as i64, 4000);
-    let d = storage.stats().decoded;
-    // One shared budget: the pre-threshold prefix plus one boundary block
-    // per cut (a piece may re-fetch the block its range starts in).
-    assert!(
-        d.insertions <= 6 + (cuts.len() - 1) as u64,
-        "partitions must not each get a fresh bypass budget: {d:?}"
-    );
-    assert!(d.bypassed_inserts as u32 >= run.data_block_count() - 10);
-}
-
-#[test]
 fn multi_run_scan_shares_one_bypass_budget() {
     // A query over R runs must spend one scan_bypass_bytes budget across
     // all of its per-run iterators — a fresh budget per run would churn R×

@@ -9,9 +9,9 @@
 //! 2. **Ambient**: a thread-local stack installed via [`enter`] so deep
 //!    leaf code (`with_retry` backoff loops, block-iterator refills,
 //!    prefetch staging) can consult the active context without plumbing a
-//!    parameter through every storage trait. Worker threads spawned for a
-//!    partitioned scan re-install the parent's context with [`enter`]
-//!    before doing any IO; maintenance daemons never install one, so
+//!    parameter through every storage trait. Worker threads a query fans
+//!    out over re-install the parent's context with [`enter`] before doing
+//!    any IO; maintenance daemons never install one, so
 //!    background IO keeps its full retry budget.
 //!
 //! Checks are *cooperative checkpoints*: hot loops call

@@ -69,7 +69,8 @@ pub use stats::{
     DecodedCacheStats, PatternCounters, SharedStats, StorageStats, TierStats, TraceProbe,
 };
 pub use tiered::{
-    Durability, ObjectHandle, PrefetchConfig, RetryConfig, TieredConfig, TieredStorage,
+    Durability, ObjectHandle, RetryConfig, TieredConfig, TieredStorage, READAHEAD_DEPTH,
+    READAHEAD_MAX_INFLIGHT_BYTES,
 };
 
 // Re-exported so upstream layers (core, wildfire) reach the telemetry types

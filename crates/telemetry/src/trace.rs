@@ -6,9 +6,7 @@
 //! deltas are read from shared atomic counters, so under concurrent queries
 //! they attribute *approximately*: a trace may absorb a neighbour's block
 //! fetch. That is the documented trade-off for keeping the read path free of
-//! per-query plumbing through every storage layer. `partitions` (and the
-//! seq/partitioned `op` derived from it) is not a delta: the reconcile path
-//! reports what this query did, so it is exact.
+//! per-query plumbing through every storage layer.
 //!
 //! Records whose total latency crosses the configured threshold land in the
 //! ring-buffered [`SlowQueryLog`]; the newest `capacity` records survive.
@@ -37,8 +35,6 @@ pub struct TraceRecord {
     pub cache_hits: u64,
     /// Bytes of blocks decoded (parsed) on behalf of this query.
     pub bytes_decoded: u64,
-    /// Scan partitions executed (0 = sequential merge).
-    pub partitions: u64,
     /// Shared-storage retries absorbed.
     pub retries: u64,
 }
@@ -47,7 +43,7 @@ pub struct TraceRecord {
 /// creates one per instrumented query and mutates it without synchronization.
 #[derive(Debug)]
 pub struct QueryTrace {
-    /// Operation class; may be refined before `finish` (seq vs partitioned).
+    /// Operation class.
     pub op: &'static str,
     start: Instant,
     /// See [`TraceRecord::plan_nanos`].
@@ -62,8 +58,6 @@ pub struct QueryTrace {
     pub cache_hits: u64,
     /// See [`TraceRecord::bytes_decoded`].
     pub bytes_decoded: u64,
-    /// See [`TraceRecord::partitions`].
-    pub partitions: u64,
     /// See [`TraceRecord::retries`].
     pub retries: u64,
 }
@@ -80,7 +74,6 @@ impl QueryTrace {
             blocks_read: 0,
             cache_hits: 0,
             bytes_decoded: 0,
-            partitions: 0,
             retries: 0,
         }
     }
@@ -101,7 +94,6 @@ impl QueryTrace {
             blocks_read: self.blocks_read,
             cache_hits: self.cache_hits,
             bytes_decoded: self.bytes_decoded,
-            partitions: self.partitions,
             retries: self.retries,
         }
     }
@@ -181,7 +173,6 @@ mod tests {
             blocks_read: 0,
             cache_hits: 0,
             bytes_decoded: 0,
-            partitions: 0,
             retries: 0,
         }
     }
@@ -232,11 +223,10 @@ mod tests {
     fn trace_finish_seals_fields() {
         let mut t = QueryTrace::begin("range_scan_seq");
         t.plan_nanos = 10;
-        t.partitions = 4;
-        t.op = "range_scan_partitioned";
+        t.blocks_read = 4;
         let r = t.finish();
-        assert_eq!(r.op, "range_scan_partitioned");
+        assert_eq!(r.op, "range_scan_seq");
         assert_eq!(r.plan_nanos, 10);
-        assert_eq!(r.partitions, 4);
+        assert_eq!(r.blocks_read, 4);
     }
 }

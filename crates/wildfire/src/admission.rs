@@ -3,9 +3,9 @@
 //!
 //! PR 7 gave the *write* path overload protection (byte-based ingest
 //! backpressure); this gives the read path the same machinery. Analytical
-//! scans are the read-side resource hogs — each one fans out partition
-//! merge threads and streams blocks — so the engine bounds how many run
-//! concurrently. Excess scans wait in a queue, but never uselessly: a
+//! scans are the read-side resource hogs — each one positions on every run
+//! and streams blocks in readahead batches — so the engine bounds how many
+//! run concurrently. Excess scans wait in a queue, but never uselessly: a
 //! query whose **estimated wait already exceeds its remaining deadline
 //! budget is shed immediately** with a typed
 //! [`WildfireError::Overloaded`], so a brownout turns into fast typed
