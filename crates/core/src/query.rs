@@ -13,7 +13,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use umzi_encoding::{hash_prefix, Datum, IndexDef};
 use umzi_run::synopsis::encode_eq_values;
-use umzi_run::{AccessPattern, KeyLayout, Rid, Run, RunSearcher, SearchHit, SortBound};
+use umzi_run::{
+    AccessPattern, KeyLayout, ProbeCursor, Rid, Run, RunSearcher, SearchHit, SortBound,
+};
 use umzi_storage::telemetry::QueryTrace;
 
 use crate::index::UmziIndex;
@@ -75,8 +77,13 @@ impl QueryOutput {
 /// *calling* thread (so a pinned caller gets 1 and runs inline), capped at
 /// 8. The call walks cgroup files on Linux — tens of microseconds — so a
 /// query asks at most once, and only after a size guard says fan-out could
-/// pay. Not cached process-wide: affinity differs per caller.
+/// pay. Not cached process-wide: affinity differs per caller. Background
+/// work gets 1: fan-out buys latency, and a maintenance job is throughput
+/// work that already has its worker.
 fn thread_budget() -> usize {
+    if umzi_storage::context::current().priority() == umzi_storage::Priority::Background {
+        return 1;
+    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -328,12 +335,7 @@ impl UmziIndex {
         // Build a full key and strip the timestamp to get the exact logical
         // prefix (also validates arity and kinds).
         let full = self.layout.build_key(equality, sort_values, 0)?;
-        let prefix = &full[..full.len() - 8];
-        let hash = if self.def.has_hash() {
-            Some(self.layout.hash_equality(equality)?)
-        } else {
-            None
-        };
+        let prefix = KeyLayout::logical_key(&full);
         let eq_encoded = encode_eq_values(equality);
         let bound = SortBound::Included(sort_values.to_vec());
 
@@ -345,8 +347,7 @@ impl UmziIndex {
             {
                 continue;
             }
-            let searcher = RunSearcher::new(&run);
-            if let Some(hit) = searcher.lookup(prefix, Self::bucket_for(&run, hash), query_ts)? {
+            if let Some(hit) = RunSearcher::new(&run).lookup(prefix, None, query_ts)? {
                 return Ok(Some(QueryOutput::from_hit(hit)));
             }
         }
@@ -358,9 +359,14 @@ impl UmziIndex {
     /// from newest to oldest, one run at a time, until all keys are found or
     /// the runs are exhausted. Results are positionally aligned with `keys`.
     ///
-    /// Within each run, unresolved probes are looked up in small (still
-    /// sorted) slices across [`fan_out`] workers; runs stay sequential so
-    /// the paper's newest-first early exit is preserved.
+    /// The sort is what makes a run cheap to search: within each run the
+    /// unresolved probes are fed, in order, to one forward
+    /// [`ProbeCursor`] per [`fan_out`] slice, so a slice is a merge-join
+    /// against the run's fence index — a block is fetched once however many
+    /// probes land in it, and a probe never restarts from the top of the
+    /// run. Slices are contiguous in sort order and claimed by the workers,
+    /// which overlaps a cold run's fetches; runs stay sequential so the
+    /// paper's newest-first early exit is preserved.
     pub fn batch_lookup(
         &self,
         keys: &[(Vec<Datum>, Vec<Datum>)],
@@ -396,7 +402,6 @@ impl UmziIndex {
     ) -> Result<Vec<Option<QueryOutput>>> {
         struct Probe {
             prefix: Vec<u8>,
-            hash: Option<u64>,
             pos: usize,
         }
 
@@ -413,13 +418,8 @@ impl UmziIndex {
         let mut col_maxs: Vec<Vec<u8>> = vec![Vec::new(); n_key_cols];
         let mut probes = Vec::with_capacity(keys.len());
         for (pos, (eq, sort)) in keys.iter().enumerate() {
-            let full = self.layout.build_key(eq, sort, 0)?;
-            let prefix = full[..full.len() - 8].to_vec();
-            let hash = if self.def.has_hash() {
-                Some(self.layout.hash_equality(eq)?)
-            } else {
-                None
-            };
+            let mut prefix = self.layout.build_key(eq, sort, 0)?;
+            prefix.truncate(KeyLayout::logical_key(&prefix).len());
             // Fold this key into the batch's per-column bounding box; the
             // synopsis is checked once per batch (§7), not per key. A column
             // is cloned only when it seeds both bounds (first key); after
@@ -436,7 +436,7 @@ impl UmziIndex {
                     col_maxs[i] = col;
                 }
             }
-            probes.push(Probe { prefix, hash, pos });
+            probes.push(Probe { prefix, pos });
         }
         // "We first sort the input keys by the hash value, equality column
         // values, and sort column values, to improve search efficiency."
@@ -462,16 +462,12 @@ impl UmziIndex {
                 continue;
             }
             let pending: Vec<&Probe> = probes.iter().filter(|p| results[p.pos].is_none()).collect();
+            // One forward cursor per slice: the slice's probes ascend.
             let probe_slice = |slice: &[&Probe]| -> umzi_run::Result<Vec<(usize, SearchHit)>> {
-                let searcher = RunSearcher::new(&run);
+                let mut cursor = ProbeCursor::new(&run, query_ts, pattern);
                 let mut found = Vec::new();
                 for probe in slice {
-                    if let Some(hit) = searcher.lookup_as(
-                        &probe.prefix,
-                        Self::bucket_for(&run, probe.hash),
-                        query_ts,
-                        pattern,
-                    )? {
+                    if let Some(hit) = cursor.probe(&probe.prefix)? {
                         found.push((probe.pos, hit));
                     }
                 }
@@ -751,6 +747,15 @@ mod tests {
         assert!(got.is_empty());
         let after = idx.storage().stats().mem.hits + idx.storage().stats().mem.misses;
         assert_eq!(after, before, "fully pruned query must read nothing");
+    }
+
+    /// A maintenance job (the post-groomer's predecessor probe) installs a
+    /// background-priority context and must not spawn query workers.
+    #[test]
+    fn background_priority_never_fans_out() {
+        use umzi_storage::{context, Priority, QueryContext};
+        let _g = context::enter(QueryContext::unbounded().with_priority(Priority::Background));
+        assert_eq!(thread_budget(), 1);
     }
 
     proptest::proptest! {

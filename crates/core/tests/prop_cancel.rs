@@ -188,6 +188,55 @@ proptest! {
         prop_assert_eq!(&flat(&fx.index, &again), &want);
     }
 
+    /// Cancel a sorted batch probe at its n-th checkpoint. The batch holds
+    /// all 48 keys, so the newest run alone takes 48 probe checkpoints (plus
+    /// one per block load): a trip at or before the 48th fires mid-run and
+    /// must surface the typed abort — a `Result`, so no half-filled result
+    /// vector can escape — and a later trip either finishes exactly or
+    /// aborts typed. The follow-up uncancelled batch is exact either way.
+    #[test]
+    fn cancel_mid_batch_probe_is_typed_with_no_partial_result(
+        raw_runs in vec(vec((0i64..3, 0i64..16, 1u64..40), 8..40), 1..4),
+        trip in 0u64..160,
+    ) {
+        let fx = fixture(&raw_runs);
+        let keys: Vec<(Vec<Datum>, Vec<Datum>)> = (0..48)
+            .map(|i| (vec![Datum::Int64(i / 16)], vec![Datum::Int64(i % 16)]))
+            .collect();
+        // Runs are searched newest first and the first run holding the key
+        // answers with its newest version.
+        let want: Vec<Option<(u64, u64)>> = (0..48)
+            .map(|i| {
+                raw_runs.iter().enumerate().rev().find_map(|(r, entries)| {
+                    let versions = entries.iter().filter(|e| (e.0, e.1) == (i / 16, i % 16));
+                    versions.map(|e| e.2).max().map(|ts| (ts, r as u64 + 1))
+                })
+            })
+            .collect();
+        let flat = |outs: Vec<Option<umzi_core::QueryOutput>>| -> Vec<Option<(u64, u64)>> {
+            outs.into_iter()
+                .map(|o| o.map(|o| (o.begin_ts, o.rid().unwrap().block_id)))
+                .collect()
+        };
+
+        let token = CancelToken::trip_after(trip);
+        let out = {
+            let _g = context::enter(QueryContext::unbounded().with_cancel(token.clone()));
+            fx.index.batch_lookup(&keys, u64::MAX)
+        };
+        match out {
+            Ok(outs) => {
+                prop_assert!(trip > 48, "trip at checkpoint {} of a 48-probe run ignored", trip);
+                prop_assert_eq!(&flat(outs), &want);
+            }
+            Err(e) => {
+                prop_assert!(is_query_abort(&e), "untyped abort: {e}");
+                prop_assert!(token.is_cancelled());
+            }
+        }
+        prop_assert_eq!(&flat(fx.index.batch_lookup(&keys, u64::MAX).unwrap()), &want);
+    }
+
     /// Deadline expiry against a *sick* store: every shared get faults, so
     /// a cold scan lives inside retry backoff — the deadline must abort the
     /// sleep (typed, promptly), and healing the store restores exact

@@ -94,7 +94,7 @@ pub use format::{RunHeader, FORMAT_VERSION};
 pub use key::{KeyLayout, SortBound};
 pub use reader::{DataBlock, Run};
 pub use rid::{Rid, ZoneId, RID_LEN};
-pub use search::{RunRangeIter, RunSearcher, SearchHit};
+pub use search::{ProbeCursor, RunRangeIter, RunSearcher, SearchHit};
 pub use synopsis::Synopsis;
 pub use umzi_storage::AccessPattern;
 

@@ -100,44 +100,33 @@ impl<'a> RunSearcher<'a> {
         bucket: Option<u32>,
         query_ts: u64,
     ) -> Result<RunRangeIter<'a>> {
-        self.scan_shared(
+        self.scan_shared_with_budget(
             lower,
             upper.map(Bytes::copy_from_slice),
             bucket,
             query_ts,
             AccessPattern::RangeScan,
+            None,
         )
     }
 
     /// Like [`Self::scan`] but taking the upper bound as a refcounted
     /// [`Bytes`] — so multi-run queries share one allocation across all
-    /// per-run iterators instead of copying the bound per run — and an
-    /// explicit [`AccessPattern`] labelling every block fetch the iterator
-    /// makes (positioning included) for the decoded cache's scan-resistant
-    /// replacement.
+    /// per-run iterators instead of copying the bound per run — an explicit
+    /// [`AccessPattern`] labelling every block fetch the iterator makes
+    /// (positioning included) for the decoded cache's scan-resistant
+    /// replacement, and a caller-owned streamed-bytes counter. A multi-run
+    /// query passes one counter to every per-run iterator so the decoded
+    /// cache's scan-bypass budget is spent per *query*, not per run —
+    /// without it, a scan over R runs churns R× the configured budget
+    /// through probation before bypass kicks in. `None` falls back to a
+    /// private per-iterator counter (single-run callers).
     ///
     /// Both bounds resolve to *ordinals* up front through the fence index —
     /// one block fetch each — so iteration advances block-by-block with no
     /// per-entry `locate()` binary search and no per-entry upper-bound key
     /// comparison, and an empty range is detected without fetching any
     /// block beyond the positioning ones.
-    pub fn scan_shared(
-        &self,
-        lower: &[u8],
-        upper: Option<Bytes>,
-        bucket: Option<u32>,
-        query_ts: u64,
-        pattern: AccessPattern,
-    ) -> Result<RunRangeIter<'a>> {
-        self.scan_shared_with_budget(lower, upper, bucket, query_ts, pattern, None)
-    }
-
-    /// Like [`Self::scan_shared`] but accepting a caller-owned streamed-bytes
-    /// counter. A multi-run query passes one counter to every per-run
-    /// iterator so the decoded cache's scan-bypass budget is spent per
-    /// *query*, not per run — without it, a scan over R runs churns R× the
-    /// configured budget through probation before bypass kicks in. `None`
-    /// falls back to a private per-iterator counter (single-run callers).
     pub fn scan_shared_with_budget(
         &self,
         lower: &[u8],
@@ -186,7 +175,13 @@ impl<'a> RunSearcher<'a> {
     }
 
     /// Point lookup: the newest visible version of one logical key.
-    /// `logical_prefix` is the full `hash ∥ eq ∥ sort` prefix.
+    /// `logical_prefix` is the full `hash ∥ eq ∥ sort` prefix. A fresh
+    /// [`ProbeCursor`] and one probe: the fence index picks the one block
+    /// that can hold the key's newest version, so a lookup fetches **one**
+    /// block (a second only when the key's versions run on into the next
+    /// block, which includes a key that opens a block). `bucket` is accepted
+    /// for callers that have it at hand and is not consulted — the fence
+    /// index is already finer than the offset array.
     pub fn lookup(
         &self,
         logical_prefix: &[u8],
@@ -203,30 +198,113 @@ impl<'a> RunSearcher<'a> {
     pub fn lookup_as(
         &self,
         logical_prefix: &[u8],
-        bucket: Option<u32>,
+        _bucket: Option<u32>,
         query_ts: u64,
         pattern: AccessPattern,
     ) -> Result<Option<SearchHit>> {
-        let upper = crate::key::prefix_successor(logical_prefix);
-        let mut iter = self.scan_shared(
-            logical_prefix,
-            upper.map(Bytes::from),
-            bucket,
+        ProbeCursor::new(self.run, query_ts, pattern).probe(logical_prefix)
+    }
+}
+
+/// Forward cursor for exact-key probes in one run — the only place an exact
+/// key's versions are walked. It holds the data block the last probe ended
+/// in, so a batch of probes fed in ascending key order (§7.2: *"we first
+/// sort the input keys ... to improve search efficiency"*) is one pass over
+/// the run: a probe whose key still falls in the held block costs no fetch
+/// and no fence search beyond one comparison; otherwise the fence index is
+/// galloped forward from the held block and **one** block is fetched. A
+/// probe behind the cursor is still answered correctly, by a full fence
+/// search.
+pub struct ProbeCursor<'a> {
+    run: &'a Run,
+    query_ts: u64,
+    /// Cache hint for every block this cursor fetches.
+    pattern: AccessPattern,
+    /// The held block and its number.
+    cur: Option<(u32, DataBlock)>,
+}
+
+impl<'a> ProbeCursor<'a> {
+    /// A cursor before the run's first block, answering at snapshot
+    /// `query_ts`.
+    pub fn new(run: &'a Run, query_ts: u64, pattern: AccessPattern) -> Self {
+        Self {
+            run,
             query_ts,
             pattern,
-        )?;
-        match iter.next() {
-            Some(Ok(hit)) => {
-                // The scan's lower bound is a prefix; guard against a
-                // neighbour key when the exact key is absent.
-                if hit.key.starts_with(logical_prefix) {
-                    Ok(Some(hit))
-                } else {
-                    Ok(None)
+            cur: None,
+        }
+    }
+
+    /// Block loads are cooperative cancellation checkpoints; the checksum
+    /// and decoded-cache path is [`Run::data_block_as`], untouched.
+    fn load(&mut self, b: u32) -> Result<&DataBlock> {
+        umzi_storage::context::check_current("run_probe_block")?;
+        let block = self.run.data_block_as(b, self.pattern)?;
+        Ok(&self.cur.insert((b, block)).1)
+    }
+
+    /// The newest version of the logical key `prefix` (the full
+    /// `hash ∥ eq ∥ sort` bytes) with `beginTS ≤ queryTS`, if this run holds
+    /// one.
+    pub fn probe(&mut self, prefix: &[u8]) -> Result<Option<SearchHit>> {
+        umzi_storage::context::check_current("run_probe")?;
+        let (fences, query_ts) = (self.run.fence_keys()?, self.query_ts);
+        if fences.is_empty() {
+            return Ok(None);
+        }
+        // The first entry ≥ `prefix` lies in the last block whose fence is
+        // < `prefix` (block 0 when there is none) or opens the block after.
+        let target = match &self.cur {
+            Some((c, _)) if *c == 0 || fences[*c as usize].as_slice() < prefix => {
+                // Gallop from the held block: doubling steps while the fence
+                // is still below the probe, then a binary search in the gap.
+                let (mut lo, mut step) = (*c as usize, 1);
+                while lo + step < fences.len() && fences[lo + step].as_slice() < prefix {
+                    lo += step;
+                    step *= 2;
+                }
+                let hi = (lo + step).min(fences.len());
+                lo + fences[lo + 1..hi].partition_point(|f| f.as_slice() < prefix)
+            }
+            _ => fences
+                .partition_point(|f| f.as_slice() < prefix)
+                .saturating_sub(1),
+        } as u32;
+        let mut block = match &self.cur {
+            Some((c, block)) if *c == target => block,
+            _ => self.load(target)?,
+        };
+        let mut b = target;
+        let mut slot = block.partition_point_geq(prefix)?;
+        loop {
+            if slot == block.entry_count() {
+                // Versions may straddle the block boundary; the next fence
+                // says so from memory, so a miss never costs a second fetch.
+                b += 1;
+                match fences.get(b as usize) {
+                    Some(f) if KeyLayout::logical_key(f) == prefix => {
+                        block = self.load(b)?;
+                        slot = 0;
+                    }
+                    _ => return Ok(None),
                 }
             }
-            Some(Err(e)) => Err(e),
-            None => Ok(None),
+            let key = block.key_at(slot)?;
+            if KeyLayout::logical_key(key) != prefix {
+                return Ok(None);
+            }
+            let begin_ts = KeyLayout::begin_ts_of(key)?;
+            if begin_ts <= query_ts {
+                let entry = block.entry(slot)?;
+                return Ok(Some(SearchHit {
+                    key: entry.key,
+                    value: entry.value,
+                    begin_ts,
+                }));
+            }
+            // Newer than the snapshot: try the next (older) version.
+            slot += 1;
         }
     }
 }

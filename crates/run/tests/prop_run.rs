@@ -6,7 +6,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use umzi_encoding::{hash_prefix, ColumnType, Datum, IndexDef};
 use umzi_run::{
-    IndexEntry, KeyLayout, Rid, Run, RunBuilder, RunParams, RunSearcher, SortBound, ZoneId,
+    AccessPattern, IndexEntry, KeyLayout, ProbeCursor, Rid, Run, RunBuilder, RunParams,
+    RunSearcher, SortBound, ZoneId,
 };
 use umzi_storage::{Durability, SharedStorage, TieredConfig, TieredStorage};
 
@@ -20,7 +21,14 @@ fn layout() -> KeyLayout {
 }
 
 fn build_run(rows: &[(i64, i64, u64)], offset_bits: u8) -> (Arc<TieredStorage>, Run) {
-    let storage = Arc::new(TieredStorage::in_memory());
+    build_run_on(Arc::new(TieredStorage::in_memory()), rows, offset_bits)
+}
+
+fn build_run_on(
+    storage: Arc<TieredStorage>,
+    rows: &[(i64, i64, u64)],
+    offset_bits: u8,
+) -> (Arc<TieredStorage>, Run) {
     let l = layout();
     let mut entries: Vec<IndexEntry> = rows
         .iter()
@@ -266,6 +274,66 @@ proptest! {
                 storage.stats().blocks_prefetched > staged0,
                 "multi-block cold scan staged nothing"
             );
+        }
+    }
+
+    /// A forward cursor fed any ascending probe set — present keys, absent
+    /// keys inside the key range, probes below the first fence and past the
+    /// last key, duplicates, keys whose versions straddle a block boundary,
+    /// a snapshot below every version — returns exactly what a brute-force
+    /// `Run::entry` walk returns, and so does a fresh cursor per probe.
+    #[test]
+    fn probe_cursor_equals_entry_walk(
+        rows in proptest::collection::vec((0i64..3, 0i64..40, 1u64..40), 0..300),
+        msg_span in 1i64..40,
+        probes in proptest::collection::vec((-1i64..4, -3i64..43), 0..80),
+        query_ts in 0u64..45,
+    ) {
+        // A narrow msg domain piles many versions on few keys; at 256-byte
+        // chunks (about five entries a block) their versions straddle blocks.
+        let rows: Vec<(i64, i64, u64)> =
+            rows.into_iter().map(|(d, m, ts)| (d, m % msg_span, ts)).collect();
+        let storage = Arc::new(TieredStorage::new(
+            SharedStorage::in_memory(),
+            TieredConfig {
+                chunk_size: 256,
+                ..TieredConfig::default()
+            },
+        ));
+        let (_storage, run) = build_run_on(storage, &rows, 0);
+        let l = layout();
+        let mut prefixes: Vec<Vec<u8>> = probes
+            .iter()
+            .map(|&(d, m)| {
+                let mut p = l.equality_prefix(&[Datum::Int64(d)]).unwrap();
+                umzi_encoding::encode_datum(&Datum::Int64(m), &mut p);
+                p
+            })
+            .collect();
+        // Below every possible key and past every possible key.
+        prefixes.push(vec![0u8; 4]);
+        prefixes.push(vec![0xFF; 40]);
+        prefixes.sort();
+
+        let flat = |h: Option<umzi_run::SearchHit>| {
+            h.map(|h| (h.key.to_vec(), h.value.to_vec(), h.begin_ts))
+        };
+        let mut cursor = ProbeCursor::new(&run, query_ts, AccessPattern::PointLookup);
+        for prefix in &prefixes {
+            // Entries are sorted newest version first within a logical key.
+            let want = (0..run.entry_count())
+                .map(|ord| run.entry(ord).unwrap())
+                .find(|e| e.logical_key() == prefix.as_slice() && e.begin_ts().unwrap() <= query_ts)
+                .map(|e| (e.key.to_vec(), e.value.to_vec(), e.begin_ts().unwrap()));
+            prop_assert_eq!(&flat(cursor.probe(prefix).unwrap()), &want);
+            let fresh = RunSearcher::new(&run).lookup(prefix, None, query_ts).unwrap();
+            prop_assert_eq!(&flat(fresh), &want);
+        }
+        // Ascending order is what makes the cursor cheap, not what makes it
+        // right: probes behind it fall back to a full fence search.
+        for prefix in prefixes.iter().rev() {
+            let fresh = RunSearcher::new(&run).lookup(prefix, None, query_ts).unwrap();
+            prop_assert_eq!(flat(cursor.probe(prefix).unwrap()), flat(fresh));
         }
     }
 

@@ -5,7 +5,10 @@
 use std::sync::Arc;
 
 use umzi_encoding::{ColumnType, Datum, IndexDef};
-use umzi_run::{IndexEntry, KeyLayout, Rid, RunBuilder, RunParams, RunSearcher, ZoneId};
+use umzi_run::{
+    AccessPattern, IndexEntry, KeyLayout, ProbeCursor, Rid, RunBuilder, RunParams, RunSearcher,
+    ZoneId,
+};
 use umzi_storage::{DecodedCacheConfig, Durability, SharedStorage, TieredConfig, TieredStorage};
 
 fn layout() -> KeyLayout {
@@ -120,6 +123,59 @@ fn fence_lookup_reads_4x_fewer_blocks_than_scalar() {
         scalar_reads >= 4 * fence_reads,
         "expected ≥4x fewer block reads: fence={fence_reads} scalar={scalar_reads}"
     );
+}
+
+/// Logical key of `(d = m % 8, m)`, as [`build_run_with_id`] lays rows out.
+fn prefix_of(m: i64) -> Vec<u8> {
+    let mut p = layout().equality_prefix(&[Datum::Int64(m % 8)]).unwrap();
+    umzi_encoding::encode_datum(&Datum::Int64(m), &mut p);
+    p
+}
+
+#[test]
+fn point_lookup_reads_exactly_one_block() {
+    // With the decoded cache off every block access is a counted chunk
+    // read: a point lookup — hit or miss — is one fence search and one
+    // block, not a lower-bound block plus an upper-bound block. The one
+    // exception is a key that opens a block other than the first: its
+    // prefix sorts below that fence, and only the block before can say
+    // whether newer versions of it end there.
+    let storage = storage_no_decoded_cache();
+    let run = build_multi_block_run(&storage, 4000);
+    assert!(run.data_block_count() >= 16);
+    let searcher = RunSearcher::new(&run);
+    let fences = run.fence_keys().unwrap();
+    let before = storage.stats().chunk_reads;
+    for m in 0..4200 {
+        let prefix = prefix_of(m);
+        let reads0 = storage.stats().chunk_reads;
+        let hit = searcher.lookup(&prefix, None, u64::MAX).unwrap();
+        assert_eq!(hit.is_some(), m < 4000, "m = {m}");
+        let opens_block = fences[1..].iter().any(|f| f.starts_with(&prefix));
+        let reads = storage.stats().chunk_reads - reads0;
+        assert_eq!(reads, 1 + u64::from(opens_block), "m = {m}");
+    }
+    let blocks = u64::from(run.data_block_count());
+    assert_eq!(storage.stats().chunk_reads - before, 4200 + blocks - 1);
+}
+
+#[test]
+fn sorted_batch_reads_each_block_at_most_once() {
+    // 256 ascending probes (two in three absent) through one cursor over
+    // a 4-block run: a merge-join against the fences, so each block is
+    // fetched once however many probes land in it.
+    let storage = storage_no_decoded_cache();
+    let run = build_multi_block_run(&storage, 80);
+    assert_eq!(run.data_block_count(), 4);
+    let mut prefixes: Vec<(Vec<u8>, bool)> = (0..256).map(|m| (prefix_of(m), m < 80)).collect();
+    prefixes.sort();
+    let before = storage.stats().chunk_reads;
+    let mut cursor = ProbeCursor::new(&run, u64::MAX, AccessPattern::PointLookup);
+    for (prefix, present) in &prefixes {
+        assert_eq!(cursor.probe(prefix).unwrap().is_some(), *present);
+    }
+    let reads = storage.stats().chunk_reads - before;
+    assert!(reads <= 4, "256 sorted probes read {reads} blocks of 4");
 }
 
 #[test]

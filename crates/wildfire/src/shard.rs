@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use umzi_core::{EvolveNotice, UmziConfig, UmziIndex};
-use umzi_encoding::{encode_datums, Datum};
-use umzi_run::{IndexEntry, Rid, ZoneId};
-use umzi_storage::{Durability, TieredStorage};
+use umzi_encoding::Datum;
+use umzi_run::{IndexEntry, KeyLayout, Rid, ZoneId};
+use umzi_storage::{context, Durability, Priority, TieredStorage};
 
 use crate::colblock::{serialize_deltas, ColumnBlock, EndTsDelta};
 use crate::error::WildfireError;
@@ -337,6 +337,11 @@ impl Shard {
             return Ok(None);
         }
 
+        /// Chain heads resolved per index batch probe: bounds the probe's
+        /// key, prefix and result vectors, which would otherwise be as long
+        /// as the batch and set the daemon thread's high-water mark.
+        const HEADS_PER_PROBE: usize = 4096;
+
         // Gather the batch in beginTS order.
         struct Rec {
             row: Vec<Datum>,
@@ -377,64 +382,113 @@ impl Shard {
             }
         }
 
-        // Version chains: link prevRID within the batch, then consult the
-        // index for each chain head's predecessor (§2.1: the post-groomer
-        // uses the post-groomed portion of the index for the RIDs of
-        // replaced records).
+        // Index entries over the post-groomed rows (same beginTS, new RIDs)
+        // — built before the blocks so the rows can then move, not clone,
+        // into them.
+        type Groups = (Vec<Datum>, Vec<Datum>, Vec<Datum>);
+        let entries_of = |idx: &UmziIndex, groups: &dyn Fn(&[Datum]) -> Groups| {
+            let entry = |(rec, &rid): (&Rec, &Rid)| {
+                let (eq, sort, included) = groups(&rec.row);
+                IndexEntry::new(idx.layout(), &eq, &sort, rec.begin_ts, rid, &included)
+            };
+            recs.iter()
+                .zip(&rid_of)
+                .map(entry)
+                .collect::<umzi_run::Result<Vec<_>>>()
+        };
+        let entries = entries_of(&self.index, &|row| self.table.index_groups(row))?;
+
+        // Version chains. The index's key columns are exactly the primary
+        // key, and an entry key is `logical key ∥ ¬beginTS`: in entry-key
+        // order every record's versions lie side by side, newest first, and
+        // the chain heads — each key's oldest version in the batch — come
+        // out in index-key order.
         let mut prev_of: Vec<Option<Rid>> = vec![None; recs.len()];
         let mut end_of: Vec<Option<u64>> = vec![None; recs.len()];
-        let mut by_pk: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
-        for (i, rec) in recs.iter().enumerate() {
-            let pk: Vec<Datum> = self
-                .table
-                .primary_key_of(&rec.row)
-                .into_iter()
-                .cloned()
-                .collect();
-            by_pk.entry(encode_datums(&pk)).or_default().push(i);
-        }
-        let mut deltas: Vec<EndTsDelta> = Vec::new();
+        let logical = |i: usize| KeyLayout::logical_key(&entries[i].key);
+        let mut order: Vec<usize> = (0..recs.len()).collect();
+        order.sort_by(|&a, &b| entries[a].key.cmp(&entries[b].key));
         let mut closed_versions = 0usize;
-        for chain in by_pk.values_mut() {
-            chain.sort_by_key(|&i| recs[i].begin_ts);
+        let mut heads: Vec<usize> = Vec::new();
+        for chain in order.chunk_by(|&a, &b| logical(a) == logical(b)) {
             for w in chain.windows(2) {
-                let (older, newer) = (w[0], w[1]);
+                let (newer, older) = (w[0], w[1]);
                 prev_of[newer] = Some(rid_of[older]);
                 end_of[older] = Some(recs[newer].begin_ts);
                 closed_versions += 1;
             }
-            let head = chain[0];
-            let head_ts = recs[head].begin_ts;
-            if head_ts > 0 {
-                let (eq, sort, _) = self.table.index_groups(&recs[head].row);
-                if let Some(prev) = self.index.point_lookup(&eq, &sort, head_ts - 1)? {
-                    let prev_rid = prev.rid()?;
+            heads.push(chain[chain.len() - 1]);
+        }
+        drop(order);
+
+        // Each head's predecessor is the newest indexed version older than
+        // the head (§2.1: the post-groomer uses the index for the RIDs of
+        // replaced records): one sorted batch probe per chunk of heads, at
+        // the single snapshot "just before the batch". That equals a lookup
+        // at each head's own `beginTS − 1`: every version between the two
+        // snapshots belongs to this batch, and the head is its key's oldest
+        // version in the batch, so no such version exists. It also lets the
+        // synopsis prune every run built from the batch alone. Chunks bound
+        // the probe and result vectors; deltas come out in index-key order.
+        let mut deltas: Vec<EndTsDelta> = Vec::new();
+        if let Some(snapshot) = recs.first().and_then(|r| r.begin_ts.checked_sub(1)) {
+            // Maintenance: the probes run on this thread, no query fan-out.
+            let _background =
+                context::enter(context::current().with_priority(Priority::Background));
+            for chunk in heads.chunks(HEADS_PER_PROBE) {
+                let keys: Vec<(Vec<Datum>, Vec<Datum>)> = chunk
+                    .iter()
+                    .map(|&head| {
+                        let (eq, sort, _) = self.table.index_groups(&recs[head].row);
+                        (eq, sort)
+                    })
+                    .collect();
+                let found = self.index.batch_lookup(&keys, snapshot)?;
+                // One lock per chunk to close the in-memory images that are
+                // resident.
+                let reg = self.registry.lock();
+                for (&head, prev) in chunk.iter().zip(found) {
+                    let Some(prev) = prev else { continue };
+                    let (prev_rid, end_ts) = (prev.rid()?, recs[head].begin_ts);
                     prev_of[head] = Some(prev_rid);
                     deltas.push(EndTsDelta {
                         rid: prev_rid,
-                        end_ts: head_ts,
+                        end_ts,
                     });
                     closed_versions += 1;
-                    // Apply to the in-memory image if the block is resident.
-                    let reg = self.registry.lock();
                     if let Some(entry) = reg.blocks.get(&(prev_rid.zone, prev_rid.block_id)) {
-                        entry.block.set_end_ts(prev_rid.offset as usize, head_ts);
+                        entry.block.set_end_ts(prev_rid.offset as usize, end_ts);
                     }
                 }
             }
         }
 
+        let psn = self.next_psn.fetch_add(1, Ordering::AcqRel);
+        let n_rows = recs.len();
+        let notice = |entries| EvolveNotice {
+            psn,
+            groomed_lo: lo,
+            groomed_hi: hi,
+            entries,
+        };
+        let mut notices = vec![notice(entries)];
+        for (si, sidx) in self.secondary.iter().enumerate() {
+            let groups = |row: &[Datum]| self.table.secondary_groups(si, row);
+            notices.push(notice(entries_of(sidx, &groups)?));
+        }
+
         // Write one (large) post-groomed block per partition.
         let kinds: Vec<_> = self.table.columns().iter().map(|c| c.ty).collect();
-        let psn = self.next_psn.fetch_add(1, Ordering::AcqRel);
-        let mut entries: Vec<IndexEntry> = Vec::with_capacity(recs.len());
         let mut block_bytes = 0u64;
         {
             let mut reg = self.registry.lock();
             for (members, block_id) in partitions.values().zip(&block_ids) {
-                let rows: Vec<Vec<Datum>> = members.iter().map(|&i| recs[i].row.clone()).collect();
                 let begin: Vec<u64> = members.iter().map(|&i| recs[i].begin_ts).collect();
                 let prev: Vec<Option<Rid>> = members.iter().map(|&i| prev_of[i]).collect();
+                let rows: Vec<Vec<Datum>> = members
+                    .iter()
+                    .map(|&i| std::mem::take(&mut recs[i].row))
+                    .collect();
                 let block = ColumnBlock::build(kinds.clone(), &rows, begin, prev)?;
                 for (offset, &i) in members.iter().enumerate() {
                     if let Some(end) = end_of[i] {
@@ -470,45 +524,6 @@ impl Shard {
                 })?;
         }
 
-        // Index entries over the post-groomed rows (same beginTS, new RIDs).
-        for (i, rec) in recs.iter().enumerate() {
-            let (eq, sort, included) = self.table.index_groups(&rec.row);
-            entries.push(IndexEntry::new(
-                self.index.layout(),
-                &eq,
-                &sort,
-                rec.begin_ts,
-                rid_of[i],
-                &included,
-            )?);
-        }
-        let mut notices = vec![EvolveNotice {
-            psn,
-            groomed_lo: lo,
-            groomed_hi: hi,
-            entries,
-        }];
-        for (si, sidx) in self.secondary.iter().enumerate() {
-            let mut entries = Vec::with_capacity(recs.len());
-            for (i, rec) in recs.iter().enumerate() {
-                let (eq, sort, included) = self.table.secondary_groups(si, &rec.row);
-                entries.push(IndexEntry::new(
-                    sidx.layout(),
-                    &eq,
-                    &sort,
-                    rec.begin_ts,
-                    rid_of[i],
-                    &included,
-                )?);
-            }
-            notices.push(EvolveNotice {
-                psn,
-                groomed_lo: lo,
-                groomed_hi: hi,
-                entries,
-            });
-        }
-
         // Publish for the indexer (Figure 5): metadata first, then MaxPSN.
         self.pending_evolves.lock().insert(psn, notices);
         self.max_psn.store(psn, Ordering::Release);
@@ -517,7 +532,7 @@ impl Shard {
         Ok(Some(PostGroomReport {
             psn,
             groomed_range: (lo, hi),
-            rows: recs.len(),
+            rows: n_rows,
             blocks: block_ids.len(),
             closed_versions,
             block_bytes,
@@ -837,6 +852,7 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::table::iot_table;
+    use crate::timestamps::OPEN_END_TS;
     use umzi_core::ReconcileStrategy;
     use umzi_run::SortBound;
 
@@ -945,6 +961,155 @@ mod tests {
             "replaced version closed at successor's beginTS"
         );
         assert!(old_begin < hit.begin_ts);
+    }
+
+    /// Upsert one row per `(device = msg % 4, msg)` key, in order, and groom
+    /// them into one block; returns each row's `(msg, beginTS)`.
+    fn groom_msgs(s: &Shard, msgs: &[i64], payload: &mut i64) -> Vec<(i64, u64)> {
+        let rows = msgs.iter().map(|&m| {
+            *payload += 1;
+            row(m % 4, m, 100 + m % 3, *payload)
+        });
+        s.upsert(rows.collect()).unwrap();
+        let block_id = s.groom().unwrap().unwrap().block_id;
+        let ts = |i| compose_begin_ts(block_id, i as u64);
+        msgs.iter().enumerate().map(|(i, &m)| (m, ts(i))).collect()
+    }
+
+    fn delta_object(s: &Shard, psn: u64) -> bytes::Bytes {
+        let name = format!("{}/deltas/d-{psn:020}", s.prefix);
+        s.storage.shared().get(&name).unwrap()
+    }
+
+    /// The sorted batch probe at "just before the batch" finds, for every
+    /// chain head, exactly what a point lookup at that head's own
+    /// `beginTS − 1` finds — whether the predecessor sits in a post-groomed
+    /// run, in a groomed run whose evolve has not been applied yet (daemon
+    /// lag), in a merged groomed run that mixes batch and pre-batch blocks,
+    /// or nowhere — and in-batch versions chain to each other.
+    #[test]
+    fn post_groom_matches_per_head_point_lookup_oracle() {
+        let s = shard();
+        let mut payload = 0;
+        let range = |r: std::ops::Range<i64>| r.collect::<Vec<i64>>();
+        // PSN 1, evolved: these versions answer from a post-groomed run.
+        groom_msgs(&s, &range(0..40), &mut payload);
+        groom_msgs(&s, &range(30..50), &mut payload);
+        s.post_groom().unwrap().unwrap();
+        assert_eq!(s.apply_pending_evolves().unwrap(), 1);
+        // PSN 2, published but not evolved: the index still answers these
+        // from groomed runs 3 and 4.
+        groom_msgs(&s, &range(20..60), &mut payload);
+        groom_msgs(&s, &range(50..70), &mut payload);
+        s.post_groom().unwrap().unwrap();
+        // The batch: blocks 5..=8, with repeats inside one groom and across
+        // grooms, old keys from every earlier state and brand-new keys.
+        let mut batch: Vec<(i64, u64)> = Vec::new();
+        let mut first = range(0..10);
+        first.extend([5, 35, 36, 55, 65, 100, 101, 5]);
+        batch.extend(groom_msgs(&s, &first, &mut payload));
+        batch.extend(groom_msgs(&s, &[5, 35, 66, 101, 200, 201], &mut payload));
+        batch.extend(groom_msgs(&s, &range(60..75), &mut payload));
+        batch.extend(groom_msgs(&s, &[200, 5, 69, 300], &mut payload));
+        // Merge groomed runs across the batch boundary.
+        assert!(s.index().drain_merges().unwrap() > 0);
+        let spans_boundary = |r: &Arc<umzi_run::Run>| {
+            r.zone() == ZoneId::GROOMED && r.groomed_range().0 <= 4 && r.groomed_range().1 >= 5
+        };
+        assert!(s.index().all_runs().iter().flatten().any(spans_boundary));
+
+        // Oracle, before the post-groom: versions per key oldest first, and
+        // the per-head point lookup the post-groomer used to issue.
+        let mut versions: BTreeMap<i64, Vec<u64>> = BTreeMap::new();
+        for &(m, ts) in &batch {
+            versions.entry(m).or_default().push(ts);
+        }
+        let lookup = |m: i64, ts: u64| {
+            let hit = s
+                .index()
+                .point_lookup(&[Datum::Int64(m % 4)], &[Datum::Int64(m)], ts)
+                .unwrap();
+            hit.map(|h| h.rid().unwrap())
+        };
+        let want_prev: BTreeMap<i64, Option<Rid>> = versions
+            .iter()
+            .map(|(&m, v)| (m, lookup(m, v[0] - 1)))
+            .collect();
+        let zones: Vec<Option<ZoneId>> = want_prev.values().map(|p| p.map(|r| r.zone)).collect();
+        for kind in [None, Some(ZoneId::GROOMED), Some(ZoneId::POST_GROOMED)] {
+            assert!(
+                zones.contains(&kind),
+                "no head with predecessor in {kind:?}"
+            );
+        }
+
+        let report = s.post_groom().unwrap().unwrap();
+        assert_eq!(report.groomed_range, (5, 8));
+        assert_eq!(report.rows, batch.len());
+        let found = want_prev.values().flatten().count();
+        assert_eq!(report.closed_versions, batch.len() - versions.len() + found);
+
+        // Every new record, through the RID its index entry carries.
+        let rid_at: BTreeMap<u64, Rid> = s.pending_evolves.lock()[&report.psn][0]
+            .entries
+            .iter()
+            .map(|e| (e.begin_ts().unwrap(), e.rid().unwrap()))
+            .collect();
+        let mut want_deltas: Vec<(Vec<u8>, EndTsDelta)> = Vec::new();
+        for (&m, v) in &versions {
+            for (i, ts) in v.iter().enumerate() {
+                let (r, begin, end, prev) = s.fetch_row(rid_at[ts]).unwrap();
+                assert_eq!((&r[1], begin), (&Datum::Int64(m), *ts));
+                assert_eq!(end, v.get(i + 1).copied().unwrap_or(OPEN_END_TS), "msg {m}");
+                let want = if i == 0 {
+                    want_prev[&m]
+                } else {
+                    Some(rid_at[&v[i - 1]])
+                };
+                assert_eq!(prev, want, "msg {m} version {i}");
+            }
+            if let Some(rid) = want_prev[&m] {
+                assert_eq!(
+                    s.fetch_row(rid).unwrap().2,
+                    v[0],
+                    "predecessor of msg {m} closed"
+                );
+                let key = s
+                    .index()
+                    .layout()
+                    .build_key(&[Datum::Int64(m % 4)], &[Datum::Int64(m)], 0)
+                    .unwrap();
+                want_deltas.push((key, EndTsDelta { rid, end_ts: v[0] }));
+            }
+        }
+        // The sidecar holds exactly those closures, in index-key order.
+        want_deltas.sort_by(|a, b| a.0.cmp(&b.0));
+        let want_deltas: Vec<EndTsDelta> = want_deltas.into_iter().map(|(_, d)| d).collect();
+        let got = crate::colblock::deserialize_deltas(&delta_object(&s, report.psn)).unwrap();
+        assert_eq!(got, want_deltas);
+    }
+
+    /// `EndTsDelta`s are emitted in index-key order, so the same input
+    /// writes the same sidecar bytes — not one `HashMap` iteration order
+    /// per process and per map.
+    #[test]
+    fn same_rows_write_byte_identical_delta_objects() {
+        let delta = || {
+            let s = shard();
+            let msgs: Vec<i64> = (0..300).collect();
+            for _ in 0..2 {
+                groom_msgs(&s, &msgs, &mut 0);
+                s.post_groom().unwrap().unwrap();
+                s.apply_pending_evolves().unwrap();
+            }
+            delta_object(&s, 2)
+        };
+        let first = delta();
+        assert_eq!(
+            crate::colblock::deserialize_deltas(&first).unwrap().len(),
+            300
+        );
+        assert_eq!(first, delta());
     }
 
     #[test]
