@@ -25,9 +25,12 @@
 //!    [`run_brownout`].
 //!
 //! Run with `cargo run --release -p umzi-bench --bin slo_harness`.
-//! Writes `BENCH_slo.json` (override with `UMZI_SLO_OUT`); CI diffs it via
-//! `scripts/compare_bench.py`. `UMZI_SLO_OPS` / `UMZI_SLO_CYCLES` scale the
-//! two scenarios (defaults are the CI-sized small preset).
+//! Writes its report to `SLO_harness.json` at the repo root (gitignored;
+//! override with `UMZI_SLO_OUT`) and exits non-zero on a failed invariant
+//! or on a percentile it reports from a histogram with no samples — there
+//! is no committed baseline to diff against. `UMZI_SLO_OPS` /
+//! `UMZI_SLO_CYCLES` scale the scenarios (defaults are the CI-sized small
+//! preset).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -149,7 +152,8 @@ fn slo_tenants() -> TenantMixConfig {
 struct SloOutcome {
     /// `hists[tenant][class]` in [`OpClass::ALL`] order.
     hists: Vec<[HistogramSnapshot; 4]>,
-    /// Engine-side op histograms `(label, snapshot)`.
+    /// Engine-side op histograms `(label, snapshot)`; a series the engine
+    /// never registered reads as empty and fails the sample gate.
     engine_ops: Vec<(&'static str, HistogramSnapshot)>,
     elapsed: Duration,
     ops: usize,
@@ -271,7 +275,7 @@ fn run_slo_mix(ops_target: usize) -> SloOutcome {
         ("ingest", "umzi_ingest_duration_nanos"),
     ]
     .into_iter()
-    .filter_map(|(label, name)| snap.histogram(name).cloned().map(|h| (label, h)))
+    .map(|(label, name)| (label, snap.histogram(name).cloned().unwrap_or_default()))
     .collect();
 
     SloOutcome {
@@ -769,6 +773,15 @@ fn main() {
             }
         }
     }
+    // A percentile over zero samples reads 0 and would pass for a perfect
+    // tail: every histogram the report quotes must have recorded something.
+    for (label, h) in &slo.engine_ops {
+        if h.count() == 0 {
+            failures.push(format!(
+                "engine-side {label} histogram is missing or empty — its percentiles mean nothing"
+            ));
+        }
+    }
     if fair.cold_point.count() == 0 {
         failures.push("fairness: no cold-shard point samples".into());
     }
@@ -814,6 +827,9 @@ fn main() {
             overshoot_bound
         ));
     }
+    if brownout.point.count() == 0 {
+        failures.push("brownout: no interactive point samples".into());
+    }
     // Point reads during a full storage outage must stay *bounded* —
     // answered, degraded, or failed fast, never hung. 100ms is five point
     // deadlines of slack; an unclamped backoff chain or a queued-to-death
@@ -825,9 +841,8 @@ fn main() {
         ));
     }
 
-    // The artifact. Rows follow compare_bench.py's (workload, runs) keying
-    // with an ops_per_sec figure; the percentile fields and scalars are the
-    // SLO surface proper.
+    // The report: one row per (tenant, class) with an ops_per_sec figure;
+    // the percentile fields and scalars are the SLO surface proper.
     let secs = slo.elapsed.as_secs_f64().max(1e-9);
     let mut json = String::from("{\n  \"bench\": \"slo_harness\",\n");
     let _ = writeln!(json, "  \"ops\": {}, \"secs\": {:.3},", slo.ops, secs);
@@ -901,9 +916,9 @@ fn main() {
     json.push_str("}\n");
 
     let out_path = std::env::var("UMZI_SLO_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_slo.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../SLO_harness.json").to_string()
     });
-    std::fs::write(&out_path, json).expect("write BENCH_slo.json");
+    std::fs::write(&out_path, json).expect("write the SLO report");
     eprintln!("wrote {out_path}");
 
     if !failures.is_empty() {

@@ -1,6 +1,5 @@
 //! One function per figure of the paper's evaluation (§8). Each prints the
-//! figure's normalized series; binaries `fig08`…`fig15` are thin wrappers,
-//! and `run_all` executes everything.
+//! figure's normalized series; the `figures` binary picks which to run.
 
 use std::time::Duration;
 

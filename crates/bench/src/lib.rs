@@ -1,9 +1,10 @@
-//! Shared harness for the benchmarks reproducing §8 of the Umzi paper.
+//! Shared harness for the binaries reproducing §8 of the Umzi paper.
 //!
-//! Every figure has a binary (`cargo run --release -p umzi-bench --bin
-//! fig08` … `fig15`) that prints the same normalized series the paper
-//! plots, plus criterion micro-benches for the index-level figures
-//! (8–11) and the design-choice ablations.
+//! `cargo run --release -p umzi-bench --bin figures` prints the normalized
+//! series of Figures 8–15 (`-- 10 11` for a subset). Timings that judge a
+//! change live in the repo's `benchmark/`; the two other binaries here,
+//! `slo_harness` and `telemetry_smoke`, are CI gates that fail on a broken
+//! invariant, not trajectories.
 //!
 //! The paper normalizes every figure (absolute numbers were unpublishable);
 //! these harnesses do the same, so results are comparable in *shape* — who
@@ -11,7 +12,7 @@
 //!
 //! Scale: `UMZI_BENCH_SCALE=full` runs paper-scale parameters (up to 100 M
 //! entries per run, 100-second end-to-end windows); the default "quick"
-//! scale keeps `cargo bench` and `run_all` in the minutes range.
+//! scale keeps `figures` in the minutes range.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,13 +119,7 @@ pub fn point_groups(preset: IndexPreset, k: u64) -> (Vec<Datum>, Vec<Datum>) {
     }
 }
 
-/// Map a scalar key for scan workloads: one device, `msg = k`, so ranges of
-/// any size stay within one equality value (Figures 10c/11c).
-pub fn scan_groups(k: u64) -> (Vec<Datum>, Vec<Datum>) {
-    (vec![Datum::Int64(0)], vec![Datum::Int64(k as i64)])
-}
-
-/// A fresh zero-latency in-memory index for micro-benches.
+/// A fresh zero-latency in-memory index for the index-level figures.
 pub fn bench_index(preset: IndexPreset, name: &str) -> Arc<UmziIndex> {
     let storage = Arc::new(TieredStorage::new(
         SharedStorage::in_memory(),
@@ -135,7 +130,7 @@ pub fn bench_index(preset: IndexPreset, name: &str) -> Arc<UmziIndex> {
         },
     ));
     let mut config = UmziConfig::two_zone(name);
-    // Micro-benches control the run structure explicitly: disable merging.
+    // The figures control the run structure explicitly: disable merging.
     config.merge = MergePolicy {
         k: usize::MAX / 2,
         t: 4,
@@ -167,16 +162,16 @@ pub fn point_entries(
         .collect()
 }
 
-/// Build index entries for the scan workload.
+/// Build index entries for the scan workload: one device, `msg = k`, so
+/// ranges of any size stay within one equality value (Figures 10c/11c).
 pub fn scan_entries(idx: &UmziIndex, keys: &[u64], ts_base: u64) -> Vec<IndexEntry> {
     keys.iter()
         .enumerate()
         .map(|(i, &k)| {
-            let (eq, sort) = scan_groups(k);
             IndexEntry::new(
                 idx.layout(),
-                &eq,
-                &sort,
+                &[Datum::Int64(0)],
+                &[Datum::Int64(k as i64)],
                 ts_base + i as u64,
                 Rid::new(ZoneId::GROOMED, ts_base, i as u32),
                 &IndexPreset::I1.included_of(k),

@@ -179,11 +179,6 @@ pub struct UmziConfig {
     pub non_persisted_levels: Vec<u32>,
     /// Cache-manager thresholds.
     pub cache: CacheConfig,
-    /// Background-maintenance daemon tuning (worker count, ingest
-    /// watermarks, throttle, janitor cadence). Consumed by
-    /// [`crate::daemon::IndexDaemon::spawn`] for a standalone index; the
-    /// Wildfire engine carries its own copy in its `EngineConfig`.
-    pub maintenance: MaintenanceConfig,
 }
 
 impl UmziConfig {
@@ -208,7 +203,6 @@ impl UmziConfig {
             ],
             non_persisted_levels: Vec::new(),
             cache: CacheConfig::default(),
-            maintenance: MaintenanceConfig::default(),
         }
     }
 
@@ -274,7 +268,6 @@ impl UmziConfig {
         if self.offset_bits > 24 {
             return Err(UmziError::Config("offset_bits must be ≤ 24".into()));
         }
-        self.maintenance.validate()?;
         Ok(())
     }
 
@@ -370,16 +363,18 @@ mod tests {
 
     #[test]
     fn rejects_bad_maintenance_config() {
-        let mut c = UmziConfig::two_zone("t");
-        c.maintenance.workers = 0;
+        let mut c = MaintenanceConfig {
+            workers: 0,
+            ..MaintenanceConfig::default()
+        };
         assert!(c.validate().is_err());
-        c.maintenance = MaintenanceConfig {
+        c = MaintenanceConfig {
             l0_high_watermark: 2,
             l0_low_watermark: 4,
             ..MaintenanceConfig::default()
         };
         assert!(c.validate().is_err());
-        c.maintenance = MaintenanceConfig {
+        c = MaintenanceConfig {
             l0_high_watermark: 0,
             l0_low_watermark: 0,
             ..MaintenanceConfig::default()
@@ -387,25 +382,25 @@ mod tests {
         assert!(c.validate().is_err());
         // Byte watermarks: low ≤ high, and zero-high means disabled — which
         // makes a nonzero low nonsensical (it is > high and rejected).
-        c.maintenance = MaintenanceConfig {
+        c = MaintenanceConfig {
             l0_bytes_high_watermark: 1 << 20,
             l0_bytes_low_watermark: 2 << 20,
             ..MaintenanceConfig::default()
         };
         assert!(c.validate().is_err());
-        c.maintenance = MaintenanceConfig {
+        c = MaintenanceConfig {
             l0_bytes_high_watermark: 0,
             l0_bytes_low_watermark: 1,
             ..MaintenanceConfig::default()
         };
         assert!(c.validate().is_err());
-        c.maintenance = MaintenanceConfig {
+        c = MaintenanceConfig {
             l0_bytes_high_watermark: 0,
             l0_bytes_low_watermark: 0, // byte gate disabled
             ..MaintenanceConfig::default()
         };
         c.validate().unwrap();
-        c.maintenance = MaintenanceConfig::default();
+        c = MaintenanceConfig::default();
         c.validate().unwrap();
     }
 

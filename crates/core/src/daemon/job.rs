@@ -2,9 +2,8 @@
 //!
 //! A [`Job`] names one unit of background maintenance against one shard.
 //! Jobs are *descriptions*, not closures: the scheduler can deduplicate,
-//! prioritize and account for them, and the embedder (the Wildfire engine,
-//! or [`crate::daemon::IndexDaemon`] for a standalone index) supplies the
-//! [`JobExecutor`] that knows how to run each kind.
+//! prioritize and account for them, and the embedder (the Wildfire engine)
+//! supplies the [`JobExecutor`] that knows how to run each kind.
 //!
 //! Every job must be safe to run concurrently with itself and with any other
 //! job: the underlying operations (`groom`, `merge_at`, `evolve`,

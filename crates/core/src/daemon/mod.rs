@@ -15,9 +15,7 @@
 //! sustained writes cannot outrun grooming (the HTAP-survey "throttling"
 //! ingredient).
 //!
-//! Embedders supply a [`JobExecutor`]; [`IndexDaemon`] is the ready-made
-//! executor for one standalone [`UmziIndex`] (merge + janitor, the §5.1
-//! feature set), while the Wildfire engine installs its own executor
+//! Embedders supply a [`JobExecutor`]: the Wildfire engine installs one
 //! covering the full groom → merge → evolve → retire pipeline across
 //! shards.
 
@@ -37,7 +35,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::config::MaintenanceConfig;
-use crate::index::{MaintEvent, UmziIndex};
 use retry::{FailureDecision, RetryTracker};
 use scheduler::JobQueue;
 use stats::DaemonCounters;
@@ -348,147 +345,11 @@ impl Drop for MaintenanceDaemon {
     }
 }
 
-/// Executor for one standalone index: merges plus the janitor (graveyard GC
-/// and adaptive cache maintenance). Groom and evolve jobs are no-ops — a
-/// bare index has no live zone or post-groomer; those kinds only carry work
-/// when a full engine embeds the daemon.
-struct IndexExecutor {
-    index: Arc<UmziIndex>,
-    adaptive_cache: bool,
-}
-
-impl JobExecutor for IndexExecutor {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn telemetry(&self) -> Option<Arc<umzi_storage::Telemetry>> {
-        Some(Arc::clone(self.index.storage().telemetry()))
-    }
-
-    fn execute(&self, job: Job) -> JobResult {
-        match job {
-            Job::Merge { level, .. } => match self.index.merge_at(level) {
-                Ok(Some(report)) => Ok(JobOutcome {
-                    follow_ups: vec![
-                        Job::Merge { shard: 0, level },
-                        Job::Merge {
-                            shard: 0,
-                            level: level + 1,
-                        },
-                    ],
-                    items_moved: report.output_entries,
-                    bytes_moved: report.output_bytes,
-                    did_work: true,
-                    l0_runs: Some(self.index.level0_run_count()),
-                    l0_bytes: Some(self.index.level0_run_bytes()),
-                }),
-                Ok(None) => Ok(JobOutcome::idle()),
-                // Inputs were concurrently removed (e.g. evolve GC); the
-                // next build or tick retries.
-                Err(crate::error::UmziError::MergeConflict) => Ok(JobOutcome::idle()),
-                Err(e) => Err(e.into()),
-            },
-            Job::RetireDeprecatedBlocks { .. } => {
-                let deleted = self.index.collect_garbage()?;
-                if self.adaptive_cache {
-                    self.index.cache_maintain()?;
-                }
-                Ok(JobOutcome {
-                    follow_ups: Vec::new(),
-                    items_moved: deleted as u64,
-                    bytes_moved: 0,
-                    did_work: deleted > 0,
-                    l0_runs: None,
-                    l0_bytes: None,
-                })
-            }
-            Job::Groom { .. } | Job::Evolve { .. } => Ok(JobOutcome::idle()),
-        }
-    }
-}
-
-/// Background maintenance for one standalone [`UmziIndex`] — the successor
-/// of the per-level polling `Maintainer`: event-driven merges (the index's
-/// build and evolve paths enqueue jobs through its maintenance hook) plus
-/// the periodic janitor.
-pub struct IndexDaemon {
-    daemon: Arc<MaintenanceDaemon>,
-    index: Arc<UmziIndex>,
-}
-
-impl IndexDaemon {
-    /// Spawn the daemon with the index's own `UmziConfig::maintenance`
-    /// (validated when the index was created) and wire the maintenance
-    /// hook to it.
-    pub fn spawn(index: Arc<UmziIndex>) -> IndexDaemon {
-        let config = index.config().maintenance.clone();
-        Self::spawn_inner(index, config)
-    }
-
-    /// Spawn with an explicit configuration override; fails on an invalid
-    /// configuration instead of panicking mid-spawn.
-    pub fn spawn_with(
-        index: Arc<UmziIndex>,
-        config: MaintenanceConfig,
-    ) -> crate::Result<IndexDaemon> {
-        config.validate()?;
-        Ok(Self::spawn_inner(index, config))
-    }
-
-    fn spawn_inner(index: Arc<UmziIndex>, config: MaintenanceConfig) -> IndexDaemon {
-        let executor = Arc::new(IndexExecutor {
-            index: Arc::clone(&index),
-            adaptive_cache: config.adaptive_cache,
-        });
-        let daemon = MaintenanceDaemon::spawn(executor, config);
-        {
-            let daemon = Arc::clone(&daemon);
-            index.set_maintenance_hook(Some(Arc::new(move |ev: MaintEvent| match ev {
-                MaintEvent::RunBuilt { level } => {
-                    daemon.enqueue(Job::Merge { shard: 0, level });
-                }
-                MaintEvent::EvolveApplied { level, .. } => {
-                    daemon.enqueue(Job::Merge { shard: 0, level });
-                    daemon.enqueue(Job::RetireDeprecatedBlocks { shard: 0 });
-                }
-            })));
-        }
-        // Catch up on whatever structure already exists (recovery).
-        for level in 0..=index.config().max_level() {
-            daemon.enqueue(Job::Merge { shard: 0, level });
-        }
-        IndexDaemon { daemon, index }
-    }
-
-    /// The underlying daemon (stats, enqueue, backpressure).
-    pub fn daemon(&self) -> &Arc<MaintenanceDaemon> {
-        &self.daemon
-    }
-
-    /// Snapshot the daemon's statistics.
-    pub fn stats(&self) -> MaintenanceStats {
-        self.daemon.stats()
-    }
-
-    /// Drain the queue and stop the threads.
-    pub fn shutdown(self) {
-        // Unhook first so late builds don't enqueue into a closed queue.
-        self.index.set_maintenance_hook(None);
-        self.daemon.shutdown();
-    }
-}
-
-impl Drop for IndexDaemon {
-    fn drop(&mut self) {
-        self.index.set_maintenance_hook(None);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{MergePolicy, UmziConfig};
+    use crate::index::{MaintEvent, UmziIndex};
     use std::time::Duration;
     use umzi_encoding::{ColumnType, Datum, IndexDef};
     use umzi_run::{IndexEntry, Rid, ZoneId};
@@ -525,29 +386,73 @@ mod tests {
         idx.build_groomed_run(es, block, block).unwrap();
     }
 
+    /// The merge arm of an embedder's executor over one bare index; every
+    /// other kind is idle.
+    struct MergeExecutor(Arc<UmziIndex>);
+
+    impl JobExecutor for MergeExecutor {
+        fn shard_count(&self) -> usize {
+            1
+        }
+
+        fn execute(&self, job: Job) -> JobResult {
+            let Job::Merge { level, .. } = job else {
+                return Ok(JobOutcome::idle());
+            };
+            match self.0.merge_at(level) {
+                Ok(Some(report)) => Ok(JobOutcome {
+                    follow_ups: vec![
+                        Job::Merge { shard: 0, level },
+                        Job::Merge {
+                            shard: 0,
+                            level: level + 1,
+                        },
+                    ],
+                    items_moved: report.output_entries,
+                    bytes_moved: report.output_bytes,
+                    did_work: true,
+                    ..JobOutcome::default()
+                }),
+                Ok(None) | Err(crate::error::UmziError::MergeConflict) => Ok(JobOutcome::idle()),
+                Err(e) => Err(e.into()),
+            }
+        }
+    }
+
+    /// A daemon merging `index` in the background: every built run enqueues
+    /// its level's merge through the index's maintenance hook.
+    fn spawn_merging(index: &Arc<UmziIndex>, config: MaintenanceConfig) -> Arc<MaintenanceDaemon> {
+        let daemon = MaintenanceDaemon::spawn(Arc::new(MergeExecutor(Arc::clone(index))), config);
+        let hooked = Arc::clone(&daemon);
+        index.set_maintenance_hook(Some(Arc::new(move |ev: MaintEvent| {
+            let (MaintEvent::RunBuilt { level } | MaintEvent::EvolveApplied { level, .. }) = ev;
+            hooked.enqueue(Job::Merge { shard: 0, level });
+        })));
+        daemon
+    }
+
     /// Ported from the old `Maintainer` test: builds trigger background
     /// merges on worker threads, nothing is lost, and shutdown drains the
     /// graveyard work.
     #[test]
     fn background_merges_happen() {
         let idx = test_index(2, 1000);
-        let daemon = IndexDaemon::spawn_with(
-            Arc::clone(&idx),
+        let daemon = spawn_merging(
+            &idx,
             MaintenanceConfig {
                 workers: 2,
                 janitor_interval: Duration::from_millis(5),
                 adaptive_cache: false,
                 ..MaintenanceConfig::default()
             },
-        )
-        .unwrap();
+        );
 
         for b in 1..=8u64 {
             add_groom(&idx, b, 20);
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while std::time::Instant::now() < deadline {
-            if idx.counters().merges.load(Ordering::Relaxed) >= 3 && daemon.daemon().is_idle() {
+            if idx.counters().merges.load(Ordering::Relaxed) >= 3 && daemon.is_idle() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -568,24 +473,22 @@ mod tests {
     #[test]
     fn shutdown_drains_queue() {
         let idx = test_index(2, 2);
-        let daemon = IndexDaemon::spawn_with(
-            Arc::clone(&idx),
+        let daemon = spawn_merging(
+            &idx,
             MaintenanceConfig {
                 workers: 1,
                 janitor_interval: Duration::from_secs(3600),
                 adaptive_cache: false,
                 ..MaintenanceConfig::default()
             },
-        )
-        .unwrap();
+        );
         for b in 1..=12u64 {
             add_groom(&idx, b, 10);
         }
-        let inner = Arc::clone(daemon.daemon());
         daemon.shutdown();
-        assert!(inner.is_idle(), "graceful shutdown leaves the queue empty");
+        assert!(daemon.is_idle(), "graceful shutdown leaves the queue empty");
         assert!(
-            !inner.enqueue(Job::Groom { shard: 0 }),
+            !daemon.enqueue(Job::Groom { shard: 0 }),
             "closed after shutdown"
         );
         // Drained queue ⇒ all triggered merges actually ran.
@@ -713,20 +616,19 @@ mod tests {
     #[test]
     fn stats_surface_queue_and_dedup() {
         let idx = test_index(100, 1000); // merges never fire
-        let daemon = IndexDaemon::spawn_with(
-            Arc::clone(&idx),
+        let daemon = spawn_merging(
+            &idx,
             MaintenanceConfig {
                 workers: 1,
                 janitor_interval: Duration::from_secs(3600),
                 adaptive_cache: false,
                 ..MaintenanceConfig::default()
             },
-        )
-        .unwrap();
+        );
         for b in 1..=4u64 {
             add_groom(&idx, b, 5);
         }
-        assert!(daemon.daemon().wait_idle(Duration::from_secs(5)));
+        assert!(daemon.wait_idle(Duration::from_secs(5)));
         let s = daemon.stats();
         assert!(s.enqueued > 0);
         assert_eq!(s.queue_depth, 0);

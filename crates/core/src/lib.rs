@@ -76,8 +76,8 @@ pub mod stats;
 pub use cache_mgr::CacheMaintainReport;
 pub use config::{CacheConfig, MaintenanceConfig, MergePolicy, UmziConfig, ZoneConfig};
 pub use daemon::{
-    Backpressure, BackpressureStats, GateLoad, IndexDaemon, Job, JobExecutor, JobKind,
-    JobKindStats, JobOutcome, JobResult, MaintenanceDaemon, MaintenanceStats, StopSignal,
+    Backpressure, BackpressureStats, GateLoad, Job, JobExecutor, JobKind, JobKindStats, JobOutcome,
+    JobResult, MaintenanceDaemon, MaintenanceStats, StopSignal,
 };
 pub use error::UmziError;
 pub use evolve::{EvolveNotice, EvolveReport};

@@ -33,8 +33,9 @@
 //! The cache is value-type-agnostic (`Arc<dyn Any + Send + Sync>`) because
 //! the decoded block type lives upstream of this crate; `umzi-run` stores
 //! its `DataBlock` here keyed by `(object handle, data block number)`.
-//! Sharding keeps lock hold times negligible under the parallel multi-run
-//! scan fan-out.
+//! Sharding keeps lock hold times negligible when concurrent queries (and
+//! one query's per-run positioning or batch-probe workers) hit the cache
+//! at once.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,7 +94,7 @@ pub struct DecodedCacheConfig {
     /// Total capacity in (raw-block) bytes, split evenly across shards;
     /// 0 disables the cache.
     pub capacity_bytes: u64,
-    /// Shard count (lock granularity under parallel scans); 0 means 1.
+    /// Shard count (lock granularity under concurrent readers); 0 means 1.
     pub shards: usize,
     /// A single range scan stops inserting into the cache once it has
     /// streamed this many block bytes (it clearly won't fit, so caching

@@ -555,6 +555,16 @@ impl WildfireEngine {
         &self.shards[self.table.shard_of_sharding_values(vals, self.shards.len())]
     }
 
+    /// The one shard a scan touches when its equality values bind the whole
+    /// sharding key; `None` for a scan that fans out.
+    fn pinned_shard(&self, eq: &[Datum]) -> Option<&Arc<Shard>> {
+        if !self.table.sharding_within_equality() {
+            return None;
+        }
+        let vals = self.table.sharding_values_from_index(eq, &[])?;
+        Some(self.shard_for(&vals))
+    }
+
     /// Bounded retry for the §5.4 evolve window: between an index snapshot
     /// and RID resolution, an evolve may deprecate the groomed block a RID
     /// points into. The evolved copy is already indexed by then, so
@@ -749,16 +759,8 @@ impl WildfireEngine {
             upper,
             query_ts: ts,
         };
-        let single = self.table.sharding_within_equality().then(|| {
-            self.table
-                .sharding_values_from_index(&query.equality, &[])
-                .map(|vals| {
-                    self.table
-                        .shard_of_sharding_values(&vals, self.shards.len())
-                })
-        });
-        match single.flatten() {
-            Some(i) => Ok(self.shards[i].index().range_scan(&query, strategy)?),
+        match self.pinned_shard(&query.equality) {
+            Some(shard) => Ok(shard.index().range_scan(&query, strategy)?),
             None => {
                 let mut out = Vec::new();
                 for s in &self.shards {
@@ -811,6 +813,9 @@ impl WildfireEngine {
         // The whole scan retries on a dangling RID: the index snapshot and
         // the RID resolutions must come from the same side of an evolve.
         let ts = self.resolve_ts(freshness);
+        // RIDs are shard-local: a pinned scan resolves every row against its
+        // one shard, a fan-out scan finds each row's owner.
+        let pinned = self.pinned_shard(&eq);
         Self::retry_dangling(|| {
             let outs = self.scan_index_inner(
                 eq.clone(),
@@ -822,12 +827,9 @@ impl WildfireEngine {
             let mut views = Vec::with_capacity(outs.len());
             for out in outs {
                 let rid = out.rid()?;
-                // Resolve against the owning shard (RIDs are shard-local;
-                // with a pinned shard this match hits it immediately).
-                let shard = match self.table.sharding_values_from_index(&eq, &[]) {
-                    Some(vals) if self.table.sharding_within_equality() => self.shard_for(&vals),
-                    _ => {
-                        // Fan-out scans: find the shard that owns the row.
+                let shard = match pinned {
+                    Some(shard) => shard,
+                    None => {
                         let cols = out.key_columns(self.shards[0].index().layout())?;
                         let n_eq = self.table.index_equality().len();
                         let (eqv, sortv) = cols.split_at(n_eq);

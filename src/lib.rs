@@ -62,9 +62,8 @@ pub use umzi_workload as workload;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use umzi_core::{
-        EvolveNotice, IndexDaemon, Job, JobKind, MaintenanceConfig, MaintenanceDaemon,
-        MaintenanceStats, MergePolicy, QueryOutput, RangeQuery, ReconcileStrategy, UmziConfig,
-        UmziIndex,
+        EvolveNotice, Job, JobKind, MaintenanceConfig, MaintenanceDaemon, MaintenanceStats,
+        MergePolicy, QueryOutput, RangeQuery, ReconcileStrategy, UmziConfig, UmziIndex,
     };
     pub use umzi_encoding::{ColumnType, Datum, DatumKind, IndexDef};
     pub use umzi_run::{IndexEntry, Rid, Run, SortBound, ZoneId};

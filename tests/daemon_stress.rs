@@ -31,7 +31,6 @@ fn stress_config() -> EngineConfig {
     // Small K so level-0 merges fire often; the low watermark must stay
     // reachable (K − 1 = 1 runs can remain unmerged).
     shard.umzi.merge = MergePolicy { k: 2, t: 4 };
-    shard.umzi.maintenance = MaintenanceConfig::default();
     EngineConfig {
         n_shards: 2,
         shard,
