@@ -18,7 +18,9 @@ use umzi_core::{
 };
 use umzi_encoding::Datum;
 use umzi_run::SortBound;
-use umzi_storage::{QueryContext, SharedStorage, TelemetryConfig, TieredConfig, TieredStorage};
+use umzi_storage::{
+    context, QueryContext, SharedStorage, TelemetryConfig, TieredConfig, TieredStorage,
+};
 use umzi_wildfire::{iot_table, EngineConfig, Freshness, ShardConfig, WildfireEngine};
 use umzi_workload::{IndexPreset, MixedConfig, MixedOp, MixedWorkload};
 
@@ -124,7 +126,6 @@ fn main() {
                 adaptive_cache: false,
                 ..MaintenanceConfig::default()
             }),
-            ..EngineConfig::default()
         },
     )
     .expect("create engine");
@@ -195,16 +196,15 @@ fn main() {
     std::thread::sleep(Duration::from_millis(100)); // one more janitor tick
 
     // One lookup under an already-expired deadline, for the overshoot
-    // histogram. The key is long groomed and its runs were just purged, so
-    // the lookup must go to shared storage, whose first cooperative check
-    // turns the dead deadline into the typed error.
+    // histogram: the engine's entry checkpoint turns the dead deadline into
+    // the typed error.
     let mut failures: Vec<String> = Vec::new();
-    for s in engine.shards() {
-        purge_runs(s.index());
-    }
     let (eq, sort) = key_probe(first_key.expect("at least one ingest batch"));
-    let expired = QueryContext::with_deadline(Duration::ZERO);
-    match engine.get_with(&expired, &eq, &sort, Freshness::Latest) {
+    let expired = {
+        let _g = context::enter(QueryContext::with_deadline(Duration::ZERO));
+        engine.get(&eq, &sort, Freshness::Latest)
+    };
+    match expired {
         Err(e) if e.is_deadline_exceeded() => {}
         other => failures.push(format!(
             "get under an expired deadline: expected DeadlineExceeded, got {other:?}"

@@ -158,7 +158,6 @@ pub fn run_e2e(cfg: &E2eConfig) -> E2eOutcome {
                 adaptive_cache: false,
                 ..MaintenanceConfig::default()
             }),
-            ..EngineConfig::default()
         },
     )
     .expect("create engine");

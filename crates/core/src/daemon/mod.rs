@@ -318,20 +318,10 @@ impl MaintenanceDaemon {
     /// workers drain the queue, then join everything. The queue is empty
     /// afterwards.
     pub fn shutdown(&self) {
-        self.shutdown_inner(false);
-    }
-
-    /// Abort: drop all pending jobs and join the workers as soon as their
-    /// in-flight job finishes.
-    pub fn shutdown_now(&self) {
-        self.shutdown_inner(true);
-    }
-
-    fn shutdown_inner(&self, discard: bool) {
         self.stop_ticks.raise();
         // Writers must not stay stalled with no one left to relieve them.
         self.gate.set_enabled(false);
-        self.queue.close(discard);
+        self.queue.close(false);
         let threads: Vec<_> = self.threads.lock().drain(..).collect();
         for t in threads {
             let _ = t.join();
@@ -341,7 +331,7 @@ impl MaintenanceDaemon {
 
 impl Drop for MaintenanceDaemon {
     fn drop(&mut self) {
-        self.shutdown_inner(false);
+        self.shutdown();
     }
 }
 

@@ -139,26 +139,6 @@ impl Backpressure {
         }
     }
 
-    /// Run-count high watermark (stall at/above).
-    pub fn high_watermark(&self) -> usize {
-        self.high
-    }
-
-    /// Run-count low watermark (resume at/below).
-    pub fn low_watermark(&self) -> usize {
-        self.low
-    }
-
-    /// Byte-axis high watermark (0 = byte axis disabled).
-    pub fn bytes_high_watermark(&self) -> u64 {
-        self.bytes_high
-    }
-
-    /// Byte-axis low watermark.
-    pub fn bytes_low_watermark(&self) -> u64 {
-        self.bytes_low
-    }
-
     /// Arm or disarm the gate. Disarming releases any stalled writer — a
     /// gate without running maintenance would never clear.
     pub fn set_enabled(&self, enabled: bool) {

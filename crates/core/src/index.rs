@@ -230,11 +230,6 @@ impl UmziIndex {
         self.next_run_id.fetch_add(1, Ordering::AcqRel)
     }
 
-    /// Zone index owning `zone_id`, if configured.
-    pub fn zone_index_of(&self, zone_id: ZoneId) -> Option<usize> {
-        self.zones.iter().position(|z| z.config.zone == zone_id)
-    }
-
     /// Persist the current durable state as a new manifest and GC old ones.
     pub fn persist_manifest(&self) -> Result<()> {
         let seq = self.manifest_seq.fetch_add(1, Ordering::AcqRel) + 1;

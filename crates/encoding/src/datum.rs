@@ -92,14 +92,6 @@ impl Datum {
         }
     }
 
-    /// Convenience accessor for `UInt64` payloads.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Datum::UInt64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Convenience accessor for string payloads.
     pub fn as_str(&self) -> Option<&str> {
         match self {

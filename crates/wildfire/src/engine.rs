@@ -26,11 +26,8 @@ use umzi_core::{
 use umzi_encoding::Datum;
 use umzi_run::{Rid, SortBound};
 use umzi_storage::telemetry::{Counter, Histogram, Registry};
-use umzi_storage::{
-    context, AccessPattern, BreakerState, OpClass, QueryContext, StorageStats, TieredStorage,
-};
+use umzi_storage::{context, AccessPattern, BreakerState, OpClass, StorageStats, TieredStorage};
 
-use crate::admission::{AdmissionConfig, ReadAdmission, ScanPermit};
 use crate::maintenance::EngineExecutor;
 use crate::shard::{Shard, ShardConfig};
 use crate::table::TableDef;
@@ -56,9 +53,6 @@ pub struct EngineConfig {
     /// janitor); `None` disables all background work (manual
     /// [`WildfireEngine::quiesce`]).
     pub maintenance: Option<MaintenanceConfig>,
-    /// Read admission control for analytical scans (disabled by default —
-    /// `max_concurrent_scans == 0` admits everything immediately).
-    pub admission: AdmissionConfig,
 }
 
 impl Default for EngineConfig {
@@ -70,7 +64,6 @@ impl Default for EngineConfig {
             post_groom_interval: Duration::from_secs(20),
             groom_trigger_rows: 4096,
             maintenance: Some(MaintenanceConfig::default()),
-            admission: AdmissionConfig::default(),
         }
     }
 }
@@ -133,7 +126,10 @@ pub struct EngineHealth {
     pub query_timeouts: u64,
     /// Queries that ended by cooperative cancellation.
     pub query_cancellations: u64,
-    /// Analytical scans shed by read admission control.
+    /// Always 0: the engine has no read admission and sheds nothing — a
+    /// scan that cannot finish dies typed on its deadline and counts under
+    /// `query_timeouts`. No counter stands behind this field; it exists only
+    /// because `benchmark/src/sut.rs` reads it (ROADMAP item 4, dead probes).
     pub query_sheds: u64,
     /// Whether any storage circuit breaker is currently not closed (open or
     /// half-open) — reads are failing fast or probing.
@@ -154,8 +150,6 @@ struct QueryMetrics {
     timeouts: Arc<Counter>,
     /// `umzi_query_cancellations_total` — cooperative cancellations.
     cancellations: Arc<Counter>,
-    /// `umzi_query_sheds_total` — scans shed by admission control.
-    sheds: Arc<Counter>,
     /// `umzi_query_degraded_hits_total` — point lookups answered from the
     /// warm tiers/cache while the block-fetch breaker was tripped.
     degraded_hits: Arc<Counter>,
@@ -170,7 +164,6 @@ impl QueryMetrics {
         QueryMetrics {
             timeouts: reg.counter("umzi_query_timeouts_total"),
             cancellations: reg.counter("umzi_query_cancellations_total"),
-            sheds: reg.counter("umzi_query_sheds_total"),
             degraded_hits: reg.counter("umzi_query_degraded_hits_total"),
             overshoot: reg.histogram("umzi_query_deadline_overshoot_nanos"),
         }
@@ -187,8 +180,6 @@ pub struct WildfireEngine {
     /// the ingest path reads it to enqueue jobs and pass the backpressure
     /// gate.
     daemon: RwLock<Option<Arc<MaintenanceDaemon>>>,
-    /// Read admission control for analytical scans.
-    admission: Arc<ReadAdmission>,
     /// SLO counters and the deadline-overshoot histogram.
     qmetrics: QueryMetrics,
 }
@@ -224,7 +215,6 @@ impl WildfireEngine {
                 sc,
             )?);
         }
-        let admission = Arc::new(ReadAdmission::new(config.admission));
         let qmetrics = QueryMetrics::new(storage.telemetry().registry());
         Ok(Arc::new(WildfireEngine {
             table,
@@ -232,7 +222,6 @@ impl WildfireEngine {
             storage,
             config,
             daemon: RwLock::new(None),
-            admission,
             qmetrics,
         }))
     }
@@ -257,7 +246,6 @@ impl WildfireEngine {
                 sc,
             )?);
         }
-        let admission = Arc::new(ReadAdmission::new(config.admission));
         let qmetrics = QueryMetrics::new(storage.telemetry().registry());
         Ok(Arc::new(WildfireEngine {
             table,
@@ -265,7 +253,6 @@ impl WildfireEngine {
             storage,
             config,
             daemon: RwLock::new(None),
-            admission,
             qmetrics,
         }))
     }
@@ -300,12 +287,6 @@ impl WildfireEngine {
         self.daemon().map(|d| d.stats())
     }
 
-    /// The analytical-scan admission controller (its stats expose
-    /// admitted/shed/queued counts).
-    pub fn admission(&self) -> &Arc<ReadAdmission> {
-        &self.admission
-    }
-
     /// Decoded-block cache statistics (shared across all shards' indexes),
     /// including the per-access-pattern counters that show whether scan and
     /// groom traffic is staying out of the point-lookup working set.
@@ -336,7 +317,6 @@ impl WildfireEngine {
             gc_leaked_outstanding: st.gc_leaked_outstanding,
             query_timeouts: self.qmetrics.timeouts.get(),
             query_cancellations: self.qmetrics.cancellations.get(),
-            query_sheds: self.qmetrics.sheds.get(),
             breaker_tripped: st
                 .breaker_state
                 .iter()
@@ -434,64 +414,48 @@ impl WildfireEngine {
         }
     }
 
-    /// Upsert one row (routed by sharding key).
+    /// Upsert one row (routed by sharding key). Under an ambient deadline
+    /// ([`context::enter`]) shorter than the maintenance stall timeout the
+    /// writer blocks on the backpressure gate only that long, and
+    /// cancellation / expiry abort storage retry backoff inside the write
+    /// path.
     pub fn upsert(&self, row: Vec<Datum>) -> Result<()> {
-        self.upsert_with(&QueryContext::unbounded(), row)
-    }
-
-    /// [`WildfireEngine::upsert`] under an explicit [`QueryContext`]: a
-    /// deadline shorter than the maintenance stall timeout caps how long
-    /// the writer blocks on the backpressure gate, and cancellation /
-    /// deadline expiry abort storage retry backoff inside the write path.
-    pub fn upsert_with(&self, ctx: &QueryContext, row: Vec<Datum>) -> Result<()> {
-        let _g = context::enter(ctx.clone());
         let tel = self.storage.telemetry();
         let t0 = tel.start();
-        let out = self.upsert_impl(row);
+        let out = self.observed("upsert", || {
+            self.admit_ingest()?;
+            let shard = self.table.shard_of(&row, self.shards.len());
+            self.shards[shard].upsert(vec![row])?;
+            self.maybe_trigger_groom(shard);
+            Ok(())
+        });
         tel.record_since(&tel.ops().ingest, t0);
-        self.observe_query(ctx, out)
-    }
-
-    fn upsert_impl(&self, row: Vec<Datum>) -> Result<()> {
-        self.admit_ingest()?;
-        let shard = self.table.shard_of(&row, self.shards.len());
-        self.shards[shard].upsert(vec![row])?;
-        self.maybe_trigger_groom(shard);
-        Ok(())
+        out
     }
 
     /// Upsert a batch, grouped per shard (each shard's group commits as one
-    /// transaction). The ingest histogram records one sample per batch.
+    /// transaction). The ingest histogram records one sample per batch. An
+    /// ambient deadline caps the backpressure stall as in [`Self::upsert`].
     pub fn upsert_many(&self, rows: Vec<Vec<Datum>>) -> Result<()> {
-        self.upsert_many_with(&QueryContext::unbounded(), rows)
-    }
-
-    /// [`WildfireEngine::upsert_many`] under an explicit [`QueryContext`]
-    /// (deadline-capped backpressure stall, as in
-    /// [`WildfireEngine::upsert_with`]).
-    pub fn upsert_many_with(&self, ctx: &QueryContext, rows: Vec<Vec<Datum>>) -> Result<()> {
-        let _g = context::enter(ctx.clone());
         let tel = self.storage.telemetry();
         let t0 = tel.start();
-        let out = self.upsert_many_impl(rows);
-        tel.record_since(&tel.ops().ingest, t0);
-        self.observe_query(ctx, out)
-    }
-
-    fn upsert_many_impl(&self, rows: Vec<Vec<Datum>>) -> Result<()> {
-        self.admit_ingest()?;
-        let mut per_shard: Vec<Vec<Vec<Datum>>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for row in rows {
-            per_shard[self.table.shard_of(&row, self.shards.len())].push(row);
-        }
-        for (i, group) in per_shard.into_iter().enumerate() {
-            if !group.is_empty() {
-                self.shards[i].upsert(group)?;
-                self.maybe_trigger_groom(i);
+        let out = self.observed("upsert_many", || {
+            self.admit_ingest()?;
+            let mut per_shard: Vec<Vec<Vec<Datum>>> =
+                (0..self.shards.len()).map(|_| Vec::new()).collect();
+            for row in rows {
+                per_shard[self.table.shard_of(&row, self.shards.len())].push(row);
             }
-        }
-        Ok(())
+            for (i, group) in per_shard.into_iter().enumerate() {
+                if !group.is_empty() {
+                    self.shards[i].upsert(group)?;
+                    self.maybe_trigger_groom(i);
+                }
+            }
+            Ok(())
+        });
+        tel.record_since(&tel.ops().ingest, t0);
+        out
     }
 
     /// Groom every shard once (manual ticking; daemons call this too).
@@ -581,11 +545,18 @@ impl WildfireEngine {
         Err(last_err.expect("loop only exhausts after a dangling RID"))
     }
 
-    /// Fold a finished query into the SLO metrics: deadline overshoot (how
-    /// far past the deadline the cooperative checks let it run, recorded
-    /// whether it aborted or squeaked through late) and the typed-abort
-    /// counters.
-    fn observe_query<T>(&self, ctx: &QueryContext, out: Result<T>) -> Result<T> {
+    /// Run one engine operation under the caller's ambient query context —
+    /// the one installed with [`context::enter`], unbounded when there is
+    /// none. The engine installs nothing itself. `op` opens with a
+    /// cooperative checkpoint, so a context that is already expired or
+    /// cancelled fails typed even where the operation would touch no
+    /// storage (a live-zone upsert, a fully cached get); the finished
+    /// operation is folded into the SLO metrics: deadline overshoot (how far
+    /// past the deadline the cooperative checks let it run, recorded whether
+    /// it aborted or squeaked through late) and the typed-abort counters.
+    fn observed<T>(&self, op: &'static str, run: impl FnOnce() -> Result<T>) -> Result<T> {
+        let ctx = context::current();
+        let out = ctx.check(op).map_err(Into::into).and_then(|()| run());
         if let Some(deadline) = ctx.deadline() {
             let now = std::time::Instant::now();
             if now > deadline {
@@ -599,45 +570,30 @@ impl WildfireEngine {
                 self.qmetrics.cancellations.inc();
             } else if e.is_deadline_exceeded() {
                 self.qmetrics.timeouts.inc();
-            } else if matches!(e, crate::error::WildfireError::Overloaded { .. }) {
-                self.qmetrics.sheds.inc();
             }
         }
         out
     }
 
     /// Point lookup by full index key (equality + sort values), resolving
-    /// the record row.
+    /// the record row. The caller's ambient deadline and cancellation token
+    /// reach every layer the lookup touches (index search, block fetches,
+    /// retry backoff). Under an open block-fetch circuit breaker a lookup
+    /// degrades gracefully: it answers from the mem/ssd tiers and the
+    /// decoded cache (counted as a degraded hit) and fails fast only when
+    /// the answer truly needs shared storage.
     pub fn get(
         &self,
         eq: &[Datum],
         sort: &[Datum],
         freshness: Freshness,
     ) -> Result<Option<RecordView>> {
-        self.get_with(&QueryContext::unbounded(), eq, sort, freshness)
-    }
-
-    /// [`WildfireEngine::get`] under an explicit [`QueryContext`]: the
-    /// deadline and cancellation token propagate through every layer the
-    /// lookup touches (index search, block fetches, retry backoff). Point
-    /// lookups are never queued by read admission — under an open
-    /// block-fetch circuit breaker they degrade gracefully, answering from
-    /// the mem/ssd tiers and the decoded cache (counted as degraded hits)
-    /// and failing fast only when the answer truly needs shared storage.
-    pub fn get_with(
-        &self,
-        ctx: &QueryContext,
-        eq: &[Datum],
-        sort: &[Datum],
-        freshness: Freshness,
-    ) -> Result<Option<RecordView>> {
-        let _g = context::enter(ctx.clone());
-        let out = self.get_inner(eq, sort, freshness);
+        let out = self.observed("get", || self.get_inner(eq, sort, freshness));
         if out.is_ok() && self.storage.breaker().state(OpClass::BlockFetch) != BreakerState::Closed
         {
             self.qmetrics.degraded_hits.inc();
         }
-        self.observe_query(ctx, out)
+        out
     }
 
     fn get_inner(
@@ -703,7 +659,9 @@ impl WildfireEngine {
 
     /// Index-only range scan (§4.1's index-only plans): returns index
     /// entries without fetching rows. Fans out unless the equality values
-    /// pin the shard.
+    /// pin the shard. The caller's ambient deadline / cancellation token is
+    /// honored at every block boundary of the reconcile, in readahead
+    /// refills, and inside storage retry backoff.
     pub fn scan_index(
         &self,
         eq: Vec<Datum>,
@@ -712,36 +670,9 @@ impl WildfireEngine {
         freshness: Freshness,
         strategy: ReconcileStrategy,
     ) -> Result<Vec<QueryOutput>> {
-        self.scan_index_with(
-            &QueryContext::unbounded(),
-            eq,
-            lower,
-            upper,
-            freshness,
-            strategy,
-        )
-    }
-
-    /// [`WildfireEngine::scan_index`] under an explicit [`QueryContext`]:
-    /// the scan passes read admission first (it may be shed with
-    /// [`crate::WildfireError::Overloaded`] under load), and the deadline /
-    /// cancellation token is honored at every block boundary of the
-    /// reconcile, in prefetch refills, and inside storage retry backoff.
-    pub fn scan_index_with(
-        &self,
-        ctx: &QueryContext,
-        eq: Vec<Datum>,
-        lower: SortBound,
-        upper: SortBound,
-        freshness: Freshness,
-        strategy: ReconcileStrategy,
-    ) -> Result<Vec<QueryOutput>> {
-        let permit = self.admission.admit(ctx);
-        let out = permit.and_then(|_permit: Option<ScanPermit>| {
-            let _g = context::enter(ctx.clone());
+        self.observed("scan_index", || {
             self.scan_index_inner(eq, lower, upper, freshness, strategy)
-        });
-        self.observe_query(ctx, out)
+        })
     }
 
     fn scan_index_inner(
@@ -773,7 +704,8 @@ impl WildfireEngine {
         }
     }
 
-    /// Range scan resolving full records.
+    /// Range scan resolving full records (ambient deadline / cancellation
+    /// as in [`Self::scan_index`]).
     pub fn scan_records(
         &self,
         eq: Vec<Datum>,
@@ -781,26 +713,9 @@ impl WildfireEngine {
         upper: SortBound,
         freshness: Freshness,
     ) -> Result<Vec<RecordView>> {
-        self.scan_records_with(&QueryContext::unbounded(), eq, lower, upper, freshness)
-    }
-
-    /// [`WildfireEngine::scan_records`] under an explicit [`QueryContext`]
-    /// (admission + end-to-end deadline/cancellation, as in
-    /// [`WildfireEngine::scan_index_with`]).
-    pub fn scan_records_with(
-        &self,
-        ctx: &QueryContext,
-        eq: Vec<Datum>,
-        lower: SortBound,
-        upper: SortBound,
-        freshness: Freshness,
-    ) -> Result<Vec<RecordView>> {
-        let permit = self.admission.admit(ctx);
-        let out = permit.and_then(|_permit: Option<ScanPermit>| {
-            let _g = context::enter(ctx.clone());
+        self.observed("scan_records", || {
             self.scan_records_inner(eq, lower, upper, freshness)
-        });
-        self.observe_query(ctx, out)
+        })
     }
 
     fn scan_records_inner(
@@ -860,7 +775,8 @@ impl WildfireEngine {
     /// record's newest visible version. All of a shard's hits validate
     /// through **one** [`UmziIndex::batch_lookup`](umzi_core::UmziIndex::batch_lookup)
     /// — sorted probes, one synopsis check per run, shared block reads —
-    /// instead of a full point lookup per hit.
+    /// instead of a full point lookup per hit. Ambient deadline /
+    /// cancellation as in [`Self::scan_index`].
     pub fn scan_secondary(
         &self,
         index_name: &str,
@@ -869,34 +785,9 @@ impl WildfireEngine {
         upper: SortBound,
         freshness: Freshness,
     ) -> Result<Vec<RecordView>> {
-        self.scan_secondary_with(
-            &QueryContext::unbounded(),
-            index_name,
-            eq,
-            lower,
-            upper,
-            freshness,
-        )
-    }
-
-    /// [`WildfireEngine::scan_secondary`] under an explicit
-    /// [`QueryContext`] (admission + end-to-end deadline/cancellation, as in
-    /// [`WildfireEngine::scan_index_with`]).
-    pub fn scan_secondary_with(
-        &self,
-        ctx: &QueryContext,
-        index_name: &str,
-        eq: Vec<Datum>,
-        lower: SortBound,
-        upper: SortBound,
-        freshness: Freshness,
-    ) -> Result<Vec<RecordView>> {
-        let permit = self.admission.admit(ctx);
-        let out = permit.and_then(|_permit: Option<ScanPermit>| {
-            let _g = context::enter(ctx.clone());
+        self.observed("scan_secondary", || {
             self.scan_secondary_inner(index_name, eq, lower, upper, freshness)
-        });
-        self.observe_query(ctx, out)
+        })
     }
 
     fn scan_secondary_inner(
@@ -1499,144 +1390,112 @@ mod tests {
         daemons.shutdown();
     }
 
-    /// Tentpole regression: deadlines and cancellation tokens passed at the
-    /// engine API surface as typed errors (never panics or partial
-    /// results), the SLO counters advance, and an immediately following
-    /// uncancelled query is unaffected.
+    /// The ambient context is the only carrier: a deadline or cancel token
+    /// the caller installed with `context::enter` reaches each of the six
+    /// operations, surfaces as the typed error (never a panic or a partial
+    /// result), advances the SLO counters by one per call, and leaves no
+    /// residue for the next, unbounded call.
     #[test]
-    fn deadline_and_cancellation_yield_typed_errors() {
-        use umzi_storage::CancelToken;
+    fn caller_context_reaches_every_operation() {
+        use umzi_encoding::ColumnType;
+        use umzi_storage::{CancelToken, QueryContext};
 
-        let e = engine(1);
-        for m in 0..300 {
-            e.upsert(row(1, m, 100, m)).unwrap();
-        }
-        e.quiesce().unwrap();
-        let full = |e: &WildfireEngine| {
-            e.scan_records(
-                vec![Datum::Int64(1)],
-                SortBound::Unbounded,
-                SortBound::Unbounded,
-                Freshness::Latest,
-            )
-        };
-        let want = full(&e).unwrap();
-        assert_eq!(want.len(), 300);
-
-        // A token tripped at the very first cooperative checkpoint.
-        let ctx = QueryContext::unbounded().with_cancel(CancelToken::trip_after(0));
-        let err = e
-            .scan_records_with(
-                &ctx,
-                vec![Datum::Int64(1)],
-                SortBound::Unbounded,
-                SortBound::Unbounded,
-                Freshness::Latest,
-            )
-            .unwrap_err();
-        assert!(err.is_cancelled(), "got {err}");
-        assert!(err.is_query_abort());
-
-        // A deadline that was already over when the query arrived.
-        let ctx = QueryContext::deadline_at(std::time::Instant::now() - Duration::from_millis(1));
-        let err = e
-            .scan_records_with(
-                &ctx,
-                vec![Datum::Int64(1)],
-                SortBound::Unbounded,
-                SortBound::Unbounded,
-                Freshness::Latest,
-            )
-            .unwrap_err();
-        assert!(err.is_deadline_exceeded(), "got {err}");
-
-        // The aborted queries left no residue: same results, and the SLO
-        // counters recorded one of each abort kind.
-        assert_eq!(full(&e).unwrap(), want);
-        let h = e.health();
-        assert_eq!(h.query_cancellations, 1, "{h:?}");
-        assert_eq!(h.query_timeouts, 1, "{h:?}");
-        let snap = e.telemetry();
-        let overshoot = snap
-            .histogram("umzi_query_deadline_overshoot_nanos")
-            .expect("overshoot histogram registered");
-        assert!(
-            overshoot.count() >= 1,
-            "expired deadline recorded overshoot"
-        );
-        // A get under a healthy breaker is not a degraded hit.
-        e.get_with(
-            &QueryContext::unbounded(),
-            &[Datum::Int64(1)],
-            &[Datum::Int64(3)],
-            Freshness::Latest,
-        )
-        .unwrap()
-        .unwrap();
-        assert!(snap
-            .to_prometheus()
-            .contains("umzi_query_degraded_hits_total 0"));
-    }
-
-    /// Admission control at the engine surface: with one scan slot held and
-    /// a zero-depth queue, a second scan is shed with a typed
-    /// [`WildfireError::Overloaded`] and the shed counter advances.
-    #[test]
-    fn engine_sheds_scans_when_admission_queue_full() {
-        let storage = Arc::new(TieredStorage::in_memory());
+        let table = TableDef::builder("iot")
+            .column("device", ColumnType::Int64)
+            .column("msg", ColumnType::Int64)
+            .column("date", ColumnType::Int64)
+            .column("payload", ColumnType::Int64)
+            .primary_key(&["device", "msg"])
+            .sharding_key(&["device"])
+            .secondary_index("by_date", &["date"], &[], &[])
+            .build()
+            .unwrap();
         let e = WildfireEngine::create(
-            storage,
-            Arc::new(iot_table()),
+            Arc::new(TieredStorage::in_memory()),
+            Arc::new(table),
             EngineConfig {
-                n_shards: 1,
                 maintenance: None,
-                admission: AdmissionConfig {
-                    max_concurrent_scans: 1,
-                    max_queue_depth: 0,
-                },
                 ..EngineConfig::default()
             },
         )
         .unwrap();
-        for m in 0..50 {
-            e.upsert(row(1, m, 100, m)).unwrap();
-        }
-        e.quiesce().unwrap();
-        // Hold the only slot directly, then scan through the engine.
-        let _held = e
-            .admission()
-            .admit(&QueryContext::unbounded())
-            .unwrap()
+        e.upsert_many((0..300).map(|m| row(1, m, 100, m)).collect())
             .unwrap();
-        let err = e
-            .scan_records_with(
-                &QueryContext::unbounded(),
-                vec![Datum::Int64(1)],
+        e.quiesce().unwrap();
+
+        const OPS: [&str; 6] = [
+            "get",
+            "scan_index",
+            "scan_records",
+            "scan_secondary",
+            "upsert",
+            "upsert_many",
+        ];
+        // Run one operation by name; the count is its result size.
+        let call = |op: &str| -> Result<usize> {
+            let eq = vec![Datum::Int64(1)];
+            let (lo, hi, latest) = (
                 SortBound::Unbounded,
                 SortBound::Unbounded,
                 Freshness::Latest,
-            )
-            .unwrap_err();
-        assert!(
-            matches!(err, crate::error::WildfireError::Overloaded { .. }),
-            "got {err}"
-        );
-        assert!(err.is_query_abort());
-        assert_eq!(e.health().query_sheds, 1);
-        drop(_held);
-        // Slot free again: the same scan succeeds.
-        assert_eq!(
-            e.scan_records_with(
-                &QueryContext::unbounded(),
-                vec![Datum::Int64(1)],
-                SortBound::Unbounded,
-                SortBound::Unbounded,
-                Freshness::Latest,
-            )
-            .unwrap()
-            .len(),
-            50
-        );
+            );
+            Ok(match op {
+                "get" => e.get(&eq, &[Datum::Int64(3)], latest)?.iter().len(),
+                "scan_index" => e
+                    .scan_index(eq, lo, hi, latest, ReconcileStrategy::PriorityQueue)?
+                    .len(),
+                "scan_records" => e.scan_records(eq, lo, hi, latest)?.len(),
+                "scan_secondary" => {
+                    let date = vec![Datum::Int64(100)];
+                    e.scan_secondary("by_date", date, lo, hi, latest)?.len()
+                }
+                "upsert" => e.upsert(row(1, 1000, 100, 0)).map(|()| 1)?,
+                "upsert_many" => e.upsert_many(vec![row(1, 1001, 100, 0)]).map(|()| 1)?,
+                other => unreachable!("{other}"),
+            })
+        };
+        let healthy = || -> Vec<usize> {
+            let answer = |op| call(op).unwrap_or_else(|err| panic!("{op}: {err}"));
+            OPS.iter().copied().map(answer).collect()
+        };
+        // Nothing installed: every operation answers (and the two upserts
+        // land in the live zone, where `Latest` reads do not see them).
+        assert_eq!(healthy(), [1, 300, 300, 300, 1, 1]);
+
+        for (n, name) in OPS.into_iter().enumerate() {
+            let n = n as u64 + 1;
+            // A deadline that was already over when the call arrived.
+            let err = {
+                let past = std::time::Instant::now() - Duration::from_millis(1);
+                let _g = context::enter(QueryContext::deadline_at(past));
+                call(name).expect_err(name)
+            };
+            assert!(err.is_deadline_exceeded(), "{name}: got {err}");
+            // A token tripped before the very first cooperative checkpoint.
+            let token = CancelToken::trip_after(0);
+            let err = {
+                let _g = context::enter(QueryContext::unbounded().with_cancel(token));
+                call(name).expect_err(name)
+            };
+            assert!(err.is_cancelled(), "{name}: got {err}");
+            assert!(err.is_query_abort());
+            let h = e.health();
+            assert_eq!((h.query_timeouts, h.query_cancellations), (n, n), "{name}");
+        }
+
+        // The aborted calls left no residue: same answers, no shed, and a
+        // get under a healthy breaker is not a degraded hit.
+        assert_eq!(healthy(), [1, 300, 300, 300, 1, 1]);
+        assert_eq!(e.health().query_sheds, 0);
+        let snap = e.telemetry();
+        let overshoot = snap
+            .histogram("umzi_query_deadline_overshoot_nanos")
+            .expect("overshoot histogram registered");
+        assert_eq!(overshoot.count(), 6, "one sample per expired call");
+        let prom = snap.to_prometheus();
+        assert!(prom.contains("umzi_query_timeouts_total 6"));
+        assert!(prom.contains("umzi_query_cancellations_total 6"));
+        assert!(prom.contains("umzi_query_degraded_hits_total 0"));
     }
 
     #[test]

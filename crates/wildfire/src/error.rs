@@ -32,16 +32,6 @@ pub enum WildfireError {
         /// stall is unlikely to clear on its own soon.
         degraded: bool,
     },
-    /// The read admission controller shed this query: the scan queue's
-    /// estimated wait exceeded the query's remaining deadline budget, or
-    /// the bounded queue was full. Retrying later (or with a larger
-    /// budget) is the caller's call; the engine itself is healthy.
-    Overloaded {
-        /// Estimated wait the query would have faced in the scan queue.
-        estimated_wait: std::time::Duration,
-        /// Queued scans ahead of it at shed time.
-        queue_depth: usize,
-    },
     /// The engine is shutting down.
     ShuttingDown,
 }
@@ -77,11 +67,10 @@ impl WildfireError {
         )
     }
 
-    /// Whether the error is an SLO give-up — deadline expiry, cancellation,
-    /// or an admission shed — rather than an engine/storage failure.
+    /// Whether the error is an SLO give-up — deadline expiry or
+    /// cancellation — rather than an engine/storage failure.
     pub fn is_query_abort(&self) -> bool {
-        matches!(self, WildfireError::Overloaded { .. })
-            || self.storage_cause().is_some_and(|e| e.is_query_abort())
+        self.storage_cause().is_some_and(|e| e.is_query_abort())
     }
 }
 
@@ -107,14 +96,6 @@ impl fmt::Display for WildfireError {
                 } else {
                     ""
                 }
-            ),
-            WildfireError::Overloaded {
-                estimated_wait,
-                queue_depth,
-            } => write!(
-                f,
-                "query shed by read admission control: estimated wait {estimated_wait:?} \
-                 exceeds the remaining deadline budget ({queue_depth} scans queued)"
             ),
             WildfireError::ShuttingDown => write!(f, "engine is shutting down"),
         }

@@ -29,7 +29,6 @@
 //! across replicas is out of scope; `endTS` closures are persisted as
 //! sidecar delta objects because shared storage forbids in-place updates.
 
-pub mod admission;
 pub mod colblock;
 pub mod engine;
 pub mod error;
@@ -40,7 +39,6 @@ pub mod table;
 pub mod telemetry;
 pub mod timestamps;
 
-pub use admission::{AdmissionConfig, AdmissionStats, ReadAdmission, ScanPermit};
 pub use colblock::{ColumnBlock, EndTsDelta};
 pub use engine::{
     EngineConfig, EngineDaemons, EngineHealth, Freshness, RecordView, WildfireEngine,

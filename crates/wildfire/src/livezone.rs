@@ -86,19 +86,6 @@ impl CommittedLog {
             .find(|r| pred(&r.row))
             .map(|r| r.row.clone())
     }
-
-    /// Collect all live rows matching `pred`, newest first (freshest-read
-    /// scans; the caller deduplicates against indexed results).
-    pub fn collect_matching(&self, mut pred: impl FnMut(&[Datum]) -> bool) -> Vec<Vec<Datum>> {
-        let inner = self.inner.lock();
-        inner
-            .records
-            .iter()
-            .rev()
-            .filter(|r| pred(&r.row))
-            .map(|r| r.row.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -126,11 +126,6 @@ impl TableDef {
         &self.index_included
     }
 
-    /// Find a column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Validate a row against the schema.
     pub fn check_row(&self, row: &[Datum]) -> Result<()> {
         if row.len() != self.columns.len() {
@@ -152,11 +147,6 @@ impl TableDef {
             }
         }
         Ok(())
-    }
-
-    /// Extract the primary-key values of a row.
-    pub fn primary_key_of<'a>(&self, row: &'a [Datum]) -> Vec<&'a Datum> {
-        self.primary_key.iter().map(|&i| &row[i]).collect()
     }
 
     /// Deterministic shard routing: hash of the sharding-key encoding.

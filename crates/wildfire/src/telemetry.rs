@@ -4,9 +4,8 @@
 //! operation histograms live on the shared [`umzi_storage::Telemetry`]
 //! handle, the storage hierarchy snapshots [`StorageStats`] (tiers, decoded
 //! cache, retries), each shard's index snapshots [`IndexStats`], the daemon
-//! snapshots [`MaintenanceStats`], read admission snapshots
-//! [`AdmissionStats`], and [`WildfireEngine::health`] distills the
-//! fault-and-recovery view. [`WildfireEngine::telemetry`] captures all of
+//! snapshots [`MaintenanceStats`], and [`WildfireEngine::health`] distills
+//! the fault-and-recovery view. [`WildfireEngine::telemetry`] captures all of
 //! them at once as typed fields.
 //!
 //! For export there is exactly one path: [`TelemetrySnapshot::folded`]
@@ -35,7 +34,7 @@ use umzi_storage::{
     TierStats,
 };
 
-use crate::{AdmissionStats, EngineHealth, WildfireEngine};
+use crate::{EngineHealth, WildfireEngine};
 
 /// Everything the engine knows about itself, captured at one instant
 /// (per-field atomic reads; cross-field consistency is best-effort, which
@@ -55,8 +54,6 @@ pub struct TelemetrySnapshot {
     pub shards: Vec<IndexStats>,
     /// Maintenance daemon, when one is running.
     pub maintenance: Option<MaintenanceStats>,
-    /// Read admission control for analytical scans.
-    pub admission: AdmissionStats,
     /// The fault-and-recovery health distillation.
     pub health: EngineHealth,
 }
@@ -77,7 +74,6 @@ impl WildfireEngine {
             storage,
             shards: self.shards().iter().map(|s| s.index().stats()).collect(),
             maintenance,
-            admission: self.admission().stats(),
         }
     }
 }
@@ -276,8 +272,10 @@ fn fold_health(out: &mut MetricsSnapshot, h: &EngineHealth) {
         //   gc_delete_failures}_total and umzi_storage_gc_leaked_outstanding
         storage_retries: _, storage_retries_exhausted: _, corruption_refetches: _,
         gc_delete_failures: _, gc_leaked_outstanding: _,
-        // = the registry's own umzi_query_{timeouts,cancellations,sheds}_total
-        query_timeouts: _, query_cancellations: _, query_sheds: _,
+        // = the registry's own umzi_query_{timeouts,cancellations}_total
+        query_timeouts: _, query_cancellations: _,
+        // Always 0 (see `EngineHealth`): no series.
+        query_sheds: _,
         // = umzi_daemon_quarantined_now, umzi_backpressure_{timeouts_total,stalled}
         quarantined_jobs: _, backpressure_timeouts: _, ingest_stalled: _,
         maintenance_retries => "maintenance_retries_total",
@@ -300,7 +298,7 @@ fn fold_health(out: &mut MetricsSnapshot, h: &EngineHealth) {
 
 impl TelemetrySnapshot {
     /// The single export form: the registry snapshot plus every domain
-    /// value (storage, shards, daemon, admission, health, fault injection)
+    /// value (storage, shards, daemon, health, fault injection)
     /// as `umzi_*` counters and gauges, sorted by name.
     pub fn folded(&self) -> MetricsSnapshot {
         let mut out = self.metrics.clone();
@@ -314,13 +312,6 @@ impl TelemetrySnapshot {
         if let Some(m) = &self.maintenance {
             fold_maintenance(&mut out, m);
         }
-        fold!(&mut out, "admission_", "", AdmissionStats {
-            admitted => "admitted_total",
-            shed => "shed_total",
-            running => "running",
-            queued => "queued",
-            avg_scan_nanos => "avg_scan_nanos",
-        } = &self.admission);
         fold_health(&mut out, &self.health);
         out.sort();
         out
@@ -575,11 +566,6 @@ mod tests {
             "umzi_index_watermark{shard=\"0\",zone=\"0\"}",
             "umzi_index_cached_level{shard=\"0\"}",
             "umzi_daemon_job_peak_dequeue_age{kind=\"groom\"}",
-            "umzi_admission_admitted_total",
-            "umzi_admission_shed_total",
-            "umzi_admission_running",
-            "umzi_admission_queued",
-            "umzi_admission_avg_scan_nanos",
             "umzi_fault_class_ops_total{op=\"put\"}",
             "umzi_fault_class_injected_total{op=\"get\"}",
         ] {
@@ -603,9 +589,10 @@ mod tests {
 
     /// The compatibility promise: every series in the golden list is still
     /// emitted under the same name and labels. The list is what the exporter
-    /// emitted at `245bddf` minus the eight series of the deleted
-    /// partitioned scan; those, and the ten `umzi_health_*` aliases of
-    /// numbers exported elsewhere, must stay gone.
+    /// emitted at `fe07704` minus the six series of the deleted read
+    /// admission; those, the series of the deleted partitioned scan and the
+    /// ten `umzi_health_*` aliases of numbers exported elsewhere must stay
+    /// gone.
     #[test]
     fn parent_series_names_survive() {
         let (e, daemons) = fully_equipped_engine();
@@ -613,12 +600,18 @@ mod tests {
         daemons.shutdown();
         let prom: BTreeSet<&str> = prom.iter().map(String::as_str).collect();
 
-        let golden = include_str!("../tests/data/series_at_245bddf.txt");
-        assert_eq!(golden.lines().count(), 211, "golden list truncated");
+        let golden = include_str!("../tests/data/series_at_fe07704.txt");
+        assert_eq!(golden.lines().count(), 240, "golden list truncated");
         for name in golden.lines() {
             assert!(prom.contains(name), "series {name} disappeared");
         }
         for alias in [
+            "umzi_query_sheds_total",
+            "umzi_admission_admitted_total",
+            "umzi_admission_shed_total",
+            "umzi_admission_running",
+            "umzi_admission_queued",
+            "umzi_admission_avg_scan_nanos",
             "umzi_query_duration_nanos_count{op=\"range_scan_partitioned\"}",
             "umzi_index_parallel_scans_total{shard=\"0\"}",
             "umzi_index_scan_partitions_total{shard=\"0\"}",

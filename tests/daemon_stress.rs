@@ -46,7 +46,6 @@ fn stress_config() -> EngineConfig {
             adaptive_cache: false,
             ..MaintenanceConfig::default()
         }),
-        ..EngineConfig::default()
     }
 }
 
