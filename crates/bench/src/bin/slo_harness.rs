@@ -351,7 +351,6 @@ fn run_fairness(cycles: usize) -> FairnessOutcome {
                 l0_low_watermark: 500_000,
                 janitor_interval: Duration::from_millis(25),
                 adaptive_cache: false,
-                ..MaintenanceConfig::default()
             }),
         },
     )
@@ -430,7 +429,7 @@ fn run_fairness(cycles: usize) -> FairnessOutcome {
     daemons.shutdown();
     let groom_peak_dequeue_age = daemon.stats().peak_dequeue_age(JobKind::Groom);
 
-    // Integrity under the byte-based gate: every acked row is countable.
+    // Integrity: every acked row is countable.
     engine.quiesce().expect("quiesce");
     let rows_counted: u64 = hot
         .iter()

@@ -63,7 +63,10 @@ impl Default for CacheConfig {
 }
 
 /// Background-maintenance daemon tuning: worker pool, ingest backpressure
-/// watermarks, throttling and the janitor cadence.
+/// watermarks, throttling and the janitor cadence. Retry, quarantine and
+/// stall timings are constants ([`crate::JOB_RETRIES`],
+/// [`crate::JOB_RETRY_BACKOFF`], [`crate::QUARANTINE_PROBE_INTERVAL`],
+/// [`crate::STALL_TIMEOUT`]).
 #[derive(Debug, Clone)]
 pub struct MaintenanceConfig {
     /// Worker threads draining the maintenance job queue.
@@ -75,17 +78,6 @@ pub struct MaintenanceConfig {
     /// runs, so a lower setting is unreachable and writers would stall
     /// until evolve GC empties the zone.
     pub l0_low_watermark: usize,
-    /// Ingest stalls when the serialized bytes outstanding in level-0 runs
-    /// reach this many bytes — the **primary** backpressure signal: run
-    /// count is blind to run size, while bytes track the actual un-merged
-    /// backlog. `0` disables the byte gate (run count alone governs, the
-    /// pre-existing behavior). The run-count watermarks stay armed as a
-    /// secondary bound either way.
-    pub l0_bytes_high_watermark: u64,
-    /// Stalled ingest resumes only once level-0 bytes are back at or below
-    /// this (and the run count is at or below its own low watermark).
-    /// Ignored when `l0_bytes_high_watermark` is 0.
-    pub l0_bytes_low_watermark: u64,
     /// Minimum pause a worker inserts after each job that did work — bounds
     /// the background IO/CPU share. `None` runs flat out.
     pub throttle: Option<std::time::Duration>,
@@ -94,18 +86,6 @@ pub struct MaintenanceConfig {
     pub janitor_interval: std::time::Duration,
     /// Whether the janitor runs adaptive SSD cache maintenance (§6.2).
     pub adaptive_cache: bool,
-    /// Retries a failed job gets (re-enqueued with exponential backoff)
-    /// before it is quarantined. 0 quarantines on the first failure.
-    pub job_retries: u32,
-    /// First-retry backoff for a failed job; doubles per attempt.
-    pub job_retry_backoff: std::time::Duration,
-    /// Cadence at which the janitor re-probes quarantined jobs.
-    pub quarantine_probe_interval: std::time::Duration,
-    /// How long a writer may sit behind the backpressure gate before it
-    /// gets a `Backpressure` error instead of blocking further. `None`
-    /// blocks indefinitely (pre-existing behavior; risks an unbounded hang
-    /// when maintenance is quarantined).
-    pub stall_timeout: Option<std::time::Duration>,
 }
 
 impl Default for MaintenanceConfig {
@@ -114,15 +94,9 @@ impl Default for MaintenanceConfig {
             workers: 2,
             l0_high_watermark: 12,
             l0_low_watermark: 6,
-            l0_bytes_high_watermark: 256 << 20,
-            l0_bytes_low_watermark: 128 << 20,
             throttle: None,
             janitor_interval: std::time::Duration::from_millis(100),
             adaptive_cache: true,
-            job_retries: 3,
-            job_retry_backoff: std::time::Duration::from_millis(10),
-            quarantine_probe_interval: std::time::Duration::from_secs(1),
-            stall_timeout: Some(std::time::Duration::from_secs(10)),
         }
     }
 }
@@ -144,17 +118,6 @@ impl MaintenanceConfig {
         if self.l0_high_watermark == 0 {
             return Err(UmziError::Config(
                 "l0_high_watermark must be ≥ 1 (0 would stall every write)".into(),
-            ));
-        }
-        if self.l0_bytes_low_watermark > self.l0_bytes_high_watermark {
-            return Err(UmziError::Config(format!(
-                "maintenance byte watermarks must satisfy low ≤ high, got {} > {}",
-                self.l0_bytes_low_watermark, self.l0_bytes_high_watermark
-            )));
-        }
-        if self.stall_timeout == Some(std::time::Duration::ZERO) {
-            return Err(UmziError::Config(
-                "stall_timeout must be > 0 (use None to wait indefinitely)".into(),
             ));
         }
         Ok(())
@@ -380,26 +343,6 @@ mod tests {
             ..MaintenanceConfig::default()
         };
         assert!(c.validate().is_err());
-        // Byte watermarks: low ≤ high, and zero-high means disabled — which
-        // makes a nonzero low nonsensical (it is > high and rejected).
-        c = MaintenanceConfig {
-            l0_bytes_high_watermark: 1 << 20,
-            l0_bytes_low_watermark: 2 << 20,
-            ..MaintenanceConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c = MaintenanceConfig {
-            l0_bytes_high_watermark: 0,
-            l0_bytes_low_watermark: 1,
-            ..MaintenanceConfig::default()
-        };
-        assert!(c.validate().is_err());
-        c = MaintenanceConfig {
-            l0_bytes_high_watermark: 0,
-            l0_bytes_low_watermark: 0, // byte gate disabled
-            ..MaintenanceConfig::default()
-        };
-        c.validate().unwrap();
         c = MaintenanceConfig::default();
         c.validate().unwrap();
     }

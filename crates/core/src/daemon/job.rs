@@ -151,10 +151,6 @@ pub struct JobOutcome {
     /// The level-0 run count observed after the job, if it may have changed
     /// it — the worker forwards this to the ingest backpressure gate.
     pub l0_runs: Option<usize>,
-    /// Total bytes held in level-0 runs observed after the job. Executors
-    /// set this alongside [`JobOutcome::l0_runs`] so the gate sees one
-    /// coherent load sample; a missing axis is reported as zero.
-    pub l0_bytes: Option<u64>,
 }
 
 impl JobOutcome {
@@ -166,8 +162,8 @@ impl JobOutcome {
 
 /// The embedder-supplied strategy that runs jobs.
 pub trait JobExecutor: Send + Sync + 'static {
-    /// Number of shards jobs may target; the janitor tick enqueues one
-    /// [`Job::RetireDeprecatedBlocks`] per shard.
+    /// Number of shards jobs may target; every janitor tick enqueues its
+    /// job once per shard.
     fn shard_count(&self) -> usize;
 
     /// Execute one job. Errors are counted and swallowed by the worker (a

@@ -7,7 +7,10 @@
 //! against the pending queue, and drained by a configurable pool of worker
 //! threads. Finished jobs enqueue their follow-ups (a groom poke its merge,
 //! a merge the next level's merge, an evolve the janitor), so work chains
-//! event-driven instead of polling.
+//! event-driven instead of polling. The janitor thread is the daemon's one
+//! clock: it enqueues every periodic tick — its own retire tick and the
+//! embedder's (the Wildfire groom and post-groom cadence) — and pumps due
+//! retries.
 //!
 //! The daemon also owns the **write-path backpressure gate**
 //! ([`Backpressure`]): ingest stalls when the level-0 run count reaches a
@@ -26,11 +29,12 @@ mod stats;
 mod throttle;
 
 pub use job::{Job, JobExecutor, JobKind, JobOutcome, JobResult};
-pub use retry::QuarantinedJob;
+pub use retry::{QuarantinedJob, JOB_RETRIES, JOB_RETRY_BACKOFF, QUARANTINE_PROBE_INTERVAL};
 pub use stats::{JobKindStats, MaintenanceStats};
-pub use throttle::{Backpressure, BackpressureStats, GateLoad};
+pub use throttle::{Backpressure, BackpressureStats, STALL_TIMEOUT};
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,97 +43,60 @@ use retry::{FailureDecision, RetryTracker};
 use scheduler::JobQueue;
 use stats::DaemonCounters;
 
-/// An interruptible stop flag for tick threads: `wait(d)` returns early
-/// (with `true`) the moment `raise` is called, so shutdown never waits out
-/// a long tick interval. Used by the daemon's janitor tick and by embedder
-/// tickers (e.g. the Wildfire groom/post-groom loops).
-pub struct StopSignal {
-    stopped: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
+/// A periodic tick the janitor enqueues: every `.0`, the job `.1(shard)`
+/// for every shard.
+pub type Tick = (Duration, fn(usize) -> Job);
 
-impl Default for StopSignal {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Longest the janitor sleeps between retry-pump passes: retry backoffs
+/// ([`JOB_RETRY_BACKOFF`] doubling) are much shorter than any tick interval,
+/// so due retries must not wait for the next tick.
+const RETRY_PUMP: Duration = Duration::from_millis(10);
 
-impl StopSignal {
-    /// A lowered (not yet raised) signal.
-    pub fn new() -> StopSignal {
-        StopSignal {
-            stopped: std::sync::Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Raise the signal, waking every sleeper immediately.
-    pub fn raise(&self) {
-        let mut s = self
-            .stopped
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *s = true;
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Sleep up to `d`; returns whether the signal was raised.
-    pub fn wait(&self, d: std::time::Duration) -> bool {
-        let deadline = Instant::now() + d;
-        let mut s = self
-            .stopped
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while !*s {
-            let Some(rest) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, _) = self
-                .cv
-                .wait_timeout(s, rest)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            s = guard;
-        }
-        true
-    }
-}
-
-/// The maintenance daemon: a job queue, a worker pool, a janitor tick and
-/// the ingest backpressure gate. Shuts down gracefully (drains the queue)
-/// on [`MaintenanceDaemon::shutdown`] or drop.
+/// The maintenance daemon: a job queue, a worker pool, the janitor clock
+/// and the ingest backpressure gate. Shuts down gracefully (drains the
+/// queue) on [`MaintenanceDaemon::shutdown`] or drop.
 pub struct MaintenanceDaemon {
     queue: Arc<JobQueue>,
     counters: Arc<DaemonCounters>,
     gate: Arc<Backpressure>,
     retry: Arc<RetryTracker>,
     config: MaintenanceConfig,
-    stop_ticks: Arc<StopSignal>,
+    /// Dropping the sender wakes and stops the janitor.
+    stop_janitor: parking_lot::Mutex<Option<Sender<()>>>,
     threads: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl MaintenanceDaemon {
-    /// Spawn `config.workers` worker threads plus the janitor ticker.
+    /// Spawn `config.workers` worker threads plus the janitor. Besides its
+    /// own retire tick (`config.janitor_interval`), the janitor enqueues
+    /// `job(shard)` for every shard each `interval` of `ticks`; every tick
+    /// first fires at spawn.
     pub fn spawn(
         executor: Arc<dyn JobExecutor>,
         config: MaintenanceConfig,
+        ticks: &[Tick],
+    ) -> Arc<MaintenanceDaemon> {
+        let retry = RetryTracker::new(JOB_RETRIES, JOB_RETRY_BACKOFF, QUARANTINE_PROBE_INTERVAL);
+        Self::with_timing(executor, config, ticks, retry)
+    }
+
+    /// [`Self::spawn`] with the retry budget, backoff and quarantine probe
+    /// interval spelled out, so unit tests can quarantine and release a job
+    /// without sleeping out the shipped second.
+    pub(crate) fn with_timing(
+        executor: Arc<dyn JobExecutor>,
+        config: MaintenanceConfig,
+        ticks: &[Tick],
+        retry: RetryTracker,
     ) -> Arc<MaintenanceDaemon> {
         let queue = Arc::new(JobQueue::new());
         let counters = Arc::new(DaemonCounters::default());
-        let gate = Arc::new(
-            Backpressure::new(config.l0_high_watermark, config.l0_low_watermark)
-                .with_byte_watermarks(
-                    config.l0_bytes_high_watermark,
-                    config.l0_bytes_low_watermark,
-                ),
-        );
-        gate.set_enabled(true);
-        let retry = Arc::new(RetryTracker::new(
-            config.job_retries,
-            config.job_retry_backoff,
-            config.quarantine_probe_interval,
+        let gate = Arc::new(Backpressure::new(
+            config.l0_high_watermark,
+            config.l0_low_watermark,
         ));
-        let stop_ticks = Arc::new(StopSignal::new());
+        gate.set_enabled(true);
+        let retry = Arc::new(retry);
         let mut threads = Vec::with_capacity(config.workers + 1);
 
         for w in 0..config.workers.max(1) {
@@ -164,11 +131,8 @@ impl MaintenanceDaemon {
                                     for f in outcome.follow_ups {
                                         queue.push_follow_up(f);
                                     }
-                                    if outcome.l0_runs.is_some() || outcome.l0_bytes.is_some() {
-                                        gate.update(GateLoad {
-                                            l0_runs: outcome.l0_runs.unwrap_or(0),
-                                            l0_bytes: outcome.l0_bytes.unwrap_or(0),
-                                        });
+                                    if let Some(l0_runs) = outcome.l0_runs {
+                                        gate.update(l0_runs);
                                     }
                                 }
                                 Err(e) => {
@@ -208,43 +172,51 @@ impl MaintenanceDaemon {
             );
         }
 
-        // Janitor tick: periodically poke the retire job for every shard,
-        // catching deferred deprecated blocks whose covering runs were
-        // GC'd since the last evolve. The same thread is the retry pump —
-        // it moves failed jobs whose backoff has elapsed (and quarantined
-        // jobs due a slow re-probe) back into the queue, so no worker ever
-        // sleeps out a backoff.
+        // The janitor: every tick due — its own retire tick, which catches
+        // deferred deprecated blocks whose covering runs were GC'd since the
+        // last evolve, then the embedder's — enqueues its job for every
+        // shard. Between ticks it is the retry pump: it moves failed jobs
+        // whose backoff has elapsed (and quarantined jobs due a slow
+        // re-probe) back into the queue, so no worker ever sleeps out a
+        // backoff.
+        let (stop_janitor, stopped) = std::sync::mpsc::channel::<()>();
         {
             let queue = Arc::clone(&queue);
-            let stop = Arc::clone(&stop_ticks);
             let retry = Arc::clone(&retry);
-            let interval = config.janitor_interval;
             let shards = executor.shard_count();
+            let retire: Tick = (config.janitor_interval, |shard| {
+                Job::RetireDeprecatedBlocks { shard }
+            });
+            let start = Instant::now();
+            let mut ticks: Vec<_> = std::iter::once(retire)
+                .chain(ticks.iter().copied())
+                .map(|(every, job)| (every, job, start))
+                .collect();
             threads.push(
                 std::thread::Builder::new()
                     .name("umzi-janitor".into())
-                    .spawn(move || {
-                        // Retry backoffs are usually much shorter than the
-                        // janitor interval; pump on a finer cadence.
-                        let pump = interval.min(Duration::from_millis(10));
-                        let mut next_retire = Instant::now();
-                        loop {
-                            let now = Instant::now();
-                            if now >= next_retire {
+                    .spawn(move || loop {
+                        let now = Instant::now();
+                        for (every, job, due) in &mut ticks {
+                            if now >= *due {
                                 for shard in 0..shards {
-                                    queue.push(Job::RetireDeprecatedBlocks { shard });
+                                    queue.push(job(shard));
                                 }
-                                next_retire = now + interval;
-                            }
-                            for job in retry.due(now) {
-                                queue.push(job);
-                            }
-                            if stop.wait(pump) {
-                                break;
+                                *due = now + *every;
                             }
                         }
+                        for job in retry.due(now) {
+                            queue.push(job);
+                        }
+                        let next_tick = ticks.iter().map(|t| t.2).min().expect("retire tick");
+                        let wait = next_tick.saturating_duration_since(Instant::now());
+                        if stopped.recv_timeout(wait.min(RETRY_PUMP))
+                            != Err(RecvTimeoutError::Timeout)
+                        {
+                            break;
+                        }
                     })
-                    .expect("spawn janitor tick"),
+                    .expect("spawn janitor"),
             );
         }
 
@@ -254,7 +226,7 @@ impl MaintenanceDaemon {
             gate,
             retry,
             config,
-            stop_ticks,
+            stop_janitor: parking_lot::Mutex::new(Some(stop_janitor)),
             threads: parking_lot::Mutex::new(threads),
         })
     }
@@ -314,14 +286,14 @@ impl MaintenanceDaemon {
         self.retry.quarantined_count() > 0
     }
 
-    /// Graceful shutdown: stop the ticks, stop accepting new jobs, let the
+    /// Graceful shutdown: stop the janitor, stop accepting new jobs, let the
     /// workers drain the queue, then join everything. The queue is empty
     /// afterwards.
     pub fn shutdown(&self) {
-        self.stop_ticks.raise();
+        self.stop_janitor.lock().take();
         // Writers must not stay stalled with no one left to relieve them.
         self.gate.set_enabled(false);
-        self.queue.close(false);
+        self.queue.close();
         let threads: Vec<_> = self.threads.lock().drain(..).collect();
         for t in threads {
             let _ = t.join();
@@ -412,7 +384,8 @@ mod tests {
     /// A daemon merging `index` in the background: every built run enqueues
     /// its level's merge through the index's maintenance hook.
     fn spawn_merging(index: &Arc<UmziIndex>, config: MaintenanceConfig) -> Arc<MaintenanceDaemon> {
-        let daemon = MaintenanceDaemon::spawn(Arc::new(MergeExecutor(Arc::clone(index))), config);
+        let daemon =
+            MaintenanceDaemon::spawn(Arc::new(MergeExecutor(Arc::clone(index))), config, &[]);
         let hooked = Arc::clone(&daemon);
         index.set_maintenance_hook(Some(Arc::new(move |ev: MaintEvent| {
             let (MaintEvent::RunBuilt { level } | MaintEvent::EvolveApplied { level, .. }) = ev;
@@ -519,16 +492,19 @@ mod tests {
         }
     }
 
-    fn flaky_config() -> MaintenanceConfig {
-        MaintenanceConfig {
+    /// A one-worker daemon over `executor` with a retry budget of 2, 1 ms
+    /// backoff and a 200 ms quarantine probe: far longer than the test
+    /// thread can plausibly be descheduled between observing the quarantine
+    /// and asserting on it, so no probe can release the job in between.
+    fn spawn_flaky(executor: &Arc<FlakyExecutor>) -> Arc<MaintenanceDaemon> {
+        let config = MaintenanceConfig {
             workers: 1,
             janitor_interval: Duration::from_secs(3600),
             adaptive_cache: false,
-            job_retries: 2,
-            job_retry_backoff: Duration::from_millis(1),
-            quarantine_probe_interval: Duration::from_millis(20),
             ..MaintenanceConfig::default()
-        }
+        };
+        let retry = RetryTracker::new(2, Duration::from_millis(1), Duration::from_millis(200));
+        MaintenanceDaemon::with_timing(Arc::clone(executor) as _, config, &[], retry)
     }
 
     #[test]
@@ -538,7 +514,7 @@ mod tests {
             attempts: AtomicU64::new(0),
             successes: AtomicU64::new(0),
         });
-        let daemon = MaintenanceDaemon::spawn(Arc::clone(&executor) as _, flaky_config());
+        let daemon = spawn_flaky(&executor);
         daemon.enqueue(Job::Groom { shard: 0 });
 
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -567,7 +543,7 @@ mod tests {
             attempts: AtomicU64::new(0),
             successes: AtomicU64::new(0),
         });
-        let daemon = MaintenanceDaemon::spawn(Arc::clone(&executor) as _, flaky_config());
+        let daemon = spawn_flaky(&executor);
         daemon.enqueue(Job::Groom { shard: 0 });
 
         // Phase 1: the job must land in quarantine (3 attempts: initial +
@@ -585,8 +561,8 @@ mod tests {
         assert!(mid.quarantined_jobs[0].last_error.contains("injected"));
 
         // Phase 2: quarantine probes keep re-running the job; once the
-        // executor starts succeeding the daemon recovers.
-        let deadline = Instant::now() + Duration::from_secs(5);
+        // executor starts succeeding (the third probe) the daemon recovers.
+        let deadline = Instant::now() + Duration::from_secs(10);
         while daemon.is_degraded() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -19,6 +19,23 @@ use parking_lot::Mutex;
 
 use crate::daemon::job::Job;
 
+/// Retries a failed job gets before it is quarantined. With
+/// [`JOB_RETRY_BACKOFF`] doubling, the three retries land within ~70 ms of
+/// the first failure: enough to ride out a transient store hiccup, short
+/// enough that a store that is down is reported (`degraded`) promptly
+/// instead of being hammered.
+pub const JOB_RETRIES: u32 = 3;
+
+/// Backoff before a failed job's first retry; doubles per attempt. Equal
+/// to the janitor's retry-pump period, so the pump at most doubles the
+/// first retry's wait.
+pub const JOB_RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How often the janitor re-probes a quarantined job: one attempt per
+/// second against a sick store, and a healed store is noticed within a
+/// second — the same order as the §2.1 groom cadence.
+pub const QUARANTINE_PROBE_INTERVAL: Duration = Duration::from_secs(1);
+
 /// What the daemon should do about one failed execution.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum FailureDecision {

@@ -298,18 +298,6 @@ impl UmziIndex {
         self.zones[0].list.count_matching(|r| r.level() == 0)
     }
 
-    /// Serialized bytes held in live level-0 runs — the byte-denominated
-    /// companion to [`UmziIndex::level0_run_count`], and the primary signal
-    /// of the ingest gate's bytes-outstanding watermark: run *count* is
-    /// blind to run size (ten 100-byte runs gate like ten 100 MB ones),
-    /// while bytes track the actual un-merged backlog maintenance still has
-    /// to chew through. Allocation-free (one lock-free list walk).
-    pub fn level0_run_bytes(&self) -> u64 {
-        self.zones[0]
-            .list
-            .sum_matching(|r| r.level() == 0, |r| r.size_bytes())
-    }
-
     /// Groomed-block ranges still covered by *unlinked but undeleted* runs
     /// in the graveyard. The janitor must treat these as live coverage: an
     /// in-flight query holding a pre-GC run list can still hand out RIDs

@@ -76,8 +76,9 @@ pub mod stats;
 pub use cache_mgr::CacheMaintainReport;
 pub use config::{CacheConfig, MaintenanceConfig, MergePolicy, UmziConfig, ZoneConfig};
 pub use daemon::{
-    Backpressure, BackpressureStats, GateLoad, Job, JobExecutor, JobKind, JobKindStats, JobOutcome,
-    JobResult, MaintenanceDaemon, MaintenanceStats, StopSignal,
+    Backpressure, BackpressureStats, Job, JobExecutor, JobKind, JobKindStats, JobOutcome,
+    JobResult, MaintenanceDaemon, MaintenanceStats, Tick, JOB_RETRIES, JOB_RETRY_BACKOFF,
+    QUARANTINE_PROBE_INTERVAL, STALL_TIMEOUT,
 };
 pub use error::UmziError;
 pub use evolve::{EvolveNotice, EvolveReport};

@@ -124,26 +124,6 @@ impl RunList {
         n
     }
 
-    /// Sum `f` over the runs matching `pred` — the same single-head-clone
-    /// lock-free walk as [`RunList::count_matching`], for byte-denominated
-    /// hot-path signals (the ingest gate's bytes-outstanding watermark).
-    pub fn sum_matching(
-        &self,
-        mut pred: impl FnMut(&Run) -> bool,
-        mut f: impl FnMut(&Run) -> u64,
-    ) -> u64 {
-        let head = self.load_head();
-        let mut total = 0u64;
-        let mut cur = head.as_deref();
-        while let Some(node) = cur {
-            if pred(&node.run) {
-                total = total.saturating_add(f(&node.run));
-            }
-            cur = node.next.as_deref();
-        }
-        total
-    }
-
     /// Prepend a run (index build, §5.2; evolve step 1, §5.4).
     pub fn push_front(&self, run: Arc<Run>) {
         let _w = self.write_lock.lock();

@@ -5,7 +5,7 @@
 //! pool drains a prioritized job queue of groom / merge / evolve / janitor
 //! work, fed from the **ingest path** (upserts poke `Groom` once a backlog
 //! accumulates, index builds poke `Merge` through the maintenance hook) and
-//! from periodic tickers that preserve the paper's cadence (groomer every
+//! from the daemon's janitor, which ticks the paper's cadence (groomer every
 //! second, §2.1; post-groomer every 20 s, §8.4). The daemon's backpressure
 //! gate stalls ingest when the level-0 run count reaches the configured
 //! high watermark and resumes at the low watermark, so sustained writes
@@ -21,14 +21,14 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use umzi_core::{
     Job, MaintEvent, MaintenanceConfig, MaintenanceDaemon, MaintenanceStats, QueryOutput,
-    RangeQuery, ReconcileStrategy, StopSignal,
+    RangeQuery, ReconcileStrategy, Tick, STALL_TIMEOUT,
 };
 use umzi_encoding::Datum;
 use umzi_run::{Rid, SortBound};
 use umzi_storage::telemetry::{Counter, Histogram, Registry};
 use umzi_storage::{context, AccessPattern, BreakerState, OpClass, StorageStats, TieredStorage};
 
-use crate::maintenance::EngineExecutor;
+use crate::maintenance::{max_l0_runs, EngineExecutor};
 use crate::shard::{Shard, ShardConfig};
 use crate::table::TableDef;
 use crate::Result;
@@ -333,45 +333,21 @@ impl WildfireEngine {
         h
     }
 
-    /// The worst shard's level-0 run count — what the backpressure gate
-    /// watches.
-    pub fn max_l0_runs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.index().level0_run_count())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The worst shard's level-0 byte backlog — the gate's primary
-    /// (byte-based) axis.
-    pub fn max_l0_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.index().level0_run_bytes())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Write-path admission: when the level-0 backlog (bytes outstanding,
-    /// with run count as a safety net) has piled up to a high watermark,
-    /// poke relief jobs (level-0 merges and evolve) and stall on the
-    /// backpressure gate until maintenance brings the backlog back to the
-    /// low watermarks — or until the configured stall timeout elapses, in
-    /// which case the writer gets [`WildfireError::Backpressure`] instead of
-    /// hanging on maintenance that is not making progress. Free when no
-    /// daemon is running.
+    /// Write-path admission: when the level-0 run count has piled up to the
+    /// high watermark, poke relief jobs (level-0 merges and evolve) and
+    /// stall on the backpressure gate until maintenance brings it back to
+    /// the low watermark — or until [`STALL_TIMEOUT`] or the caller's
+    /// ambient deadline, whichever is sooner, elapses; then the writer gets
+    /// [`WildfireError::Backpressure`] instead of hanging on maintenance
+    /// that is not making progress. Free when no daemon is running.
     fn admit_ingest(&self) -> Result<()> {
         let Some(daemon) = self.daemon() else {
             return Ok(());
         };
         let gate = Arc::clone(daemon.backpressure());
-        let current = || umzi_core::GateLoad {
-            l0_runs: self.max_l0_runs(),
-            l0_bytes: self.max_l0_bytes(),
-        };
-        // Fast path: gate clear and backlog healthy — two lock-free list
-        // walks, no relief enqueue, no mutex.
+        let current = || max_l0_runs(&self.shards);
+        // Fast path: gate clear and backlog healthy — one lock-free list
+        // walk per shard, no relief enqueue, no mutex.
         if !gate.is_stalled() && !gate.over_high(current()) {
             return Ok(());
         }
@@ -384,20 +360,12 @@ impl WildfireEngine {
             });
             daemon.enqueue(Job::Evolve { shard: si });
         }
-        // A caller-supplied deadline (ambient query context) caps the stall:
-        // a writer with 50ms of budget left never waits out a 10s stall
-        // timeout — it gets `Backpressure` as soon as its own budget is
-        // spent, with the duration it actually waited.
-        let timeout = match (context::current_remaining(), daemon.config().stall_timeout) {
-            (Some(rem), Some(stall)) => Some(rem.min(stall)),
-            (Some(rem), None) => Some(rem),
-            (None, stall) => stall,
-        };
+        let timeout = context::current_remaining().map_or(STALL_TIMEOUT, |r| r.min(STALL_TIMEOUT));
         match gate.admit_timeout(&current, timeout) {
             Ok(_) => Ok(()),
             Err(waited) => Err(crate::error::WildfireError::Backpressure {
                 waited,
-                l0_runs: self.max_l0_runs(),
+                l0_runs: current(),
                 degraded: daemon.is_degraded(),
             }),
         }
@@ -415,8 +383,8 @@ impl WildfireEngine {
     }
 
     /// Upsert one row (routed by sharding key). Under an ambient deadline
-    /// ([`context::enter`]) shorter than the maintenance stall timeout the
-    /// writer blocks on the backpressure gate only that long, and
+    /// ([`context::enter`]) shorter than [`STALL_TIMEOUT`] the writer blocks
+    /// on the backpressure gate only that long, and
     /// cancellation / expiry abort storage retry backoff inside the write
     /// path.
     pub fn upsert(&self, row: Vec<Datum>) -> Result<()> {
@@ -849,21 +817,25 @@ impl WildfireEngine {
         })
     }
 
-    /// Spawn the background maintenance: the daemon worker pool (when
-    /// `config.maintenance` is set) plus the groom and post-groom tickers
-    /// that enqueue jobs at the paper's cadence. Background work stops when
-    /// the returned handle is shut down or dropped.
+    /// Spawn the background maintenance (when `config.maintenance` is set):
+    /// the daemon's worker pool and its janitor, which also ticks the groom
+    /// (`groom_interval`) and post-groom (`post_groom_interval`) jobs at the
+    /// paper's cadence. Background work stops when the returned handle is
+    /// shut down or dropped.
     pub fn start_daemons(self: &Arc<Self>) -> EngineDaemons {
-        let stop = Arc::new(StopSignal::new());
-        let mut threads = Vec::new();
-
         let daemon = self.config.maintenance.clone().map(|mc| {
             let executor = Arc::new(EngineExecutor::new(
                 self.shards.to_vec(),
                 self.config.groom_trigger_rows,
                 mc.adaptive_cache,
             ));
-            let daemon = MaintenanceDaemon::spawn(executor, mc);
+            let ticks: [Tick; 2] = [
+                (self.config.groom_interval, |shard| Job::Groom { shard }),
+                (self.config.post_groom_interval, |shard| Job::Evolve {
+                    shard,
+                }),
+            ];
+            let daemon = MaintenanceDaemon::spawn(executor, mc, &ticks);
             // Ingest-path hooks: every index build / evolve enqueues its
             // follow-up maintenance instead of waiting for a poll. Weak so
             // the hook (held by the index, held by the executor, held by
@@ -892,58 +864,16 @@ impl WildfireEngine {
             daemon
         });
 
-        // Tickers only make sense with a daemon to enqueue into.
-        if let Some(daemon) = &daemon {
-            let spawn_tick = |name: &str,
-                              interval: Duration,
-                              stop: Arc<StopSignal>,
-                              daemon: Arc<MaintenanceDaemon>,
-                              job_of: fn(usize) -> Job,
-                              n_shards: usize| {
-                std::thread::Builder::new()
-                    .name(name.to_owned())
-                    .spawn(move || loop {
-                        for shard in 0..n_shards {
-                            daemon.enqueue(job_of(shard));
-                        }
-                        if stop.wait(interval) {
-                            break;
-                        }
-                    })
-                    .expect("spawn ticker")
-            };
-            threads.push(spawn_tick(
-                "wildfire-groomer",
-                self.config.groom_interval,
-                Arc::clone(&stop),
-                Arc::clone(daemon),
-                |shard| Job::Groom { shard },
-                self.shards.len(),
-            ));
-            threads.push(spawn_tick(
-                "wildfire-postgroomer",
-                self.config.post_groom_interval,
-                Arc::clone(&stop),
-                Arc::clone(daemon),
-                |shard| Job::Evolve { shard },
-                self.shards.len(),
-            ));
-        }
-
         EngineDaemons {
             engine: Arc::clone(self),
-            stop,
-            threads,
             daemon,
         }
     }
 }
 
-/// Handle owning the engine's background threads.
+/// Handle owning the engine's background maintenance.
 pub struct EngineDaemons {
     engine: Arc<WildfireEngine>,
-    stop: Arc<StopSignal>,
-    threads: Vec<std::thread::JoinHandle<()>>,
     daemon: Option<Arc<MaintenanceDaemon>>,
 }
 
@@ -953,16 +883,12 @@ impl EngineDaemons {
         self.daemon.as_ref()
     }
 
-    /// Stop the tickers, drain the job queue, and join everything.
+    /// Stop the janitor, drain the job queue, and join everything.
     pub fn shutdown(mut self) {
-        self.stop_threads();
+        self.stop();
     }
 
-    fn stop_threads(&mut self) {
-        self.stop.raise();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    fn stop(&mut self) {
         if let Some(daemon) = self.daemon.take() {
             // Unhook the ingest path first so late builds don't enqueue
             // into a closing queue, then drain and join the workers.
@@ -979,7 +905,7 @@ impl EngineDaemons {
 
 impl Drop for EngineDaemons {
     fn drop(&mut self) {
-        self.stop_threads();
+        self.stop();
     }
 }
 
@@ -1211,6 +1137,31 @@ mod tests {
         daemons.shutdown();
     }
 
+    /// Column blocks live in the shard registry and on shared storage only:
+    /// after a full drain the SSD tier holds exactly the live index runs —
+    /// the occupancy §6.2's cache manager weighs when it purges runs.
+    #[test]
+    fn ssd_tier_holds_only_index_runs() {
+        let e = WildfireEngine::create(
+            Arc::new(TieredStorage::in_memory()),
+            Arc::new(iot_table()),
+            EngineConfig::default(),
+        )
+        .unwrap();
+        e.upsert_many((0..2000).map(|m| row(m % 8, m, 100 + m % 3, m)).collect())
+            .unwrap();
+        e.quiesce().unwrap();
+        let runs: u64 = e
+            .shards()
+            .iter()
+            .flat_map(|s| std::iter::once(s.index()).chain(s.secondary_indexes()))
+            .flat_map(|idx| idx.all_runs().into_iter().flatten())
+            .map(|run| run.size_bytes())
+            .sum();
+        assert!(runs > 0);
+        assert_eq!(e.storage().ssd_tier().used_bytes(), runs);
+    }
+
     /// The access-pattern hints must survive the whole engine stack: point
     /// gets label decoded-cache traffic as point lookups, analytic scans as
     /// range scans, and merge/groom maintenance never pollutes the cache.
@@ -1253,16 +1204,17 @@ mod tests {
         );
     }
 
-    /// Satellite regression: with a groom job quarantined (storage puts
-    /// failing) and level 0 at the high watermark, writers must get a
-    /// [`WildfireError::Backpressure`] error within the stall timeout — not
-    /// hang forever on a gate no one will ever open.
+    /// With a groom job quarantined (storage puts failing) and level 0 at
+    /// the high watermark, a writer must get a [`WildfireError::Backpressure`]
+    /// error once its own ambient deadline is spent — not hang on a gate no
+    /// one will ever open. Runs on the shipped retry/quarantine constants.
     #[test]
     fn stalled_writers_error_instead_of_hanging() {
+        use std::time::Instant;
         use umzi_core::MergePolicy;
         use umzi_storage::{
             FaultInjectingStore, FaultOp, FaultPlan, InMemoryObjectStore, LatencyModel,
-            ObjectStore, SharedStorage, TieredConfig,
+            ObjectStore, QueryContext, SharedStorage, TieredConfig,
         };
 
         let inner: Arc<dyn ObjectStore> = Arc::new(InMemoryObjectStore::new());
@@ -1284,7 +1236,8 @@ mod tests {
         let mut cfg = EngineConfig {
             n_shards: 1,
             // Manual grooming only: upserts never auto-trigger, and the
-            // tickers are parked far out so only their startup pokes fire.
+            // janitor's ticks are parked far out so only their startup pokes
+            // fire.
             groom_trigger_rows: usize::MAX,
             groom_interval: Duration::from_secs(3600),
             post_groom_interval: Duration::from_secs(3600),
@@ -1294,9 +1247,6 @@ mod tests {
                 adaptive_cache: false,
                 l0_high_watermark: 2,
                 l0_low_watermark: 1,
-                stall_timeout: Some(Duration::from_millis(100)),
-                job_retries: 0,
-                quarantine_probe_interval: Duration::from_secs(3600),
                 ..MaintenanceConfig::default()
             }),
             ..EngineConfig::default()
@@ -1306,18 +1256,21 @@ mod tests {
             k: 100,
             t: u64::MAX,
         };
+        // One row per groom: a failed groom has already drained its batch,
+        // so each attempt of the shipped retry budget needs a row of its own.
+        cfg.shard.groom_batch_limit = 1;
         let e = WildfireEngine::create(storage, Arc::new(iot_table()), cfg).unwrap();
         let daemons = e.start_daemons();
-        // Wait for the tickers' startup pokes (groom + evolve + retire, all
+        // Wait for the janitor's startup pokes (retire + groom + evolve, all
         // no-ops on an empty engine) to be enqueued AND drained, so a
         // late-popping Evolve can't post-groom a level-0 run away mid-fill.
-        // (`wait_idle` alone races with the ticker threads still starting.)
+        // (`wait_idle` alone races with the janitor still starting.)
         {
             let d = daemons.daemon().unwrap();
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            let deadline = Instant::now() + Duration::from_secs(10);
             while !(d.stats().enqueued >= 3 && d.is_idle()) {
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "startup pokes never drained: {:?}",
                     d.stats()
                 );
@@ -1326,13 +1279,11 @@ mod tests {
         }
 
         // Fill level 0 to the high watermark with healthy storage.
-        for batch in 0..2 {
-            for m in 0..20 {
-                e.upsert(row(1, batch * 100 + m, 100, m)).unwrap();
-            }
+        for m in 0..2 {
+            e.upsert(row(1, m, 100, m)).unwrap();
             e.groom_all().unwrap();
         }
-        assert_eq!(e.max_l0_runs(), 2);
+        assert_eq!(max_l0_runs(e.shards()), 2);
 
         // Park rows in the live zone (shard-direct, bypassing admission),
         // then break storage and let the daemon quarantine the groom.
@@ -1341,19 +1292,25 @@ mod tests {
             .unwrap();
         faulty.set_armed(true);
         daemons.daemon().unwrap().enqueue(Job::Groom { shard: 0 });
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         while !e.health().degraded {
             assert!(
-                std::time::Instant::now() < deadline,
+                Instant::now() < deadline,
                 "groom job never quarantined: {:?}",
                 e.maintenance_stats()
             );
             std::thread::sleep(Duration::from_millis(5));
         }
 
-        // The writer must come back with an error, promptly.
-        let t0 = std::time::Instant::now();
-        let err = e.upsert(row(1, 999, 100, 0)).unwrap_err();
+        // The writer must come back with an error once its 100 ms budget is
+        // spent.
+        let t0 = Instant::now();
+        let deadline = t0 + Duration::from_millis(100);
+        let err = {
+            let _g = context::enter(QueryContext::deadline_at(deadline));
+            e.upsert(row(1, 999, 100, 0)).unwrap_err()
+        };
+        assert!(Instant::now() >= deadline, "writer gave up early");
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "writer did not return promptly"
@@ -1364,7 +1321,7 @@ mod tests {
                 l0_runs,
                 degraded,
             } => {
-                assert!(waited >= Duration::from_millis(100), "waited {waited:?}");
+                assert!(waited > Duration::ZERO, "waited {waited:?}");
                 assert_eq!(l0_runs, 2);
                 assert!(degraded, "quarantined groom must mark the stall degraded");
             }

@@ -11,31 +11,30 @@
 //! Every job reports the shard-max level-0 run count back to the daemon so
 //! the ingest backpressure gate tracks reality without polling.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use umzi_core::{Job, JobExecutor, JobOutcome, JobResult, UmziError, UmziIndex};
 
 use crate::shard::Shard;
 
-/// The level-0 merge fan-in the groom trigger is tuned for. Observed fan-in
-/// above this means grooming emits small runs faster than merges retire
-/// them; the adaptive trigger then asks each groom to batch more rows.
-const NOMINAL_L0_FANIN: u64 = 4;
-
-/// Fixed-point shift for the fan-in EWMA (1/16 granularity).
-const FANIN_FP_SHIFT: u32 = 4;
+/// The level-0 run count the backpressure gate watches: the worst shard
+/// (queries against that shard pay for every one of its runs). The ingest
+/// path and the executor both read the gate's load here.
+pub(crate) fn max_l0_runs(shards: &[Arc<Shard>]) -> usize {
+    shards
+        .iter()
+        .map(|s| s.index().level0_run_count())
+        .max()
+        .unwrap_or(0)
+}
 
 pub(crate) struct EngineExecutor {
     shards: Vec<Arc<Shard>>,
     /// Re-groom immediately (without waiting for the tick) while the live
-    /// zone holds at least this many records. This is the *base* trigger;
-    /// the effective one scales with observed merge fan-in (see
-    /// [`EngineExecutor::effective_groom_trigger`]).
+    /// zone holds at least this many records — the same threshold at which
+    /// an upsert enqueues a groom.
     groom_trigger_rows: usize,
     adaptive_cache: bool,
-    /// EWMA of observed level-0 merge fan-in, fixed-point `<< FANIN_FP_SHIFT`.
-    l0_fanin_fp: AtomicU64,
 }
 
 impl EngineExecutor {
@@ -48,49 +47,7 @@ impl EngineExecutor {
             shards,
             groom_trigger_rows,
             adaptive_cache,
-            l0_fanin_fp: AtomicU64::new(NOMINAL_L0_FANIN << FANIN_FP_SHIFT),
         }
-    }
-
-    /// The level-0 run count the backpressure gate watches: the worst shard
-    /// (queries against that shard pay for every one of its runs).
-    pub(crate) fn max_l0_runs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.index().level0_run_count())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The level-0 byte backlog the gate's byte axis watches — same
-    /// worst-shard rule as [`EngineExecutor::max_l0_runs`].
-    pub(crate) fn max_l0_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.index().level0_run_bytes())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Fold one observed level-0 merge fan-in into the EWMA (alpha = 1/4).
-    fn observe_l0_fanin(&self, inputs: usize) {
-        let sample = (inputs as u64) << FANIN_FP_SHIFT;
-        let _ = self
-            .l0_fanin_fp
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |prev| {
-                Some(prev - prev / 4 + sample / 4)
-            });
-    }
-
-    /// The adaptive re-groom threshold: when level-0 merges keep observing
-    /// fan-in above nominal, grooming is outrunning merging with many small
-    /// runs, so each groom should batch proportionally more rows. Bounded to
-    /// `[base, 4 * base]` so a burst can never park grooming entirely.
-    pub(crate) fn effective_groom_trigger(&self) -> usize {
-        let base = self.groom_trigger_rows;
-        let fanin = (self.l0_fanin_fp.load(Ordering::Relaxed) >> FANIN_FP_SHIFT)
-            .max(NOMINAL_L0_FANIN) as usize;
-        (base.saturating_mul(fanin) / NOMINAL_L0_FANIN as usize).clamp(base, base.saturating_mul(4))
     }
 
     /// All indexes of one shard: primary first, then secondaries.
@@ -123,7 +80,7 @@ impl JobExecutor for EngineExecutor {
                     shard: si,
                     level: 0,
                 }];
-                if shard.live().len() >= self.effective_groom_trigger() {
+                if shard.live().len() >= self.groom_trigger_rows {
                     follow_ups.push(Job::Groom { shard: si });
                 }
                 Ok(JobOutcome {
@@ -131,8 +88,7 @@ impl JobExecutor for EngineExecutor {
                     items_moved: report.rows as u64,
                     bytes_moved: report.block_bytes,
                     did_work: true,
-                    l0_runs: Some(self.max_l0_runs()),
-                    l0_bytes: Some(self.max_l0_bytes()),
+                    l0_runs: Some(max_l0_runs(&self.shards)),
                 })
             }
             Job::Merge { shard: si, level } => {
@@ -145,9 +101,6 @@ impl JobExecutor for EngineExecutor {
                             merged = true;
                             entries += report.output_entries;
                             bytes += report.output_bytes;
-                            if level == 0 {
-                                self.observe_l0_fanin(report.inputs);
-                            }
                         }
                         Ok(None) => {}
                         // Inputs changed concurrently; the next trigger
@@ -174,8 +127,7 @@ impl JobExecutor for EngineExecutor {
                     items_moved: entries,
                     bytes_moved: bytes,
                     did_work: true,
-                    l0_runs: Some(self.max_l0_runs()),
-                    l0_bytes: Some(self.max_l0_bytes()),
+                    l0_runs: Some(max_l0_runs(&self.shards)),
                 })
             }
             Job::Evolve { shard: si } => {
@@ -210,8 +162,7 @@ impl JobExecutor for EngineExecutor {
                     items_moved: rows,
                     bytes_moved: bytes,
                     did_work: true,
-                    l0_runs: Some(self.max_l0_runs()),
-                    l0_bytes: Some(self.max_l0_bytes()),
+                    l0_runs: Some(max_l0_runs(&self.shards)),
                 })
             }
             Job::RetireDeprecatedBlocks { .. } => {
@@ -235,43 +186,8 @@ impl JobExecutor for EngineExecutor {
                     bytes_moved: 0,
                     did_work: reclaimed > 0,
                     l0_runs: None,
-                    l0_bytes: None,
                 })
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn adaptive_groom_trigger_tracks_fanin_and_stays_bounded() {
-        let ex = EngineExecutor::new(Vec::new(), 1000, false);
-        // At nominal fan-in the trigger is exactly the configured base.
-        assert_eq!(ex.effective_groom_trigger(), 1000);
-
-        // Sustained high fan-in raises the trigger proportionally…
-        for _ in 0..32 {
-            ex.observe_l0_fanin(8);
-        }
-        let raised = ex.effective_groom_trigger();
-        assert!(
-            raised > 1500 && raised <= 4000,
-            "fan-in 8 ≈ 2x nominal should roughly double the trigger, got {raised}"
-        );
-
-        // …but never past the 4x bound, even under absurd fan-in.
-        for _ in 0..64 {
-            ex.observe_l0_fanin(1000);
-        }
-        assert_eq!(ex.effective_groom_trigger(), 4000);
-
-        // And fan-in below nominal never drops the trigger under base.
-        for _ in 0..64 {
-            ex.observe_l0_fanin(1);
-        }
-        assert_eq!(ex.effective_groom_trigger(), 1000);
     }
 }

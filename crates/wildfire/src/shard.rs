@@ -9,11 +9,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use umzi_core::{EvolveNotice, UmziConfig, UmziIndex};
 use umzi_encoding::Datum;
 use umzi_run::{IndexEntry, KeyLayout, Rid, ZoneId};
-use umzi_storage::{context, Durability, Priority, TieredStorage};
+use umzi_storage::{context, OpClass, Priority, StorageError, TieredStorage};
 
 use crate::colblock::{serialize_deltas, ColumnBlock, EndTsDelta};
 use crate::error::WildfireError;
@@ -270,8 +271,7 @@ impl Shard {
         let object = format!("{}/blocks/g-{block_id:020}", self.prefix);
         let payload = block.serialize();
         let block_bytes = payload.len() as u64;
-        self.storage
-            .create_object(&object, payload, Durability::Persisted, 0, true)?;
+        self.put_block(&object, payload)?;
         self.registry.lock().blocks.insert(
             (ZoneId::GROOMED, block_id),
             BlockEntry {
@@ -498,8 +498,7 @@ impl Shard {
                 let object = format!("{}/blocks/p-{block_id:020}", self.prefix);
                 let payload = block.serialize();
                 block_bytes += payload.len() as u64;
-                self.storage
-                    .create_object(&object, payload, Durability::Persisted, 0, true)?;
+                self.put_block(&object, payload)?;
                 reg.blocks.insert(
                     (ZoneId::POST_GROOMED, *block_id),
                     BlockEntry {
@@ -518,10 +517,9 @@ impl Shard {
         if !deltas.is_empty() {
             let name = format!("{}/deltas/d-{psn:020}", self.prefix);
             let payload = serialize_deltas(&deltas);
-            self.storage
-                .with_retry_as(umzi_storage::OpClass::Delta, || {
-                    self.storage.shared().put(&name, payload.clone())
-                })?;
+            self.storage.with_retry_as(OpClass::Delta, || {
+                self.storage.shared().put(&name, payload.clone())
+            })?;
         }
 
         // Publish for the indexer (Figure 5): metadata first, then MaxPSN.
@@ -647,11 +645,20 @@ impl Shard {
         };
         let deleted = victims.len();
         for entry in victims {
-            if let Ok(h) = self.storage.open_object(&entry.object, 0) {
-                self.storage.delete_object(h)?;
-            }
+            delete_or_park(&self.storage, &entry.object);
         }
         Ok(deleted)
+    }
+
+    /// Persist a column block to shared storage. Blocks are served from
+    /// the in-RAM registry and recovery reads them straight from shared
+    /// storage, so they never enter the chunk tiers — whose SSD occupancy is
+    /// what §6.2's cache manager weighs when it purges index runs.
+    fn put_block(&self, object: &str, payload: Bytes) -> Result<()> {
+        self.storage.with_retry_as(OpClass::BlockFetch, || {
+            self.storage.shared().put(object, payload.clone())
+        })?;
+        Ok(())
     }
 
     /// Deprecated groomed blocks awaiting deferred deletion (observability).
@@ -739,26 +746,18 @@ impl Shard {
         let mut registry = Registry::default();
         let mut groomed_max = 0u64;
         let mut pg_max = 0u64;
-        for object in storage.with_retry_as(umzi_storage::OpClass::BlockFetch, || {
+        for object in storage.with_retry_as(OpClass::BlockFetch, || {
             storage.shared().list(&format!("{prefix}/blocks/"))
         })? {
-            let data = storage.with_retry_as(umzi_storage::OpClass::BlockFetch, || {
-                storage.shared().get(&object)
-            })?;
+            let data =
+                storage.with_retry_as(OpClass::BlockFetch, || storage.shared().get(&object))?;
             let block = match ColumnBlock::deserialize(&data) {
                 Ok(b) => Arc::new(b),
                 Err(_) => {
                     // Torn put from a groom that died mid-write: nothing
                     // references it (the groom never committed a run), and
                     // storage is create-once, so delete it to free the name.
-                    // A failed delete is counted and parked for the janitor.
-                    if let Err(e) = storage.with_retry_as(umzi_storage::OpClass::Gc, || {
-                        storage.shared().delete(&object)
-                    }) {
-                        if !matches!(e, umzi_storage::StorageError::NotFound { .. }) {
-                            storage.note_gc_delete_failure(&object);
-                        }
-                    }
+                    delete_or_park(&storage, &object);
                     continue;
                 }
             };
@@ -787,26 +786,16 @@ impl Shard {
                 .insert((zone, id), BlockEntry { block, object });
         }
         // Replay endTS closures.
-        for object in storage.with_retry_as(umzi_storage::OpClass::Delta, || {
+        for object in storage.with_retry_as(OpClass::Delta, || {
             storage.shared().list(&format!("{prefix}/deltas/"))
         })? {
-            let data = storage.with_retry_as(umzi_storage::OpClass::Delta, || {
-                storage.shared().get(&object)
-            })?;
+            let data = storage.with_retry_as(OpClass::Delta, || storage.shared().get(&object))?;
             let deltas = match crate::colblock::deserialize_deltas(&data) {
                 Ok(d) => d,
                 Err(_) => {
                     // Torn delta sidecar: the post-groom that wrote it
-                    // failed, so its PSN was never published. Free the name
-                    // — counting and parking a failed delete for the
-                    // janitor instead of leaking it.
-                    if let Err(e) = storage.with_retry_as(umzi_storage::OpClass::Gc, || {
-                        storage.shared().delete(&object)
-                    }) {
-                        if !matches!(e, umzi_storage::StorageError::NotFound { .. }) {
-                            storage.note_gc_delete_failure(&object);
-                        }
-                    }
+                    // failed, so its PSN was never published. Free the name.
+                    delete_or_park(&storage, &object);
                     continue;
                 }
             };
@@ -845,6 +834,18 @@ impl Shard {
             groom_lock: Mutex::new(()),
             post_groom_lock: Mutex::new(()),
         }))
+    }
+}
+
+/// Delete an unreferenced block or delta object from shared storage. A
+/// failed delete is counted and parked for the janitor's re-attempt
+/// ([`TieredStorage::retry_leaked_deletes`]), never dropped: nothing else
+/// still knows the name.
+fn delete_or_park(storage: &TieredStorage, object: &str) {
+    if let Err(e) = storage.with_retry_as(OpClass::Gc, || storage.shared().delete(object)) {
+        if !matches!(e, StorageError::NotFound { .. }) {
+            storage.note_gc_delete_failure(object);
+        }
     }
 }
 
@@ -1223,6 +1224,48 @@ mod tests {
         assert_eq!(s.retire_deprecated_blocks().unwrap(), 1);
         assert_eq!(s.block_counts().0, 0, "retired without a second evolve");
         assert_eq!(s.deprecated_block_count(), 0);
+    }
+
+    /// A groomed block that recovery registered is deleted straight from
+    /// shared storage when it retires — a failing length probe must not make
+    /// it leak uncounted: the object is either gone or parked for the
+    /// janitor's re-delete.
+    #[test]
+    fn recovered_block_retire_deletes_or_parks_under_len_faults() {
+        use umzi_storage::{
+            FaultInjectingStore, FaultOp, FaultPlan, InMemoryObjectStore, LatencyModel,
+            ObjectStore, SharedStorage, TieredConfig,
+        };
+        let faulty = Arc::new(FaultInjectingStore::new(
+            Arc::new(InMemoryObjectStore::new()),
+            FaultPlan::none().with_transient(FaultOp::Len, 1.0),
+        ));
+        faulty.set_armed(false);
+        let storage = Arc::new(TieredStorage::new(
+            SharedStorage::new(
+                Arc::clone(&faulty) as Arc<dyn ObjectStore>,
+                LatencyModel::off(),
+            ),
+            TieredConfig::default(),
+        ));
+        let table = Arc::new(iot_table());
+        let config = ShardConfig::default();
+        let s = Shard::create(Arc::clone(&storage), Arc::clone(&table), 0, config.clone()).unwrap();
+        s.upsert(vec![row(1, 1, 100, 1)]).unwrap();
+        s.groom().unwrap().unwrap();
+        drop(s);
+        storage.simulate_crash();
+        let s = Shard::recover(Arc::clone(&storage), table, 0, config).unwrap();
+        let block = format!("{}/blocks/g-{:020}", s.prefix, 1);
+
+        faulty.set_armed(true);
+        s.post_groom().unwrap().unwrap();
+        s.apply_pending_evolves().unwrap();
+        s.index().collect_garbage().unwrap();
+        assert_eq!(s.retire_deprecated_blocks().unwrap(), 1);
+        let gone = storage.shared().get(&block).is_err();
+        let parked = storage.leaked_gc_objects().contains(&block);
+        assert!(gone || parked, "{block} neither deleted nor parked");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use umzi::prelude::*;
 use umzi_core::ReconcileStrategy;
+use umzi_storage::{context, QueryContext};
 use umzi_wildfire::WildfireError;
 
 const DEVICES: i64 = 16;
@@ -44,7 +45,6 @@ fn stress_config() -> EngineConfig {
             throttle: None,
             janitor_interval: Duration::from_millis(15),
             adaptive_cache: false,
-            ..MaintenanceConfig::default()
         }),
     }
 }
@@ -272,9 +272,9 @@ fn parallel_scans_survive_concurrent_maintenance() {
 /// are built inline, so real merge work — which outranks grooms — arrives
 /// faster than the worker drains it) while the cold shard takes a trickle.
 /// The weighted-aging dequeue must still get the cold shard's groom served
-/// while the pressure is on; with the run-count axis parked out of reach,
-/// the byte-based gate is the only ingest backpressure, and no acked row
-/// may be lost under it.
+/// while the pressure is on, with the level-0 run-count gate armed and each
+/// write bounded by a 2 s ambient deadline; no acked row may be lost under
+/// it.
 #[test]
 fn cold_shard_groom_completes_under_hot_merge_pressure() {
     let table = iot_table();
@@ -297,19 +297,16 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
     config.groom_interval = Duration::from_millis(10);
     config.maintenance = Some(MaintenanceConfig {
         workers: 1,
-        // Park the run-count axis so the byte watermarks are the only
-        // ingest gate this test exercises.
-        l0_high_watermark: 1_000_000,
-        l0_low_watermark: 500_000,
-        l0_bytes_high_watermark: 32 << 10,
-        l0_bytes_low_watermark: 16 << 10,
+        // The inline hot grooms can pile level 0 up faster than the slowed
+        // worker merges it; the gate then stalls writers until merges bring
+        // it back to K − 1 = 1 runs above the low watermark.
+        l0_high_watermark: 8,
+        l0_low_watermark: 2,
         // One slowed worker: merge arrivals outpace it, which is exactly
         // the backlog the aging dequeue must let the cold groom overtake.
         throttle: Some(Duration::from_millis(2)),
-        stall_timeout: Some(Duration::from_secs(2)),
         janitor_interval: Duration::from_millis(15),
         adaptive_cache: false,
-        ..MaintenanceConfig::default()
     });
     let storage = Arc::new(TieredStorage::in_memory());
     let engine = WildfireEngine::create(storage, Arc::new(table), config).unwrap();
@@ -320,6 +317,12 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
     // queue always holds fresh level-0 merge work for the hot shard.
     let stop = Arc::new(AtomicBool::new(false));
     let hot_acked = Arc::new(AtomicU64::new(0));
+    // A stall that outlives the writer's 2 s budget rejects the batch;
+    // rejected rows are not acked and not expected back.
+    let upsert_within_2s = |engine: &WildfireEngine, rows| {
+        let _g = context::enter(QueryContext::with_deadline(Duration::from_secs(2)));
+        engine.upsert_many(rows)
+    };
     let flood = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
@@ -328,13 +331,11 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
             let mut msg = 0i64;
             while !stop.load(Ordering::Acquire) {
                 let rows: Vec<Vec<Datum>> = (0..80).map(|i| row(hot_dev, msg + i)).collect();
-                match engine.upsert_many(rows) {
+                match upsert_within_2s(&engine, rows) {
                     Ok(()) => {
                         hot_acked.fetch_add(80, Ordering::Release);
                         msg += 80;
                     }
-                    // A stall that outlives the timeout rejects the batch;
-                    // rejected rows are not acked and not expected back.
                     Err(WildfireError::Backpressure { .. }) => {}
                     Err(e) => panic!("hot ingest failed: {e}"),
                 }
@@ -361,7 +362,7 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
             daemon.stats()
         );
         let rows: Vec<Vec<Datum>> = (0..8).map(|i| row(cold_dev, cold_msg + i)).collect();
-        match engine.upsert_many(rows) {
+        match upsert_within_2s(&engine, rows) {
             Ok(()) => {
                 cold_acked += 8;
                 cold_msg += 8;
@@ -387,7 +388,7 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
         "hot flood generated no merge work: {stats:?}"
     );
 
-    // Integrity under the byte-based gate: every acked row is countable,
+    // Integrity under the ingest gate: every acked row is countable,
     // whether or not the gate ever stalled (rejected batches were not
     // acked and are excluded above).
     engine.quiesce().unwrap();
@@ -406,7 +407,7 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
     assert_eq!(
         count(hot_dev) + count(cold_dev),
         hot_acked.load(Ordering::Acquire) + cold_acked,
-        "acked rows lost under the byte-based ingest gate"
+        "acked rows lost under the ingest gate"
     );
 }
 
@@ -432,7 +433,6 @@ fn backpressure_stalls_and_resumes_ingest() {
         throttle: Some(Duration::from_millis(2)),
         janitor_interval: Duration::from_millis(20),
         adaptive_cache: false,
-        ..MaintenanceConfig::default()
     });
     config.n_shards = 1;
     let storage = Arc::new(TieredStorage::in_memory());
