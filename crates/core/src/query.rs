@@ -17,6 +17,7 @@ use umzi_run::{
     AccessPattern, KeyLayout, ProbeCursor, Rid, Run, RunSearcher, SearchHit, SortBound,
 };
 use umzi_storage::telemetry::QueryTrace;
+use umzi_storage::{context, BreakerState, ObjectHandle, OpClass, Priority};
 
 use crate::index::UmziIndex;
 use crate::reconcile::{reconcile_pq, reconcile_set, ReconcileStrategy};
@@ -310,6 +311,17 @@ impl UmziIndex {
     /// Point lookup (§7.2): the full key (all equality and sort columns) is
     /// specified; runs are searched newest→oldest and the search stops at
     /// the first match.
+    ///
+    /// Over runs purged to shared storage that search would be a chain of
+    /// dependent fetches, although the in-RAM fences already name the one
+    /// block each run would need. So the first probe whose block misses the
+    /// decoded cache stages, in one concurrent round, that block and the
+    /// target block of every candidate run not yet searched
+    /// ([`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects));
+    /// the probes that follow find their blocks in the chunk tiers. The
+    /// trade: a lookup may fetch blocks of runs older than the one that
+    /// answers it. A lookup whose blocks are all decoded stages nothing and
+    /// does no extra work.
     pub fn point_lookup(
         &self,
         equality: &[Datum],
@@ -338,20 +350,72 @@ impl UmziIndex {
         let prefix = KeyLayout::logical_key(&full);
         let eq_encoded = encode_eq_values(equality);
         let bound = SortBound::Included(sort_values.to_vec());
-
-        for run in self.candidate_runs() {
-            if !run
-                .header()
+        let may_match = |run: &Run| {
+            run.header()
                 .synopsis
                 .may_match(&eq_encoded, &bound, &bound, query_ts)
-            {
+        };
+
+        let candidates = self.candidate_runs();
+        let mut staged = false;
+        for (i, run) in candidates.iter().enumerate() {
+            if !may_match(run) {
                 continue;
             }
-            if let Some(hit) = RunSearcher::new(&run).lookup(prefix, None, query_ts)? {
+            let hit = ProbeCursor::new(run, query_ts, AccessPattern::PointLookup).probe_staging(
+                prefix,
+                |missed| {
+                    if !std::mem::replace(&mut staged, true) {
+                        let rest = candidates[i + 1..].iter().filter(|r| may_match(r));
+                        self.stage_probe_blocks(run, missed, rest, prefix);
+                    }
+                },
+            )?;
+            if let Some(hit) = hit {
                 return Ok(Some(QueryOutput::from_hit(hit)));
             }
         }
         Ok(None)
+    }
+
+    /// The fill of a cold point lookup's first decoded-cache miss — block
+    /// `missed` of `run` — with `rest` the candidates it has not searched
+    /// yet: fetch, in one concurrent round, every block among `missed` and
+    /// the target block of each run in `rest` that is neither decoded nor
+    /// in a chunk tier. Staged blocks land in the chunk tiers only; each
+    /// demand probe decodes its block and admits it as point traffic, as it
+    /// would have anyway. Residency is asked with `contains`, never `get`,
+    /// so no miss is counted twice and the admission sketch is untouched.
+    ///
+    /// Advisory and conservative. Nothing is staged
+    /// * for fewer than two blocks — one fetch is no slower on demand;
+    /// * while the block-fetch breaker is not closed — the round would fire
+    ///   one doomed request per run, or spend the half-open probe;
+    /// * under [`Priority::Background`](umzi_storage::Priority), the rule
+    ///   [`thread_budget`] follows;
+    /// * once the query is cancelled or past its deadline.
+    fn stage_probe_blocks<'r>(
+        &self,
+        run: &'r Run,
+        missed: u32,
+        rest: impl Iterator<Item = &'r Arc<Run>>,
+        prefix: &[u8],
+    ) {
+        if self.storage.breaker().state(OpClass::BlockFetch) != BreakerState::Closed
+            || context::current().priority() == Priority::Background
+            || context::current_aborted()
+        {
+            return;
+        }
+        let targets = rest.filter_map(|r| Some((&**r, r.probe_block(prefix)?)));
+        let wanted: Vec<(ObjectHandle, Vec<u32>)> = std::iter::once((run, missed))
+            .chain(targets)
+            .filter(|(r, b)| !r.is_block_local(*b))
+            .map(|(r, b)| (r.handle(), vec![r.block_chunk(b)]))
+            .collect();
+        if wanted.len() >= 2 {
+            self.storage.prefetch_objects(&wanted);
+        }
     }
 
     /// Batched point lookups (§7.2): input keys are sorted by

@@ -1,0 +1,388 @@
+//! A cold point lookup stages its run probes in one concurrent round.
+//!
+//! Runs are searched newest to oldest and the search stops at the first
+//! match (§7.2), so over runs purged to shared storage a lookup used to be a
+//! chain of dependent fetches. On its first decoded-cache miss a lookup now
+//! fetches the target block of every remaining candidate run at once; the
+//! probes that follow find their blocks in the chunk tiers. These tests pin
+//! the overlap itself, that a warm lookup never stages and counts each
+//! decoded-cache miss once, and that faults, cancellation and an open
+//! breaker keep their meaning.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
+use bytes::Bytes;
+use umzi_core::{MergePolicy, UmziConfig, UmziError, UmziIndex};
+use umzi_encoding::{ColumnType, Datum, IndexDef};
+use umzi_run::{IndexEntry, Rid, ZoneId};
+use umzi_storage::{
+    context, BreakerState, CancelToken, FaultInjectingStore, FaultOp, FaultPlan,
+    InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext, RetryConfig,
+    SharedStorage, StorageError, TieredConfig, TieredStorage, BREAKER_FAILURE_THRESHOLD,
+};
+
+/// Level-0 runs of every index here; run `RUNS - 1` is the newest.
+const RUNS: i64 = 4;
+const DEVICES: i64 = 4;
+/// Messages per device in each run.
+const MSGS_PER_RUN: i64 = 16;
+/// Run `r` holds the messages `m ≡ r (mod STRIPE)`; residue `RUNS` is in no
+/// run.
+const STRIPE: i64 = RUNS + 1;
+
+/// `RUNS` striped runs over `store`. Every run spans the same key domain, so
+/// no synopsis prunes an interior key and a key of residue 0 is held only
+/// by the oldest run. With 8 KiB chunks a run is one data block; with 256 B
+/// chunks it is several, and the fences pick the block a probe reads.
+fn striped_index(
+    store: Arc<dyn ObjectStore>,
+    chunk_size: usize,
+    retry: RetryConfig,
+) -> (Arc<TieredStorage>, Arc<UmziIndex>) {
+    let storage = Arc::new(TieredStorage::new(
+        SharedStorage::new(store, LatencyModel::off()),
+        TieredConfig {
+            chunk_size,
+            retry,
+            ..TieredConfig::default()
+        },
+    ));
+    let def = Arc::new(
+        IndexDef::builder("staging")
+            .equality("device", ColumnType::Int64)
+            .sort("msg", ColumnType::Int64)
+            .build()
+            .unwrap(),
+    );
+    let mut config = UmziConfig::two_zone("staging");
+    // The run structure is the experiment: nothing merges.
+    config.merge = MergePolicy {
+        k: usize::MAX / 2,
+        t: 4,
+    };
+    let idx = UmziIndex::create(Arc::clone(&storage), def, config).unwrap();
+    for r in 0..RUNS {
+        let block = r as u64 + 1;
+        let entries: Vec<IndexEntry> = (0..DEVICES * MSGS_PER_RUN)
+            .map(|i| {
+                let (d, m) = (i % DEVICES, (i / DEVICES) * STRIPE + r);
+                IndexEntry::new(
+                    idx.layout(),
+                    &[Datum::Int64(d)],
+                    &[Datum::Int64(m)],
+                    block,
+                    Rid::new(ZoneId::GROOMED, block, i as u32),
+                    &[],
+                )
+                .unwrap()
+            })
+            .collect();
+        idx.build_groomed_run(entries, block, block).unwrap();
+    }
+    assert_eq!(idx.candidate_runs().len() as i64, RUNS);
+    (storage, idx)
+}
+
+/// An interior key of device `d` with message residue `residue`.
+fn key(i: i64, d: i64, residue: i64) -> (Vec<Datum>, Vec<Datum>) {
+    let j = 1 + i % (MSGS_PER_RUN - 2);
+    (
+        vec![Datum::Int64(d)],
+        vec![Datum::Int64(j * STRIPE + residue)],
+    )
+}
+
+type Answer = Option<(Bytes, u64, Bytes)>;
+
+fn lookup(idx: &UmziIndex, (eq, sort): &(Vec<Datum>, Vec<Datum>)) -> Result<Answer, UmziError> {
+    Ok(idx
+        .point_lookup(eq, sort, u64::MAX)?
+        .map(|o| (o.key, o.begin_ts, o.value)))
+}
+
+/// Drop every run's data blocks from the decoded cache and the chunk tiers.
+fn purge_all(storage: &TieredStorage, idx: &UmziIndex) {
+    for run in idx.candidate_runs() {
+        storage.purge_object(run.handle()).unwrap();
+    }
+}
+
+fn storage_error(e: &UmziError) -> Option<&StorageError> {
+    match e {
+        UmziError::Storage(s) | UmziError::Run(umzi_run::RunError::Storage(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// How many `get_range` calls were in flight at once, at most.
+#[derive(Default)]
+struct Flight {
+    now: usize,
+    peak: usize,
+}
+
+/// An object store that, while armed, holds each `get_range` until
+/// `RUNS` of them are in flight at once — or 2 s pass — and records the
+/// peak. A lookup that fetches one run at a time waits out the timeout on
+/// every fetch and peaks at 1.
+#[derive(Default)]
+struct OverlapGate {
+    inner: InMemoryObjectStore,
+    armed: AtomicBool,
+    flight: Mutex<Flight>,
+    arrived: Condvar,
+}
+
+impl OverlapGate {
+    fn hold(&self) {
+        let mut f = self.flight.lock().unwrap();
+        f.now += 1;
+        f.peak = f.peak.max(f.now);
+        self.arrived.notify_all();
+        let (mut f, _) = self
+            .arrived
+            .wait_timeout_while(f, Duration::from_secs(2), |f| f.peak < RUNS as usize)
+            .unwrap();
+        f.now -= 1;
+    }
+}
+
+impl ObjectStore for OverlapGate {
+    fn put(&self, name: &str, data: Bytes) -> umzi_storage::Result<()> {
+        self.inner.put(name, data)
+    }
+    fn get(&self, name: &str) -> umzi_storage::Result<Bytes> {
+        self.inner.get(name)
+    }
+    fn get_range(&self, name: &str, offset: u64, len: usize) -> umzi_storage::Result<Bytes> {
+        if self.armed.load(Ordering::SeqCst) {
+            self.hold();
+        }
+        self.inner.get_range(name, offset, len)
+    }
+    fn len(&self, name: &str) -> umzi_storage::Result<u64> {
+        self.inner.len(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn list(&self, prefix: &str) -> umzi_storage::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, name: &str) -> umzi_storage::Result<()> {
+        self.inner.delete(name)
+    }
+}
+
+/// A key held only by the oldest of four purged runs: the lookup's fetches
+/// of the four runs' blocks are in flight at once, and the answer is the
+/// one the resident runs give.
+#[test]
+fn cold_lookup_overlaps_its_run_fetches() {
+    let gate = Arc::new(OverlapGate::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&gate) as Arc<dyn ObjectStore>,
+        256,
+        RetryConfig::default(),
+    );
+    let k = key(5, 2, 0);
+    let resident = lookup(&idx, &k).unwrap();
+    assert!(resident.is_some());
+    purge_all(&storage, &idx);
+
+    gate.armed.store(true, Ordering::SeqCst);
+    let cold = lookup(&idx, &k).unwrap();
+    gate.armed.store(false, Ordering::SeqCst);
+    assert_eq!(cold, resident);
+    assert_eq!(gate.flight.lock().unwrap().peak, RUNS as usize);
+    let s = storage.stats();
+    assert_eq!(s.blocks_prefetched, RUNS as u64, "{s:?}");
+    assert_eq!(
+        s.prefetch_hits, RUNS as u64,
+        "every staged block was probed"
+    );
+}
+
+/// Over runs whose chunks are all local, lookups never stage, and each
+/// block's first touch is the one decoded-cache miss it ever counts. With
+/// one block per run, a lookup for residue `r` searches runs `RUNS - 1`
+/// down to `r` (all of them for the absent residue), so the hits are the
+/// blocks searched minus one miss per run.
+#[test]
+fn warm_lookups_never_stage_and_count_each_miss_once() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        8 << 10,
+        RetryConfig::default(),
+    );
+    for run in idx.candidate_runs() {
+        assert_eq!(run.data_block_count(), 1);
+        assert!(storage.is_fully_cached(run.handle()).unwrap());
+    }
+    let before = storage.stats();
+    let mut searched = 0;
+    // The newest run's residue first, so the first lookups touch the runs
+    // one at a time; every residue, the absent one included, after that.
+    for (i, residue) in [RUNS - 1, 0, RUNS, 2, 1, 0, RUNS - 1]
+        .into_iter()
+        .cycle()
+        .take(28)
+        .enumerate()
+    {
+        let k = key(i as i64, i as i64 % DEVICES, residue);
+        let hit = lookup(&idx, &k).unwrap();
+        assert_eq!(hit.is_some(), residue != RUNS, "residue {residue}");
+        searched += if residue == RUNS {
+            RUNS
+        } else {
+            RUNS - residue
+        } as u64;
+    }
+    let after = storage.stats();
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    assert_eq!(after.shared.reads, before.shared.reads);
+    let (hits, misses) = (
+        after.decoded.point.hits - before.decoded.point.hits,
+        after.decoded.point.misses - before.decoded.point.misses,
+    );
+    assert_eq!(misses, RUNS as u64, "one miss per block, counted once");
+    assert_eq!(hits, searched - RUNS as u64);
+}
+
+/// With every `get_range` failing transiently half the time, cold lookups
+/// retry — in the staging round and on demand alike — and still return
+/// the resident answer.
+#[test]
+fn cold_lookup_under_transient_faults_returns_the_resident_answer() {
+    let faults = Arc::new(FaultInjectingStore::new(
+        Arc::new(InMemoryObjectStore::new()),
+        FaultPlan::none().with_transient(FaultOp::GetRange, 0.5),
+    ));
+    faults.set_armed(false);
+    let retry = RetryConfig {
+        max_retries: 16,
+        base_backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+    };
+    let (storage, idx) = striped_index(Arc::clone(&faults) as Arc<dyn ObjectStore>, 256, retry);
+    let keys: Vec<_> = (0..8).map(|i| key(i, i % DEVICES, i % STRIPE)).collect();
+    let resident: Vec<Answer> = keys.iter().map(|k| lookup(&idx, k).unwrap()).collect();
+
+    for (k, want) in keys.iter().zip(&resident) {
+        purge_all(&storage, &idx);
+        faults.set_armed(true);
+        let got = lookup(&idx, k);
+        faults.set_armed(false);
+        assert_eq!(&got.unwrap(), want);
+    }
+    let s = storage.stats();
+    assert!(faults.stats().injected[FaultOp::GetRange.index()] > 0);
+    assert!(s.retries > 0 && s.blocks_prefetched > 0, "{s:?}");
+    assert_eq!(s.retries_exhausted, 0);
+}
+
+/// Cancelled at its `n`-th cooperative checkpoint — for every `n` up to
+/// one past the last — a cold lookup returns either the resident answer or
+/// the typed `Cancelled`, and the next uncancelled lookup is exact.
+#[test]
+fn cancelled_cold_lookup_is_exact_or_typed_at_every_checkpoint() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    let k = key(3, 1, 0);
+    let want = lookup(&idx, &k).unwrap();
+    let mut finished = false;
+    for n in 0..=64 {
+        purge_all(&storage, &idx);
+        let token = CancelToken::trip_after(n);
+        let got = {
+            let _g = context::enter(QueryContext::unbounded().with_cancel(token.clone()));
+            lookup(&idx, &k)
+        };
+        match got {
+            Ok(got) => {
+                assert_eq!(got, want, "trip at checkpoint {n}");
+                finished = !token.is_cancelled();
+            }
+            Err(e) => {
+                let cancelled = matches!(storage_error(&e), Some(StorageError::Cancelled { .. }));
+                assert!(cancelled, "trip at checkpoint {n}: untyped {e}");
+            }
+        }
+        assert_eq!(lookup(&idx, &k).unwrap(), want, "after a trip at {n}");
+        if finished {
+            break;
+        }
+    }
+    assert!(finished, "64 checkpoints never let the lookup finish");
+}
+
+/// Background work — the post-groomer's predecessor probe — never stages:
+/// its cold lookup fetches one run at a time, as before.
+#[test]
+fn background_lookup_stages_nothing() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    let k = key(5, 2, 0);
+    let want = lookup(&idx, &k).unwrap();
+    purge_all(&storage, &idx);
+    let before = storage.stats();
+    let got = {
+        let _g = context::enter(QueryContext::unbounded().with_priority(Priority::Background));
+        lookup(&idx, &k).unwrap()
+    };
+    assert_eq!(got, want);
+    let after = storage.stats();
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    assert!(after.shared.reads >= before.shared.reads + RUNS as u64);
+}
+
+/// With the block-fetch breaker open, a cold lookup stages nothing: it
+/// issues no store operation and is refused exactly once, on its demand
+/// fetch, as it was before staging existed.
+#[test]
+fn open_breaker_stages_nothing() {
+    let faults = Arc::new(FaultInjectingStore::new(
+        Arc::new(InMemoryObjectStore::new()),
+        FaultPlan::none().with_transient(FaultOp::GetRange, 1.0),
+    ));
+    faults.set_armed(false);
+    let retry = RetryConfig {
+        max_retries: 0,
+        ..RetryConfig::default()
+    };
+    let (storage, idx) = striped_index(Arc::clone(&faults) as Arc<dyn ObjectStore>, 256, retry);
+    purge_all(&storage, &idx);
+    faults.set_armed(true);
+    let oldest = idx.candidate_runs().pop().unwrap();
+    // The chunk of the oldest run's first data block.
+    let chunk = oldest.header().header_chunks;
+    for _ in 0..BREAKER_FAILURE_THRESHOLD {
+        assert!(storage.read_chunk(oldest.handle(), chunk).is_err());
+    }
+    let breaker = storage.breaker();
+    assert_eq!(breaker.state(OpClass::BlockFetch), BreakerState::Open);
+
+    let (ops, before) = (faults.stats().ops, storage.stats());
+    let err = lookup(&idx, &key(5, 2, 0)).unwrap_err();
+    assert!(
+        matches!(storage_error(&err), Some(StorageError::Unavailable { .. })),
+        "{err}"
+    );
+    let after = storage.stats();
+    let class = OpClass::BlockFetch.index();
+    assert_eq!(faults.stats().ops, ops, "no store operation");
+    assert_eq!(
+        after.breaker_rejections[class] - before.breaker_rejections[class],
+        1,
+        "only the demand fetch reached the breaker"
+    );
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+}

@@ -53,9 +53,12 @@ impl std::fmt::Debug for Run {
 
 impl Run {
     /// Open a run by object name, validating the header and definition
-    /// fingerprint.
+    /// fingerprint. The parsed header — fence index, block prefix counts,
+    /// checksums, synopsis, offset array — lives in RAM for the run's
+    /// lifetime, so no read after this one touches a header chunk.
     pub fn open(storage: Arc<TieredStorage>, name: &str, layout: KeyLayout) -> Result<Run> {
-        // Fetch the first chunk, learn the full header size, fetch the rest.
+        // Opening pins the first chunk only. It tells the full header size;
+        // a longer header is read once through the tiers and then parsed.
         let handle = storage.open_object(name, 1)?;
         let first = storage.read_chunk(handle, 0)?;
         let header_len = RunHeader::peek_len(&first)?;
@@ -71,9 +74,6 @@ impl Run {
                 opened_with: layout.def().fingerprint(),
             });
         }
-        // Pin the remaining header chunks now that we know how many.
-        let reopened = storage.open_object(name, header.header_chunks)?;
-        debug_assert_eq!(reopened, handle);
         Ok(Run {
             storage,
             handle,
@@ -211,7 +211,8 @@ impl Run {
     /// point lookups may promote into the protected segment, range scans
     /// stay probation-only, maintenance sweeps are never admitted.
     pub fn data_block_as(&self, b: u32, pattern: AccessPattern) -> Result<DataBlock> {
-        self.data_block_impl(b, pattern, false)
+        self.decoded_block(b, pattern)
+            .map_or_else(|| self.fetch_block(b, pattern, false), Ok)
     }
 
     /// Fetch data block `b` for the tail of a range scan that has exceeded
@@ -219,10 +220,65 @@ impl Run {
     /// the cache's per-pattern statistics, but the parsed block is not
     /// admitted under the scan-resistant policy.
     pub fn data_block_scan_bypassed(&self, b: u32) -> Result<DataBlock> {
-        self.data_block_impl(b, AccessPattern::RangeScan, true)
+        let pattern = AccessPattern::RangeScan;
+        self.decoded_block(b, pattern)
+            .map_or_else(|| self.fetch_block(b, pattern, true), Ok)
     }
 
-    fn data_block_impl(
+    /// The decoded-cache half of a block read: block `b` if the decoded
+    /// cache holds it. One [`umzi_storage::DecodedBlockCache::get`], so a
+    /// miss is counted, and the admission sketch bumped, exactly once; on
+    /// `None` the caller completes the read with [`Self::fetch_block`].
+    pub(crate) fn decoded_block(&self, b: u32, pattern: AccessPattern) -> Option<DataBlock> {
+        if b >= self.header.n_data_blocks {
+            return None;
+        }
+        let hit = self
+            .storage
+            .decoded_cache()
+            .get((self.handle.raw(), b), pattern)?;
+        let block = hit.downcast::<DataBlock>().ok()?;
+        // A block that readahead both staged and decoded is consumed here
+        // without any chunk read — still a prefetch hit.
+        self.storage
+            .note_prefetch_consumed(self.handle, self.block_chunk(b));
+        Some(DataBlock::clone(&block))
+    }
+
+    /// The chunk number of data block `b` within the run's object.
+    pub fn block_chunk(&self, b: u32) -> u32 {
+        self.header.header_chunks + b
+    }
+
+    /// Whether block `b` is held in RAM or on local SSD: decoded, or as a
+    /// chunk in the memory or SSD tier. Pure observer — no cache statistics,
+    /// no recency, no admission-sketch update.
+    pub fn is_block_local(&self, b: u32) -> bool {
+        self.storage
+            .decoded_cache()
+            .contains((self.handle.raw(), b))
+            || self
+                .storage
+                .is_chunk_local(self.handle, self.block_chunk(b))
+    }
+
+    /// The data block a probe for the logical key `prefix` reads first: the
+    /// last block whose fence is below `prefix` (block 0 when none is), from
+    /// the in-memory fence index. `None` for a run with no data blocks.
+    pub fn probe_block(&self, prefix: &[u8]) -> Option<u32> {
+        let fences = &self.header.fence_keys;
+        (!fences.is_empty()).then(|| {
+            fences
+                .partition_point(|f| f.as_slice() < prefix)
+                .saturating_sub(1) as u32
+        })
+    }
+
+    /// The tier half of a block read: block `b` from the chunk hierarchy,
+    /// checksum-verified, parsed, and admitted to the decoded cache under
+    /// `pattern` (or only counted, with `bypass_insert`). Never consults the
+    /// decoded cache.
+    pub(crate) fn fetch_block(
         &self,
         b: u32,
         pattern: AccessPattern,
@@ -237,16 +293,7 @@ impl Run {
             });
         }
         let key = (self.handle.raw(), b);
-        if let Some(hit) = self.storage.decoded_cache().get(key, pattern) {
-            if let Ok(block) = hit.downcast::<DataBlock>() {
-                // A block that readahead both staged and decoded is consumed
-                // here without any chunk read — still a prefetch hit.
-                self.storage
-                    .note_prefetch_consumed(self.handle, self.header.header_chunks + b);
-                return Ok(DataBlock::clone(&block));
-            }
-        }
-        let chunk_no = self.header.header_chunks + b;
+        let chunk_no = self.block_chunk(b);
         let chunk = self.storage.read_chunk(self.handle, chunk_no)?;
         let chunk = self.verify_block_checksum(b, chunk_no, chunk)?;
         let block = DataBlock::parse(chunk)?;
@@ -283,7 +330,7 @@ impl Run {
         let chunk_nos: Vec<u32> = blocks
             .iter()
             .filter(|&&b| b < self.header.n_data_blocks)
-            .map(|&b| self.header.header_chunks + b)
+            .map(|&b| self.block_chunk(b))
             .collect();
         let fetched = self.storage.prefetch_chunks(self.handle, &chunk_nos)?;
         let staged = fetched.len();

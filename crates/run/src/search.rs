@@ -179,30 +179,16 @@ impl<'a> RunSearcher<'a> {
     /// [`ProbeCursor`] and one probe: the fence index picks the one block
     /// that can hold the key's newest version, so a lookup fetches **one**
     /// block (a second only when the key's versions run on into the next
-    /// block, which includes a key that opens a block). `bucket` is accepted
-    /// for callers that have it at hand and is not consulted — the fence
-    /// index is already finer than the offset array.
+    /// block, which includes a key that opens a block). `_bucket` is
+    /// accepted for callers that have it at hand and is not consulted — the
+    /// fence index is already finer than the offset array.
     pub fn lookup(
-        &self,
-        logical_prefix: &[u8],
-        bucket: Option<u32>,
-        query_ts: u64,
-    ) -> Result<Option<SearchHit>> {
-        self.lookup_as(logical_prefix, bucket, query_ts, AccessPattern::PointLookup)
-    }
-
-    /// Like [`Self::lookup`] with an explicit cache hint: bulk validation
-    /// probes issued on behalf of an analytical scan should be labelled
-    /// [`AccessPattern::RangeScan`] so they cannot promote one-pass blocks
-    /// into the protected segment.
-    pub fn lookup_as(
         &self,
         logical_prefix: &[u8],
         _bucket: Option<u32>,
         query_ts: u64,
-        pattern: AccessPattern,
     ) -> Result<Option<SearchHit>> {
-        ProbeCursor::new(self.run, query_ts, pattern).probe(logical_prefix)
+        ProbeCursor::new(self.run, query_ts, AccessPattern::PointLookup).probe(logical_prefix)
     }
 }
 
@@ -236,11 +222,18 @@ impl<'a> ProbeCursor<'a> {
         }
     }
 
-    /// Block loads are cooperative cancellation checkpoints; the checksum
-    /// and decoded-cache path is [`Run::data_block_as`], untouched.
-    fn load(&mut self, b: u32) -> Result<&DataBlock> {
+    /// Block loads are cooperative cancellation checkpoints. A block the
+    /// decoded cache misses is reported to `on_miss` before the tier read
+    /// ([`Run::decoded_block`], then [`Run::fetch_block`]).
+    fn load(&mut self, b: u32, on_miss: &mut impl FnMut(u32)) -> Result<&DataBlock> {
         umzi_storage::context::check_current("run_probe_block")?;
-        let block = self.run.data_block_as(b, self.pattern)?;
+        let block = match self.run.decoded_block(b, self.pattern) {
+            Some(block) => block,
+            None => {
+                on_miss(b);
+                self.run.fetch_block(b, self.pattern, false)?
+            }
+        };
         Ok(&self.cur.insert((b, block)).1)
     }
 
@@ -248,6 +241,19 @@ impl<'a> ProbeCursor<'a> {
     /// `hash ∥ eq ∥ sort` bytes) with `beginTS ≤ queryTS`, if this run holds
     /// one.
     pub fn probe(&mut self, prefix: &[u8]) -> Result<Option<SearchHit>> {
+        self.probe_staging(prefix, |_| {})
+    }
+
+    /// [`Self::probe`], calling `on_miss(b)` whenever block `b` misses the
+    /// decoded cache, just before the block is read from the chunk tiers:
+    /// the one point where a caller learns, at no extra cache lookup, that
+    /// this probe may wait on IO, and can stage other blocks to share the
+    /// wait.
+    pub fn probe_staging(
+        &mut self,
+        prefix: &[u8],
+        mut on_miss: impl FnMut(u32),
+    ) -> Result<Option<SearchHit>> {
         umzi_storage::context::check_current("run_probe")?;
         let (fences, query_ts) = (self.run.fence_keys()?, self.query_ts);
         if fences.is_empty() {
@@ -265,15 +271,13 @@ impl<'a> ProbeCursor<'a> {
                     step *= 2;
                 }
                 let hi = (lo + step).min(fences.len());
-                lo + fences[lo + 1..hi].partition_point(|f| f.as_slice() < prefix)
+                (lo + fences[lo + 1..hi].partition_point(|f| f.as_slice() < prefix)) as u32
             }
-            _ => fences
-                .partition_point(|f| f.as_slice() < prefix)
-                .saturating_sub(1),
-        } as u32;
+            _ => self.run.probe_block(prefix).expect("fences are non-empty"),
+        };
         let mut block = match &self.cur {
             Some((c, block)) if *c == target => block,
-            _ => self.load(target)?,
+            _ => self.load(target, &mut on_miss)?,
         };
         let mut b = target;
         let mut slot = block.partition_point_geq(prefix)?;
@@ -284,7 +288,7 @@ impl<'a> ProbeCursor<'a> {
                 b += 1;
                 match fences.get(b as usize) {
                     Some(f) if KeyLayout::logical_key(f) == prefix => {
-                        block = self.load(b)?;
+                        block = self.load(b, &mut on_miss)?;
                         slot = 0;
                     }
                     _ => return Ok(None),

@@ -546,7 +546,11 @@ impl WildfireEngine {
     /// Point lookup by full index key (equality + sort values), resolving
     /// the record row. The caller's ambient deadline and cancellation token
     /// reach every layer the lookup touches (index search, block fetches,
-    /// retry backoff). Under an open block-fetch circuit breaker a lookup
+    /// retry backoff). Over runs purged to shared storage the index search
+    /// waits for one concurrent round of fetches, not one fetch per run
+    /// probed: see [`UmziIndex::point_lookup`](umzi_core::UmziIndex::point_lookup),
+    /// which may also fetch blocks of runs older than the one that answers.
+    /// Under an open block-fetch circuit breaker a lookup stages nothing and
     /// degrades gracefully: it answers from the mem/ssd tiers and the
     /// decoded cache (counted as a degraded hit) and fails fast only when
     /// the answer truly needs shared storage.
