@@ -1,10 +1,8 @@
-//! Shared harness for the binaries reproducing §8 of the Umzi paper.
+//! Harness for the `figures` binary, which reproduces §8 of the Umzi paper.
 //!
 //! `cargo run --release -p umzi-bench --bin figures` prints the normalized
 //! series of Figures 8–15 (`-- 10 11` for a subset). Timings that judge a
-//! change live in the repo's `benchmark/`; the two other binaries here,
-//! `slo_harness` and `telemetry_smoke`, are CI gates that fail on a broken
-//! invariant, not trajectories.
+//! change live in the repo's `benchmark/`.
 //!
 //! The paper normalizes every figure (absolute numbers were unpublishable);
 //! these harnesses do the same, so results are comparable in *shape* — who

@@ -1,6 +1,5 @@
 //! Minimal `rand` 0.9 API shim: [`rngs::StdRng`], [`SeedableRng`] and the
-//! [`Rng`] extension trait with `random_range` over integer and `f64`
-//! ranges.
+//! [`Rng`] extension trait with `random_range` over integer ranges.
 //!
 //! The generator is xoshiro256** seeded via SplitMix64 — deterministic for a
 //! given seed, which is all the workload generators and benchmarks rely on.
@@ -55,15 +54,6 @@ macro_rules! impl_sample_int {
 impl_sample_int! {
     u8 => u64, u16 => u64, u32 => u64, u64 => u64, usize => u64,
     i8 => i64, i16 => i64, i32 => i64, i64 => i64, isize => i64,
-}
-
-impl SampleRange<f64> for Range<f64> {
-    fn sample(self, rng: &mut dyn RngCore) -> f64 {
-        assert!(self.start < self.end, "cannot sample empty range");
-        // 53 uniform mantissa bits → u in [0, 1); scale into the range.
-        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        self.start + u * (self.end - self.start)
-    }
 }
 
 /// Extension methods over any [`RngCore`].
@@ -155,8 +145,6 @@ mod tests {
             assert!((-5..5).contains(&s));
             let i: u8 = r.random_range(0u8..=255);
             let _ = i;
-            let f: f64 = r.random_range(0.25..0.75);
-            assert!((0.25..0.75).contains(&f));
         }
     }
 

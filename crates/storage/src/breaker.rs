@@ -30,13 +30,14 @@ use crate::context::OpClass;
 use crate::error::StorageError;
 
 /// Retry exhaustions (or hard `Unavailable` results) of one op class inside
-/// [`BREAKER_WINDOW`] that open its breaker. Five is the `slo_harness`
-/// brownout's number: with a sick store and no breaker every interactive
-/// point read burns its whole retry budget (point p99 12.6 ms, ~2 360
-/// deadline timeouts per run); opening after five exhaustions holds point
-/// p99 at 25–49 µs with ~30 timeouts, and a healthy store — the whole test
-/// suite, fault-injection and crash-recovery runs included — never reaches
-/// five inside one window.
+/// [`BREAKER_WINDOW`] that open its breaker. Five is the number the brownout
+/// scenario (`tests/brownout.rs`) gates. On that scenario, as measured when
+/// the breaker became always-on (the brownout table in CHANGES.md), a sick
+/// store with no breaker makes every interactive point read burn its whole
+/// retry budget (point p99 12.6 ms, ~2 360 deadline timeouts per run);
+/// opening after five exhaustions holds point p99 at 25–49 µs with ~30
+/// timeouts, and a healthy store — the whole test suite, fault-injection and
+/// crash-recovery runs included — never reaches five inside one window.
 pub const BREAKER_FAILURE_THRESHOLD: u32 = 5;
 
 /// Rolling window over which failures are counted. Long enough that a store

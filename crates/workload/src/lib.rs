@@ -9,23 +9,11 @@
 //! * [`IotUpdateModel`] — §8.4's realistic IoT update mix: per groom cycle,
 //!   the new batch updates `p%` of the previous cycle, `0.1·p%` of the last
 //!   50 cycles and `0.01·p%` of the last 100 cycles.
-//! * [`MixedWorkload`] — one deterministic stream interleaving IoT ingest
-//!   batches with device scans and batched lookups, for benchmarks that
-//!   exercise the background maintenance daemon under HTAP load.
-//! * [`TenantMix`] — N weighted tenants with zipf-skewed key popularity,
-//!   per-tenant operation mixes and a bursty open-loop arrival schedule on
-//!   a virtual tick clock, for tail-latency (SLO) harnesses.
 
 pub mod iot;
 pub mod keys;
-pub mod mixed;
 pub mod presets;
-pub mod tenant;
 
 pub use iot::{IotUpdateModel, UpdateMix};
 pub use keys::{KeyDist, KeyGen};
-pub use mixed::{MixedConfig, MixedOp, MixedWorkload};
 pub use presets::IndexPreset;
-pub use tenant::{
-    BurstModel, OpClass, OpMix, TenantMix, TenantMixConfig, TenantOp, TenantOpKind, TenantProfile,
-};
