@@ -7,7 +7,7 @@
 //! pruned by their synopses (§4.2). Per-run results are reconciled with the
 //! set or priority-queue strategy (§7.1.2).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -223,9 +223,6 @@ impl UmziIndex {
         let (lower, upper) =
             self.layout
                 .query_range(&query.equality, &query.lower, &query.upper)?;
-        // One shared allocation for the upper bound across all per-run
-        // iterators (refcounted clones, not byte copies).
-        let upper: Option<Bytes> = upper.map(Bytes::from);
         let hash = if self.def.has_hash() {
             Some(self.layout.hash_equality(&query.equality)?)
         } else {
@@ -249,30 +246,6 @@ impl UmziIndex {
             t.plan_nanos = t.elapsed_nanos();
         }
 
-        // A named fn (not a closure) so the iterator's borrow is tied to the
-        // run reference, not to the closure's environment.
-        fn position<'r>(
-            run: &'r Arc<Run>,
-            lower: &[u8],
-            upper: Option<Bytes>,
-            bucket: Option<u32>,
-            query_ts: u64,
-            budget: Arc<AtomicU64>,
-        ) -> umzi_run::Result<umzi_run::RunRangeIter<'r>> {
-            RunSearcher::new(run).scan_shared_with_budget(
-                lower,
-                upper,
-                bucket,
-                query_ts,
-                AccessPattern::RangeScan,
-                Some(budget),
-            )
-        }
-        // One streamed-bytes counter for the whole query: every per-run
-        // iterator draws from the same scan-bypass budget, so a multi-run
-        // scan stops churning the decoded cache after the *query* (not each
-        // run) crosses the threshold.
-        let scan_budget = Arc::new(AtomicU64::new(0));
         // One run per claim; results come back in candidate order, so the
         // reconcile order is unchanged.
         let threads = if candidates.len() < 2 {
@@ -283,14 +256,8 @@ impl UmziIndex {
         let iters = fan_out(&candidates, 1, threads, |runs| {
             runs.iter()
                 .map(|run| {
-                    position(
-                        run,
-                        &lower,
-                        upper.clone(),
-                        Self::bucket_for(run, hash),
-                        query.query_ts,
-                        Arc::clone(&scan_budget),
-                    )
+                    let bucket = Self::bucket_for(run, hash);
+                    RunSearcher::new(run).scan(&lower, upper.as_deref(), bucket, query.query_ts)
                 })
                 .collect()
         })?;

@@ -70,10 +70,7 @@ fn fixture(raw_runs: &[Vec<(i64, i64, u64)>]) -> Fixture {
             // invalidating live object handles.
             mem_capacity: 1024,
             ssd_capacity: 1024,
-            decoded_cache: umzi_storage::DecodedCacheConfig {
-                capacity_bytes: 0,
-                ..umzi_storage::DecodedCacheConfig::default()
-            },
+            decoded_cache: umzi_storage::DecodedCacheConfig { capacity_bytes: 0 },
             retry: RetryConfig {
                 max_retries: 2,
                 base_backoff: std::time::Duration::from_millis(5),

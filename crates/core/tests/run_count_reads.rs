@@ -30,10 +30,7 @@ fn striped_index(n_runs: i64, chunk_size: usize) -> (Arc<TieredStorage>, Arc<Umz
         SharedStorage::in_memory(),
         TieredConfig {
             chunk_size,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 0,
-                ..DecodedCacheConfig::default()
-            },
+            decoded_cache: DecodedCacheConfig { capacity_bytes: 0 },
             ..TieredConfig::default()
         },
     ));

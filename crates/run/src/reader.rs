@@ -212,17 +212,7 @@ impl Run {
     /// stay probation-only, maintenance sweeps are never admitted.
     pub fn data_block_as(&self, b: u32, pattern: AccessPattern) -> Result<DataBlock> {
         self.decoded_block(b, pattern)
-            .map_or_else(|| self.fetch_block(b, pattern, false), Ok)
-    }
-
-    /// Fetch data block `b` for the tail of a range scan that has exceeded
-    /// its insert-bypass budget: the access still counts as scan traffic in
-    /// the cache's per-pattern statistics, but the parsed block is not
-    /// admitted under the scan-resistant policy.
-    pub fn data_block_scan_bypassed(&self, b: u32) -> Result<DataBlock> {
-        let pattern = AccessPattern::RangeScan;
-        self.decoded_block(b, pattern)
-            .map_or_else(|| self.fetch_block(b, pattern, true), Ok)
+            .map_or_else(|| self.fetch_block(b, pattern), Ok)
     }
 
     /// The decoded-cache half of a block read: block `b` if the decoded
@@ -276,14 +266,8 @@ impl Run {
 
     /// The tier half of a block read: block `b` from the chunk hierarchy,
     /// checksum-verified, parsed, and admitted to the decoded cache under
-    /// `pattern` (or only counted, with `bypass_insert`). Never consults the
-    /// decoded cache.
-    pub(crate) fn fetch_block(
-        &self,
-        b: u32,
-        pattern: AccessPattern,
-        bypass_insert: bool,
-    ) -> Result<DataBlock> {
+    /// `pattern`. Never consults the decoded cache.
+    pub(crate) fn fetch_block(&self, b: u32, pattern: AccessPattern) -> Result<DataBlock> {
         if b >= self.header.n_data_blocks {
             return Err(RunError::Corrupt {
                 context: format!(
@@ -297,33 +281,27 @@ impl Run {
         let chunk = self.storage.read_chunk(self.handle, chunk_no)?;
         let chunk = self.verify_block_checksum(b, chunk_no, chunk)?;
         let block = DataBlock::parse(chunk)?;
-        let cache = self.storage.decoded_cache();
-        if bypass_insert {
-            cache.insert_scan_bypassed(block.size_bytes() as u64);
-        } else {
-            cache.insert(
-                key,
-                Arc::new(block.clone()),
-                block.size_bytes() as u64,
-                pattern,
-            );
-        }
+        self.storage.decoded_cache().insert(
+            key,
+            Arc::new(block.clone()),
+            block.size_bytes() as u64,
+            pattern,
+        );
         Ok(block)
     }
 
     /// Stage data blocks ahead of demand: one batched chunk prefetch through
     /// the storage hierarchy ([`TieredStorage::prefetch_chunks`]), then each
     /// arriving block is checksum-verified, parsed, and admitted to the
-    /// decoded cache as range-scan traffic (decode-on-arrival), or handed to
-    /// [`umzi_storage::DecodedBlockCache::insert_scan_bypassed`] when the
-    /// scan is past its bypass budget. Returns the number of chunks staged.
+    /// decoded cache as range-scan traffic (decode-on-arrival). Returns the
+    /// number of chunks staged.
     ///
     /// Best-effort by design: a block that fails its checksum or parse here
     /// is silently skipped — the staged chunk stays in the tiers and the
     /// synchronous demand path re-verifies it with full corruption
     /// containment. Callers on the scan path likewise swallow the `Err`
     /// (batch fetch failure) and fall back to demand fetching.
-    pub fn prefetch_blocks(&self, blocks: &[u32], bypass_insert: bool) -> Result<usize> {
+    pub fn prefetch_blocks(&self, blocks: &[u32]) -> Result<usize> {
         if blocks.is_empty() {
             return Ok(0);
         }
@@ -345,11 +323,7 @@ impl Run {
             };
             let key = (self.handle.raw(), b);
             let weight = block.size_bytes() as u64;
-            if bypass_insert {
-                cache.insert_scan_bypassed(weight);
-            } else {
-                cache.insert(key, Arc::new(block), weight, AccessPattern::RangeScan);
-            }
+            cache.insert(key, Arc::new(block), weight, AccessPattern::RangeScan);
         }
         Ok(staged)
     }

@@ -10,9 +10,6 @@
 //! entry with the largest beginTS, which is straightforward since entries
 //! are sorted on the index key and descending order of beginTS."*
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use bytes::Bytes;
 use umzi_storage::{AccessPattern, READAHEAD_DEPTH};
 
@@ -92,7 +89,14 @@ impl<'a> RunSearcher<'a> {
 
     /// Stream the newest visible version of each logical key in
     /// `[lower, upper)` (byte bounds from [`KeyLayout::query_range`]),
-    /// labelled as range-scan traffic for the decoded-block cache.
+    /// every block fetch — positioning included — labelled as range-scan
+    /// traffic for the decoded cache's scan-resistant replacement.
+    ///
+    /// Both bounds resolve to *ordinals* up front through the fence index —
+    /// one block fetch each — so iteration advances block-by-block with no
+    /// per-entry `locate()` binary search and no per-entry upper-bound key
+    /// comparison, and an empty range is detected without fetching any
+    /// block beyond the positioning ones. The iterator keeps neither bound.
     pub fn scan(
         &self,
         lower: &[u8],
@@ -100,54 +104,18 @@ impl<'a> RunSearcher<'a> {
         bucket: Option<u32>,
         query_ts: u64,
     ) -> Result<RunRangeIter<'a>> {
-        self.scan_shared_with_budget(
-            lower,
-            upper.map(Bytes::copy_from_slice),
-            bucket,
-            query_ts,
-            AccessPattern::RangeScan,
-            None,
-        )
-    }
-
-    /// Like [`Self::scan`] but taking the upper bound as a refcounted
-    /// [`Bytes`] — so multi-run queries share one allocation across all
-    /// per-run iterators instead of copying the bound per run — an explicit
-    /// [`AccessPattern`] labelling every block fetch the iterator makes
-    /// (positioning included) for the decoded cache's scan-resistant
-    /// replacement, and a caller-owned streamed-bytes counter. A multi-run
-    /// query passes one counter to every per-run iterator so the decoded
-    /// cache's scan-bypass budget is spent per *query*, not per run —
-    /// without it, a scan over R runs churns R× the configured budget
-    /// through probation before bypass kicks in. `None` falls back to a
-    /// private per-iterator counter (single-run callers).
-    ///
-    /// Both bounds resolve to *ordinals* up front through the fence index —
-    /// one block fetch each — so iteration advances block-by-block with no
-    /// per-entry `locate()` binary search and no per-entry upper-bound key
-    /// comparison, and an empty range is detected without fetching any
-    /// block beyond the positioning ones.
-    pub fn scan_shared_with_budget(
-        &self,
-        lower: &[u8],
-        upper: Option<Bytes>,
-        bucket: Option<u32>,
-        query_ts: u64,
-        pattern: AccessPattern,
-        budget: Option<Arc<AtomicU64>>,
-    ) -> Result<RunRangeIter<'a>> {
         let (blo, bhi) = self.run.bucket_range(bucket);
         let start = self
             .run
-            .locate_first_geq_as(lower, pattern)?
+            .locate_first_geq_as(lower, AccessPattern::RangeScan)?
             .clamp(blo, bhi);
         // Keys are globally sorted, so every entry below the upper bound
         // sits below its first-geq ordinal: the key comparison the iterator
         // used to do per entry collapses into this single fence jump.
         // Unbounded scans stop at the bucket (or run) end as before.
-        let end = match &upper {
+        let end = match upper {
             Some(u) if start < self.run.entry_count() => {
-                self.run.locate_first_geq_as(u, pattern)?
+                self.run.locate_first_geq_as(u, AccessPattern::RangeScan)?
             }
             Some(_) => start,
             None => bhi,
@@ -162,14 +130,6 @@ impl<'a> RunSearcher<'a> {
             last_group: Vec::new(),
             group_done: false,
             done: false,
-            pattern,
-            scan_bypass: if pattern == AccessPattern::RangeScan {
-                self.run.storage().decoded_cache().scan_bypass_bytes()
-            } else {
-                0
-            },
-            streamed: (pattern == AccessPattern::RangeScan)
-                .then(|| budget.unwrap_or_else(|| Arc::new(AtomicU64::new(0)))),
             prefetched_until: 0,
         })
     }
@@ -231,7 +191,7 @@ impl<'a> ProbeCursor<'a> {
             Some(block) => block,
             None => {
                 on_miss(b);
-                self.run.fetch_block(b, self.pattern, false)?
+                self.run.fetch_block(b, self.pattern)?
             }
         };
         Ok(&self.cur.insert((b, block)).1)
@@ -331,48 +291,12 @@ pub struct RunRangeIter<'a> {
     last_group: Vec<u8>,
     group_done: bool,
     done: bool,
-    /// Cache hint for every block this iterator fetches.
-    pattern: AccessPattern,
-    /// Once a range scan has streamed this many block bytes it stops
-    /// inserting into the decoded cache (0 = never); snapshot of
-    /// [`umzi_storage::DecodedBlockCache::scan_bypass_bytes`].
-    scan_bypass: u64,
-    /// Block bytes streamed so far — shared (via
-    /// [`RunSearcher::scan_shared_with_budget`]) across every run of one
-    /// multi-run query, so the bypass budget is per query, not per run.
-    /// `None` for non-scan patterns (bypass can never apply), so point/batch
-    /// probes skip the allocation on their hot path.
-    streamed: Option<Arc<AtomicU64>>,
     /// First block number not yet requested for readahead, so overlapping
     /// triggers never re-request a block this iterator already asked for.
     prefetched_until: u32,
 }
 
 impl<'a> RunRangeIter<'a> {
-    /// Whether the next block fetch should skip cache admission: a range
-    /// scan that has already streamed past the bypass threshold clearly
-    /// exceeds the cache, so its tail stops churning probation (it still
-    /// counts as scan traffic in the per-pattern statistics).
-    fn bypassing(&self) -> bool {
-        self.scan_bypass > 0
-            && self
-                .streamed
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::Relaxed) >= self.scan_bypass)
-    }
-
-    fn load_block(&mut self, b: u32) -> Result<DataBlock> {
-        let block = if self.bypassing() {
-            self.run.data_block_scan_bypassed(b)?
-        } else {
-            self.run.data_block_as(b, self.pattern)?
-        };
-        if let Some(streamed) = &self.streamed {
-            streamed.fetch_add(block.size_bytes() as u64, Ordering::Relaxed);
-        }
-        Ok(block)
-    }
-
     /// Refill the readahead pipeline when it has drained: stage the next
     /// [`READAHEAD_DEPTH`] blocks past `cur` in one batch, never past the
     /// scan's last block. Refilling only on a drained pipeline keeps every
@@ -380,10 +304,9 @@ impl<'a> RunRangeIter<'a> {
     /// `depth` consumed blocks, instead of degrading to one single-block
     /// batch per step once primed. Advisory: a failed batch is dropped — the
     /// demand path fetches (and retries) synchronously — so readahead can
-    /// never poison the iterator. Range scans only: the fence index does
-    /// not predict the access order of the other patterns.
+    /// never poison the iterator.
     fn maybe_readahead(&mut self, cur: u32) {
-        if self.pattern != AccessPattern::RangeScan || self.end == 0 {
+        if self.end == 0 {
             return;
         }
         // A cancelled or expired query must not keep staging readahead —
@@ -407,7 +330,7 @@ impl<'a> RunRangeIter<'a> {
         }
         let blocks: Vec<u32> = (from..=to).collect();
         self.prefetched_until = to + 1;
-        let _ = self.run.prefetch_blocks(&blocks, self.bypassing());
+        let _ = self.run.prefetch_blocks(&blocks);
     }
 
     fn fetch(&mut self, ordinal: u64) -> Result<EntryRef> {
@@ -427,7 +350,7 @@ impl<'a> RunRangeIter<'a> {
                     let next = b + 1;
                     self.block_base += n_in_block;
                     self.maybe_readahead(next);
-                    let block = self.load_block(next)?;
+                    let block = self.run.data_block_as(next, AccessPattern::RangeScan)?;
                     self.cur_block = Some((next, block));
                     continue;
                 }
@@ -437,7 +360,7 @@ impl<'a> RunRangeIter<'a> {
             let (b, slot) = self.run.locate(ordinal)?;
             self.block_base = ordinal - u64::from(slot);
             self.maybe_readahead(b);
-            let block = self.load_block(b)?;
+            let block = self.run.data_block_as(b, AccessPattern::RangeScan)?;
             self.cur_block = Some((b, block));
         }
     }

@@ -28,10 +28,7 @@ fn storage_no_decoded_cache() -> Arc<TieredStorage> {
         SharedStorage::in_memory(),
         TieredConfig {
             chunk_size: 1024,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 0,
-                ..DecodedCacheConfig::default()
-            },
+            decoded_cache: DecodedCacheConfig { capacity_bytes: 0 },
             ..TieredConfig::default()
         },
     ))
@@ -264,134 +261,4 @@ fn decoded_cache_eliminates_repeat_reads() {
     let d = storage.stats().decoded;
     assert!(d.hits >= 100, "decoded-cache hits must be counted: {d:?}");
     assert!(d.hit_ratio().unwrap() > 0.9);
-}
-
-#[test]
-fn large_scan_stops_inserting_past_bypass_threshold() {
-    // A scan that streams more than `scan_bypass_bytes` obviously exceeds
-    // the cache; its tail must be fetched as never-admitted traffic instead
-    // of churning the probation segment.
-    let storage = Arc::new(TieredStorage::new(
-        SharedStorage::in_memory(),
-        TieredConfig {
-            chunk_size: 1024,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 1 << 20,
-                shards: 1,
-                scan_bypass_bytes: 4096, // ~4 blocks
-            },
-            ..TieredConfig::default()
-        },
-    ));
-    let run = build_multi_block_run(&storage, 4000);
-    assert!(run.data_block_count() >= 16);
-
-    let searcher = RunSearcher::new(&run);
-    let n = searcher
-        .scan(&[], None, None, u64::MAX)
-        .unwrap()
-        .collect::<umzi_run::Result<Vec<_>>>()
-        .unwrap()
-        .len();
-    assert_eq!(n as i64, 4000);
-
-    let d = storage.stats().decoded;
-    assert!(
-        d.insertions <= 6,
-        "only the pre-threshold prefix may be cached: {d:?}"
-    );
-    assert!(
-        d.bypassed_inserts as u32 >= run.data_block_count() - 6,
-        "the scan tail must bypass insertion: {d:?}"
-    );
-    // The bypassed tail is still *scan* traffic: it must not leak into the
-    // maintenance pattern counters.
-    assert!(d.scan.misses as u32 >= run.data_block_count());
-    assert_eq!(d.maintenance.hits + d.maintenance.misses, 0);
-}
-
-#[test]
-fn multi_run_scan_shares_one_bypass_budget() {
-    // A query over R runs must spend one scan_bypass_bytes budget across
-    // all of its per-run iterators — a fresh budget per run would churn R×
-    // the configured allowance through probation before bypass engages.
-    // Two identical storage+run setups isolate the comparison: cold caches
-    // on both sides, per-run budgets on one, a shared budget on the other.
-    use std::sync::atomic::AtomicU64;
-
-    use umzi_run::AccessPattern;
-
-    let fresh_storage = || {
-        Arc::new(TieredStorage::new(
-            SharedStorage::in_memory(),
-            TieredConfig {
-                chunk_size: 1024,
-                decoded_cache: DecodedCacheConfig {
-                    capacity_bytes: 1 << 20,
-                    shards: 1,
-                    scan_bypass_bytes: 4096, // ~4 blocks
-                },
-                ..TieredConfig::default()
-            },
-        ))
-    };
-
-    // Per-run budgets (the old behaviour): each run caches its own prefix.
-    let storage = fresh_storage();
-    let runs: Vec<_> = (1..=3)
-        .map(|id| build_run_with_id(&storage, 4000, id))
-        .collect();
-    let mut n = 0usize;
-    for run in &runs {
-        n += RunSearcher::new(run)
-            .scan(&[], None, None, u64::MAX)
-            .unwrap()
-            .collect::<umzi_run::Result<Vec<_>>>()
-            .unwrap()
-            .len();
-    }
-    assert_eq!(n as i64, 3 * 4000);
-    let per_run = storage.stats().decoded.insertions;
-    assert!(
-        per_run >= 12,
-        "independent budgets should cache ~3 prefixes: {per_run}"
-    );
-
-    // Shared budget: the three iterators draw on one counter, so only the
-    // first ~budget bytes of the whole query are admitted.
-    let storage = fresh_storage();
-    let runs: Vec<_> = (1..=3)
-        .map(|id| build_run_with_id(&storage, 4000, id))
-        .collect();
-    let total_blocks: u32 = runs.iter().map(|r| r.data_block_count()).sum();
-    let budget = Arc::new(AtomicU64::new(0));
-    let mut n = 0usize;
-    for run in &runs {
-        n += RunSearcher::new(run)
-            .scan_shared_with_budget(
-                &[],
-                None,
-                None,
-                u64::MAX,
-                AccessPattern::RangeScan,
-                Some(Arc::clone(&budget)),
-            )
-            .unwrap()
-            .collect::<umzi_run::Result<Vec<_>>>()
-            .unwrap()
-            .len();
-    }
-    assert_eq!(n as i64, 3 * 4000);
-    let d = storage.stats().decoded;
-    assert!(
-        d.insertions <= 6,
-        "one budget across runs: expected ≤6 insertions, got {}",
-        d.insertions
-    );
-    assert!(
-        d.insertions < per_run / 2,
-        "shared budget must admit far less than per-run budgets: {} vs {per_run}",
-        d.insertions
-    );
-    assert!(d.bypassed_inserts as u32 >= total_blocks - 12);
 }

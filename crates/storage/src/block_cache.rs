@@ -11,7 +11,8 @@
 //! HTAP mixes two access patterns over the same blocks, and a plain LRU
 //! serves them badly: one analytical range scan touches every block of a
 //! run exactly once and sweeps the point-lookup working set out of the
-//! cache. This cache defends the working set with three mechanisms:
+//! cache. This cache defends the working set with two mechanisms, steered
+//! by the caller's access-pattern hint:
 //!
 //! 1. **Segmented LRU** per shard: a *probation* segment absorbs new and
 //!    once-seen blocks, a *protected* segment ([`PROTECTED_FRACTION`] of
@@ -23,19 +24,17 @@
 //!    at least matches the probation victim's, and a block evicted from
 //!    probation displaces the protected tail only if its estimated
 //!    frequency strictly wins.
-//! 3. **Access-pattern hints**: callers label traffic
-//!    [`AccessPattern::PointLookup`] (may promote into protected),
-//!    [`AccessPattern::RangeScan`] (probation-only; large scans bypass
-//!    insertion entirely past [`DecodedCacheConfig::scan_bypass_bytes`]),
-//!    or [`AccessPattern::Maintenance`] (groom/merge sweeps — never
-//!    admitted).
+//!
+//! Callers label traffic [`AccessPattern::PointLookup`] (may promote into
+//! protected), [`AccessPattern::RangeScan`] (probation-only) or
+//! [`AccessPattern::Maintenance`] (groom/merge sweeps — never admitted).
 //!
 //! The cache is value-type-agnostic (`Arc<dyn Any + Send + Sync>`) because
 //! the decoded block type lives upstream of this crate; `umzi-run` stores
 //! its `DataBlock` here keyed by `(object handle, data block number)`.
 //! Sharding keeps lock hold times negligible when concurrent queries (and
 //! one query's per-run positioning or batch-probe workers) hit the cache
-//! at once.
+//! at once; the shard count follows from capacity ([`SHARD_BYTES`]).
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,26 +87,30 @@ pub const SKETCH_BYTES_PER_COUNTER: u64 = 128;
 /// counter (aging horizon).
 pub const SKETCH_SAMPLE_FACTOR: u32 = 8;
 
+/// Cache bytes per shard: the shard count is `capacity / SHARD_BYTES`,
+/// clamped to `1..=`[`MAX_SHARDS`]. Each shard runs its own segmented LRU
+/// and admission duel over its share of the capacity, so a shard must hold
+/// hundreds of blocks for replacement to see the working set; a small
+/// cache stays one shard (and one lock) instead of being cut into shards
+/// of a couple of blocks each.
+pub const SHARD_BYTES: u64 = 4 << 20;
+
+/// The most shards any cache is split into (lock granularity under
+/// concurrent readers): reached at 64 MiB, the default capacity.
+pub const MAX_SHARDS: usize = 16;
+
 /// Configuration of the decoded-block cache, fixed at construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedCacheConfig {
-    /// Total capacity in (raw-block) bytes, split evenly across shards;
-    /// 0 disables the cache.
+    /// Total capacity in (raw-block) bytes, split evenly across the
+    /// shards it derives ([`SHARD_BYTES`]); 0 disables the cache.
     pub capacity_bytes: u64,
-    /// Shard count (lock granularity under concurrent readers); 0 means 1.
-    pub shards: usize,
-    /// A single range scan stops inserting into the cache once it has
-    /// streamed this many block bytes (it clearly won't fit, so caching
-    /// its tail only causes churn); 0 never bypasses.
-    pub scan_bypass_bytes: u64,
 }
 
 impl Default for DecodedCacheConfig {
     fn default() -> Self {
         Self {
             capacity_bytes: 64 * 1024 * 1024,
-            shards: 16,
-            scan_bypass_bytes: 8 * 1024 * 1024,
         }
     }
 }
@@ -221,15 +224,14 @@ pub struct DecodedBlockCache {
     shard_capacity: u64,
     /// Each shard's protected-segment cap.
     protected_cap: u64,
-    scan_bypass_bytes: u64,
     hits: [AtomicU64; 3],
     misses: [AtomicU64; 3],
     insertions: AtomicU64,
     admission_rejected: AtomicU64,
     bypassed_inserts: AtomicU64,
-    /// Cumulative bytes of blocks handed to `insert`/`insert_scan_bypassed`
-    /// — each call follows one decode upstream, so this approximates total
-    /// bytes parsed (the per-query trace reads its delta).
+    /// Cumulative bytes of blocks handed to `insert` — each call follows
+    /// one decode upstream, so this approximates total bytes parsed (the
+    /// per-query trace reads its delta).
     decoded_bytes: AtomicU64,
     evict: EvictCounters,
 }
@@ -246,27 +248,28 @@ impl std::fmt::Debug for DecodedBlockCache {
 impl DecodedBlockCache {
     /// Create a cache from its configuration.
     pub fn new(config: DecodedCacheConfig) -> Self {
-        let counters = (config.capacity_bytes / SKETCH_BYTES_PER_COUNTER).clamp(1024, 1 << 22);
-        Self::with_geometry(config, PROTECTED_FRACTION, counters as usize)
+        let capacity = config.capacity_bytes;
+        let shards = ((capacity / SHARD_BYTES) as usize).clamp(1, MAX_SHARDS);
+        let counters = (capacity / SKETCH_BYTES_PER_COUNTER).clamp(1024, 1 << 22);
+        Self::with_geometry(capacity, shards, PROTECTED_FRACTION, counters as usize)
     }
 
-    /// [`Self::new`] with the protected fraction and sketch size spelled
-    /// out, so unit tests can pick a geometry whose byte arithmetic is
-    /// readable and whose sketch cannot alias.
+    /// [`Self::new`] with the shard count, protected fraction and sketch
+    /// size spelled out, so unit tests can pick a geometry whose byte
+    /// arithmetic is readable and whose sketch cannot alias.
     fn with_geometry(
-        config: DecodedCacheConfig,
+        capacity: u64,
+        shards: usize,
         protected_fraction: f64,
         sketch_counters: usize,
     ) -> Self {
-        let shards = config.shards.max(1);
-        let shard_capacity = config.capacity_bytes / shards as u64;
+        let shard_capacity = capacity / shards as u64;
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             sketch: FrequencySketch::new(sketch_counters, SKETCH_SAMPLE_FACTOR),
-            capacity: config.capacity_bytes,
+            capacity,
             shard_capacity,
             protected_cap: (shard_capacity as f64 * protected_fraction) as u64,
-            scan_bypass_bytes: config.scan_bypass_bytes,
             hits: Default::default(),
             misses: Default::default(),
             insertions: AtomicU64::new(0),
@@ -281,16 +284,6 @@ impl DecodedBlockCache {
         }
     }
 
-    /// Convenience constructor: `capacity` bytes over `shards` shards with
-    /// the default scan-bypass threshold.
-    pub fn with_capacity(capacity: u64, shards: usize) -> Self {
-        Self::new(DecodedCacheConfig {
-            capacity_bytes: capacity,
-            shards,
-            ..DecodedCacheConfig::default()
-        })
-    }
-
     fn shard_of(&self, key: ChunkKey) -> &Mutex<Shard> {
         // Fibonacci-hash the (handle, block) pair so consecutive blocks of
         // one object spread across shards.
@@ -301,12 +294,6 @@ impl DecodedBlockCache {
     /// Whether the cache is disabled (zero capacity).
     pub fn is_disabled(&self) -> bool {
         self.capacity == 0
-    }
-
-    /// The scan-insert bypass threshold (bytes one scan may stream before
-    /// it stops inserting); 0 = never bypass.
-    pub fn scan_bypass_bytes(&self) -> u64 {
-        self.scan_bypass_bytes
     }
 
     /// Whether a key is resident (no recency effect, no statistics).
@@ -483,17 +470,6 @@ impl DecodedBlockCache {
         }
     }
 
-    /// Insert for the tail of a range scan that has exceeded its
-    /// [`scan_bypass_bytes`](Self::scan_bypass_bytes) budget: the block was
-    /// decoded (`weight` bytes) but is not admitted, only counted as a
-    /// bypassed insert.
-    pub fn insert_scan_bypassed(&self, weight: u64) {
-        self.decoded_bytes.fetch_add(weight, Ordering::Relaxed);
-        if !self.is_disabled() {
-            self.bypassed_inserts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Drop every cached block of one object (purge / delete).
     pub fn invalidate_object(&self, handle: u64) -> usize {
         let mut dropped = 0;
@@ -590,20 +566,17 @@ mod tests {
     }
 
     fn geometry(capacity: u64, protected_fraction: f64) -> DecodedBlockCache {
-        DecodedBlockCache::with_geometry(
-            DecodedCacheConfig {
-                capacity_bytes: capacity,
-                shards: 1,
-                ..DecodedCacheConfig::default()
-            },
-            protected_fraction,
-            1 << 16,
-        )
+        DecodedBlockCache::with_geometry(capacity, 1, protected_fraction, 1 << 16)
+    }
+
+    /// A cache built the way `TieredStorage` builds one.
+    fn configured(capacity_bytes: u64) -> DecodedBlockCache {
+        DecodedBlockCache::new(DecodedCacheConfig { capacity_bytes })
     }
 
     #[test]
     fn get_insert_downcast_roundtrip() {
-        let c = DecodedBlockCache::with_capacity(1 << 20, 4);
+        let c = configured(1 << 20);
         c.insert((1, 0), val(42), 100, PT);
         let got = c.get((1, 0), PT).unwrap().downcast::<u32>().unwrap();
         assert_eq!(*got, 42);
@@ -638,7 +611,7 @@ mod tests {
 
     #[test]
     fn invalidate_object_drops_all_its_blocks() {
-        let c = DecodedBlockCache::with_capacity(1 << 20, 8);
+        let c = DecodedBlockCache::with_geometry(1 << 20, 8, PROTECTED_FRACTION, 1 << 16);
         for b in 0..32 {
             c.insert((7, b), val(b), 10, PT);
             c.insert((8, b), val(b), 10, PT);
@@ -853,16 +826,28 @@ mod tests {
         assert!(after.used_bytes <= 1000);
     }
 
+    /// One shard per `SHARD_BYTES` of capacity, at least one, at most
+    /// `MAX_SHARDS`: a small cache is never cut into shards of a few blocks.
     #[test]
-    fn zero_shards_means_one() {
-        let c = DecodedBlockCache::with_capacity(1000, 0);
+    fn shard_count_derives_from_capacity() {
+        for (capacity, shards) in [
+            (0, 1),
+            (1000, 1),
+            (256 << 10, 1),
+            (8 << 20, 2),
+            (64 << 20, 16),
+            (1 << 30, 16),
+        ] {
+            assert_eq!(configured(capacity).shards.len(), shards, "{capacity}");
+        }
+        let c = configured(1000);
         c.insert((1, 0), val(0), 100, PT);
         assert!(c.contains((1, 0)));
     }
 
     #[test]
     fn disabled_cache_is_inert() {
-        let c = DecodedBlockCache::with_capacity(0, 4);
+        let c = configured(0);
         assert!(c.is_disabled());
         c.insert((1, 0), val(1), 10, PT);
         assert!(c.get((1, 0), PT).is_none());

@@ -144,8 +144,8 @@ pub struct DecodedCacheStats {
     pub promotions: u64,
     /// Blocks demoted from protected back to probation (segment cap).
     pub demotions: u64,
-    /// Inserts that bypassed the cache entirely: maintenance traffic, plus
-    /// the tail of any range scan past its `scan_bypass_bytes` budget.
+    /// Inserts that bypassed the cache entirely: maintenance traffic and
+    /// blocks larger than a shard.
     pub bypassed_inserts: u64,
     /// Currently resident blocks.
     pub entries: u64,

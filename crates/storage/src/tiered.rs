@@ -133,8 +133,9 @@ pub struct TieredConfig {
     pub shared_latency: TierLatency,
     /// Whether latencies sleep or only account.
     pub latency_mode: LatencyMode,
-    /// Decoded-block cache sizing. Parsed blocks are served without a chunk
-    /// read or re-parse; a zero capacity disables the cache.
+    /// Decoded-block cache capacity, its one setting: the shard count
+    /// follows from it. Parsed blocks are served without a chunk read or
+    /// re-parse; a zero capacity disables the cache.
     pub decoded_cache: DecodedCacheConfig,
     /// Bounded retry with backoff for transient shared-storage failures.
     pub retry: RetryConfig,

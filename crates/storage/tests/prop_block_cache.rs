@@ -9,10 +9,12 @@ use std::any::Any;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use umzi_storage::block_cache::{MAX_SHARDS, SHARD_BYTES};
 use umzi_storage::{AccessPattern, DecodedBlockCache, DecodedCacheConfig};
 
-/// Per-shard capacity: one heavy block fits, two usually do not.
-const SHARD_CAPACITY: u64 = 500;
+/// Weights are drawn in `20..260` units of `shard_capacity / 500`: one
+/// heavy block fits a shard, two usually do not.
+const UNITS_PER_SHARD: u64 = 500;
 
 fn value_of(n: u32) -> Arc<dyn Any + Send + Sync> {
     Arc::new(n)
@@ -22,19 +24,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Capacity never exceeded, accounting consistent, hits return the
-    /// latest value, and the two segments sum to the total — on one shard
-    /// (every key contends) and at the default shard count.
+    /// latest value, and the two segments sum to the total — at a capacity
+    /// that derives one shard (every key contends) and at one that derives
+    /// the most shards.
     #[test]
     fn scan_resistant_structural_invariants(
         ops in proptest::collection::vec(
             (0u8..6, 0u32..24, 20u64..260), 1..200),
     ) {
-        for shards in [1, DecodedCacheConfig::default().shards] {
-            let capacity = SHARD_CAPACITY * shards as u64;
-            let cache = DecodedBlockCache::with_capacity(capacity, shards);
+        let most = MAX_SHARDS as u64;
+        for (capacity, shards) in [(SHARD_BYTES, 1), (SHARD_BYTES * most, most)] {
+            let unit = capacity / shards / UNITS_PER_SHARD;
+            let cache = DecodedBlockCache::new(DecodedCacheConfig { capacity_bytes: capacity });
             let mut latest: std::collections::HashMap<(u64, u32), u32> = Default::default();
             for (i, &(op, key, weight)) in ops.iter().enumerate() {
-                let key = (3, key);
+                let (key, weight) = ((3, key), weight * unit);
                 let pattern = match op % 3 {
                     0 => AccessPattern::PointLookup,
                     1 => AccessPattern::RangeScan,

@@ -129,7 +129,8 @@ pub struct EngineHealth {
     /// Always 0: the engine has no read admission and sheds nothing — a
     /// scan that cannot finish dies typed on its deadline and counts under
     /// `query_timeouts`. No counter stands behind this field; it exists only
-    /// because `benchmark/src/sut.rs` reads it (ROADMAP item 4, dead probes).
+    /// because `benchmark/src/sut.rs` reads it (ROADMAP direction 5, dead
+    /// probes).
     pub query_sheds: u64,
     /// Whether any storage circuit breaker is currently not closed (open or
     /// half-open) — reads are failing fast or probing.
@@ -1260,9 +1261,6 @@ mod tests {
             k: 100,
             t: u64::MAX,
         };
-        // One row per groom: a failed groom has already drained its batch,
-        // so each attempt of the shipped retry budget needs a row of its own.
-        cfg.shard.groom_batch_limit = 1;
         let e = WildfireEngine::create(storage, Arc::new(iot_table()), cfg).unwrap();
         let daemons = e.start_daemons();
         // Wait for the janitor's startup pokes (retire + groom + evolve, all

@@ -65,6 +65,16 @@ impl CommittedLog {
         inner.records.drain(..n).collect()
     }
 
+    /// Put a drained batch back at the head of the log with its commit
+    /// sequences: a groom that failed hands its rows back, so the next
+    /// groom sees them again, ahead of anything committed since.
+    pub(crate) fn requeue_front(&self, batch: Vec<LogRecord>) {
+        let mut inner = self.inner.lock();
+        for record in batch.into_iter().rev() {
+            inner.records.push_front(record);
+        }
+    }
+
     /// Records waiting to be groomed.
     pub fn len(&self) -> usize {
         self.inner.lock().records.len()
@@ -117,6 +127,17 @@ mod tests {
         assert_eq!(log.len(), 6);
         assert_eq!(log.drain(100).len(), 6);
         assert!(log.is_empty());
+    }
+
+    #[test]
+    fn requeued_batch_precedes_later_commits() {
+        let log = CommittedLog::new();
+        log.commit((0..4).map(|i| row(i, i)).collect());
+        let batch = log.drain(3);
+        log.commit(vec![row(9, 9)]);
+        log.requeue_front(batch);
+        let seqs: Vec<u64> = log.drain(100).iter().map(|r| r.commit_seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -246,6 +246,13 @@ impl Shard {
 
     /// One groom cycle: drain the committed log, assign monotonic `beginTS`,
     /// write a groomed columnar block, and build a level-0 index run (§5.2).
+    ///
+    /// A failure before the primary index run is published loses no row:
+    /// the drained batch goes back to the head of the committed log with
+    /// its commit sequences, and a block already written is unregistered
+    /// and its object deleted or parked, so the next groom indexes every
+    /// row under a fresh block ID. A failure building a secondary index's
+    /// run, after the primary run is published, is not rolled back.
     pub fn groom(&self) -> Result<Option<GroomReport>> {
         let _g = self.groom_lock.lock();
         let batch = self.live.drain(self.config.groom_batch_limit);
@@ -261,39 +268,13 @@ impl Shard {
             .collect();
         let max_begin_ts = *begin_ts.last().expect("non-empty batch");
 
-        let kinds = self.table.columns().iter().map(|c| c.ty).collect();
-        let block = Arc::new(ColumnBlock::build(
-            kinds,
-            &rows,
-            begin_ts.clone(),
-            vec![None; rows.len()],
-        )?);
-        let object = format!("{}/blocks/g-{block_id:020}", self.prefix);
-        let payload = block.serialize();
-        let block_bytes = payload.len() as u64;
-        self.put_block(&object, payload)?;
-        self.registry.lock().blocks.insert(
-            (ZoneId::GROOMED, block_id),
-            BlockEntry {
-                block: Arc::clone(&block),
-                object,
-            },
-        );
-
-        // The groomer also builds indexes over the groomed data (§2.1).
-        let mut entries = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let (eq, sort, included) = self.table.index_groups(row);
-            entries.push(IndexEntry::new(
-                self.index.layout(),
-                &eq,
-                &sort,
-                begin_ts[i],
-                Rid::new(ZoneId::GROOMED, block_id, i as u32),
-                &included,
-            )?);
-        }
-        self.index.build_groomed_run(entries, block_id, block_id)?;
+        let block_bytes = match self.groom_primary(block_id, &rows, &begin_ts) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                self.live.requeue_front(batch);
+                return Err(e);
+            }
+        };
         // Secondary indexes follow the same build path (§10 future work).
         for (si, sidx) in self.secondary.iter().enumerate() {
             let mut entries = Vec::with_capacity(rows.len());
@@ -319,6 +300,57 @@ impl Shard {
             max_begin_ts,
             block_bytes,
         }))
+    }
+
+    /// The part of a groom that fails cleanly: write and register groomed
+    /// block `block_id`, then publish the primary index run over it (the
+    /// groomer also builds indexes over the groomed data, §2.1). Returns
+    /// the block's serialized size. On error nothing of it remains: a
+    /// registered block is unregistered before its object is deleted or
+    /// parked, and no run points into it.
+    fn groom_primary(&self, block_id: u64, rows: &[Vec<Datum>], begin_ts: &[u64]) -> Result<u64> {
+        let kinds = self.table.columns().iter().map(|c| c.ty).collect();
+        let block = Arc::new(ColumnBlock::build(
+            kinds,
+            rows,
+            begin_ts.to_vec(),
+            vec![None; rows.len()],
+        )?);
+        let object = format!("{}/blocks/g-{block_id:020}", self.prefix);
+        let payload = block.serialize();
+        let block_bytes = payload.len() as u64;
+        self.put_block(&object, payload)?;
+        let key = (ZoneId::GROOMED, block_id);
+        self.registry.lock().blocks.insert(
+            key,
+            BlockEntry {
+                block,
+                object: object.clone(),
+            },
+        );
+
+        let index = || -> Result<()> {
+            let mut entries = Vec::with_capacity(rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                let (eq, sort, included) = self.table.index_groups(row);
+                entries.push(IndexEntry::new(
+                    self.index.layout(),
+                    &eq,
+                    &sort,
+                    begin_ts[i],
+                    Rid::new(ZoneId::GROOMED, block_id, i as u32),
+                    &included,
+                )?);
+            }
+            self.index.build_groomed_run(entries, block_id, block_id)?;
+            Ok(())
+        };
+        if let Err(e) = index() {
+            self.registry.lock().blocks.remove(&key);
+            delete_or_park(&self.storage, &object);
+            return Err(e);
+        }
+        Ok(block_bytes)
     }
 
     // ------------------------------------------------------------------
@@ -1266,6 +1298,100 @@ mod tests {
         let gone = storage.shared().get(&block).is_err();
         let parked = storage.leaked_gc_objects().contains(&block);
         assert!(gone || parked, "{block} neither deleted nor parked");
+    }
+
+    /// A shard whose `nth` shared-storage put after setup fails, with
+    /// retries off so that one fault fails the operation. Returns the
+    /// store and the number of puts setup made.
+    fn shard_failing_put(nth: u64) -> (Arc<Shard>, Arc<umzi_storage::FaultInjectingStore>, u64) {
+        use umzi_storage::{
+            FaultEvent, FaultInjectingStore, FaultOp, FaultPlan, InMemoryObjectStore, LatencyModel,
+            ObjectStore, RetryConfig, SharedStorage, TieredConfig,
+        };
+        let create = |plan: FaultPlan| {
+            let faulty = Arc::new(FaultInjectingStore::new(
+                Arc::new(InMemoryObjectStore::new()),
+                plan,
+            ));
+            let storage = Arc::new(TieredStorage::new(
+                SharedStorage::new(
+                    Arc::clone(&faulty) as Arc<dyn ObjectStore>,
+                    LatencyModel::off(),
+                ),
+                TieredConfig {
+                    retry: RetryConfig::disabled(),
+                    ..TieredConfig::default()
+                },
+            ));
+            let s = Shard::create(storage, Arc::new(iot_table()), 0, ShardConfig::default());
+            let puts = faulty.stats().ops[FaultOp::Put.index()];
+            (s.unwrap(), faulty, puts)
+        };
+        // Setup is deterministic: count its puts on a healthy store first.
+        let (_, _, setup) = create(FaultPlan::none());
+        let op = FaultOp::Put;
+        create(FaultPlan::none().with_event(FaultEvent::TransientAt {
+            op,
+            nth: setup + nth,
+        }))
+    }
+
+    /// A groom whose `nth` put (1: the block, 2: the primary run) fails
+    /// must lose nothing: its rows go back to the live zone in commit
+    /// order, no block stays registered or stored, and the next groom
+    /// indexes every row with every `blocks/` object registered.
+    fn failed_groom_put_loses_nothing(nth: u64) {
+        let (s, faulty, setup) = shard_failing_put(nth);
+        let stored_blocks_are_registered = || {
+            let mut listed = s.storage.shared().list(&format!("{}/blocks/", s.prefix));
+            let mut registered: Vec<String> = s
+                .registry
+                .lock()
+                .blocks
+                .values()
+                .map(|e| e.object.clone())
+                .collect();
+            registered.sort();
+            listed.as_mut().unwrap().sort();
+            assert_eq!(
+                listed.unwrap(),
+                registered,
+                "orphan or missing block object"
+            );
+        };
+        s.upsert(vec![row(1, 1, 100, 10), row(2, 1, 100, 20)])
+            .unwrap();
+        s.upsert(vec![row(1, 1, 100, 99)]).unwrap(); // same key, later commit
+
+        assert!(s.groom().is_err());
+        let puts = faulty.stats().ops[umzi_storage::FaultOp::Put.index()] - setup;
+        assert_eq!(puts, nth, "the groom failed at put #{nth}");
+        assert_eq!(s.live().len(), 3, "the failed groom's rows are back");
+        assert_eq!((s.block_counts(), s.index().run_count()), ((0, 0), 0));
+        stored_blocks_are_registered();
+
+        assert_eq!(s.groom().unwrap().unwrap().rows, 3);
+        assert!(s.live().is_empty());
+        stored_blocks_are_registered();
+        for (device, payload) in [(1, 99), (2, 20)] {
+            let hit = s
+                .index()
+                .point_lookup(&[Datum::Int64(device)], &[Datum::Int64(1)], s.read_ts())
+                .unwrap()
+                .unwrap();
+            let (r, ..) = s.fetch_row(hit.rid().unwrap()).unwrap();
+            assert_eq!(r[3], Datum::Int64(payload), "device {device}");
+        }
+    }
+
+    #[test]
+    fn groom_requeues_its_batch_when_the_block_put_fails() {
+        failed_groom_put_loses_nothing(1);
+    }
+
+    #[test]
+    fn groom_retracts_its_block_when_the_run_put_fails() {
+        failed_groom_put_loses_nothing(2);
     }
 
     #[test]

@@ -64,10 +64,7 @@ fn brownout_is_typed_bounded_and_heals() {
             // to be survived, not dodged by a cache.
             mem_capacity: 2048,
             ssd_capacity: 4096,
-            decoded_cache: DecodedCacheConfig {
-                capacity_bytes: 0,
-                ..DecodedCacheConfig::default()
-            },
+            decoded_cache: DecodedCacheConfig { capacity_bytes: 0 },
             retry: RetryConfig {
                 max_retries: 2,
                 base_backoff: Duration::from_millis(2),
