@@ -17,7 +17,7 @@ use umzi_run::{
     AccessPattern, KeyLayout, ProbeCursor, Rid, Run, RunSearcher, SearchHit, SortBound,
 };
 use umzi_storage::telemetry::QueryTrace;
-use umzi_storage::{context, BreakerState, ObjectHandle, OpClass, Priority};
+use umzi_storage::{context, BreakerState, ObjectHandle, OpClass, Priority, READAHEAD_DEPTH};
 
 use crate::index::UmziIndex;
 use crate::reconcile::{reconcile_pq, reconcile_set, ReconcileStrategy};
@@ -91,55 +91,88 @@ fn thread_budget() -> usize {
         .min(8)
 }
 
-/// Run `per_chunk` over `chunk`-sized slices of `items`, claimed from a
-/// shared cursor by up to `threads` workers (the calling thread is one of
-/// them), and concatenate the slice results **in input order**. No worker
-/// owns a fixed share: when per-item cost is skewed (a cold run among
-/// cached ones, probes hitting one hot hash bucket), fast workers keep
-/// claiming slices instead of idling behind the slow one. Spawned workers
-/// re-enter the caller's [`umzi_storage::QueryContext`], so deadline and
-/// cancellation reach every slice. One worker, or a single slice, runs
-/// `per_chunk(items)` inline.
+/// Run `per_item` over `items`, each claimed from a shared cursor by up to
+/// `threads` workers (the calling thread is one of them), and return the
+/// results **in input order**. No worker owns a fixed share: when per-item
+/// cost is skewed (a cold run among cached ones, one claim of a batch
+/// waiting on a fetch), fast workers keep claiming items instead of idling
+/// behind the slow one. Spawned workers re-enter the caller's
+/// [`umzi_storage::QueryContext`], so deadline and cancellation reach every
+/// item. One worker, or a single item, runs inline.
 pub(crate) fn fan_out<'a, T, R, F>(
     items: &'a [T],
-    chunk: usize,
     threads: usize,
-    per_chunk: F,
+    per_item: F,
 ) -> umzi_run::Result<Vec<R>>
 where
     T: Sync,
     R: Send,
-    F: Fn(&'a [T]) -> umzi_run::Result<Vec<R>> + Sync,
+    F: Fn(&'a T) -> umzi_run::Result<R> + Sync,
 {
-    let chunk = chunk.max(1);
-    let threads = threads.min(items.len().div_ceil(chunk));
+    let threads = threads.min(items.len());
     if threads <= 1 {
-        return per_chunk(items);
+        return items.iter().map(per_item).collect();
     }
     let cursor = AtomicUsize::new(0);
     let ctx = umzi_storage::context::current();
-    let worker = || -> umzi_run::Result<Vec<(usize, Vec<R>)>> {
+    let worker = || -> umzi_run::Result<Vec<(usize, R)>> {
         let _g = umzi_storage::context::enter(ctx.clone());
         let mut claimed = Vec::new();
         loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= items.len() {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
                 return Ok(claimed);
-            }
-            let end = (start + chunk).min(items.len());
-            claimed.push((start, per_chunk(&items[start..end])?));
+            };
+            claimed.push((i, per_item(item)?));
         }
     };
-    let mut slices = std::thread::scope(|s| -> umzi_run::Result<_> {
+    let mut results = std::thread::scope(|s| -> umzi_run::Result<_> {
         let handles: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
-        let mut slices = worker()?;
+        let mut results = worker()?;
         for h in handles {
-            slices.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
+            results.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
         }
-        Ok(slices)
+        Ok(results)
     })?;
-    slices.sort_unstable_by_key(|(start, _)| *start);
-    Ok(slices.into_iter().flat_map(|(_, r)| r).collect())
+    results.sort_unstable_by_key(|(i, _)| *i);
+    Ok(results.into_iter().map(|(_, r)| r).collect())
+}
+
+/// A claim of one run's batch probes: a run of consecutive pending probes
+/// (`probes`, positions in the run's pending list) and the distinct blocks
+/// they read first (`blocks`, ascending; empty when the claim never
+/// stages).
+struct Claim {
+    probes: std::ops::Range<usize>,
+    blocks: Vec<u32>,
+}
+
+/// Cut a run's pending probe keys, in ascending order, into claims of at
+/// most [`READAHEAD_DEPTH`] distinct target blocks each, in one pass that
+/// gallops over the run's in-RAM fences ([`Run::probe_block_from`]). A claim
+/// boundary is a block boundary, so no two claims read first the same
+/// block. The run must have data blocks.
+fn plan_claims<'p>(run: &Run, prefixes: impl Iterator<Item = &'p [u8]>) -> Vec<Claim> {
+    let mut claims: Vec<Claim> = Vec::new();
+    for (i, prefix) in prefixes.enumerate() {
+        let from = claims
+            .last()
+            .and_then(|c| c.blocks.last())
+            .map_or(0, |&b| b);
+        let b = run
+            .probe_block_from(from, prefix)
+            .expect("the run has data blocks");
+        match claims.last_mut() {
+            Some(c) if c.blocks.last() == Some(&b) => {}
+            Some(c) if c.blocks.len() < READAHEAD_DEPTH as usize => c.blocks.push(b),
+            _ => claims.push(Claim {
+                probes: i..i,
+                blocks: vec![b],
+            }),
+        }
+        claims.last_mut().expect("pushed above").probes.end = i + 1;
+    }
+    claims
 }
 
 impl UmziIndex {
@@ -253,13 +286,9 @@ impl UmziIndex {
         } else {
             thread_budget()
         };
-        let iters = fan_out(&candidates, 1, threads, |runs| {
-            runs.iter()
-                .map(|run| {
-                    let bucket = Self::bucket_for(run, hash);
-                    RunSearcher::new(run).scan(&lower, upper.as_deref(), bucket, query.query_ts)
-                })
-                .collect()
+        let iters = fan_out(&candidates, threads, |run| {
+            let bucket = Self::bucket_for(run, hash);
+            RunSearcher::new(run).scan(&lower, upper.as_deref(), bucket, query.query_ts)
         })?;
         if let Some(t) = trace.as_deref_mut() {
             t.position_nanos = t.elapsed_nanos() - t.plan_nanos;
@@ -354,13 +383,9 @@ impl UmziIndex {
     /// would have anyway. Residency is asked with `contains`, never `get`,
     /// so no miss is counted twice and the admission sketch is untouched.
     ///
-    /// Advisory and conservative. Nothing is staged
-    /// * for fewer than two blocks — one fetch is no slower on demand;
-    /// * while the block-fetch breaker is not closed — the round would fire
-    ///   one doomed request per run, or spend the half-open probe;
-    /// * under [`Priority::Background`](umzi_storage::Priority), the rule
-    ///   [`thread_budget`] follows;
-    /// * once the query is cancelled or past its deadline.
+    /// Advisory and conservative: nothing is staged for fewer than two
+    /// blocks — one fetch is no slower on demand — nor when
+    /// [`Self::may_stage`] says no.
     fn stage_probe_blocks<'r>(
         &self,
         run: &'r Run,
@@ -368,10 +393,7 @@ impl UmziIndex {
         rest: impl Iterator<Item = &'r Arc<Run>>,
         prefix: &[u8],
     ) {
-        if self.storage.breaker().state(OpClass::BlockFetch) != BreakerState::Closed
-            || context::current().priority() == Priority::Background
-            || context::current_aborted()
-        {
+        if !self.may_stage() {
             return;
         }
         let targets = rest.filter_map(|r| Some((&**r, r.probe_block(prefix)?)));
@@ -385,19 +407,63 @@ impl UmziIndex {
         }
     }
 
+    /// The fill of a cold batch claim's first decoded-cache miss — block
+    /// `missed` of `run` — with `blocks` the claim's target blocks: fetch
+    /// every one of them, `missed` included, that is neither decoded nor in
+    /// a chunk tier, in one batched read
+    /// ([`TieredStorage::prefetch_chunks`](umzi_storage::TieredStorage::prefetch_chunks),
+    /// one `get_ranges`). Staged blocks land in the chunk tiers only, as for
+    /// a point lookup, and under the same rules as
+    /// [`Self::stage_probe_blocks`].
+    fn stage_claim_blocks(&self, run: &Run, missed: u32, blocks: &[u32]) {
+        if !self.may_stage() {
+            return;
+        }
+        let mut chunks: Vec<u32> = blocks
+            .iter()
+            .chain([&missed])
+            .filter(|&&b| !run.is_block_local(b))
+            .map(|&b| run.block_chunk(b))
+            .collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        if chunks.len() >= 2 {
+            // Advisory: on failure each probe fetches its block on demand.
+            let _ = self.storage.prefetch_chunks(run.handle(), &chunks);
+        }
+    }
+
+    /// Whether this query may stage blocks ahead of its probes — the guards
+    /// both lookup planners share. It may not
+    /// * while the block-fetch breaker is not closed — a round would fire
+    ///   doomed requests, or spend the half-open probe;
+    /// * under [`Priority::Background`](umzi_storage::Priority), the rule
+    ///   [`thread_budget`] follows;
+    /// * once the query is cancelled or past its deadline.
+    fn may_stage(&self) -> bool {
+        self.storage.breaker().state(OpClass::BlockFetch) == BreakerState::Closed
+            && context::current().priority() != Priority::Background
+            && !context::current_aborted()
+    }
+
     /// Batched point lookups (§7.2): input keys are sorted by
     /// `(hash, equality, sort)` and searched against each run sequentially
     /// from newest to oldest, one run at a time, until all keys are found or
     /// the runs are exhausted. Results are positionally aligned with `keys`.
     ///
-    /// The sort is what makes a run cheap to search: within each run the
-    /// unresolved probes are fed, in order, to one forward
-    /// [`ProbeCursor`] per [`fan_out`] slice, so a slice is a merge-join
-    /// against the run's fence index — a block is fetched once however many
-    /// probes land in it, and a probe never restarts from the top of the
-    /// run. Slices are contiguous in sort order and claimed by the workers,
-    /// which overlaps a cold run's fetches; runs stay sequential so the
-    /// paper's newest-first early exit is preserved.
+    /// The sort is what makes a run cheap to search. One gallop over the
+    /// run's in-RAM fences cuts its unresolved probes into *claims*: runs
+    /// of consecutive probes whose target blocks span at most
+    /// [`READAHEAD_DEPTH`] distinct blocks. Each claim feeds its probes, in
+    /// order, to one forward [`ProbeCursor`] — a merge-join against the
+    /// fence index, so a block is fetched once however many probes land in
+    /// it — and the claims are taken by the [`fan_out`] workers. On a
+    /// claim's first decoded-cache miss its target blocks that are not yet
+    /// local are staged in one batched read, so a cold run costs one fetch
+    /// wait per sixteen blocks instead of one per block; a warm claim
+    /// stages nothing. Under [`Priority::Background`](umzi_storage::Priority)
+    /// nothing is staged and a run's probes stay one claim. Runs stay
+    /// sequential so the paper's newest-first early exit is preserved.
     pub fn batch_lookup(
         &self,
         keys: &[(Vec<Datum>, Vec<Datum>)],
@@ -439,10 +505,6 @@ impl UmziIndex {
         /// Below this many pending probes, thread spawn overhead beats the
         /// fan-out win and the run is searched on the calling thread.
         const PARALLEL_THRESHOLD: usize = 32;
-        /// Probes per claimed slice: small enough that a skewed batch (one
-        /// hot hash bucket) re-balances, large enough that the shared
-        /// cursor isn't contended.
-        const PROBE_CHUNK: usize = 16;
 
         let n_key_cols = self.def.key_column_count();
         let mut col_mins: Vec<Vec<u8>> = vec![Vec::new(); n_key_cols];
@@ -477,6 +539,7 @@ impl UmziIndex {
         let mut remaining = probes.len();
         // Asked of the OS by the first run with enough pending probes.
         let mut budget: Option<usize> = None;
+        let background = context::current().priority() == Priority::Background;
 
         // "The sorted input keys are searched against each run sequentially
         // from newest to oldest, one run at a time, until all keys are found
@@ -493,24 +556,40 @@ impl UmziIndex {
                 continue;
             }
             let pending: Vec<&Probe> = probes.iter().filter(|p| results[p.pos].is_none()).collect();
-            // One forward cursor per slice: the slice's probes ascend.
-            let probe_slice = |slice: &[&Probe]| -> umzi_run::Result<Vec<(usize, SearchHit)>> {
+            let claims = if background || run.data_block_count() == 0 {
+                vec![Claim {
+                    probes: 0..pending.len(),
+                    blocks: Vec::new(),
+                }]
+            } else {
+                plan_claims(&run, pending.iter().map(|p| p.prefix.as_slice()))
+            };
+            // One forward cursor per claim: the claim's probes ascend.
+            let probe_claim = |claim: &Claim| -> umzi_run::Result<Vec<(usize, SearchHit)>> {
                 let mut cursor = ProbeCursor::new(&run, query_ts, pattern);
+                let mut staged = false;
                 let mut found = Vec::new();
-                for probe in slice {
-                    if let Some(hit) = cursor.probe(&probe.prefix)? {
+                for probe in &pending[claim.probes.clone()] {
+                    let hit = cursor.probe_staging(&probe.prefix, |missed| {
+                        if !std::mem::replace(&mut staged, true) {
+                            self.stage_claim_blocks(&run, missed, &claim.blocks);
+                        }
+                    })?;
+                    if let Some(hit) = hit {
                         found.push((probe.pos, hit));
                     }
                 }
                 Ok(found)
             };
-            let threads = if pending.len() < PARALLEL_THRESHOLD {
+            let threads = if pending.len() < PARALLEL_THRESHOLD || claims.len() < 2 {
                 1
             } else {
                 *budget.get_or_insert_with(thread_budget)
             };
-            let found = fan_out(&pending, PROBE_CHUNK, threads, probe_slice)?;
-            for (pos, hit) in found {
+            for (pos, hit) in fan_out(&claims, threads, probe_claim)?
+                .into_iter()
+                .flatten()
+            {
                 results[pos] = Some(QueryOutput::from_hit(hit));
                 remaining -= 1;
             }
@@ -791,40 +870,34 @@ mod tests {
 
     proptest::proptest! {
         /// `fan_out` is a parallel `map` that keeps input order: whatever
-        /// the slice size, worker count and per-item cost skew, every item
-        /// comes back exactly once and in place. With the ambient context
-        /// cancelled at an arbitrary checkpoint mid-flight, the call is the
-        /// typed abort — never a short or reordered result.
+        /// the worker count and per-item cost skew, every item comes back
+        /// exactly once and in place. With the ambient context cancelled at
+        /// an arbitrary checkpoint mid-flight, the call is the typed abort —
+        /// never a short or reordered result.
         #[test]
         fn fan_out_keeps_order_and_completeness_under_skew_and_cancel(
             costs in proptest::collection::vec(0u64..40, 0..120),
-            chunk in 0usize..20,
             threads in 1usize..6,
             trip in 0u64..200,
         ) {
             use umzi_storage::{context, CancelToken, QueryContext};
             // One checkpoint per item; item `i` costs `costs[i]` µs, so a
             // few expensive items leave their worker far behind the rest.
-            let work = |slice: &[(usize, u64)]| -> umzi_run::Result<Vec<usize>> {
-                slice
-                    .iter()
-                    .map(|&(i, cost)| {
-                        context::check_current("fan_out_item")?;
-                        std::thread::sleep(std::time::Duration::from_micros(cost));
-                        Ok(i)
-                    })
-                    .collect()
+            let work = |&(i, cost): &(usize, u64)| -> umzi_run::Result<usize> {
+                context::check_current("fan_out_item")?;
+                std::thread::sleep(std::time::Duration::from_micros(cost));
+                Ok(i)
             };
             let items: Vec<(usize, u64)> = costs.iter().copied().enumerate().collect();
             let want: Vec<usize> = (0..items.len()).collect();
-            proptest::prop_assert_eq!(&fan_out(&items, chunk, threads, work).unwrap(), &want);
+            proptest::prop_assert_eq!(&fan_out(&items, threads, work).unwrap(), &want);
 
             // The token trips at the `trip`-th of the `items.len()` checks
             // (0 = tripped from the start).
             let reached = !items.is_empty() && trip <= items.len() as u64;
             let token = CancelToken::trip_after(trip);
             let _g = context::enter(QueryContext::unbounded().with_cancel(token));
-            match fan_out(&items, chunk, threads, work) {
+            match fan_out(&items, threads, work) {
                 Ok(got) => {
                     proptest::prop_assert!(!reached, "cancel at check {} ignored", trip);
                     proptest::prop_assert_eq!(&got, &want);

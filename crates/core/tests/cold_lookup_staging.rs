@@ -1,26 +1,31 @@
-//! A cold point lookup stages its run probes in one concurrent round.
+//! Cold lookups stage their block fetches instead of chaining them.
 //!
 //! Runs are searched newest to oldest and the search stops at the first
 //! match (§7.2), so over runs purged to shared storage a lookup used to be a
-//! chain of dependent fetches. On its first decoded-cache miss a lookup now
-//! fetches the target block of every remaining candidate run at once; the
-//! probes that follow find their blocks in the chunk tiers. These tests pin
-//! the overlap itself, that a warm lookup never stages and counts each
-//! decoded-cache miss once, and that faults, cancellation and an open
-//! breaker keep their meaning.
+//! chain of dependent fetches. On its first decoded-cache miss a point
+//! lookup now fetches the target block of every remaining candidate run at
+//! once; a batch lookup cuts each run's sorted probes into claims of at
+//! most `READAHEAD_DEPTH` target blocks and fetches a claim's blocks in one
+//! batched read. The probes that follow find their blocks in the chunk
+//! tiers. These tests pin the overlap and the request count, that a warm
+//! lookup never stages and counts each decoded-cache miss once, and that
+//! faults, cancellation, background priority and an open breaker keep
+//! their meaning.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
 use umzi_core::{MergePolicy, UmziConfig, UmziError, UmziIndex};
 use umzi_encoding::{ColumnType, Datum, IndexDef};
-use umzi_run::{IndexEntry, Rid, ZoneId};
+use umzi_run::{IndexEntry, KeyLayout, Rid, ZoneId};
 use umzi_storage::{
     context, BreakerState, CancelToken, FaultInjectingStore, FaultOp, FaultPlan,
     InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext, RetryConfig,
     SharedStorage, StorageError, TieredConfig, TieredStorage, BREAKER_FAILURE_THRESHOLD,
+    READAHEAD_DEPTH,
 };
 
 /// Level-0 runs of every index here; run `RUNS - 1` is the newest.
@@ -100,6 +105,33 @@ fn lookup(idx: &UmziIndex, (eq, sort): &(Vec<Datum>, Vec<Datum>)) -> Result<Answ
     Ok(idx
         .point_lookup(eq, sort, u64::MAX)?
         .map(|o| (o.key, o.begin_ts, o.value)))
+}
+
+/// A key paired with its message residue.
+type ResidueKey = (i64, (Vec<Datum>, Vec<Datum>));
+
+/// Every interior key of every device, for every residue (the absent one
+/// included): `RUNS + 1` keys per (device, message slot), in no particular
+/// order.
+fn all_keys() -> Vec<ResidueKey> {
+    let mut keys = Vec::new();
+    for residue in 0..STRIPE {
+        for i in 0..MSGS_PER_RUN - 2 {
+            for d in 0..DEVICES {
+                keys.push((residue, key(i, d, residue)));
+            }
+        }
+    }
+    keys
+}
+
+fn batch(idx: &UmziIndex, keys: &[ResidueKey]) -> Result<Vec<Answer>, UmziError> {
+    let keys: Vec<_> = keys.iter().map(|(_, k)| k.clone()).collect();
+    Ok(idx
+        .batch_lookup(&keys, u64::MAX)?
+        .into_iter()
+        .map(|o| o.map(|o| (o.key, o.begin_ts, o.value)))
+        .collect())
 }
 
 /// Drop every run's data blocks from the decoded cache and the chunk tiers.
@@ -385,4 +417,261 @@ fn open_breaker_stages_nothing() {
         "only the demand fetch reached the breaker"
     );
     assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+}
+
+/// An object store that counts shared-store read requests: one per
+/// `get_range`, and one per `get_ranges` batch however many ranges it
+/// holds — the unit a latency model charges.
+#[derive(Default)]
+struct RequestCounter {
+    inner: InMemoryObjectStore,
+    requests: AtomicUsize,
+}
+
+impl ObjectStore for RequestCounter {
+    fn put(&self, name: &str, data: Bytes) -> umzi_storage::Result<()> {
+        self.inner.put(name, data)
+    }
+    fn get(&self, name: &str) -> umzi_storage::Result<Bytes> {
+        self.inner.get(name)
+    }
+    fn get_range(&self, name: &str, offset: u64, len: usize) -> umzi_storage::Result<Bytes> {
+        self.requests.fetch_add(1, Ordering::SeqCst);
+        self.inner.get_range(name, offset, len)
+    }
+    fn get_ranges(&self, name: &str, ranges: &[(u64, usize)]) -> umzi_storage::Result<Vec<Bytes>> {
+        self.requests.fetch_add(1, Ordering::SeqCst);
+        self.inner.get_ranges(name, ranges)
+    }
+    fn len(&self, name: &str) -> umzi_storage::Result<u64> {
+        self.inner.len(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn list(&self, prefix: &str) -> umzi_storage::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, name: &str) -> umzi_storage::Result<()> {
+        self.inner.delete(name)
+    }
+}
+
+/// A batch over purged multi-block runs fetches each claim's blocks in one
+/// request. Newest first, run `r` sees the keys no newer run holds; if they
+/// read first `K` distinct blocks of it, its claims are ⌈K / 16⌉ requests.
+/// A key that opens a block reads on into it: that costs a request of its
+/// own when no claim stages the block, and may when it is a later claim's
+/// first, reached before that claim stages it. A batch fetching block by
+/// block costs at least `K` requests per run.
+#[test]
+fn cold_batch_fetches_each_claim_window_in_one_request() {
+    let store = Arc::new(RequestCounter::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+        128,
+        RetryConfig::default(),
+    );
+    let keys = all_keys();
+    let resident = batch(&idx, &keys).unwrap();
+    assert_eq!(
+        resident.iter().filter(|a| a.is_some()).count(),
+        keys.iter().filter(|(r, _)| *r != RUNS).count()
+    );
+
+    let (mut bound, mut block_by_block) = (0, 0);
+    for (run, r) in idx.candidate_runs().iter().zip((0..RUNS).rev()) {
+        let prefixes: Vec<Vec<u8>> = keys
+            .iter()
+            .filter(|(residue, _)| *residue <= r || *residue == RUNS)
+            .map(|(_, (eq, sort))| {
+                let full = idx.layout().build_key(eq, sort, 0).unwrap();
+                KeyLayout::logical_key(&full).to_vec()
+            })
+            .collect();
+        let targets: BTreeSet<u32> = prefixes
+            .iter()
+            .map(|p| run.probe_block(p).unwrap())
+            .collect();
+        let fences = run.fence_keys().unwrap();
+        let opened: BTreeSet<u32> = (1..fences.len() as u32)
+            .filter(|&b| {
+                let logical = KeyLayout::logical_key(&fences[b as usize]);
+                prefixes.iter().any(|p| p.as_slice() == logical)
+            })
+            .collect();
+        let claims = targets.len().div_ceil(READAHEAD_DEPTH as usize);
+        bound += claims + opened.difference(&targets).count() + (claims - 1);
+        block_by_block += targets.len();
+    }
+    assert!(
+        2 * bound < block_by_block,
+        "the fixture must tell claims from single-block fetches: {bound} vs {block_by_block}"
+    );
+
+    purge_all(&storage, &idx);
+    let before = store.requests.load(Ordering::SeqCst);
+    let cold = batch(&idx, &keys).unwrap();
+    let requests = store.requests.load(Ordering::SeqCst) - before;
+    assert_eq!(cold, resident);
+    assert!(
+        requests <= bound,
+        "{requests} shared-store requests, bound {bound} ({block_by_block} target blocks)"
+    );
+    assert!(storage.stats().blocks_prefetched > 0);
+    eprintln!("{requests} requests, bound {bound}, {block_by_block} target blocks");
+}
+
+/// Over runs whose chunks are all local, a batch never stages and issues
+/// no shared-store read.
+#[test]
+fn warm_batch_stages_nothing() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    for run in idx.candidate_runs() {
+        assert!(run.data_block_count() > 1);
+        assert!(storage.is_fully_cached(run.handle()).unwrap());
+    }
+    let keys = all_keys();
+    let before = storage.stats();
+    let first = batch(&idx, &keys).unwrap();
+    assert_eq!(batch(&idx, &keys).unwrap(), first);
+    let after = storage.stats();
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    assert_eq!(after.shared.reads, before.shared.reads);
+}
+
+/// Background work — the post-groomer's predecessor probes — never stages:
+/// its cold batch fetches block by block, as before.
+#[test]
+fn background_batch_stages_nothing() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    let keys = all_keys();
+    let want = batch(&idx, &keys).unwrap();
+    purge_all(&storage, &idx);
+    let before = storage.stats();
+    let got = {
+        let _g = context::enter(QueryContext::unbounded().with_priority(Priority::Background));
+        batch(&idx, &keys).unwrap()
+    };
+    assert_eq!(got, want);
+    let after = storage.stats();
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    assert!(after.shared.reads >= before.shared.reads + RUNS as u64);
+}
+
+/// With the block-fetch breaker open, a cold batch stages nothing: it
+/// issues no store operation and is refused on its demand fetches.
+#[test]
+fn open_breaker_batch_stages_nothing() {
+    let faults = Arc::new(FaultInjectingStore::new(
+        Arc::new(InMemoryObjectStore::new()),
+        FaultPlan::none().with_transient(FaultOp::GetRange, 1.0),
+    ));
+    faults.set_armed(false);
+    let retry = RetryConfig {
+        max_retries: 0,
+        ..RetryConfig::default()
+    };
+    let (storage, idx) = striped_index(Arc::clone(&faults) as Arc<dyn ObjectStore>, 256, retry);
+    purge_all(&storage, &idx);
+    faults.set_armed(true);
+    let oldest = idx.candidate_runs().pop().unwrap();
+    let chunk = oldest.header().header_chunks;
+    for _ in 0..BREAKER_FAILURE_THRESHOLD {
+        assert!(storage.read_chunk(oldest.handle(), chunk).is_err());
+    }
+    assert_eq!(
+        storage.breaker().state(OpClass::BlockFetch),
+        BreakerState::Open
+    );
+
+    let (ops, before) = (faults.stats().ops, storage.stats());
+    let err = batch(&idx, &all_keys()).unwrap_err();
+    assert!(
+        matches!(storage_error(&err), Some(StorageError::Unavailable { .. })),
+        "{err}"
+    );
+    let after = storage.stats();
+    let class = OpClass::BlockFetch.index();
+    assert_eq!(faults.stats().ops, ops, "no store operation");
+    assert!(after.breaker_rejections[class] > before.breaker_rejections[class]);
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+}
+
+/// With `get_range` failing transiently, cold batches retry — their staged
+/// reads and demand fetches alike — and still return the resident answers.
+/// A staged read fails if any of its ranges does, so the fault rate is low
+/// enough that a sixteen-range read gets through within its retries.
+#[test]
+fn cold_batch_under_transient_faults_returns_the_resident_answers() {
+    let faults = Arc::new(FaultInjectingStore::new(
+        Arc::new(InMemoryObjectStore::new()),
+        FaultPlan::none().with_transient(FaultOp::GetRange, 0.03),
+    ));
+    faults.set_armed(false);
+    let retry = RetryConfig {
+        max_retries: 16,
+        base_backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+    };
+    let (storage, idx) = striped_index(Arc::clone(&faults) as Arc<dyn ObjectStore>, 256, retry);
+    let keys = all_keys();
+    let resident = batch(&idx, &keys).unwrap();
+    for _ in 0..6 {
+        purge_all(&storage, &idx);
+        faults.set_armed(true);
+        let got = batch(&idx, &keys);
+        faults.set_armed(false);
+        assert_eq!(got.unwrap(), resident);
+    }
+    let s = storage.stats();
+    assert!(faults.stats().injected[FaultOp::GetRange.index()] > 0);
+    assert!(s.retries > 0 && s.blocks_prefetched > 0, "{s:?}");
+    assert_eq!(s.retries_exhausted, 0);
+}
+
+/// Cancelled at its `n`-th cooperative checkpoint — for every `n` until it
+/// finishes — a cold batch returns either the resident answers or the
+/// typed `Cancelled`, and the next uncancelled batch is exact.
+#[test]
+fn cancelled_cold_batch_is_exact_or_typed_at_every_checkpoint() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    let keys = all_keys();
+    let want = batch(&idx, &keys).unwrap();
+    let mut finished = false;
+    for n in 0..=4096 {
+        purge_all(&storage, &idx);
+        let token = CancelToken::trip_after(n);
+        let got = {
+            let _g = context::enter(QueryContext::unbounded().with_cancel(token.clone()));
+            batch(&idx, &keys)
+        };
+        match got {
+            Ok(got) => {
+                assert_eq!(got, want, "trip at checkpoint {n}");
+                finished = !token.is_cancelled();
+            }
+            Err(e) => {
+                let cancelled = matches!(storage_error(&e), Some(StorageError::Cancelled { .. }));
+                assert!(cancelled, "trip at checkpoint {n}: untyped {e}");
+            }
+        }
+        assert_eq!(batch(&idx, &keys).unwrap(), want, "after a trip at {n}");
+        if finished {
+            break;
+        }
+    }
+    assert!(finished, "4096 checkpoints never let the batch finish");
 }

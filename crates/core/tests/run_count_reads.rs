@@ -13,14 +13,13 @@ use std::sync::Arc;
 use umzi_core::{MergePolicy, UmziConfig, UmziIndex};
 use umzi_encoding::{ColumnType, Datum, IndexDef};
 use umzi_run::{IndexEntry, KeyLayout, Rid, Run, ZoneId};
-use umzi_storage::{DecodedCacheConfig, SharedStorage, TieredConfig, TieredStorage};
+use umzi_storage::{
+    DecodedCacheConfig, SharedStorage, TieredConfig, TieredStorage, READAHEAD_DEPTH,
+};
 
 const DEVICES: i64 = 64;
 /// Messages per device in each run.
 const MSGS_PER_RUN: i64 = 32;
-/// `UmziIndex::batch_lookup` hands each run's pending probes to `fan_out`
-/// in slices of this many (`PROBE_CHUNK`), one forward cursor per slice.
-const PROBE_CHUNK: usize = 16;
 
 /// `n_runs` level-0 runs striped over one key domain: run `r` holds, for
 /// every device, the messages `m ≡ r (mod n_runs + 1)`; the last residue is
@@ -118,9 +117,9 @@ fn lookup_block_reads_grow_with_the_runs_searched() {
 }
 
 #[test]
-fn batch_lookup_reads_no_block_twice_per_slice() {
+fn batch_lookup_reads_no_block_twice_per_run() {
     for n_runs in [1i64, 8, 32] {
-        // Few blocks per run, so the probes of a slice share blocks and a
+        // Few blocks per run, so the probes of a run share blocks and a
         // probe that restarted from the top of the run would show.
         let (storage, idx) = striped_index(n_runs, 16 << 10);
         let runs = idx.candidate_runs(); // newest first
@@ -135,27 +134,47 @@ fn batch_lookup_reads_no_block_twice_per_slice() {
             .collect();
         let held_by = |r: i64| (0..256).filter(|i| i % stripe == r).count();
 
-        // Newest first, each run sees the probes no newer run resolved, cut
-        // into slices of PROBE_CHUNK that are contiguous in key order. A
-        // slice's cursor only moves forward, so it reads no block twice, and
-        // neighbouring slices share at most the block their boundary falls
-        // in: a run costs at most its blocks plus one per extra slice.
-        let mut pending = keys.len();
+        // Newest first, each run sees the probes no newer run resolved. A
+        // run's probes are cut into claims at block boundaries, and a
+        // claim's cursor only moves forward, so a run reads each block its
+        // probes need once: the blocks they read first, and the blocks that
+        // keys opening a block read on into.
+        let mut pending: Vec<usize> = (0..keys.len()).collect();
         let mut bound = 0;
         for (run, r) in runs.iter().zip((0..n_runs).rev()) {
-            let blocks = run.data_block_count() as usize;
-            let slices = pending.div_ceil(PROBE_CHUNK);
-            assert!(blocks < PROBE_CHUNK, "a slice's probes must share blocks");
-            bound += blocks + slices - 1;
-            pending -= held_by(r);
+            let fences = run.fence_keys().unwrap();
+            let mut blocks = std::collections::BTreeSet::new();
+            for &i in &pending {
+                let (eq, sort) = &keys[i];
+                let key = idx.layout().build_key(eq, sort, 0).unwrap();
+                let prefix = KeyLayout::logical_key(&key);
+                blocks.insert(run.probe_block(prefix).unwrap());
+                blocks.extend(
+                    (1..fences.len())
+                        .filter(|&b| KeyLayout::logical_key(&fences[b]) == prefix)
+                        .map(|b| b as u32),
+                );
+            }
+            // One claim per run: a key opening the next claim's first block
+            // would read it in both claims.
+            assert!(
+                (2..=READAHEAD_DEPTH as usize).contains(&blocks.len()),
+                "a run's probes must span blocks, in one claim"
+            );
+            bound += blocks.len();
+            pending.retain(|&i| i as i64 % stripe != r);
         }
-        assert_eq!(pending, held_by(n_runs), "only the absent stripe is left");
+        assert_eq!(
+            pending.len(),
+            held_by(n_runs),
+            "only the absent stripe is left"
+        );
 
         let before = storage.stats().chunk_reads;
         let out = idx.batch_lookup(&keys, u64::MAX).unwrap();
         let reads = storage.stats().chunk_reads - before;
         let found = out.iter().filter(|o| o.is_some()).count();
-        assert_eq!(found, keys.len() - pending, "{n_runs} runs");
+        assert_eq!(found, keys.len() - pending.len(), "{n_runs} runs");
         assert!(
             reads <= bound as u64,
             "{n_runs} runs: 256 keys read {reads} blocks, bound {bound}"

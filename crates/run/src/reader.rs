@@ -264,6 +264,27 @@ impl Run {
         })
     }
 
+    /// [`Self::probe_block`] for a probe at or past block `from` (`from` is
+    /// 0, or its fence is below `prefix`), galloped forward from `from`:
+    /// doubling steps while the fence is still below the probe, then a
+    /// binary search in the gap. A probe `d` blocks ahead costs `O(log d)`
+    /// fence comparisons, so a stream of ascending probes is one pass over
+    /// the fences. A probe behind `from` gets the full search.
+    pub fn probe_block_from(&self, from: u32, prefix: &[u8]) -> Option<u32> {
+        let fences = &self.header.fence_keys;
+        let mut lo = from as usize;
+        if lo >= fences.len() || (lo > 0 && fences[lo].as_slice() >= prefix) {
+            return self.probe_block(prefix);
+        }
+        let mut step = 1;
+        while lo + step < fences.len() && fences[lo + step].as_slice() < prefix {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step).min(fences.len());
+        Some((lo + fences[lo + 1..hi].partition_point(|f| f.as_slice() < prefix)) as u32)
+    }
+
     /// The tier half of a block read: block `b` from the chunk hierarchy,
     /// checksum-verified, parsed, and admitted to the decoded cache under
     /// `pattern`. Never consults the decoded cache.

@@ -157,10 +157,10 @@ impl<'a> RunSearcher<'a> {
 /// in, so a batch of probes fed in ascending key order (§7.2: *"we first
 /// sort the input keys ... to improve search efficiency"*) is one pass over
 /// the run: a probe whose key still falls in the held block costs no fetch
-/// and no fence search beyond one comparison; otherwise the fence index is
-/// galloped forward from the held block and **one** block is fetched. A
-/// probe behind the cursor is still answered correctly, by a full fence
-/// search.
+/// and two fence comparisons; otherwise the fence index is galloped forward
+/// from the held block ([`Run::probe_block_from`]) and **one** block is
+/// fetched. A probe behind the cursor is still answered correctly, by a
+/// full fence search.
 pub struct ProbeCursor<'a> {
     run: &'a Run,
     query_ts: u64,
@@ -221,20 +221,12 @@ impl<'a> ProbeCursor<'a> {
         }
         // The first entry ≥ `prefix` lies in the last block whose fence is
         // < `prefix` (block 0 when there is none) or opens the block after.
+        // An ascending probe gallops forward from the held block.
         let target = match &self.cur {
-            Some((c, _)) if *c == 0 || fences[*c as usize].as_slice() < prefix => {
-                // Gallop from the held block: doubling steps while the fence
-                // is still below the probe, then a binary search in the gap.
-                let (mut lo, mut step) = (*c as usize, 1);
-                while lo + step < fences.len() && fences[lo + step].as_slice() < prefix {
-                    lo += step;
-                    step *= 2;
-                }
-                let hi = (lo + step).min(fences.len());
-                (lo + fences[lo + 1..hi].partition_point(|f| f.as_slice() < prefix)) as u32
-            }
-            _ => self.run.probe_block(prefix).expect("fences are non-empty"),
-        };
+            Some((c, _)) => self.run.probe_block_from(*c, prefix),
+            None => self.run.probe_block(prefix),
+        }
+        .expect("fences are non-empty");
         let mut block = match &self.cur {
             Some((c, block)) if *c == target => block,
             _ => self.load(target, &mut on_miss)?,

@@ -105,6 +105,10 @@ impl RetryConfig {
 /// surfaced to the iterator. Depth 16 is where `scan_long_rows_per_s` on the
 /// benchmark's `read_cold` workload flattens out (4 / 8 / 16: 97k / 125k /
 /// 132k rows/s against 48k with no readahead).
+///
+/// It is also the claim window of a batch lookup: each run's sorted probes
+/// are cut into claims whose target blocks span at most this many distinct
+/// blocks, and a cold claim stages them in one batched read.
 pub const READAHEAD_DEPTH: u32 = 16;
 
 /// Upper bound on the bytes one readahead batch may put in flight; a batch
