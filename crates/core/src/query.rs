@@ -381,7 +381,7 @@ impl UmziIndex {
     /// in a chunk tier. Staged blocks land in the chunk tiers only; each
     /// demand probe decodes its block and admits it as point traffic, as it
     /// would have anyway. Residency is asked with `contains`, never `get`,
-    /// so no miss is counted twice and the admission sketch is untouched.
+    /// so no miss is counted twice and no block's recency moves.
     ///
     /// Advisory and conservative: nothing is staged for fewer than two
     /// blocks — one fetch is no slower on demand — nor when

@@ -4,8 +4,8 @@
 //! cache, then a full-table analytical scan sweeps through. The warmed
 //! working set sits in the protected segment and must keep hitting
 //! afterwards, both after a sweep of ≥ 4× the cache capacity and after one
-//! of ≥ 32× (over 8 MiB): probation-only scan admission and the frequency
-//! filter alone hold however long the sweep. The negative control runs the
+//! of ≥ 32× (over 8 MiB): probation-only scan admission alone holds
+//! however long the sweep. The negative control runs the
 //! identical scenario with the cache disabled and must score zero, so the
 //! measure cannot pass by counting something other than cache residency.
 

@@ -217,8 +217,8 @@ impl Run {
 
     /// The decoded-cache half of a block read: block `b` if the decoded
     /// cache holds it. One [`umzi_storage::DecodedBlockCache::get`], so a
-    /// miss is counted, and the admission sketch bumped, exactly once; on
-    /// `None` the caller completes the read with [`Self::fetch_block`].
+    /// hit or miss is counted exactly once; on `None` the caller completes
+    /// the read with [`Self::fetch_block`].
     pub(crate) fn decoded_block(&self, b: u32, pattern: AccessPattern) -> Option<DataBlock> {
         if b >= self.header.n_data_blocks {
             return None;
@@ -242,7 +242,7 @@ impl Run {
 
     /// Whether block `b` is held in RAM or on local SSD: decoded, or as a
     /// chunk in the memory or SSD tier. Pure observer — no cache statistics,
-    /// no recency, no admission-sketch update.
+    /// no recency update.
     pub fn is_block_local(&self, b: u32) -> bool {
         self.storage
             .decoded_cache()

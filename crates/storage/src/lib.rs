@@ -52,7 +52,6 @@ pub mod latency;
 pub mod lru;
 pub mod object_store;
 pub mod shared;
-mod sketch;
 pub mod stats;
 pub mod tiered;
 

@@ -98,12 +98,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         Some(&self.slots[idx].as_ref().expect("live slot").value)
     }
 
-    /// Get a reference without disturbing recency.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        let idx = *self.map.get(key)?;
-        Some(&self.slots[idx].as_ref().expect("live slot").value)
-    }
-
     /// Whether the key is present (does not disturb recency).
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
@@ -116,15 +110,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         let slot = self.slots[idx].take().expect("live slot");
         self.free.push(idx);
         Some(slot.value)
-    }
-
-    /// Borrow the least-recently-used entry without disturbing recency.
-    pub fn peek_lru(&self) -> Option<(&K, &V)> {
-        if self.tail == NIL {
-            return None;
-        }
-        let slot = self.slots[self.tail].as_ref().expect("live slot");
-        Some((&slot.key, &slot.value))
     }
 
     /// Remove and return the least-recently-used entry.
@@ -249,7 +234,6 @@ mod tests {
         lru.insert(3, ());
         // Touch 1 so 2 becomes LRU.
         lru.get(&1);
-        assert_eq!(lru.peek_lru().map(|(k, _)| *k), Some(2));
         let order: Vec<i32> = lru.iter_lru().map(|(k, _)| *k).collect();
         assert_eq!(order, vec![2, 3, 1], "iter_lru walks LRU → MRU");
         assert_eq!(lru.pop_lru().map(|(k, _)| k), Some(2));
@@ -266,7 +250,7 @@ mod tests {
         assert_eq!(lru.insert("k", 2), Some(1));
         // "x" is now LRU because "k" was refreshed.
         assert_eq!(lru.pop_lru().map(|(k, _)| k), Some("x"));
-        assert_eq!(lru.peek(&"k"), Some(&2));
+        assert_eq!(lru.get(&"k"), Some(&2));
     }
 
     #[test]

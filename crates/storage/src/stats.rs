@@ -136,11 +136,13 @@ pub struct DecodedCacheStats {
     pub insertions: u64,
     /// Blocks evicted under capacity pressure.
     pub evictions: u64,
-    /// Inserts rejected by the frequency-sketch admission filter (the
-    /// candidate's estimate lost against the eviction victim's).
+    /// Always 0: the cache admits every block it does not bypass (those
+    /// count under `bypassed_inserts`). No counter stands behind this
+    /// field; it exists only because `benchmark/src/sut.rs` reads it
+    /// (ROADMAP direction 5, dead probes).
     pub admission_rejected: u64,
-    /// Blocks promoted into the protected segment (point re-references and
-    /// frequency-winning probation victims).
+    /// Blocks promoted into the protected segment by a point lookup's
+    /// re-reference.
     pub promotions: u64,
     /// Blocks demoted from protected back to probation (segment cap).
     pub demotions: u64,
@@ -155,12 +157,6 @@ pub struct DecodedCacheStats {
     pub probation_bytes: u64,
     /// Bytes resident in the protected segment.
     pub protected_bytes: u64,
-    /// Non-zero counters in the shared frequency sketch (a full-table scan,
-    /// computed at snapshot time).
-    pub sketch_occupancy: u64,
-    /// Completed halving sweeps of the shared frequency sketch — how often
-    /// recorded history has decayed.
-    pub sketch_halvings: u64,
     /// Cumulative raw-block bytes handed to the cache after a decode
     /// upstream (admitted or not) — approximates total bytes parsed.
     pub decoded_bytes: u64,

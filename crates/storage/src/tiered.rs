@@ -192,15 +192,13 @@ pub struct TieredStorage {
     ssd: CacheTier,
     decoded: DecodedBlockCache,
     /// Total `read_chunk` calls, regardless of which tier served them.
-    chunk_reads: std::sync::atomic::AtomicU64,
+    chunk_reads: AtomicU64,
     registry: RwLock<Registry>,
     /// Jitter source for retry backoff. Seeded deterministically so tests
     /// replay the same delays.
     retry_rng: Mutex<StdRng>,
-    retries: std::sync::atomic::AtomicU64,
-    retries_exhausted: std::sync::atomic::AtomicU64,
-    /// Per-op-class breakdown of `retries` / `retries_exhausted`, indexed by
-    /// [`OpClass::index`].
+    /// Retries and retry exhaustions per op class, indexed by
+    /// [`OpClass::index`]; the totals are their sums.
     retries_by_class: [AtomicU64; OpClass::COUNT],
     retries_exhausted_by_class: [AtomicU64; OpClass::COUNT],
     /// Retry sleeps clamped by a query deadline (returned
@@ -216,17 +214,17 @@ pub struct TieredStorage {
     gc_leaked_reclaimed: AtomicU64,
     /// Object names whose GC delete failed — awaiting janitor re-attempt.
     leaked_gc: Mutex<BTreeSet<String>>,
-    corruption_refetches: std::sync::atomic::AtomicU64,
+    corruption_refetches: AtomicU64,
     /// Chunks staged ahead of demand that no read has consumed yet. Bounded
     /// FIFO window: keys that age out unconsumed count as wasted readahead.
     prefetched: Mutex<PrefetchWindow>,
     /// Fast-path guard for `prefetched`: number of unconsumed tracked keys.
     /// `read_chunk` only takes the window lock when this is non-zero, so a
     /// point read with no scan in flight costs one relaxed load.
-    prefetch_outstanding: std::sync::atomic::AtomicU64,
-    blocks_prefetched: std::sync::atomic::AtomicU64,
-    prefetch_hits: std::sync::atomic::AtomicU64,
-    prefetch_wasted: std::sync::atomic::AtomicU64,
+    prefetch_outstanding: AtomicU64,
+    blocks_prefetched: AtomicU64,
+    prefetch_hits: AtomicU64,
+    prefetch_wasted: AtomicU64,
     /// Telemetry handle shared with every layer stacked on this hierarchy
     /// (the index and engine record their own operation classes into it).
     telemetry: Arc<Telemetry>,
@@ -245,6 +243,11 @@ struct PrefetchWindow {
 /// aged out and counted as wasted readahead. Sized to cover several deep
 /// scans' worth of in-flight blocks; an approximation knob, not a cache.
 const PREFETCH_WINDOW: usize = 4096;
+
+/// Total of a per-op-class counter array.
+fn sum(by_class: &[AtomicU64; OpClass::COUNT]) -> u64 {
+    by_class.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+}
 
 impl std::fmt::Debug for TieredStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -271,11 +274,9 @@ impl TieredStorage {
             mem,
             ssd,
             decoded,
-            chunk_reads: std::sync::atomic::AtomicU64::new(0),
+            chunk_reads: AtomicU64::new(0),
             registry: RwLock::new(Registry::default()),
             retry_rng: Mutex::new(StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15)),
-            retries: std::sync::atomic::AtomicU64::new(0),
-            retries_exhausted: std::sync::atomic::AtomicU64::new(0),
             retries_by_class: Default::default(),
             retries_exhausted_by_class: Default::default(),
             deadline_aborted_retries: AtomicU64::new(0),
@@ -284,12 +285,12 @@ impl TieredStorage {
             gc_delete_failures: AtomicU64::new(0),
             gc_leaked_reclaimed: AtomicU64::new(0),
             leaked_gc: Mutex::new(BTreeSet::new()),
-            corruption_refetches: std::sync::atomic::AtomicU64::new(0),
+            corruption_refetches: AtomicU64::new(0),
             prefetched: Mutex::new(PrefetchWindow::default()),
-            prefetch_outstanding: std::sync::atomic::AtomicU64::new(0),
-            blocks_prefetched: std::sync::atomic::AtomicU64::new(0),
-            prefetch_hits: std::sync::atomic::AtomicU64::new(0),
-            prefetch_wasted: std::sync::atomic::AtomicU64::new(0),
+            prefetch_outstanding: AtomicU64::new(0),
+            blocks_prefetched: AtomicU64::new(0),
+            prefetch_hits: AtomicU64::new(0),
+            prefetch_wasted: AtomicU64::new(0),
             telemetry: Arc::new(Telemetry::new()),
         }
     }
@@ -326,10 +327,10 @@ impl TieredStorage {
     /// [`Self::stats`].
     pub fn trace_probe(&self) -> TraceProbe {
         TraceProbe {
-            chunk_reads: self.chunk_reads.load(std::sync::atomic::Ordering::Relaxed),
+            chunk_reads: self.chunk_reads.load(Ordering::Relaxed),
             cache_hits: self.decoded.hits_total(),
             decoded_bytes: self.decoded.decoded_bytes(),
-            retries: self.retries.load(std::sync::atomic::Ordering::Relaxed),
+            retries: sum(&self.retries_by_class),
         }
     }
 
@@ -402,7 +403,7 @@ impl TieredStorage {
             out.push((c, data));
         }
         self.blocks_prefetched
-            .fetch_add(out.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
     }
 
@@ -453,15 +454,12 @@ impl TieredStorage {
             return; // already tracked (re-staged before consumption)
         }
         w.order.push_back(key);
-        self.prefetch_outstanding
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.prefetch_outstanding.fetch_add(1, Ordering::Relaxed);
         while w.order.len() > PREFETCH_WINDOW {
             let old = w.order.pop_front().expect("len > bound implies non-empty");
             if w.set.remove(&old) {
-                self.prefetch_outstanding
-                    .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                self.prefetch_wasted
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.prefetch_outstanding.fetch_sub(1, Ordering::Relaxed);
+                self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -469,19 +467,13 @@ impl TieredStorage {
     /// If `key` is an unconsumed prefetched chunk, count the hit and stop
     /// tracking it. Cheap when no prefetch is outstanding.
     fn note_prefetch_hit(&self, key: (u64, u32)) {
-        if self
-            .prefetch_outstanding
-            .load(std::sync::atomic::Ordering::Relaxed)
-            == 0
-        {
+        if self.prefetch_outstanding.load(Ordering::Relaxed) == 0 {
             return;
         }
         let mut w = self.prefetched.lock();
         if w.set.remove(&key) {
-            self.prefetch_outstanding
-                .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            self.prefetch_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.prefetch_outstanding.fetch_sub(1, Ordering::Relaxed);
+            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -527,8 +519,6 @@ impl TieredStorage {
             match op() {
                 Err(e) if e.is_transient() && attempt < retry.max_retries => {
                     attempt += 1;
-                    self.retries
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     self.retries_by_class[class.index()].fetch_add(1, Ordering::Relaxed);
                     // Decorrelated jitter: uniform in [base, 3 × previous],
                     // capped. Degenerates to the base when base is 0.
@@ -563,8 +553,6 @@ impl TieredStorage {
                     prev = delay.max(retry.base_backoff);
                 }
                 Err(e) if e.is_transient() => {
-                    self.retries_exhausted
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     self.retries_exhausted_by_class[class.index()].fetch_add(1, Ordering::Relaxed);
                     self.breaker.record_failure(class);
                     return Err(e);
@@ -778,8 +766,7 @@ impl TieredStorage {
     /// Read one chunk through the hierarchy (memory → SSD → shared),
     /// promoting on miss.
     pub fn read_chunk(&self, handle: ObjectHandle, chunk_no: u32) -> Result<Bytes> {
-        self.chunk_reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.chunk_reads.fetch_add(1, Ordering::Relaxed);
         let key = (handle.0, chunk_no);
         if let Some(data) = self.mem.get(key) {
             self.note_prefetch_hit(key);
@@ -805,8 +792,7 @@ impl TieredStorage {
     /// storage is fine) rather than at-rest damage, so the reader evicts the
     /// poisoned copy and retries the fetch once before failing the query.
     pub fn reread_chunk_from_shared(&self, handle: ObjectHandle, chunk_no: u32) -> Result<Bytes> {
-        self.corruption_refetches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.corruption_refetches.fetch_add(1, Ordering::Relaxed);
         let key = (handle.0, chunk_no);
         self.mem.remove(key);
         self.ssd.remove(key);
@@ -925,8 +911,7 @@ impl TieredStorage {
             let mut w = self.prefetched.lock();
             w.set.clear();
             w.order.clear();
-            self.prefetch_outstanding
-                .store(0, std::sync::atomic::Ordering::Relaxed);
+            self.prefetch_outstanding.store(0, Ordering::Relaxed);
         }
         let mut reg = self.registry.write();
         reg.by_name.clear();
@@ -942,12 +927,10 @@ impl TieredStorage {
             ssd: self.ssd.stats(),
             shared: self.shared.stats(),
             decoded: self.decoded.stats(),
-            chunk_reads: self.chunk_reads.load(std::sync::atomic::Ordering::Relaxed),
+            chunk_reads: self.chunk_reads.load(Ordering::Relaxed),
             ssd_charged_latency: self.ssd.latency().charged(),
-            retries: self.retries.load(std::sync::atomic::Ordering::Relaxed),
-            retries_exhausted: self
-                .retries_exhausted
-                .load(std::sync::atomic::Ordering::Relaxed),
+            retries: sum(&self.retries_by_class),
+            retries_exhausted: sum(&self.retries_exhausted_by_class),
             retries_by_class: std::array::from_fn(|i| {
                 self.retries_by_class[i].load(Ordering::Relaxed)
             }),
@@ -962,18 +945,10 @@ impl TieredStorage {
             breaker_state: self.breaker.states(),
             breaker_transitions: self.breaker.transitions(),
             breaker_rejections: self.breaker.rejections(),
-            corruption_refetches: self
-                .corruption_refetches
-                .load(std::sync::atomic::Ordering::Relaxed),
-            blocks_prefetched: self
-                .blocks_prefetched
-                .load(std::sync::atomic::Ordering::Relaxed),
-            prefetch_hits: self
-                .prefetch_hits
-                .load(std::sync::atomic::Ordering::Relaxed),
-            prefetch_wasted: self
-                .prefetch_wasted
-                .load(std::sync::atomic::Ordering::Relaxed),
+            corruption_refetches: self.corruption_refetches.load(Ordering::Relaxed),
+            blocks_prefetched: self.blocks_prefetched.load(Ordering::Relaxed),
+            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
+            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
         }
     }
 
