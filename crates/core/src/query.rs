@@ -77,10 +77,10 @@ impl QueryOutput {
 /// Worker threads one query may fan out over: what the OS grants the
 /// *calling* thread (so a pinned caller gets 1 and runs inline), capped at
 /// 8. The call walks cgroup files on Linux — tens of microseconds — so a
-/// query asks at most once, and only after a size guard says fan-out could
-/// pay. Not cached process-wide: affinity differs per caller. Background
-/// work gets 1: fan-out buys latency, and a maintenance job is throughput
-/// work that already has its worker.
+/// batch lookup, its one caller, asks at most once, and only after a size
+/// guard says fan-out could pay. Not cached process-wide: affinity differs
+/// per caller. Background work gets 1: fan-out buys latency, and a
+/// maintenance job is throughput work that already has its worker.
 fn thread_budget() -> usize {
     if umzi_storage::context::current().priority() == umzi_storage::Priority::Background {
         return 1;
@@ -93,10 +93,11 @@ fn thread_budget() -> usize {
 
 /// Run `per_item` over `items`, each claimed from a shared cursor by up to
 /// `threads` workers (the calling thread is one of them), and return the
-/// results **in input order**. No worker owns a fixed share: when per-item
-/// cost is skewed (a cold run among cached ones, one claim of a batch
-/// waiting on a fetch), fast workers keep claiming items instead of idling
-/// behind the slow one. Spawned workers re-enter the caller's
+/// results **in input order**. Its one caller is [`UmziIndex::batch_lookup`],
+/// whose items are a run's claims. No worker owns a fixed share: when
+/// per-item cost is skewed (one claim waiting on a fetch among warm ones),
+/// fast workers keep claiming items instead of idling behind the slow one.
+/// Spawned workers re-enter the caller's
 /// [`umzi_storage::QueryContext`], so deadline and cancellation reach every
 /// item. One worker, or a single item, runs inline.
 pub(crate) fn fan_out<'a, T, R, F>(
@@ -175,6 +176,30 @@ fn plan_claims<'p>(run: &Run, prefixes: impl Iterator<Item = &'p [u8]>) -> Vec<C
     claims
 }
 
+/// The data blocks a scan of `run` over `[lower, upper)` positions in, from
+/// the in-RAM fences: from the block [`Run::locate_first_geq_as`] answers
+/// `lower` from through the one it answers `upper` from (the run's last
+/// block when `upper` is unbounded), at most [`READAHEAD_DEPTH`] of them.
+/// As in the locate, a bound below every fence lands in block 0 and a bound
+/// equal to fence `pb` in block `pb`. An upper bound below the lower one
+/// swaps the ends. The run must have data blocks.
+fn scan_bound_blocks(
+    run: &Run,
+    lower: &[u8],
+    upper: Option<&[u8]>,
+) -> std::ops::RangeInclusive<u32> {
+    let fences = &run.header().fence_keys;
+    let block = |target: &[u8]| {
+        let pb = fences.partition_point(|f| f.as_slice() < target);
+        let exact = fences.get(pb).is_some_and(|f| f.as_slice() == target);
+        (if exact { pb } else { pb.saturating_sub(1) }) as u32
+    };
+    let lo = block(lower);
+    let hi = upper.map_or(run.data_block_count() - 1, block);
+    let (first, last) = (lo.min(hi), lo.max(hi));
+    first..=last.min(first + READAHEAD_DEPTH - 1)
+}
+
 impl UmziIndex {
     /// Collect the runs a query must consider, newest data first: all zone
     /// lists are walked lock-free; zone-`i` runs already covered by later
@@ -214,13 +239,20 @@ impl UmziIndex {
     /// Range scan (§7.1): returns the newest visible version of every
     /// matching key, sorted by key.
     ///
-    /// Iterator *positioning* — the per-run `find_first_geq`, one or two
-    /// block fetches per run — fans out across candidate runs ([`fan_out`];
-    /// runs are `Arc`s and reads are lock-free). The merge itself is one
+    /// Iterator *positioning* — each candidate run's two bound locates —
+    /// is one staged round: the in-RAM fences name the blocks from the one
+    /// the lower bound lands in through the one the upper bound lands in
+    /// (at most [`READAHEAD_DEPTH`] per run), and those not yet local are
+    /// fetched for every run at once
+    /// ([`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects)),
+    /// under the guards of the lookup planners. The runs are then positioned
+    /// one after another on the calling thread, from local blocks. The
+    /// trade: a run's window is fetched before the merge reaches it, so a
+    /// staged block the chunk tiers evict first is fetched again, and
+    /// counted in `StorageStats::prefetch_wasted`. The merge itself is one
     /// sequential reconcile whose per-run iterators keep
-    /// [`umzi_storage::READAHEAD_DEPTH`] blocks staged ahead of it, so a
-    /// cold scan pays one batched fetch per sixteen blocks, not one stall
-    /// per block.
+    /// [`READAHEAD_DEPTH`] blocks staged ahead of it, so a cold scan pays
+    /// one batched fetch per sixteen blocks, not one stall per block.
     pub fn range_scan(
         &self,
         query: &RangeQuery,
@@ -279,17 +311,16 @@ impl UmziIndex {
             t.plan_nanos = t.elapsed_nanos();
         }
 
-        // One run per claim; results come back in candidate order, so the
-        // reconcile order is unchanged.
-        let threads = if candidates.len() < 2 {
-            1
-        } else {
-            thread_budget()
-        };
-        let iters = fan_out(&candidates, threads, |run| {
-            let bucket = Self::bucket_for(run, hash);
-            RunSearcher::new(run).scan(&lower, upper.as_deref(), bucket, query.query_ts)
-        })?;
+        // Positioning reads only staged or local blocks, so it runs on the
+        // calling thread, in candidate order.
+        self.stage_scan_blocks(&candidates, &lower, upper.as_deref());
+        let iters = candidates
+            .iter()
+            .map(|run| {
+                let bucket = Self::bucket_for(run, hash);
+                RunSearcher::new(run).scan(&lower, upper.as_deref(), bucket, query.query_ts)
+            })
+            .collect::<umzi_run::Result<Vec<_>>>()?;
         if let Some(t) = trace.as_deref_mut() {
             t.position_nanos = t.elapsed_nanos() - t.plan_nanos;
         }
@@ -433,8 +464,35 @@ impl UmziIndex {
         }
     }
 
-    /// Whether this query may stage blocks ahead of its probes — the guards
-    /// both lookup planners share. It may not
+    /// The fill of a range scan's positioning: fetch, in one concurrent
+    /// round, each candidate run's [`scan_bound_blocks`] that are neither
+    /// decoded nor in a chunk tier, so every run's bound locates, and the
+    /// first block its iterator reads, find their blocks local. Staged
+    /// blocks land in the chunk tiers only, as for a point lookup, and
+    /// under the same rules as [`Self::stage_probe_blocks`].
+    fn stage_scan_blocks(&self, runs: &[Arc<Run>], lower: &[u8], upper: Option<&[u8]>) {
+        if !self.may_stage() {
+            return;
+        }
+        let wanted: Vec<(ObjectHandle, Vec<u32>)> = runs
+            .iter()
+            .filter(|r| r.data_block_count() > 0)
+            .map(|r| {
+                let chunks: Vec<u32> = scan_bound_blocks(r, lower, upper)
+                    .filter(|&b| !r.is_block_local(b))
+                    .map(|b| r.block_chunk(b))
+                    .collect();
+                (r.handle(), chunks)
+            })
+            .filter(|(_, chunks)| !chunks.is_empty())
+            .collect();
+        if wanted.iter().map(|(_, c)| c.len()).sum::<usize>() >= 2 {
+            self.storage.prefetch_objects(&wanted);
+        }
+    }
+
+    /// Whether this query may stage blocks ahead of its reads — the guards
+    /// the point, batch and scan planners share. It may not
     /// * while the block-fetch breaker is not closed — a round would fire
     ///   doomed requests, or spend the half-open probe;
     /// * under [`Priority::Background`](umzi_storage::Priority), the rule

@@ -1,4 +1,5 @@
-//! Cold lookups stage their block fetches instead of chaining them.
+//! Cold lookups and scans stage their block fetches instead of chaining
+//! them.
 //!
 //! Runs are searched newest to oldest and the search stops at the first
 //! match (§7.2), so over runs purged to shared storage a lookup used to be a
@@ -6,11 +7,12 @@
 //! lookup now fetches the target block of every remaining candidate run at
 //! once; a batch lookup cuts each run's sorted probes into claims of at
 //! most `READAHEAD_DEPTH` target blocks and fetches a claim's blocks in one
-//! batched read. The probes that follow find their blocks in the chunk
-//! tiers. These tests pin the overlap and the request count, that a warm
-//! lookup never stages and counts each decoded-cache miss once, and that
-//! faults, cancellation, background priority and an open breaker keep
-//! their meaning.
+//! batched read. A range scan fetches every candidate run's bound blocks in
+//! one round before it positions any run. The reads that follow find their
+//! blocks in the chunk tiers. These tests pin the overlap and the request
+//! count, that a warm lookup or scan never stages and a warm lookup counts
+//! each decoded-cache miss once, and that faults, cancellation, background
+//! priority and an open breaker keep their meaning.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -18,9 +20,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use umzi_core::{MergePolicy, UmziConfig, UmziError, UmziIndex};
+use umzi_core::{MergePolicy, RangeQuery, ReconcileStrategy, UmziConfig, UmziError, UmziIndex};
 use umzi_encoding::{ColumnType, Datum, IndexDef};
-use umzi_run::{IndexEntry, KeyLayout, Rid, ZoneId};
+use umzi_run::{IndexEntry, KeyLayout, Rid, SortBound, ZoneId};
 use umzi_storage::{
     context, BreakerState, CancelToken, FaultInjectingStore, FaultOp, FaultPlan,
     InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext, RetryConfig,
@@ -132,6 +134,45 @@ fn batch(idx: &UmziIndex, keys: &[ResidueKey]) -> Result<Vec<Answer>, UmziError>
         .into_iter()
         .map(|o| o.map(|o| (o.key, o.begin_ts, o.value)))
         .collect())
+}
+
+/// The newest visible version of every message of device `d` between the
+/// bounds, under the priority-queue reconcile.
+fn scan(
+    idx: &UmziIndex,
+    d: i64,
+    lower: SortBound,
+    upper: SortBound,
+) -> Result<Vec<(Bytes, u64, Bytes)>, UmziError> {
+    let query = RangeQuery {
+        equality: vec![Datum::Int64(d)],
+        lower,
+        upper,
+        query_ts: u64::MAX,
+    };
+    Ok(idx
+        .range_scan(&query, ReconcileStrategy::PriorityQueue)?
+        .into_iter()
+        .map(|o| (o.key, o.begin_ts, o.value))
+        .collect())
+}
+
+/// Every message of device `d`.
+fn device_scan(idx: &UmziIndex, d: i64) -> Result<Vec<(Bytes, u64, Bytes)>, UmziError> {
+    scan(idx, d, SortBound::Unbounded, SortBound::Unbounded)
+}
+
+/// The one message `key(5, d, 0)` names, which only the oldest run holds:
+/// a range of at most one row per run, so no iterator reads past the block
+/// it is positioned in and the scan's own readahead stages nothing.
+fn one_row_scan(idx: &UmziIndex, d: i64) -> Result<Vec<(Bytes, u64, Bytes)>, UmziError> {
+    let (_, sort) = key(5, d, 0);
+    scan(
+        idx,
+        d,
+        SortBound::Included(sort.clone()),
+        SortBound::Included(sort),
+    )
 }
 
 /// Drop every run's data blocks from the decoded cache and the chunk tiers.
@@ -421,11 +462,13 @@ fn open_breaker_stages_nothing() {
 
 /// An object store that counts shared-store read requests: one per
 /// `get_range`, and one per `get_ranges` batch however many ranges it
-/// holds — the unit a latency model charges.
+/// holds — the unit a latency model charges. `singles` counts the
+/// `get_range` calls alone.
 #[derive(Default)]
 struct RequestCounter {
     inner: InMemoryObjectStore,
     requests: AtomicUsize,
+    singles: AtomicUsize,
 }
 
 impl ObjectStore for RequestCounter {
@@ -437,6 +480,7 @@ impl ObjectStore for RequestCounter {
     }
     fn get_range(&self, name: &str, offset: u64, len: usize) -> umzi_storage::Result<Bytes> {
         self.requests.fetch_add(1, Ordering::SeqCst);
+        self.singles.fetch_add(1, Ordering::SeqCst);
         self.inner.get_range(name, offset, len)
     }
     fn get_ranges(&self, name: &str, ranges: &[(u64, usize)]) -> umzi_storage::Result<Vec<Bytes>> {
@@ -674,4 +718,193 @@ fn cancelled_cold_batch_is_exact_or_typed_at_every_checkpoint() {
         }
     }
     assert!(finished, "4096 checkpoints never let the batch finish");
+}
+
+/// A one-device scan over four purged runs: the fetches of the four runs'
+/// bound blocks are in flight at once, the answer is the resident one, and
+/// every staged block is read.
+#[test]
+fn cold_scan_overlaps_its_run_fetches() {
+    let gate = Arc::new(OverlapGate::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&gate) as Arc<dyn ObjectStore>,
+        256,
+        RetryConfig::default(),
+    );
+    let resident = device_scan(&idx, 2).unwrap();
+    assert_eq!(resident.len() as i64, RUNS * MSGS_PER_RUN);
+    purge_all(&storage, &idx);
+
+    gate.armed.store(true, Ordering::SeqCst);
+    let cold = device_scan(&idx, 2).unwrap();
+    gate.armed.store(false, Ordering::SeqCst);
+    assert_eq!(cold, resident);
+    assert_eq!(gate.flight.lock().unwrap().peak, RUNS as usize);
+    let s = storage.stats();
+    assert!(s.blocks_prefetched >= RUNS as u64, "{s:?}");
+    assert_eq!(
+        s.blocks_prefetched, s.prefetch_hits,
+        "every staged block was read"
+    );
+}
+
+/// A cold one-device scan positions without a single-block fetch: each
+/// run's bound blocks, and with them every block its iterator reads, arrive
+/// in one batched request per run.
+#[test]
+fn cold_scan_positions_each_run_in_one_request() {
+    let store = Arc::new(RequestCounter::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+        256,
+        RetryConfig::default(),
+    );
+    for run in idx.candidate_runs() {
+        assert!(run.data_block_count() > 1);
+    }
+    let resident = device_scan(&idx, 2).unwrap();
+    purge_all(&storage, &idx);
+    let (requests, singles) = (
+        store.requests.load(Ordering::SeqCst),
+        store.singles.load(Ordering::SeqCst),
+    );
+    assert_eq!(device_scan(&idx, 2).unwrap(), resident);
+    assert_eq!(
+        store.singles.load(Ordering::SeqCst) - singles,
+        0,
+        "a positioning get_range"
+    );
+    assert_eq!(
+        store.requests.load(Ordering::SeqCst) - requests,
+        RUNS as usize
+    );
+    let s = storage.stats();
+    assert_eq!(s.blocks_prefetched, s.prefetch_hits, "{s:?}");
+}
+
+/// Over runs whose chunks are all local, scans never stage and issue no
+/// shared-store read.
+#[test]
+fn warm_scan_stages_nothing() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    for run in idx.candidate_runs() {
+        assert!(storage.is_fully_cached(run.handle()).unwrap());
+    }
+    let before = storage.stats();
+    for d in 0..DEVICES {
+        let first = device_scan(&idx, d).unwrap();
+        assert_eq!(device_scan(&idx, d).unwrap(), first);
+        assert_eq!(one_row_scan(&idx, d).unwrap().len(), 1);
+    }
+    let after = storage.stats();
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    assert_eq!(after.shared.reads, before.shared.reads);
+}
+
+/// Background work never stages its positioning: a cold scan of one row
+/// per run fetches each run's block on demand, one at a time.
+#[test]
+fn background_scan_stages_nothing() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    let want = one_row_scan(&idx, 2).unwrap();
+    assert_eq!(want.len(), 1);
+    purge_all(&storage, &idx);
+    let before = storage.stats();
+    let got = {
+        let _g = context::enter(QueryContext::unbounded().with_priority(Priority::Background));
+        one_row_scan(&idx, 2).unwrap()
+    };
+    assert_eq!(got, want);
+    let after = storage.stats();
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    assert!(after.shared.reads >= before.shared.reads + RUNS as u64);
+
+    // The same scan in the foreground stages one block per run.
+    purge_all(&storage, &idx);
+    assert_eq!(one_row_scan(&idx, 2).unwrap(), want);
+    assert!(storage.stats().blocks_prefetched >= after.blocks_prefetched + RUNS as u64);
+}
+
+/// With the block-fetch breaker open, a cold scan stages nothing: it
+/// issues no store operation and is refused with the typed `Unavailable`.
+#[test]
+fn open_breaker_scan_stages_nothing() {
+    let faults = Arc::new(FaultInjectingStore::new(
+        Arc::new(InMemoryObjectStore::new()),
+        FaultPlan::none().with_transient(FaultOp::GetRange, 1.0),
+    ));
+    faults.set_armed(false);
+    let retry = RetryConfig {
+        max_retries: 0,
+        ..RetryConfig::default()
+    };
+    let (storage, idx) = striped_index(Arc::clone(&faults) as Arc<dyn ObjectStore>, 256, retry);
+    purge_all(&storage, &idx);
+    faults.set_armed(true);
+    let oldest = idx.candidate_runs().pop().unwrap();
+    let chunk = oldest.header().header_chunks;
+    for _ in 0..BREAKER_FAILURE_THRESHOLD {
+        assert!(storage.read_chunk(oldest.handle(), chunk).is_err());
+    }
+    assert_eq!(
+        storage.breaker().state(OpClass::BlockFetch),
+        BreakerState::Open
+    );
+
+    let (ops, before) = (faults.stats().ops, storage.stats());
+    let err = device_scan(&idx, 2).unwrap_err();
+    assert!(
+        matches!(storage_error(&err), Some(StorageError::Unavailable { .. })),
+        "{err}"
+    );
+    let after = storage.stats();
+    let class = OpClass::BlockFetch.index();
+    assert_eq!(faults.stats().ops, ops, "no store operation");
+    assert!(after.breaker_rejections[class] > before.breaker_rejections[class]);
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+}
+
+/// Cancelled at its `n`-th cooperative checkpoint — for every `n` until it
+/// finishes — a cold scan returns either the resident rows or the typed
+/// `Cancelled`, and the next uncancelled scan is exact.
+#[test]
+fn cancelled_cold_scan_is_exact_or_typed_at_every_checkpoint() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    let want = device_scan(&idx, 1).unwrap();
+    let mut finished = false;
+    for n in 0..=256 {
+        purge_all(&storage, &idx);
+        let token = CancelToken::trip_after(n);
+        let got = {
+            let _g = context::enter(QueryContext::unbounded().with_cancel(token.clone()));
+            device_scan(&idx, 1)
+        };
+        match got {
+            Ok(got) => {
+                assert_eq!(got, want, "trip at checkpoint {n}");
+                finished = !token.is_cancelled();
+            }
+            Err(e) => {
+                let cancelled = matches!(storage_error(&e), Some(StorageError::Cancelled { .. }));
+                assert!(cancelled, "trip at checkpoint {n}: untyped {e}");
+            }
+        }
+        assert_eq!(device_scan(&idx, 1).unwrap(), want, "after a trip at {n}");
+        if finished {
+            break;
+        }
+    }
+    assert!(finished, "256 checkpoints never let the scan finish");
 }

@@ -1,5 +1,5 @@
 //! Cancellation-safety property harness: a query aborted at an *arbitrary*
-//! cooperative checkpoint — mid-positioning fan-out, mid-merge, mid-readahead
+//! cooperative checkpoint — mid-positioning, mid-merge, mid-readahead
 //! batch, even mid-retry backoff against a faulted store — must come back as
 //! a typed query-abort error (`Cancelled` / `DeadlineExceeded`), never a
 //! panic and never a partial result presented as complete. And the very next

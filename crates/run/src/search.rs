@@ -71,8 +71,8 @@ impl<'a> RunSearcher<'a> {
     }
 
     /// Reference implementation of [`Self::find_first_geq`]: binary search
-    /// over entry ordinals, fetching a data block per probe. Kept for
-    /// equivalence tests and as the "before" leg of read-path benchmarks.
+    /// over entry ordinals, fetching a data block per probe. Kept as the
+    /// brute-force reference of `prop_fence.rs` and `read_path_stats.rs`.
     pub fn find_first_geq_scalar(&self, target: &[u8], bucket: Option<u32>) -> Result<u64> {
         let (mut lo, mut hi) = self.run.bucket_range(bucket);
         while lo < hi {
