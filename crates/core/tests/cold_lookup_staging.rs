@@ -26,8 +26,8 @@ use umzi_run::{IndexEntry, KeyLayout, Rid, SortBound, ZoneId};
 use umzi_storage::{
     context, BreakerState, CancelToken, FaultInjectingStore, FaultOp, FaultPlan,
     InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext, RetryConfig,
-    SharedStorage, StorageError, TieredConfig, TieredStorage, BREAKER_FAILURE_THRESHOLD,
-    READAHEAD_DEPTH,
+    SharedStorage, StorageError, TierLatency, TieredConfig, TieredStorage,
+    BREAKER_FAILURE_THRESHOLD, READAHEAD_DEPTH,
 };
 
 /// Level-0 runs of every index here; run `RUNS - 1` is the newest.
@@ -38,6 +38,11 @@ const MSGS_PER_RUN: i64 = 16;
 /// Run `r` holds the messages `m ≡ r (mod STRIPE)`; residue `RUNS` is in no
 /// run.
 const STRIPE: i64 = RUNS + 1;
+
+/// The SSD tier's latency in every index here. The latency mode is
+/// `Accounting`, so a write is charged but never slept on, and the SSD
+/// pins below compare charges exactly.
+const SSD_LATENCY: TierLatency = TierLatency::micros(100, 1);
 
 /// `RUNS` striped runs over `store`. Every run spans the same key domain, so
 /// no synopsis prunes an interior key and a key of residue 0 is held only
@@ -53,6 +58,7 @@ fn striped_index(
         TieredConfig {
             chunk_size,
             retry,
+            ssd_latency: SSD_LATENCY,
             ..TieredConfig::default()
         },
     ));
@@ -463,12 +469,21 @@ fn open_breaker_stages_nothing() {
 /// An object store that counts shared-store read requests: one per
 /// `get_range`, and one per `get_ranges` batch however many ranges it
 /// holds — the unit a latency model charges. `singles` counts the
-/// `get_range` calls alone.
+/// `get_range` calls alone, and `sizes` logs each request's range count
+/// and bytes.
 #[derive(Default)]
 struct RequestCounter {
     inner: InMemoryObjectStore,
     requests: AtomicUsize,
     singles: AtomicUsize,
+    sizes: Mutex<Vec<(usize, usize)>>,
+}
+
+impl RequestCounter {
+    fn log(&self, ranges: usize, bytes: usize) {
+        self.requests.fetch_add(1, Ordering::SeqCst);
+        self.sizes.lock().unwrap().push((ranges, bytes));
+    }
 }
 
 impl ObjectStore for RequestCounter {
@@ -479,13 +494,15 @@ impl ObjectStore for RequestCounter {
         self.inner.get(name)
     }
     fn get_range(&self, name: &str, offset: u64, len: usize) -> umzi_storage::Result<Bytes> {
-        self.requests.fetch_add(1, Ordering::SeqCst);
         self.singles.fetch_add(1, Ordering::SeqCst);
-        self.inner.get_range(name, offset, len)
+        let data = self.inner.get_range(name, offset, len)?;
+        self.log(1, data.len());
+        Ok(data)
     }
     fn get_ranges(&self, name: &str, ranges: &[(u64, usize)]) -> umzi_storage::Result<Vec<Bytes>> {
-        self.requests.fetch_add(1, Ordering::SeqCst);
-        self.inner.get_ranges(name, ranges)
+        let data = self.inner.get_ranges(name, ranges)?;
+        self.log(ranges.len(), data.iter().map(Bytes::len).sum());
+        Ok(data)
     }
     fn len(&self, name: &str) -> umzi_storage::Result<u64> {
         self.inner.len(name)
@@ -564,6 +581,85 @@ fn cold_batch_fetches_each_claim_window_in_one_request() {
     );
     assert!(storage.stats().blocks_prefetched > 0);
     eprintln!("{requests} requests, bound {bound}, {block_by_block} target blocks");
+}
+
+/// Run `f` over purged runs and check that every shared-store request it
+/// issues lands in the SSD tier as one write: the tier is charged
+/// `SSD_LATENCY.charge(bytes)` once per request, for the request's bytes,
+/// and `f` reads nothing from it. Returns the requests as `(ranges,
+/// bytes)`. A tier written a chunk at a time is charged `n` writes for a
+/// request of `n` ranges, so a request of two or more tells them apart.
+fn one_ssd_write_per_request(
+    storage: &TieredStorage,
+    store: &RequestCounter,
+    f: impl FnOnce(),
+) -> Vec<(usize, usize)> {
+    store.sizes.lock().unwrap().clear();
+    let before = storage.stats();
+    f();
+    let after = storage.stats();
+    let sizes = store.sizes.lock().unwrap().clone();
+    assert_eq!(
+        after.ssd.hits, before.ssd.hits,
+        "an SSD read is charged too"
+    );
+    let want = sizes
+        .iter()
+        .map(|&(_, bytes)| SSD_LATENCY.charge(bytes))
+        .sum();
+    assert_eq!(
+        after.ssd_charged_latency - before.ssd_charged_latency,
+        want,
+        "one SSD write per request: {sizes:?}"
+    );
+    sizes
+}
+
+/// A cold batch writes each claim's staged blocks to the SSD tier in one
+/// write, as it fetched them in one request.
+#[test]
+fn cold_batch_writes_each_claim_window_to_ssd_once() {
+    let store = Arc::new(RequestCounter::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+        128,
+        RetryConfig::default(),
+    );
+    let keys = all_keys();
+    let resident = batch(&idx, &keys).unwrap();
+    purge_all(&storage, &idx);
+    let sizes = one_ssd_write_per_request(&storage, &store, || {
+        assert_eq!(batch(&idx, &keys).unwrap(), resident);
+    });
+    assert!(
+        sizes.iter().any(|&(ranges, _)| ranges > 1),
+        "no claim staged two blocks: {sizes:?}"
+    );
+}
+
+/// A cold scan writes each staged window to the SSD tier in one write:
+/// each run's positioning window, and each readahead window of its
+/// iterator. Under `Priority::Background` positioning is not staged, so
+/// each run's first block is fetched on demand and the rest of its range
+/// arrives as readahead.
+#[test]
+fn cold_scan_writes_each_readahead_window_to_ssd_once() {
+    let store = Arc::new(RequestCounter::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+        128,
+        RetryConfig::default(),
+    );
+    let resident = device_scan(&idx, 2).unwrap();
+    for priority in [Priority::Interactive, Priority::Background] {
+        purge_all(&storage, &idx);
+        let sizes = one_ssd_write_per_request(&storage, &store, || {
+            let _g = context::enter(QueryContext::unbounded().with_priority(priority));
+            assert_eq!(device_scan(&idx, 2).unwrap(), resident);
+        });
+        let windows = sizes.iter().filter(|&&(ranges, _)| ranges > 1).count();
+        assert_eq!(windows, RUNS as usize, "{priority:?}: {sizes:?}");
+    }
 }
 
 /// Over runs whose chunks are all local, a batch never stages and issues

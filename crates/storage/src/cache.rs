@@ -112,48 +112,70 @@ impl CacheTier {
         inner.pinned.contains_key(&key) || inner.unpinned.contains(&key)
     }
 
-    /// Insert a chunk, evicting LRU unpinned entries if needed.
-    /// Charges write latency.
+    /// Insert one chunk: [`Self::insert_batch`] with one item, so it is
+    /// charged one write of its own bytes.
     pub fn insert(&self, key: ChunkKey, data: Bytes, pinned: bool) {
-        let len = data.len() as u64;
-        let mut evicted = 0u64;
+        self.insert_batch([(key, data, pinned)]);
+    }
+
+    /// Insert a batch of `(key, data, pinned)` chunks under one lock, in
+    /// order. Each item replaces any resident copy of its key and evicts
+    /// LRU unpinned entries until it fits, exactly as inserting the items
+    /// one by one would: an earlier member may be evicted by a later one, a
+    /// repeated key keeps its last copy, and pinned items may overflow the
+    /// capacity. The counters count every item.
+    ///
+    /// The latency model is charged **once**, for the batch's total bytes:
+    /// the batch is one sequential write of all of them, so it pays one
+    /// operation's fixed cost, and every byte at the per-KiB rate. An empty
+    /// batch charges and counts nothing.
+    pub fn insert_batch(&self, items: impl IntoIterator<Item = (ChunkKey, Bytes, bool)>) {
+        let (mut inserted, mut evicted, mut total) = (0u64, 0u64, 0u64);
         {
             let mut inner = self.inner.lock();
-            // Replace any existing entry for this key first.
-            if let Some(old) = inner.unpinned.remove(&key) {
-                inner.used_bytes -= old.len() as u64;
-            } else if let Some(old) = inner.pinned.remove(&key) {
-                inner.used_bytes -= old.len() as u64;
-                inner.pinned_bytes -= old.len() as u64;
-            }
-            // Evict unpinned LRU entries until the new chunk fits.
-            while inner.used_bytes + len > self.capacity {
-                match inner.unpinned.pop_lru() {
-                    Some((_, old)) => {
-                        inner.used_bytes -= old.len() as u64;
-                        evicted += 1;
-                    }
-                    None => break, // only pinned remain; allow overflow
+            for (key, data, pinned) in items {
+                let len = data.len() as u64;
+                // Replace any existing entry for this key first.
+                if let Some(old) = inner.unpinned.remove(&key) {
+                    inner.used_bytes -= old.len() as u64;
+                } else if let Some(old) = inner.pinned.remove(&key) {
+                    inner.used_bytes -= old.len() as u64;
+                    inner.pinned_bytes -= old.len() as u64;
                 }
+                // Evict unpinned LRU entries until the new chunk fits.
+                while inner.used_bytes + len > self.capacity {
+                    match inner.unpinned.pop_lru() {
+                        Some((_, old)) => {
+                            inner.used_bytes -= old.len() as u64;
+                            evicted += 1;
+                        }
+                        None => break, // only pinned remain; allow overflow
+                    }
+                }
+                inner.used_bytes += len;
+                if pinned {
+                    inner.pinned_bytes += len;
+                    inner.pinned.insert(key, data);
+                } else {
+                    inner.unpinned.insert(key, data);
+                }
+                inserted += 1;
+                total += len;
             }
-            inner.used_bytes += len;
-            if pinned {
-                inner.pinned_bytes += len;
-                inner.pinned.insert(key, data);
-            } else {
-                inner.unpinned.insert(key, data);
-            }
+        }
+        if inserted == 0 {
+            return;
         }
         self.counters
             .insertions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(inserted, std::sync::atomic::Ordering::Relaxed);
         self.counters
             .evictions
             .fetch_add(evicted, std::sync::atomic::Ordering::Relaxed);
         self.counters
             .bytes_written
-            .fetch_add(len, std::sync::atomic::Ordering::Relaxed);
-        self.latency.apply(len as usize);
+            .fetch_add(total, std::sync::atomic::Ordering::Relaxed);
+        self.latency.apply(total as usize);
     }
 
     /// Remove one chunk (pinned or not). Returns whether it was resident.
@@ -231,7 +253,13 @@ impl CacheTier {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+    use std::time::Duration;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::latency::{LatencyMode, TierLatency};
 
     fn chunk(n: usize) -> Bytes {
         Bytes::from(vec![0xCD; n])
@@ -314,6 +342,136 @@ mod tests {
         tier.remove((1, 0));
         assert_eq!(tier.used_bytes(), 0);
         assert_eq!(tier.stats().pinned_bytes, 0);
+    }
+
+    /// Everything a batch must leave as sequential inserts would: the
+    /// unpinned chunks in LRU order, the pinned ones, and the byte totals
+    /// and write counters.
+    type TierImage = (Vec<(ChunkKey, usize)>, BTreeMap<ChunkKey, usize>, [u64; 5]);
+
+    fn image(tier: &CacheTier) -> TierImage {
+        let inner = tier.inner.lock();
+        let lru = inner
+            .unpinned
+            .iter_lru()
+            .map(|(k, v)| (*k, v.len()))
+            .collect();
+        let pinned = inner.pinned.iter().map(|(k, v)| (*k, v.len())).collect();
+        drop(inner);
+        let s = tier.stats();
+        let totals = [
+            s.used_bytes,
+            s.pinned_bytes,
+            s.insertions,
+            s.evictions,
+            s.bytes_written,
+        ];
+        (lru, pinned, totals)
+    }
+
+    /// A `(key, length, pinned)` item of a batch.
+    type Item = (ChunkKey, usize, bool);
+
+    /// Insert `batch` into a tier as one batch and into its twin one item
+    /// at a time, both after the same `setup`. The twins must agree, and
+    /// the batch must be charged once, for its total bytes (nothing when
+    /// empty). Returns the batched tier.
+    fn batch_vs_sequential(capacity: u64, setup: &[Item], batch: &[Item]) -> CacheTier {
+        let lat = TierLatency::micros(100, 1);
+        let tier = || {
+            CacheTier::new(
+                "ssd",
+                capacity,
+                LatencyModel::new(lat, LatencyMode::Accounting),
+            )
+        };
+        let (batched, sequential) = (tier(), tier());
+        for t in [&batched, &sequential] {
+            for &(key, n, pinned) in setup {
+                t.insert(key, chunk(n), pinned);
+            }
+        }
+        let charged = batched.latency().charged();
+        batched.insert_batch(
+            batch
+                .iter()
+                .map(|&(key, n, pinned)| (key, chunk(n), pinned)),
+        );
+        for &(key, n, pinned) in batch {
+            sequential.insert(key, chunk(n), pinned);
+        }
+        assert_eq!(
+            image(&batched),
+            image(&sequential),
+            "{setup:?} then {batch:?}"
+        );
+        let total: usize = batch.iter().map(|&(_, n, _)| n).sum();
+        let want = if batch.is_empty() {
+            Duration::ZERO
+        } else {
+            lat.charge(total)
+        };
+        assert_eq!(batched.latency().charged() - charged, want);
+        batched
+    }
+
+    #[test]
+    fn batch_over_capacity_evicts_its_own_earlier_members() {
+        let batch: Vec<Item> = (0..4).map(|c| ((1, c), 100, false)).collect();
+        let tier = batch_vs_sequential(250, &[((2, 0), 100, false)], &batch);
+        assert!(!tier.contains((2, 0)) && !tier.contains((1, 0)) && !tier.contains((1, 1)));
+        assert!(tier.contains((1, 2)) && tier.contains((1, 3)));
+        assert_eq!(tier.stats().evictions, 3);
+    }
+
+    #[test]
+    fn batch_repeating_a_key_keeps_its_last_copy() {
+        let batch = [
+            ((1, 0), 100, false),
+            ((1, 1), 50, false),
+            ((1, 0), 30, true),
+        ];
+        let tier = batch_vs_sequential(1000, &[], &batch);
+        assert_eq!(tier.used_bytes(), 80);
+        assert_eq!(tier.stats().pinned_bytes, 30);
+        assert_eq!(tier.stats().insertions, 3);
+    }
+
+    #[test]
+    fn pinned_batch_overflows_capacity() {
+        let batch = [((1, 0), 80, true), ((1, 1), 80, true)];
+        let tier = batch_vs_sequential(100, &[((2, 0), 50, false)], &batch);
+        assert!(
+            !tier.contains((2, 0)),
+            "the unpinned chunk makes room first"
+        );
+        assert_eq!(tier.used_bytes(), 160);
+        assert_eq!(tier.stats().pinned_bytes, 160);
+    }
+
+    #[test]
+    fn empty_batch_charges_and_counts_nothing() {
+        let tier = batch_vs_sequential(1000, &[((1, 0), 10, false)], &[]);
+        assert_eq!(tier.stats().insertions, 1);
+    }
+
+    /// One key from a small domain, so batches repeat keys, with a length
+    /// and whether it is pinned (one in four).
+    fn item() -> impl Strategy<Value = Item> {
+        ((0u64..3, 0u32..6), 1usize..200, 0u8..4).prop_map(|(k, n, p)| (k, n, p == 0))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn batch_insert_equals_sequential_inserts(
+            capacity in 0u64..1200,
+            setup in proptest::collection::vec(item(), 0..8),
+            batch in proptest::collection::vec(item(), 0..12),
+        ) {
+            batch_vs_sequential(capacity, &setup, &batch);
+        }
     }
 
     #[test]

@@ -9,6 +9,16 @@
 //! nanoseconds), and in [`LatencyMode::Sleep`] it is also *enforced* by
 //! sleeping, which makes end-to-end harnesses behave like a real hierarchy.
 //! Unit tests and CPU-bound microbenchmarks use [`LatencyMode::Accounting`].
+//!
+//! One operation pays one [`TierLatency::charge`]. Two batch operations
+//! are one operation each, charged by different rules:
+//!
+//! * a batched shared-storage read (`SharedStorage::get_ranges`) is charged
+//!   for its **largest** range: the backend issues the ranges concurrently,
+//!   so the caller waits for the slowest one, not the sum;
+//! * a batched SSD-tier write (`CacheTier::insert_batch`) is charged for
+//!   its **total** bytes: it is one sequential write, so it pays one fixed
+//!   cost, but every byte at the per-KiB rate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -337,8 +337,10 @@ impl TieredStorage {
     /// Stage chunks ahead of demand: chunks already resident in a local tier
     /// are skipped, the rest are read from shared storage in **one** batched
     /// [`SharedStorage::get_ranges`] call (telemetry-timed, under the retry
-    /// policy) and inserted into the SSD + memory tiers exactly like a
-    /// demand miss would. The batch is truncated at
+    /// policy) and land in the SSD tier as **one** write
+    /// ([`CacheTier::insert_batch`], charged once for the batch's bytes),
+    /// then in the memory tier, through the same path a demand miss takes
+    /// with a batch of one. The batch is truncated at
     /// [`READAHEAD_MAX_INFLIGHT_BYTES`]. Returns the `(chunk_no, bytes)`
     /// pairs actually fetched so a caller may decode them on arrival.
     ///
@@ -393,18 +395,27 @@ impl TieredStorage {
                 .readahead_depth
                 .record(wanted.len() as u64);
         }
-        let mut out = Vec::with_capacity(wanted.len());
-        for (&c, data) in wanted.iter().zip(fetched) {
-            let key = (handle.0, c);
-            let pinned = c < meta.header_chunks;
-            self.ssd.insert(key, data.clone(), pinned);
-            self.mem.insert(key, data.clone(), false);
-            self.track_prefetched(key);
-            out.push((c, data));
+        let out: Vec<(u32, Bytes)> = wanted.into_iter().zip(fetched).collect();
+        self.fill_tiers(handle, &meta, &out);
+        for &(c, _) in &out {
+            self.track_prefetched((handle.0, c));
         }
         self.blocks_prefetched
             .fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(out)
+    }
+
+    /// Land chunks fetched from shared storage in the local tiers: one SSD
+    /// write for the whole batch (the object's header chunks pinned), then
+    /// one memory-tier insert. A demand miss is a batch of one.
+    fn fill_tiers(&self, handle: ObjectHandle, meta: &ObjectMeta, chunks: &[(u32, Bytes)]) {
+        let items = |pin: bool| {
+            chunks.iter().map(move |(c, data)| {
+                ((handle.0, *c), data.clone(), pin && *c < meta.header_chunks)
+            })
+        };
+        self.ssd.insert_batch(items(true));
+        self.mem.insert_batch(items(false));
     }
 
     /// [`Self::prefetch_chunks`] for several objects in one concurrent
@@ -672,8 +683,9 @@ impl TieredStorage {
         }
         let len = self.with_retry_as(OpClass::BlockFetch, || self.shared.len(name))?;
         let handle = self.register(name, len, Durability::Persisted, header_chunks);
+        let meta = self.meta(handle)?;
         for c in 0..header_chunks.min(self.chunk_count_for_len(len)) {
-            let chunk = self.fetch_from_shared(handle, c)?;
+            let chunk = self.fetch_from_shared(&meta, c)?;
             self.ssd.insert((handle.0, c), chunk, true);
         }
         Ok(handle)
@@ -733,8 +745,7 @@ impl TieredStorage {
         data.slice(start..end)
     }
 
-    fn fetch_from_shared(&self, handle: ObjectHandle, chunk_no: u32) -> Result<Bytes> {
-        let meta = self.meta(handle)?;
+    fn fetch_from_shared(&self, meta: &ObjectMeta, chunk_no: u32) -> Result<Bytes> {
         if meta.durability == Durability::NonPersisted {
             return Err(StorageError::LostObject {
                 name: meta.name.to_string(),
@@ -779,10 +790,9 @@ impl TieredStorage {
         }
         // Miss in both local tiers: go to shared storage (block-basis
         // transfer into the SSD cache, then memory).
-        let data = self.fetch_from_shared(handle, chunk_no)?;
-        let pinned = chunk_no < self.meta(handle)?.header_chunks;
-        self.ssd.insert(key, data.clone(), pinned);
-        self.mem.insert(key, data.clone(), false);
+        let meta = self.meta(handle)?;
+        let data = self.fetch_from_shared(&meta, chunk_no)?;
+        self.fill_tiers(handle, &meta, &[(chunk_no, data.clone())]);
         Ok(data)
     }
 
@@ -796,10 +806,9 @@ impl TieredStorage {
         let key = (handle.0, chunk_no);
         self.mem.remove(key);
         self.ssd.remove(key);
-        let data = self.fetch_from_shared(handle, chunk_no)?;
-        let pinned = chunk_no < self.meta(handle)?.header_chunks;
-        self.ssd.insert(key, data.clone(), pinned);
-        self.mem.insert(key, data.clone(), false);
+        let meta = self.meta(handle)?;
+        let data = self.fetch_from_shared(&meta, chunk_no)?;
+        self.fill_tiers(handle, &meta, &[(chunk_no, data.clone())]);
         Ok(data)
     }
 
@@ -859,7 +868,7 @@ impl TieredStorage {
         let mut fetched = 0;
         for c in 0..n {
             if !self.ssd.contains((handle.0, c)) {
-                let data = self.fetch_from_shared(handle, c)?;
+                let data = self.fetch_from_shared(&meta, c)?;
                 self.ssd.insert((handle.0, c), data, c < meta.header_chunks);
                 fetched += 1;
             }
@@ -1326,6 +1335,33 @@ mod tests {
         assert_eq!(s.shared.reads, reads_before + batches.len() as u64);
         assert_eq!(s.blocks_prefetched, batches.len() as u64);
         assert_eq!(s.prefetch_hits, batches.len() as u64);
+    }
+
+    /// A staged batch lands in the SSD tier as one write, charged once for
+    /// all its bytes; a demand miss is one write of its one chunk.
+    #[test]
+    fn prefetch_is_one_ssd_write_and_a_demand_miss_one_per_chunk() {
+        let cfg = TieredConfig {
+            ssd_latency: TierLatency::micros(100, 1),
+            ..small_config()
+        };
+        let ts = TieredStorage::new(SharedStorage::in_memory(), cfg.clone());
+        let h = ts
+            .create_object("r", payload(200), Durability::Persisted, 1, false)
+            .unwrap();
+        let charged = || ts.stats().ssd_charged_latency;
+
+        let before = charged();
+        let staged = ts.prefetch_chunks(h, &[0, 1, 2, 3]).unwrap();
+        // The header chunk is resident: chunks 1..=3 (64 + 64 + 8 bytes).
+        assert_eq!(staged.len(), 3);
+        assert_eq!(charged() - before, cfg.ssd_latency.charge(136));
+        assert_eq!(ts.stats().ssd.insertions, 1 + 3);
+
+        ts.purge_object(h).unwrap();
+        let before = charged();
+        ts.read_chunk(h, 2).unwrap();
+        assert_eq!(charged() - before, cfg.ssd_latency.charge(64));
     }
 
     #[test]
