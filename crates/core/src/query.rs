@@ -7,7 +7,6 @@
 //! pruned by their synopses (§4.2). Per-run results are reconciled with the
 //! set or priority-queue strategy (§7.1.2).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -16,8 +15,9 @@ use umzi_run::synopsis::encode_eq_values;
 use umzi_run::{
     AccessPattern, KeyLayout, ProbeCursor, Rid, Run, RunSearcher, SearchHit, SortBound,
 };
+use umzi_storage::context::{self, fan_out};
 use umzi_storage::telemetry::QueryTrace;
-use umzi_storage::{context, BreakerState, ObjectHandle, OpClass, Priority, READAHEAD_DEPTH};
+use umzi_storage::{ObjectHandle, Priority, READAHEAD_DEPTH};
 
 use crate::index::UmziIndex;
 use crate::reconcile::{reconcile_pq, reconcile_set, ReconcileStrategy};
@@ -74,69 +74,23 @@ impl QueryOutput {
     }
 }
 
-/// Worker threads one query may fan out over: what the OS grants the
-/// *calling* thread (so a pinned caller gets 1 and runs inline), capped at
-/// 8. The call walks cgroup files on Linux — tens of microseconds — so a
-/// batch lookup, its one caller, asks at most once, and only after a size
-/// guard says fan-out could pay. Not cached process-wide: affinity differs
-/// per caller. Background work gets 1: fan-out buys latency, and a
-/// maintenance job is throughput work that already has its worker.
+/// Worker threads a batch lookup may spread its claims over with
+/// [`fan_out`]: what the OS grants the *calling* thread (so a pinned caller
+/// gets 1 and runs inline), capped at 8. The call walks cgroup files on
+/// Linux — tens of microseconds — so a batch asks at most once, and only
+/// after a size guard says fan-out could pay. Not cached process-wide:
+/// affinity differs per caller. Background work gets 1: fan-out buys
+/// latency, and a maintenance job is throughput work that already has its
+/// worker. (A staging round fans out over its objects under its own cap,
+/// [`umzi_storage::PREFETCH_MAX_THREADS`].)
 fn thread_budget() -> usize {
-    if umzi_storage::context::current().priority() == umzi_storage::Priority::Background {
+    if context::current().priority() == Priority::Background {
         return 1;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8)
-}
-
-/// Run `per_item` over `items`, each claimed from a shared cursor by up to
-/// `threads` workers (the calling thread is one of them), and return the
-/// results **in input order**. Its one caller is [`UmziIndex::batch_lookup`],
-/// whose items are a run's claims. No worker owns a fixed share: when
-/// per-item cost is skewed (one claim waiting on a fetch among warm ones),
-/// fast workers keep claiming items instead of idling behind the slow one.
-/// Spawned workers re-enter the caller's
-/// [`umzi_storage::QueryContext`], so deadline and cancellation reach every
-/// item. One worker, or a single item, runs inline.
-pub(crate) fn fan_out<'a, T, R, F>(
-    items: &'a [T],
-    threads: usize,
-    per_item: F,
-) -> umzi_run::Result<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> umzi_run::Result<R> + Sync,
-{
-    let threads = threads.min(items.len());
-    if threads <= 1 {
-        return items.iter().map(per_item).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let ctx = umzi_storage::context::current();
-    let worker = || -> umzi_run::Result<Vec<(usize, R)>> {
-        let _g = umzi_storage::context::enter(ctx.clone());
-        let mut claimed = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else {
-                return Ok(claimed);
-            };
-            claimed.push((i, per_item(item)?));
-        }
-    };
-    let mut results = std::thread::scope(|s| -> umzi_run::Result<_> {
-        let handles: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
-        let mut results = worker()?;
-        for h in handles {
-            results.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
-        }
-        Ok(results)
-    })?;
-    results.sort_unstable_by_key(|(i, _)| *i);
-    Ok(results.into_iter().map(|(_, r)| r).collect())
 }
 
 /// A claim of one run's batch probes: a run of consecutive pending probes
@@ -243,16 +197,14 @@ impl UmziIndex {
     /// is one staged round: the in-RAM fences name the blocks from the one
     /// the lower bound lands in through the one the upper bound lands in
     /// (at most [`READAHEAD_DEPTH`] per run), and those not yet local are
-    /// fetched for every run at once
-    /// ([`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects)),
-    /// under the guards of the lookup planners. The runs are then positioned
-    /// one after another on the calling thread, from local blocks. The
-    /// trade: a run's window is fetched before the merge reaches it, so a
-    /// staged block the chunk tiers evict first is fetched again, and
-    /// counted in `StorageStats::prefetch_wasted`. The merge itself is one
-    /// sequential reconcile whose per-run iterators keep
-    /// [`READAHEAD_DEPTH`] blocks staged ahead of it, so a cold scan pays
-    /// one batched fetch per sixteen blocks, not one stall per block.
+    /// fetched for every run at once ([`Self::stage`], as for a lookup). The
+    /// runs are then positioned one after another on the calling thread,
+    /// from local blocks. The trade: a run's window is fetched before the
+    /// merge reaches it, so a staged block the chunk tiers evict first is
+    /// fetched again, and counted in `StorageStats::prefetch_wasted`. The
+    /// merge itself is one sequential reconcile whose per-run iterators
+    /// keep [`READAHEAD_DEPTH`] blocks staged ahead of it, so a cold scan
+    /// pays one batched fetch per sixteen blocks, not one stall per block.
     pub fn range_scan(
         &self,
         query: &RangeQuery,
@@ -313,7 +265,12 @@ impl UmziIndex {
 
         // Positioning reads only staged or local blocks, so it runs on the
         // calling thread, in candidate order.
-        self.stage_scan_blocks(&candidates, &lower, upper.as_deref());
+        self.stage(
+            candidates
+                .iter()
+                .filter(|r| r.data_block_count() > 0)
+                .map(|r| (&**r, scan_bound_blocks(r, &lower, upper.as_deref()))),
+        );
         let iters = candidates
             .iter()
             .map(|run| {
@@ -344,11 +301,10 @@ impl UmziIndex {
     /// block each run would need. So the first probe whose block misses the
     /// decoded cache stages, in one concurrent round, that block and the
     /// target block of every candidate run not yet searched
-    /// ([`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects));
-    /// the probes that follow find their blocks in the chunk tiers. The
-    /// trade: a lookup may fetch blocks of runs older than the one that
-    /// answers it. A lookup whose blocks are all decoded stages nothing and
-    /// does no extra work.
+    /// ([`Self::stage`]); the probes that follow find their blocks in the
+    /// chunk tiers. The trade: a lookup may fetch blocks of runs older than
+    /// the one that answers it. A lookup whose blocks are all decoded stages
+    /// nothing and does no extra work.
     pub fn point_lookup(
         &self,
         equality: &[Datum],
@@ -394,7 +350,8 @@ impl UmziIndex {
                 |missed| {
                     if !std::mem::replace(&mut staged, true) {
                         let rest = candidates[i + 1..].iter().filter(|r| may_match(r));
-                        self.stage_probe_blocks(run, missed, rest, prefix);
+                        let targets = rest.map(|r| (&**r, r.probe_block(prefix)));
+                        self.stage(std::iter::once((&**run, Some(missed))).chain(targets));
                     }
                 },
             )?;
@@ -405,103 +362,36 @@ impl UmziIndex {
         Ok(None)
     }
 
-    /// The fill of a cold point lookup's first decoded-cache miss — block
-    /// `missed` of `run` — with `rest` the candidates it has not searched
-    /// yet: fetch, in one concurrent round, every block among `missed` and
-    /// the target block of each run in `rest` that is neither decoded nor
-    /// in a chunk tier. Staged blocks land in the chunk tiers only; each
-    /// demand probe decodes its block and admits it as point traffic, as it
-    /// would have anyway. Residency is asked with `contains`, never `get`,
-    /// so no miss is counted twice and no block's recency moves.
-    ///
-    /// Advisory and conservative: nothing is staged for fewer than two
-    /// blocks — one fetch is no slower on demand — nor when
-    /// [`Self::may_stage`] says no.
-    fn stage_probe_blocks<'r>(
+    /// Stage, ahead of the reads that need them, the `blocks` of each run in
+    /// `wanted` — the one planner behind a cold point lookup, batch claim
+    /// and scan positioning. Blocks already local, decoded or in a chunk
+    /// tier ([`Run::is_block_local`]), are dropped; the rest go, sorted and
+    /// deduplicated per run, to one
+    /// [`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects)
+    /// round, whose guards (breaker, priority, abort, at least two blocks)
+    /// decide whether anything is fetched. Staged blocks land in the chunk
+    /// tiers only; each demand read decodes its block and admits it under
+    /// its own access pattern, as it would have anyway. Residency is asked
+    /// with `contains`, never `get`, so no miss is counted twice and no
+    /// block's recency moves.
+    fn stage<'r, B: IntoIterator<Item = u32>>(
         &self,
-        run: &'r Run,
-        missed: u32,
-        rest: impl Iterator<Item = &'r Arc<Run>>,
-        prefix: &[u8],
+        wanted: impl IntoIterator<Item = (&'r Run, B)>,
     ) {
-        if !self.may_stage() {
-            return;
-        }
-        let targets = rest.filter_map(|r| Some((&**r, r.probe_block(prefix)?)));
-        let wanted: Vec<(ObjectHandle, Vec<u32>)> = std::iter::once((run, missed))
-            .chain(targets)
-            .filter(|(r, b)| !r.is_block_local(*b))
-            .map(|(r, b)| (r.handle(), vec![r.block_chunk(b)]))
-            .collect();
-        if wanted.len() >= 2 {
-            self.storage.prefetch_objects(&wanted);
-        }
-    }
-
-    /// The fill of a cold batch claim's first decoded-cache miss — block
-    /// `missed` of `run` — with `blocks` the claim's target blocks: fetch
-    /// every one of them, `missed` included, that is neither decoded nor in
-    /// a chunk tier, in one batched read
-    /// ([`TieredStorage::prefetch_chunks`](umzi_storage::TieredStorage::prefetch_chunks),
-    /// one `get_ranges`). Staged blocks land in the chunk tiers only, as for
-    /// a point lookup, and under the same rules as
-    /// [`Self::stage_probe_blocks`].
-    fn stage_claim_blocks(&self, run: &Run, missed: u32, blocks: &[u32]) {
-        if !self.may_stage() {
-            return;
-        }
-        let mut chunks: Vec<u32> = blocks
-            .iter()
-            .chain([&missed])
-            .filter(|&&b| !run.is_block_local(b))
-            .map(|&b| run.block_chunk(b))
-            .collect();
-        chunks.sort_unstable();
-        chunks.dedup();
-        if chunks.len() >= 2 {
-            // Advisory: on failure each probe fetches its block on demand.
-            let _ = self.storage.prefetch_chunks(run.handle(), &chunks);
-        }
-    }
-
-    /// The fill of a range scan's positioning: fetch, in one concurrent
-    /// round, each candidate run's [`scan_bound_blocks`] that are neither
-    /// decoded nor in a chunk tier, so every run's bound locates, and the
-    /// first block its iterator reads, find their blocks local. Staged
-    /// blocks land in the chunk tiers only, as for a point lookup, and
-    /// under the same rules as [`Self::stage_probe_blocks`].
-    fn stage_scan_blocks(&self, runs: &[Arc<Run>], lower: &[u8], upper: Option<&[u8]>) {
-        if !self.may_stage() {
-            return;
-        }
-        let wanted: Vec<(ObjectHandle, Vec<u32>)> = runs
-            .iter()
-            .filter(|r| r.data_block_count() > 0)
-            .map(|r| {
-                let chunks: Vec<u32> = scan_bound_blocks(r, lower, upper)
-                    .filter(|&b| !r.is_block_local(b))
-                    .map(|b| r.block_chunk(b))
+        let batches: Vec<(ObjectHandle, Vec<u32>)> = wanted
+            .into_iter()
+            .filter_map(|(run, blocks)| {
+                let mut chunks: Vec<u32> = blocks
+                    .into_iter()
+                    .filter(|&b| !run.is_block_local(b))
+                    .map(|b| run.block_chunk(b))
                     .collect();
-                (r.handle(), chunks)
+                chunks.sort_unstable();
+                chunks.dedup();
+                (!chunks.is_empty()).then_some((run.handle(), chunks))
             })
-            .filter(|(_, chunks)| !chunks.is_empty())
             .collect();
-        if wanted.iter().map(|(_, c)| c.len()).sum::<usize>() >= 2 {
-            self.storage.prefetch_objects(&wanted);
-        }
-    }
-
-    /// Whether this query may stage blocks ahead of its reads — the guards
-    /// the point, batch and scan planners share. It may not
-    /// * while the block-fetch breaker is not closed — a round would fire
-    ///   doomed requests, or spend the half-open probe;
-    /// * under [`Priority::Background`](umzi_storage::Priority), the rule
-    ///   [`thread_budget`] follows;
-    /// * once the query is cancelled or past its deadline.
-    fn may_stage(&self) -> bool {
-        self.storage.breaker().state(OpClass::BlockFetch) == BreakerState::Closed
-            && context::current().priority() != Priority::Background
-            && !context::current_aborted()
+        self.storage.prefetch_objects(&batches);
     }
 
     /// Batched point lookups (§7.2): input keys are sorted by
@@ -630,7 +520,8 @@ impl UmziIndex {
                 for probe in &pending[claim.probes.clone()] {
                     let hit = cursor.probe_staging(&probe.prefix, |missed| {
                         if !std::mem::replace(&mut staged, true) {
-                            self.stage_claim_blocks(&run, missed, &claim.blocks);
+                            let blocks = claim.blocks.iter().copied().chain([missed]);
+                            self.stage([(&*run, blocks)]);
                         }
                     })?;
                     if let Some(hit) = hit {
@@ -924,47 +815,5 @@ mod tests {
         use umzi_storage::{context, Priority, QueryContext};
         let _g = context::enter(QueryContext::unbounded().with_priority(Priority::Background));
         assert_eq!(thread_budget(), 1);
-    }
-
-    proptest::proptest! {
-        /// `fan_out` is a parallel `map` that keeps input order: whatever
-        /// the worker count and per-item cost skew, every item comes back
-        /// exactly once and in place. With the ambient context cancelled at
-        /// an arbitrary checkpoint mid-flight, the call is the typed abort —
-        /// never a short or reordered result.
-        #[test]
-        fn fan_out_keeps_order_and_completeness_under_skew_and_cancel(
-            costs in proptest::collection::vec(0u64..40, 0..120),
-            threads in 1usize..6,
-            trip in 0u64..200,
-        ) {
-            use umzi_storage::{context, CancelToken, QueryContext};
-            // One checkpoint per item; item `i` costs `costs[i]` µs, so a
-            // few expensive items leave their worker far behind the rest.
-            let work = |&(i, cost): &(usize, u64)| -> umzi_run::Result<usize> {
-                context::check_current("fan_out_item")?;
-                std::thread::sleep(std::time::Duration::from_micros(cost));
-                Ok(i)
-            };
-            let items: Vec<(usize, u64)> = costs.iter().copied().enumerate().collect();
-            let want: Vec<usize> = (0..items.len()).collect();
-            proptest::prop_assert_eq!(&fan_out(&items, threads, work).unwrap(), &want);
-
-            // The token trips at the `trip`-th of the `items.len()` checks
-            // (0 = tripped from the start).
-            let reached = !items.is_empty() && trip <= items.len() as u64;
-            let token = CancelToken::trip_after(trip);
-            let _g = context::enter(QueryContext::unbounded().with_cancel(token));
-            match fan_out(&items, threads, work) {
-                Ok(got) => {
-                    proptest::prop_assert!(!reached, "cancel at check {} ignored", trip);
-                    proptest::prop_assert_eq!(&got, &want);
-                }
-                Err(umzi_run::RunError::Storage(e)) => {
-                    proptest::prop_assert!(reached && e.is_query_abort(), "{}", e);
-                }
-                Err(e) => proptest::prop_assert!(false, "untyped failure: {}", e),
-            }
-        }
     }
 }

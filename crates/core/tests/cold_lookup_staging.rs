@@ -9,10 +9,12 @@
 //! most `READAHEAD_DEPTH` target blocks and fetches a claim's blocks in one
 //! batched read. A range scan fetches every candidate run's bound blocks in
 //! one round before it positions any run. The reads that follow find their
-//! blocks in the chunk tiers. These tests pin the overlap and the request
-//! count, that a warm lookup or scan never stages and a warm lookup counts
-//! each decoded-cache miss once, and that faults, cancellation, background
-//! priority and an open breaker keep their meaning.
+//! blocks in the chunk tiers, and decode them there. These tests pin the
+//! overlap and the request count, that a warm lookup or scan never stages
+//! and a warm lookup counts each decoded-cache miss once, that a staged
+//! block is decoded only by the read that consumes it, and that faults,
+//! cancellation, background priority and an open breaker keep their
+//! meaning for every read shape.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -22,7 +24,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use umzi_core::{MergePolicy, RangeQuery, ReconcileStrategy, UmziConfig, UmziError, UmziIndex};
 use umzi_encoding::{ColumnType, Datum, IndexDef};
-use umzi_run::{IndexEntry, KeyLayout, Rid, SortBound, ZoneId};
+use umzi_run::{IndexEntry, KeyLayout, Rid, Run, RunSearcher, SortBound, ZoneId};
 use umzi_storage::{
     context, BreakerState, CancelToken, FaultInjectingStore, FaultOp, FaultPlan,
     InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext, RetryConfig,
@@ -181,10 +183,33 @@ fn one_row_scan(idx: &UmziIndex, d: i64) -> Result<Vec<(Bytes, u64, Bytes)>, Umz
     )
 }
 
+/// Every row of device `d` that `run` holds, read through the run's own
+/// iterator: no positioning round stages its blocks, so past the blocks
+/// its bound locates read, its range arrives as readahead.
+fn run_device_scan(idx: &UmziIndex, run: &Run, d: i64) -> usize {
+    let all = SortBound::Unbounded;
+    let (lower, upper) = idx
+        .layout()
+        .query_range(&[Datum::Int64(d)], &all, &all)
+        .unwrap();
+    let rows = RunSearcher::new(run).scan(&lower, upper.as_deref(), None, u64::MAX);
+    rows.unwrap().map(Result::unwrap).count()
+}
+
 /// Drop every run's data blocks from the decoded cache and the chunk tiers.
 fn purge_all(storage: &TieredStorage, idx: &UmziIndex) {
     for run in idx.candidate_runs() {
         storage.purge_object(run.handle()).unwrap();
+    }
+}
+
+/// Drop every run's data chunks from both chunk tiers, keeping the decoded
+/// copies of its blocks.
+fn drop_chunks(storage: &TieredStorage, idx: &UmziIndex) {
+    for run in idx.candidate_runs() {
+        let (h, data) = (run.handle().raw(), run.header().header_chunks);
+        storage.mem_tier().remove_object_chunks(h, data);
+        storage.ssd_tier().remove_object_chunks(h, data);
     }
 }
 
@@ -639,9 +664,11 @@ fn cold_batch_writes_each_claim_window_to_ssd_once() {
 
 /// A cold scan writes each staged window to the SSD tier in one write:
 /// each run's positioning window, and each readahead window of its
-/// iterator. Under `Priority::Background` positioning is not staged, so
-/// each run's first block is fetched on demand and the rest of its range
-/// arrives as readahead.
+/// iterator. A run scanned on its own, without the index's positioning
+/// round, fetches the blocks its bound locates read on demand, and the rest
+/// of its range arrives as one readahead window. Under
+/// `Priority::Background` nothing is staged: each block is a request, and
+/// a write, of its own.
 #[test]
 fn cold_scan_writes_each_readahead_window_to_ssd_once() {
     let store = Arc::new(RequestCounter::default());
@@ -651,15 +678,73 @@ fn cold_scan_writes_each_readahead_window_to_ssd_once() {
         RetryConfig::default(),
     );
     let resident = device_scan(&idx, 2).unwrap();
+    let windows = |sizes: &[(usize, usize)]| sizes.iter().filter(|&&(r, _)| r > 1).count();
     for priority in [Priority::Interactive, Priority::Background] {
         purge_all(&storage, &idx);
         let sizes = one_ssd_write_per_request(&storage, &store, || {
             let _g = context::enter(QueryContext::unbounded().with_priority(priority));
             assert_eq!(device_scan(&idx, 2).unwrap(), resident);
         });
-        let windows = sizes.iter().filter(|&&(ranges, _)| ranges > 1).count();
-        assert_eq!(windows, RUNS as usize, "{priority:?}: {sizes:?}");
+        let want = if priority == Priority::Interactive {
+            RUNS as usize
+        } else {
+            0
+        };
+        assert_eq!(windows(&sizes), want, "{priority:?}: {sizes:?}");
     }
+
+    purge_all(&storage, &idx);
+    let sizes = one_ssd_write_per_request(&storage, &store, || {
+        for run in idx.candidate_runs() {
+            assert_eq!(run_device_scan(&idx, &run, 2) as i64, MSGS_PER_RUN);
+        }
+    });
+    assert_eq!(windows(&sizes), RUNS as usize, "readahead: {sizes:?}");
+}
+
+/// A staged block lands in the chunk tiers only, and the read that consumes
+/// it is the one place it is verified, parsed and admitted to the decoded
+/// cache. So a cold scan admits each block once, each admission on a
+/// decoded-cache miss of its own read, and consumes every block it staged
+/// through the chunk tiers. And a scan over runs whose blocks are decoded,
+/// but whose chunks have left both tiers, reads nothing from the shared
+/// store and stages nothing.
+#[test]
+fn staged_blocks_are_decoded_only_by_the_read_that_consumes_them() {
+    let store = Arc::new(RequestCounter::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+        128,
+        RetryConfig::default(),
+    );
+    let resident = device_scan(&idx, 2).unwrap();
+    purge_all(&storage, &idx);
+    let before = storage.stats();
+    for run in idx.candidate_runs() {
+        assert_eq!(run_device_scan(&idx, &run, 2) as i64, MSGS_PER_RUN);
+    }
+    let after = storage.stats();
+    let (staged, decoded) = (
+        after.blocks_prefetched - before.blocks_prefetched,
+        &after.decoded,
+    );
+    assert!(staged >= RUNS as u64 * 2, "readahead staged: {after:?}");
+    assert_eq!(after.prefetch_hits - before.prefetch_hits, staged);
+    let admitted = decoded.insertions - before.decoded.insertions;
+    assert_eq!(decoded.entries, admitted, "a block admitted twice");
+    assert_eq!(
+        decoded.scan.misses - before.decoded.scan.misses,
+        admitted,
+        "a block admitted without a read of its own"
+    );
+
+    assert_eq!(device_scan(&idx, 2).unwrap(), resident);
+    drop_chunks(&storage, &idx);
+    let (requests, before) = (store.requests.load(Ordering::SeqCst), storage.stats());
+    assert_eq!(device_scan(&idx, 2).unwrap(), resident);
+    let after = storage.stats();
+    assert_eq!(store.requests.load(Ordering::SeqCst), requests, "{after:?}");
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
 }
 
 /// Over runs whose chunks are all local, a batch never stages and issues
@@ -901,8 +986,10 @@ fn warm_scan_stages_nothing() {
     assert_eq!(after.shared.reads, before.shared.reads);
 }
 
-/// Background work never stages its positioning: a cold scan of one row
-/// per run fetches each run's block on demand, one at a time.
+/// Background work never stages: neither a cold scan's positioning — a
+/// scan of one row per run fetches each run's block on demand, one at a
+/// time — nor the readahead of a scan whose rows span several blocks of
+/// each run.
 #[test]
 fn background_scan_stages_nothing() {
     let (storage, idx) = striped_index(
@@ -912,6 +999,7 @@ fn background_scan_stages_nothing() {
     );
     let want = one_row_scan(&idx, 2).unwrap();
     assert_eq!(want.len(), 1);
+    let device = device_scan(&idx, 2).unwrap();
     purge_all(&storage, &idx);
     let before = storage.stats();
     let got = {
@@ -922,6 +1010,15 @@ fn background_scan_stages_nothing() {
     let after = storage.stats();
     assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
     assert!(after.shared.reads >= before.shared.reads + RUNS as u64);
+
+    purge_all(&storage, &idx);
+    let got = {
+        let _g = context::enter(QueryContext::unbounded().with_priority(Priority::Background));
+        device_scan(&idx, 2).unwrap()
+    };
+    assert_eq!(got, device);
+    let after = storage.stats();
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
 
     // The same scan in the foreground stages one block per run.
     purge_all(&storage, &idx);
@@ -966,6 +1063,74 @@ fn open_breaker_scan_stages_nothing() {
     assert_eq!(faults.stats().ops, ops, "no store operation");
     assert!(after.breaker_rejections[class] > before.breaker_rejections[class]);
     assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+}
+
+/// With the block-fetch breaker open, a scan over runs whose blocks are
+/// decoded but whose chunks have left the tiers is served from the decoded
+/// cache: neither its positioning nor its readahead stages, issues a store
+/// operation or spends a breaker rejection.
+#[test]
+fn open_breaker_decoded_scan_stages_nothing() {
+    let faults = Arc::new(FaultInjectingStore::new(
+        Arc::new(InMemoryObjectStore::new()),
+        FaultPlan::none().with_transient(FaultOp::GetRange, 1.0),
+    ));
+    faults.set_armed(false);
+    let retry = RetryConfig {
+        max_retries: 0,
+        ..RetryConfig::default()
+    };
+    let (storage, idx) = striped_index(Arc::clone(&faults) as Arc<dyn ObjectStore>, 256, retry);
+    let want = device_scan(&idx, 2).unwrap();
+    drop_chunks(&storage, &idx);
+    faults.set_armed(true);
+    let oldest = idx.candidate_runs().pop().unwrap();
+    let chunk = oldest.header().header_chunks;
+    for _ in 0..BREAKER_FAILURE_THRESHOLD {
+        assert!(storage.read_chunk(oldest.handle(), chunk).is_err());
+    }
+    assert_eq!(
+        storage.breaker().state(OpClass::BlockFetch),
+        BreakerState::Open
+    );
+
+    let (ops, before) = (faults.stats().ops, storage.stats());
+    assert_eq!(device_scan(&idx, 2).unwrap(), want);
+    let after = storage.stats();
+    assert_eq!(faults.stats().ops, ops, "no store operation");
+    assert_eq!(after.breaker_rejections, before.breaker_rejections);
+    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+}
+
+/// A cold scan whose query is already cancelled, or past its deadline,
+/// stages nothing — no positioning round, no readahead — issues no shared
+/// read, and fails with the typed abort.
+#[test]
+fn aborted_cold_scan_stages_nothing() {
+    let (storage, idx) = striped_index(
+        Arc::new(InMemoryObjectStore::new()),
+        256,
+        RetryConfig::default(),
+    );
+    let aborted = [
+        QueryContext::unbounded().with_cancel(CancelToken::trip_after(0)),
+        QueryContext::deadline_at(std::time::Instant::now()),
+    ];
+    for ctx in aborted {
+        purge_all(&storage, &idx);
+        let before = storage.stats();
+        let err = {
+            let _g = context::enter(ctx);
+            device_scan(&idx, 2).unwrap_err()
+        };
+        assert!(
+            storage_error(&err).is_some_and(StorageError::is_query_abort),
+            "{err}"
+        );
+        let after = storage.stats();
+        assert_eq!(after.shared.reads, before.shared.reads);
+        assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    }
 }
 
 /// Cancelled at its `n`-th cooperative checkpoint — for every `n` until it

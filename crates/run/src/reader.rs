@@ -228,10 +228,6 @@ impl Run {
             .decoded_cache()
             .get((self.handle.raw(), b), pattern)?;
         let block = hit.downcast::<DataBlock>().ok()?;
-        // A block that readahead both staged and decoded is consumed here
-        // without any chunk read — still a prefetch hit.
-        self.storage
-            .note_prefetch_consumed(self.handle, self.block_chunk(b));
         Some(DataBlock::clone(&block))
     }
 
@@ -287,7 +283,10 @@ impl Run {
 
     /// The tier half of a block read: block `b` from the chunk hierarchy,
     /// checksum-verified, parsed, and admitted to the decoded cache under
-    /// `pattern`. Never consults the decoded cache.
+    /// `pattern`. Never consults the decoded cache. The one place a block
+    /// becomes decoded: a block staged ahead of demand
+    /// ([`TieredStorage::prefetch_objects`]) waits in the chunk tiers until
+    /// this read consumes it.
     pub(crate) fn fetch_block(&self, b: u32, pattern: AccessPattern) -> Result<DataBlock> {
         if b >= self.header.n_data_blocks {
             return Err(RunError::Corrupt {
@@ -309,44 +308,6 @@ impl Run {
             pattern,
         );
         Ok(block)
-    }
-
-    /// Stage data blocks ahead of demand: one batched chunk prefetch through
-    /// the storage hierarchy ([`TieredStorage::prefetch_chunks`]), then each
-    /// arriving block is checksum-verified, parsed, and admitted to the
-    /// decoded cache as range-scan traffic (decode-on-arrival). Returns the
-    /// number of chunks staged.
-    ///
-    /// Best-effort by design: a block that fails its checksum or parse here
-    /// is silently skipped — the staged chunk stays in the tiers and the
-    /// synchronous demand path re-verifies it with full corruption
-    /// containment. Callers on the scan path likewise swallow the `Err`
-    /// (batch fetch failure) and fall back to demand fetching.
-    pub fn prefetch_blocks(&self, blocks: &[u32]) -> Result<usize> {
-        if blocks.is_empty() {
-            return Ok(0);
-        }
-        let chunk_nos: Vec<u32> = blocks
-            .iter()
-            .filter(|&&b| b < self.header.n_data_blocks)
-            .map(|&b| self.block_chunk(b))
-            .collect();
-        let fetched = self.storage.prefetch_chunks(self.handle, &chunk_nos)?;
-        let staged = fetched.len();
-        let cache = self.storage.decoded_cache();
-        for (chunk_no, chunk) in fetched {
-            let b = chunk_no - self.header.header_chunks;
-            if self.header.block_checksums.get(b as usize) != Some(&hash64(&chunk)) {
-                continue;
-            }
-            let Ok(block) = DataBlock::parse(chunk) else {
-                continue;
-            };
-            let key = (self.handle.raw(), b);
-            let weight = block.size_bytes() as u64;
-            cache.insert(key, Arc::new(block), weight, AccessPattern::RangeScan);
-        }
-        Ok(staged)
     }
 
     /// Corruption containment for one fetched data block: verify the raw

@@ -294,17 +294,14 @@ impl<'a> RunRangeIter<'a> {
     /// scan's last block. Refilling only on a drained pipeline keeps every
     /// batch at full depth — one batched (concurrently issued) fetch per
     /// `depth` consumed blocks, instead of degrading to one single-block
-    /// batch per step once primed. Advisory: a failed batch is dropped — the
-    /// demand path fetches (and retries) synchronously — so readahead can
-    /// never poison the iterator.
+    /// batch per step once primed. The window's blocks that are already
+    /// local ([`Run::is_block_local`]) are dropped and the rest go to
+    /// [`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects),
+    /// whose guards decide whether anything is staged. Advisory: a failed
+    /// batch is dropped — the demand path fetches (and retries)
+    /// synchronously — so readahead can never poison the iterator.
     fn maybe_readahead(&mut self, cur: u32) {
         if self.end == 0 {
-            return;
-        }
-        // A cancelled or expired query must not keep staging readahead —
-        // abandon the refill; the demand path will surface the typed error
-        // at the next block boundary.
-        if umzi_storage::context::current_aborted() {
             return;
         }
         let next = cur.saturating_add(1);
@@ -320,9 +317,12 @@ impl<'a> RunRangeIter<'a> {
         if from > to {
             return;
         }
-        let blocks: Vec<u32> = (from..=to).collect();
         self.prefetched_until = to + 1;
-        let _ = self.run.prefetch_blocks(&blocks);
+        let run = self.run;
+        let chunks: Vec<u32> = (from..=to)
+            .filter_map(|b| (!run.is_block_local(b)).then_some(run.block_chunk(b)))
+            .collect();
+        run.storage().prefetch_objects(&[(run.handle(), chunks)]);
     }
 
     fn fetch(&mut self, ordinal: u64) -> Result<EntryRef> {

@@ -6,9 +6,11 @@
 //! for the duration of the call; every layer below — engine entry points,
 //! reconcile loops, run cursors, `with_retry_as` backoff, readahead staging
 //! — consults the innermost installed context and none takes one as an
-//! argument. Worker threads a query fans out over re-install the parent's
-//! context with [`enter`] before doing any IO; maintenance daemons never
-//! install one, so background IO keeps its full retry budget.
+//! argument. [`fan_out`] is the one way a query spreads over threads (a
+//! batch lookup's claims, a staging round's objects): its workers
+//! re-install the parent's context with [`enter`] before doing any IO;
+//! maintenance daemons never install one, so background IO keeps its full
+//! retry budget.
 //!
 //! Checks are *cooperative checkpoints*: hot loops call
 //! [`QueryContext::check`] (or [`check_current`]) at block boundaries and
@@ -19,7 +21,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -152,7 +154,7 @@ impl CancelToken {
 }
 
 /// Scheduling class of the work a context covers: background work never
-/// fans a query out over worker threads.
+/// fans a query out over worker threads, nor stages blocks ahead of demand.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Priority {
     /// Queries issued by a caller (point lookups and scans alike).
@@ -313,6 +315,51 @@ pub fn current_aborted() -> bool {
     })
 }
 
+/// Run `per_item` over `items`, each claimed from a shared cursor by up to
+/// `threads` workers (the calling thread is one of them), and return the
+/// results **in input order**. No worker owns a fixed share: when per-item
+/// cost is skewed (one item waiting on a fetch among warm ones), fast
+/// workers keep claiming items instead of idling behind the slow one.
+/// Spawned workers re-enter the caller's [`QueryContext`], so deadline and
+/// cancellation reach every item. One worker, or a single item, runs
+/// inline. A worker stops at its first error, and the call then fails
+/// with one of the errors met.
+pub fn fan_out<'a, T, R, E, F>(items: &'a [T], threads: usize, per_item: F) -> Result<Vec<R>, E>
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(&'a T) -> Result<R, E> + Sync,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(per_item).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let ctx = current();
+    let worker = || -> Result<Vec<(usize, R)>, E> {
+        let _g = enter(ctx.clone());
+        let mut claimed = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return Ok(claimed);
+            };
+            claimed.push((i, per_item(item)?));
+        }
+    };
+    let mut results = std::thread::scope(|s| -> Result<_, E> {
+        let handles: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+        let mut results = worker()?;
+        for h in handles {
+            results.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
+        }
+        Ok(results)
+    })?;
+    results.sort_unstable_by_key(|(i, _)| *i);
+    Ok(results.into_iter().map(|(_, r)| r).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,6 +438,46 @@ mod tests {
         for (i, c) in OpClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
             assert!(!c.label().is_empty());
+        }
+    }
+
+    proptest::proptest! {
+        /// `fan_out` is a parallel `map` that keeps input order: whatever
+        /// the worker count and per-item cost skew, every item comes back
+        /// exactly once and in place. With the ambient context cancelled at
+        /// an arbitrary checkpoint mid-flight, the call is the typed abort —
+        /// never a short or reordered result.
+        #[test]
+        fn fan_out_keeps_order_and_completeness_under_skew_and_cancel(
+            costs in proptest::collection::vec(0u64..40, 0..120),
+            threads in 1usize..6,
+            trip in 0u64..200,
+        ) {
+            // One checkpoint per item; item `i` costs `costs[i]` µs, so a
+            // few expensive items leave their worker far behind the rest.
+            let work = |&(i, cost): &(usize, u64)| -> Result<usize, StorageError> {
+                check_current("fan_out_item")?;
+                std::thread::sleep(Duration::from_micros(cost));
+                Ok(i)
+            };
+            let items: Vec<(usize, u64)> = costs.iter().copied().enumerate().collect();
+            let want: Vec<usize> = (0..items.len()).collect();
+            proptest::prop_assert_eq!(&fan_out(&items, threads, work).unwrap(), &want);
+
+            // The token trips at the `trip`-th of the `items.len()` checks
+            // (0 = tripped from the start).
+            let reached = !items.is_empty() && trip <= items.len() as u64;
+            let token = CancelToken::trip_after(trip);
+            let _g = enter(QueryContext::unbounded().with_cancel(token));
+            match fan_out(&items, threads, work) {
+                Ok(got) => {
+                    proptest::prop_assert!(!reached, "cancel at check {} ignored", trip);
+                    proptest::prop_assert_eq!(&got, &want);
+                }
+                Err(e) => {
+                    proptest::prop_assert!(reached && e.is_query_abort(), "{}", e);
+                }
+            }
         }
     }
 }

@@ -224,15 +224,17 @@ pub struct StorageStats {
     /// Chunks re-fetched from shared storage after a checksum mismatch, to
     /// distinguish in-transit bit flips from at-rest corruption.
     pub corruption_refetches: u64,
-    /// Chunks fetched ahead of demand by the readahead pipeline (batched
-    /// shared-storage reads staged into the cache tiers).
+    /// Chunks fetched ahead of demand
+    /// ([`TieredStorage::prefetch_objects`](crate::TieredStorage::prefetch_objects):
+    /// batched shared-storage reads staged into the cache tiers). Each is
+    /// later a prefetch hit, wasted, or still outstanding.
     pub blocks_prefetched: u64,
     /// `read_chunk` calls served by a chunk that prefetch staged (the
     /// readahead paid off).
     pub prefetch_hits: u64,
-    /// Prefetched chunks that aged out of the prefetch tracking window
-    /// without ever serving a read — wasted IO; the signal for shrinking
-    /// the readahead depth.
+    /// Staged chunks that never served a read — wasted IO: aged out of the
+    /// prefetch tracking window, staged again after an eviction, or fetched
+    /// again by a demand miss.
     pub prefetch_wasted: u64,
 }
 

@@ -14,7 +14,7 @@
 //!   for via ancestor-run tracking.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,9 +26,9 @@ use rand::{Rng, SeedableRng};
 use umzi_telemetry::Telemetry;
 
 use crate::block_cache::{DecodedBlockCache, DecodedCacheConfig};
-use crate::breaker::CircuitBreaker;
+use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::cache::CacheTier;
-use crate::context::{self, OpClass};
+use crate::context::{self, OpClass, Priority};
 use crate::error::StorageError;
 use crate::latency::{LatencyMode, LatencyModel, TierLatency};
 use crate::shared::SharedStorage;
@@ -115,10 +115,12 @@ pub const READAHEAD_DEPTH: u32 = 16;
 /// is truncated (never split) to stay under it.
 pub const READAHEAD_MAX_INFLIGHT_BYTES: u64 = 4 << 20;
 
-/// Most threads one [`TieredStorage::prefetch_objects`] round runs on, the
-/// calling thread included. A cold point lookup stages one block per
-/// candidate run, and the benchmark's cold dataset has seven runs; past
-/// eight, the threads claim the remaining objects in turn.
+/// The thread cap [`TieredStorage::prefetch_objects`] hands the shared
+/// [`context::fan_out`] pool: a staging round runs on at most this many
+/// threads, the calling thread included, one object at a time each. A cold
+/// point lookup stages one block per candidate run, and the benchmark's
+/// cold dataset has seven runs; past eight, the threads claim the remaining
+/// objects in turn.
 pub const PREFETCH_MAX_THREADS: usize = 8;
 
 /// Configuration of the tiered hierarchy.
@@ -334,37 +336,67 @@ impl TieredStorage {
         }
     }
 
-    /// Stage chunks ahead of demand: chunks already resident in a local tier
-    /// are skipped, the rest are read from shared storage in **one** batched
+    /// Stage chunks ahead of demand — the one way any read fetches a block
+    /// before it needs it. Each batch names an object and the chunks wanted
+    /// of it. Nothing is staged, and no thread spawned or request issued,
+    /// when
+    /// * the block-fetch breaker is not closed — a round would fire doomed
+    ///   requests, or spend the half-open probe;
+    /// * the ambient context is [`Priority::Background`]:
+    ///   maintenance is throughput work and waits on its own reads;
+    /// * the query is cancelled or past its deadline;
+    /// * fewer than two of the chunks are not yet local: one fetch is no
+    ///   slower on demand.
+    ///
+    /// Otherwise each object's non-local chunks are read in one batched
+    /// fetch, the objects spread over at most [`PREFETCH_MAX_THREADS`]
+    /// [`context::fan_out`] workers (a single object runs inline). Staged
+    /// chunks land in the chunk tiers only; the read that consumes one
+    /// decodes it. Advisory: an object whose fetch fails stages nothing, and
+    /// its reader fetches on demand. Returns the number of chunks staged.
+    pub fn prefetch_objects(&self, batches: &[(ObjectHandle, Vec<u32>)]) -> usize {
+        if self.breaker.state(OpClass::BlockFetch) != BreakerState::Closed
+            || context::current().priority() == Priority::Background
+            || context::current_aborted()
+        {
+            return 0;
+        }
+        let wanted: Vec<(ObjectHandle, Vec<u32>)> = batches
+            .iter()
+            .filter_map(|&(h, ref chunks)| {
+                let cold = chunks.iter().copied();
+                let cold: Vec<u32> = cold.filter(|&c| !self.is_chunk_local(h, c)).collect();
+                (!cold.is_empty()).then_some((h, cold))
+            })
+            .collect();
+        if wanted.iter().map(|(_, c)| c.len()).sum::<usize>() < 2 {
+            return 0;
+        }
+        let staged = context::fan_out(&wanted, PREFETCH_MAX_THREADS, |(h, chunks)| {
+            Ok::<_, StorageError>(self.prefetch_chunks(*h, chunks).unwrap_or(0))
+        });
+        staged.map_or(0, |n| n.iter().sum())
+    }
+
+    /// One object's step of [`Self::prefetch_objects`]: `chunk_nos` (none of
+    /// them local) are read from shared storage in **one** batched
     /// [`SharedStorage::get_ranges`] call (telemetry-timed, under the retry
     /// policy) and land in the SSD tier as **one** write
     /// ([`CacheTier::insert_batch`], charged once for the batch's bytes),
     /// then in the memory tier, through the same path a demand miss takes
     /// with a batch of one. The batch is truncated at
-    /// [`READAHEAD_MAX_INFLIGHT_BYTES`]. Returns the `(chunk_no, bytes)`
-    /// pairs actually fetched so a caller may decode them on arrival.
-    ///
-    /// Prefetch is advisory: callers on the scan path swallow the error and
-    /// fall back to the synchronous [`Self::read_chunk`] path, which retries
-    /// independently — a failed batch never poisons an iterator.
-    pub fn prefetch_chunks(
-        &self,
-        handle: ObjectHandle,
-        chunk_nos: &[u32],
-    ) -> Result<Vec<(u32, Bytes)>> {
+    /// [`READAHEAD_MAX_INFLIGHT_BYTES`]. Returns the number of chunks staged.
+    fn prefetch_chunks(&self, handle: ObjectHandle, chunk_nos: &[u32]) -> Result<usize> {
         let meta = self.meta(handle)?;
         if meta.durability == Durability::NonPersisted {
             // Fully resident by definition; nothing to stage.
-            return Ok(Vec::new());
+            return Ok(0);
         }
         let cs = self.config.chunk_size as u64;
         let mut wanted: Vec<u32> = Vec::new();
         let mut ranges: Vec<(u64, usize)> = Vec::new();
         let mut inflight = 0u64;
         for &c in chunk_nos {
-            if self.is_chunk_local(handle, c) {
-                continue;
-            }
             let offset = u64::from(c) * cs;
             if offset >= meta.len {
                 // Past the end: the caller's block math is off, but a
@@ -380,7 +412,7 @@ impl TieredStorage {
             ranges.push((offset, len));
         }
         if wanted.is_empty() {
-            return Ok(Vec::new());
+            return Ok(0);
         }
         let t0 = self.telemetry.start();
         let fetched = self.with_retry_as(OpClass::BlockFetch, || {
@@ -402,7 +434,7 @@ impl TieredStorage {
         }
         self.blocks_prefetched
             .fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        Ok(out.len())
     }
 
     /// Land chunks fetched from shared storage in the local tiers: one SSD
@@ -418,38 +450,6 @@ impl TieredStorage {
         self.mem.insert_batch(items(false));
     }
 
-    /// [`Self::prefetch_chunks`] for several objects in one concurrent
-    /// round: one scoped thread per object, the calling thread taking one,
-    /// at most [`PREFETCH_MAX_THREADS`] in all. Each worker re-enters the
-    /// caller's ambient [`QueryContext`](crate::QueryContext) and runs
-    /// `prefetch_chunks` unchanged — retry, breaker, telemetry and the
-    /// prefetch window included — so there is no second fetch path. Like
-    /// `prefetch_chunks`, it is advisory: an object whose fetch fails
-    /// stages nothing, and its reader fetches on demand. Returns the number
-    /// of chunks staged.
-    pub fn prefetch_objects(&self, batches: &[(ObjectHandle, Vec<u32>)]) -> usize {
-        let threads = batches.len().min(PREFETCH_MAX_THREADS);
-        let (next, staged) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let ctx = context::current();
-        let worker = || {
-            let _g = context::enter(ctx.clone());
-            while let Some((handle, chunk_nos)) = batches.get(next.fetch_add(1, Ordering::Relaxed))
-            {
-                if let Ok(chunks) = self.prefetch_chunks(*handle, chunk_nos) {
-                    staged.fetch_add(chunks.len(), Ordering::Relaxed);
-                }
-            }
-        };
-        // The scope joins every spawned worker, re-raising any panic.
-        std::thread::scope(|s| {
-            for _ in 1..threads {
-                s.spawn(worker);
-            }
-            worker();
-        });
-        staged.into_inner()
-    }
-
     /// Whether a chunk is resident in the memory or SSD tier (no latency
     /// charge, no recency effect, no statistics).
     pub fn is_chunk_local(&self, handle: ObjectHandle, chunk_no: u32) -> bool {
@@ -458,11 +458,14 @@ impl TieredStorage {
     }
 
     /// Record a freshly staged chunk in the tracking window, aging out the
-    /// oldest unconsumed keys past the window bound as wasted readahead.
+    /// oldest unconsumed keys past the window bound as wasted readahead. A
+    /// key still tracked was evicted before any read consumed it, so that
+    /// earlier staging is wasted now; the new one takes its place.
     fn track_prefetched(&self, key: (u64, u32)) {
         let mut w = self.prefetched.lock();
         if !w.set.insert(key) {
-            return; // already tracked (re-staged before consumption)
+            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+            return;
         }
         w.order.push_back(key);
         self.prefetch_outstanding.fetch_add(1, Ordering::Relaxed);
@@ -475,25 +478,24 @@ impl TieredStorage {
         }
     }
 
-    /// If `key` is an unconsumed prefetched chunk, count the hit and stop
-    /// tracking it. Cheap when no prefetch is outstanding.
-    fn note_prefetch_hit(&self, key: (u64, u32)) {
+    /// If `key` is an unconsumed staged chunk, stop tracking it and count
+    /// it: a prefetch hit when a read found it in a tier (`hit`), wasted
+    /// when the read missed both tiers and goes to shared storage again.
+    /// Cheap when no prefetch is outstanding.
+    fn settle_prefetched(&self, key: (u64, u32), hit: bool) {
         if self.prefetch_outstanding.load(Ordering::Relaxed) == 0 {
             return;
         }
         let mut w = self.prefetched.lock();
         if w.set.remove(&key) {
             self.prefetch_outstanding.fetch_sub(1, Ordering::Relaxed);
-            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+            let counter = if hit {
+                &self.prefetch_hits
+            } else {
+                &self.prefetch_wasted
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Mark a prefetched chunk as consumed by a read served *above* the
-    /// chunk tiers (e.g. a decoded-cache hit on a block that prefetch both
-    /// staged and decoded): the readahead paid off even though no
-    /// `read_chunk` call ever reached the staged copy.
-    pub fn note_prefetch_consumed(&self, handle: ObjectHandle, chunk_no: u32) {
-        self.note_prefetch_hit((handle.0, chunk_no));
     }
 
     /// Run a shared-storage operation under the retry policy: transient
@@ -780,16 +782,17 @@ impl TieredStorage {
         self.chunk_reads.fetch_add(1, Ordering::Relaxed);
         let key = (handle.0, chunk_no);
         if let Some(data) = self.mem.get(key) {
-            self.note_prefetch_hit(key);
+            self.settle_prefetched(key, true);
             return Ok(data);
         }
         if let Some(data) = self.ssd.get(key) {
-            self.note_prefetch_hit(key);
+            self.settle_prefetched(key, true);
             self.mem.insert(key, data.clone(), false);
             return Ok(data);
         }
         // Miss in both local tiers: go to shared storage (block-basis
         // transfer into the SSD cache, then memory).
+        self.settle_prefetched(key, false);
         let meta = self.meta(handle)?;
         let data = self.fetch_from_shared(&meta, chunk_no)?;
         self.fill_tiers(handle, &meta, &[(chunk_no, data.clone())]);
@@ -1220,12 +1223,8 @@ mod tests {
             .unwrap();
         // One batched read stages chunks 1..=3.
         let reads_before = ts.stats().shared.reads;
-        let staged = ts.prefetch_chunks(h, &[1, 2, 3]).unwrap();
-        assert_eq!(
-            staged.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(staged[0].1, data.slice(64..128));
+        assert_eq!(ts.prefetch_objects(&[(h, vec![1, 2, 3])]), 3);
+        assert!((1..4).all(|c| ts.is_chunk_local(h, c)));
         assert_eq!(ts.stats().shared.reads, reads_before + 3);
         // Consuming the staged chunks never goes back to shared and is
         // attributed to the readahead.
@@ -1238,7 +1237,7 @@ mod tests {
         assert_eq!(s.prefetch_hits, 3);
         assert_eq!(s.prefetch_wasted, 0);
         // Re-prefetching resident chunks is a no-op batch.
-        assert!(ts.prefetch_chunks(h, &[1, 2, 3]).unwrap().is_empty());
+        assert_eq!(ts.prefetch_objects(&[(h, vec![1, 2, 3])]), 0);
         assert_eq!(ts.stats().shared.reads, reads_before + 3);
     }
 
@@ -1253,20 +1252,23 @@ mod tests {
         let h = ts
             .create_object("r", payload(6 << 20), Durability::Persisted, 0, false)
             .unwrap();
-        let staged = ts.prefetch_chunks(h, &[0, 1, 2, 3, 4, 5]).unwrap();
+        let local = |ts: &TieredStorage| -> Vec<u32> {
+            (0..6).filter(|&c| ts.is_chunk_local(h, c)).collect()
+        };
+        assert_eq!(ts.prefetch_chunks(h, &[0, 1, 2, 3, 4, 5]).unwrap(), 4);
         assert_eq!(
-            staged.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+            local(&ts),
             vec![0, 1, 2, 3],
             "batch truncated at READAHEAD_MAX_INFLIGHT_BYTES"
         );
         // Chunk numbers past the object end stop the batch, not the caller.
-        let staged = ts.prefetch_chunks(h, &[4, 9]).unwrap();
-        assert_eq!(staged.iter().map(|(c, _)| *c).collect::<Vec<_>>(), vec![4]);
+        assert_eq!(ts.prefetch_chunks(h, &[4, 9]).unwrap(), 1);
+        assert_eq!(local(&ts), vec![0, 1, 2, 3, 4]);
         // Non-persisted objects are fully resident: nothing to stage.
         let np = ts
             .create_object("np", payload(64), Durability::NonPersisted, 0, false)
             .unwrap();
-        assert!(ts.prefetch_chunks(np, &[0]).unwrap().is_empty());
+        assert_eq!(ts.prefetch_chunks(np, &[0]).unwrap(), 0);
     }
 
     #[test]
@@ -1352,9 +1354,8 @@ mod tests {
         let charged = || ts.stats().ssd_charged_latency;
 
         let before = charged();
-        let staged = ts.prefetch_chunks(h, &[0, 1, 2, 3]).unwrap();
         // The header chunk is resident: chunks 1..=3 (64 + 64 + 8 bytes).
-        assert_eq!(staged.len(), 3);
+        assert_eq!(ts.prefetch_objects(&[(h, vec![0, 1, 2, 3])]), 3);
         assert_eq!(charged() - before, cfg.ssd_latency.charge(136));
         assert_eq!(ts.stats().ssd.insertions, 1 + 3);
 
@@ -1362,6 +1363,42 @@ mod tests {
         let before = charged();
         ts.read_chunk(h, 2).unwrap();
         assert_eq!(charged() - before, cfg.ssd_latency.charge(64));
+    }
+
+    /// Every staged chunk is settled exactly once, as a hit or as wasted,
+    /// or is still outstanding — also when it is evicted before any read
+    /// and then staged again, or re-fetched by a demand miss.
+    #[test]
+    fn prefetch_accounting_is_exact_across_evictions_and_demand_misses() {
+        let ts = TieredStorage::new(SharedStorage::in_memory(), small_config());
+        let h = ts
+            .create_object("r", payload(128), Durability::Persisted, 0, false)
+            .unwrap();
+        let balanced = |step: &str| {
+            let s = ts.stats();
+            let outstanding = ts.prefetch_outstanding.load(Ordering::Relaxed);
+            assert_eq!(
+                s.blocks_prefetched,
+                s.prefetch_hits + s.prefetch_wasted + outstanding,
+                "{step}: {s:?}"
+            );
+            (s.prefetch_hits, s.prefetch_wasted, outstanding)
+        };
+        let stage = || assert_eq!(ts.prefetch_objects(&[(h, vec![0, 1])]), 2);
+        let evict = || assert_eq!(ts.purge_object(h).unwrap(), 2);
+
+        stage();
+        assert_eq!(balanced("stage"), (0, 0, 2));
+        evict();
+        stage();
+        assert_eq!(balanced("re-stage"), (0, 2, 2));
+        evict();
+        ts.read_chunk(h, 0).unwrap();
+        assert_eq!(balanced("demand miss"), (0, 3, 1));
+        ts.read_chunk(h, 0).unwrap();
+        assert_eq!(balanced("read of the demand-fetched chunk"), (0, 3, 1));
+        ts.read_chunk(h, 1).unwrap();
+        assert_eq!(balanced("demand miss"), (0, 4, 0));
     }
 
     #[test]
