@@ -200,7 +200,7 @@ impl UmziIndex {
     /// fetched for every run at once ([`Self::stage`], as for a lookup). The
     /// runs are then positioned one after another on the calling thread,
     /// from local blocks. The trade: a run's window is fetched before the
-    /// merge reaches it, so a staged block the chunk tiers evict first is
+    /// merge reaches it, so a staged block the tiers evict first is
     /// fetched again, and counted in `StorageStats::prefetch_wasted`. The
     /// merge itself is one sequential reconcile whose per-run iterators
     /// keep [`READAHEAD_DEPTH`] blocks staged ahead of it, so a cold scan
@@ -298,12 +298,12 @@ impl UmziIndex {
     ///
     /// Over runs purged to shared storage that search would be a chain of
     /// dependent fetches, although the in-RAM fences already name the one
-    /// block each run would need. So the first probe whose block misses the
-    /// decoded cache stages, in one concurrent round, that block and the
-    /// target block of every candidate run not yet searched
-    /// ([`Self::stage`]); the probes that follow find their blocks in the
-    /// chunk tiers. The trade: a lookup may fetch blocks of runs older than
-    /// the one that answers it. A lookup whose blocks are all decoded stages
+    /// block each run would need. So the first probe whose block has no
+    /// verified RAM entry stages, in one concurrent round, that block and
+    /// the target block of every candidate run not yet searched
+    /// ([`Self::stage`]); the probes that follow find their blocks local.
+    /// The trade: a lookup may fetch blocks of runs older than the one that
+    /// answers it. A lookup whose blocks are all verified in RAM stages
     /// nothing and does no extra work.
     pub fn point_lookup(
         &self,
@@ -364,32 +364,22 @@ impl UmziIndex {
 
     /// Stage, ahead of the reads that need them, the `blocks` of each run in
     /// `wanted` — the one planner behind a cold point lookup, batch claim
-    /// and scan positioning. Blocks already local, decoded or in a chunk
-    /// tier ([`Run::is_block_local`]), are dropped; the rest go, sorted and
-    /// deduplicated per run, to one
+    /// and scan positioning. The blocks go to one
     /// [`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects)
-    /// round, whose guards (breaker, priority, abort, at least two blocks)
-    /// decide whether anything is fetched. Staged blocks land in the chunk
-    /// tiers only; each demand read decodes its block and admits it under
-    /// its own access pattern, as it would have anyway. Residency is asked
-    /// with `contains`, never `get`, so no miss is counted twice and no
-    /// block's recency moves.
+    /// round, which drops the ones already local and whose guards
+    /// (breaker, priority, abort, at least two blocks) decide whether
+    /// anything is fetched. Staged blocks land unverified; each demand read
+    /// verifies its block and admits it under its own access pattern, as
+    /// it would have anyway.
     fn stage<'r, B: IntoIterator<Item = u32>>(
         &self,
         wanted: impl IntoIterator<Item = (&'r Run, B)>,
     ) {
+        let chunks =
+            |run: &Run, blocks: B| blocks.into_iter().map(|b| run.block_chunk(b)).collect();
         let batches: Vec<(ObjectHandle, Vec<u32>)> = wanted
             .into_iter()
-            .filter_map(|(run, blocks)| {
-                let mut chunks: Vec<u32> = blocks
-                    .into_iter()
-                    .filter(|&b| !run.is_block_local(b))
-                    .map(|b| run.block_chunk(b))
-                    .collect();
-                chunks.sort_unstable();
-                chunks.dedup();
-                (!chunks.is_empty()).then_some((run.handle(), chunks))
-            })
+            .map(|(run, blocks)| (run.handle(), chunks(run, blocks)))
             .collect();
         self.storage.prefetch_objects(&batches);
     }
@@ -406,7 +396,7 @@ impl UmziIndex {
     /// order, to one forward [`ProbeCursor`] — a merge-join against the
     /// fence index, so a block is fetched once however many probes land in
     /// it — and the claims are taken by the [`fan_out`] workers. On a
-    /// claim's first decoded-cache miss its target blocks that are not yet
+    /// claim's first verified-lookup miss its target blocks that are not yet
     /// local are staged in one batched read, so a cold run costs one fetch
     /// wait per sixteen blocks instead of one per block; a warm claim
     /// stages nothing. Under [`Priority::Background`](umzi_storage::Priority)

@@ -1,7 +1,7 @@
 //! Scan-washout regression test (the HTAP interference problem).
 //!
-//! Scenario: a point-lookup working set is warmed into the decoded-block
-//! cache, then a full-table analytical scan sweeps through. The warmed
+//! Scenario: a point-lookup working set is warmed into the RAM tier as
+//! verified blocks, then a full-table analytical scan sweeps through. The warmed
 //! working set sits in the protected segment and must keep hitting
 //! afterwards, both after a sweep of ≥ 4× the cache capacity and after one
 //! of ≥ 32× (over 8 MiB): probation-only scan admission alone holds
@@ -16,7 +16,7 @@ use umzi_encoding::{ColumnType, Datum, IndexDef};
 use umzi_run::{IndexEntry, Rid, SortBound, ZoneId};
 use umzi_storage::{DecodedCacheConfig, SharedStorage, TieredConfig, TieredStorage};
 
-/// Decoded-cache capacity for the experiment (it derives one shard).
+/// RAM-tier capacity for the experiment (it derives one shard).
 const CACHE_BYTES: u64 = 256 << 10;
 /// Entries per run; two runs make the dataset ≥ 4× the cache.
 const PER_RUN: i64 = 16_000;
@@ -29,6 +29,8 @@ fn build_index(name: &str, cache_bytes: u64, runs: u64) -> Arc<UmziIndex> {
     let storage = Arc::new(TieredStorage::new(
         SharedStorage::in_memory(),
         TieredConfig {
+            // The RAM tier is the cache alone.
+            mem_capacity: 0,
             decoded_cache: DecodedCacheConfig {
                 capacity_bytes: cache_bytes,
             },
@@ -75,7 +77,7 @@ fn hot_keys() -> Vec<(Vec<Datum>, Vec<Datum>)> {
 
 /// Run the warm → scan → re-measure scenario, returning the post-scan
 /// point-lookup hit rate at *lookup granularity* — a lookup counts as a hit
-/// only when the decoded cache serves it entirely (zero chunk reads) — and
+/// only when verified RAM entries serve it entirely (zero chunk reads) — and
 /// the block bytes the scan decoded. Per-access counters would flatter the
 /// washed-out cache — the first miss of a lookup re-warms the block for its
 /// own later touches — so this is the honest measure of "did the warmed
@@ -90,7 +92,7 @@ fn post_scan_point_hit_rate(idx: &UmziIndex) -> (f64, u64) {
         }
     }
     // The analytical sweep: a full-table scan over every run.
-    let decoded0 = idx.storage().decoded_cache().decoded_bytes();
+    let decoded0 = idx.storage().mem_tier().decoded_bytes();
     let scanned = idx
         .range_scan(
             &RangeQuery {
@@ -103,7 +105,7 @@ fn post_scan_point_hit_rate(idx: &UmziIndex) -> (f64, u64) {
         )
         .unwrap();
     assert_eq!(scanned.len() as i64, PER_RUN, "scan must cover the table");
-    let streamed = idx.storage().decoded_cache().decoded_bytes() - decoded0;
+    let streamed = idx.storage().mem_tier().decoded_bytes() - decoded0;
 
     // Re-measure the warmed lookups.
     let mut served_cached = 0;
@@ -138,7 +140,7 @@ fn scan_resistant_cache_survives_full_table_scan() {
             sr_rate >= 0.6,
             "warmed working set must survive the scan: hit rate {sr_rate:.3}"
         );
-        // Negative control: without a decoded cache every lookup reads chunks.
+        // Negative control: without a RAM tier every lookup reads chunks.
         assert_eq!(off_rate, 0.0, "a disabled cache cannot serve lookups");
 
         // The scan itself must have been admitted probation-only: the

@@ -3,18 +3,19 @@
 //!
 //! Runs are searched newest to oldest and the search stops at the first
 //! match (§7.2), so over runs purged to shared storage a lookup used to be a
-//! chain of dependent fetches. On its first decoded-cache miss a point
+//! chain of dependent fetches. On its first verified-lookup miss a point
 //! lookup now fetches the target block of every remaining candidate run at
 //! once; a batch lookup cuts each run's sorted probes into claims of at
 //! most `READAHEAD_DEPTH` target blocks and fetches a claim's blocks in one
 //! batched read. A range scan fetches every candidate run's bound blocks in
 //! one round before it positions any run. The reads that follow find their
-//! blocks in the chunk tiers, and decode them there. These tests pin the
-//! overlap and the request count, that a warm lookup or scan never stages
-//! and a warm lookup counts each decoded-cache miss once, that a staged
-//! block is decoded only by the read that consumes it, and that faults,
-//! cancellation, background priority and an open breaker keep their
-//! meaning for every read shape.
+//! blocks landed unverified in RAM, and verify and decode them there. These
+//! tests pin the overlap and the request count, that a warm lookup or scan
+//! never stages and a warm lookup counts each verified-lookup miss once,
+//! that a staged block is decoded only by the read that consumes it (and a
+//! flipped bit in it is caught there), and that faults, cancellation,
+//! background priority and an open breaker keep their meaning for every
+//! read shape.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -26,9 +27,9 @@ use umzi_core::{MergePolicy, RangeQuery, ReconcileStrategy, UmziConfig, UmziErro
 use umzi_encoding::{ColumnType, Datum, IndexDef};
 use umzi_run::{IndexEntry, KeyLayout, Rid, Run, RunSearcher, SortBound, ZoneId};
 use umzi_storage::{
-    context, BreakerState, CancelToken, FaultInjectingStore, FaultOp, FaultPlan,
-    InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext, RetryConfig,
-    SharedStorage, StorageError, TierLatency, TieredConfig, TieredStorage,
+    context, BreakerState, CancelToken, Durability, FaultEvent, FaultInjectingStore, FaultOp,
+    FaultPlan, InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext,
+    RetryConfig, SharedStorage, StorageError, TierLatency, TieredConfig, TieredStorage,
     BREAKER_FAILURE_THRESHOLD, READAHEAD_DEPTH,
 };
 
@@ -196,20 +197,10 @@ fn run_device_scan(idx: &UmziIndex, run: &Run, d: i64) -> usize {
     rows.unwrap().map(Result::unwrap).count()
 }
 
-/// Drop every run's data blocks from the decoded cache and the chunk tiers.
+/// Drop every run's data blocks from the RAM and SSD tiers.
 fn purge_all(storage: &TieredStorage, idx: &UmziIndex) {
     for run in idx.candidate_runs() {
         storage.purge_object(run.handle()).unwrap();
-    }
-}
-
-/// Drop every run's data chunks from both chunk tiers, keeping the decoded
-/// copies of its blocks.
-fn drop_chunks(storage: &TieredStorage, idx: &UmziIndex) {
-    for run in idx.candidate_runs() {
-        let (h, data) = (run.handle().raw(), run.header().header_chunks);
-        storage.mem_tier().remove_object_chunks(h, data);
-        storage.ssd_tier().remove_object_chunks(h, data);
     }
 }
 
@@ -310,7 +301,7 @@ fn cold_lookup_overlaps_its_run_fetches() {
 }
 
 /// Over runs whose chunks are all local, lookups never stage, and each
-/// block's first touch is the one decoded-cache miss it ever counts. With
+/// block's first touch is the one verified-lookup miss it ever counts. With
 /// one block per run, a lookup for residue `r` searches runs `RUNS - 1`
 /// down to `r` (all of them for the absent residue), so the hits are the
 /// blocks searched minus one miss per run.
@@ -702,13 +693,11 @@ fn cold_scan_writes_each_readahead_window_to_ssd_once() {
     assert_eq!(windows(&sizes), RUNS as usize, "readahead: {sizes:?}");
 }
 
-/// A staged block lands in the chunk tiers only, and the read that consumes
-/// it is the one place it is verified, parsed and admitted to the decoded
-/// cache. So a cold scan admits each block once, each admission on a
-/// decoded-cache miss of its own read, and consumes every block it staged
-/// through the chunk tiers. And a scan over runs whose blocks are decoded,
-/// but whose chunks have left both tiers, reads nothing from the shared
-/// store and stages nothing.
+/// A staged block lands unverified, and the read that consumes it is the
+/// one place it is verified, parsed and admitted as a verified block. So a
+/// cold scan admits each block once, each admission on a verified-lookup
+/// miss of its own read, and consumes every block it staged through a
+/// chunk read.
 #[test]
 fn staged_blocks_are_decoded_only_by_the_read_that_consumes_them() {
     let store = Arc::new(RequestCounter::default());
@@ -737,14 +726,46 @@ fn staged_blocks_are_decoded_only_by_the_read_that_consumes_them() {
         admitted,
         "a block admitted without a read of its own"
     );
-
     assert_eq!(device_scan(&idx, 2).unwrap(), resident);
-    drop_chunks(&storage, &idx);
-    let (requests, before) = (store.requests.load(Ordering::SeqCst), storage.stats());
+}
+
+/// A staged chunk lands unverified, so a bit flipped in its batched fetch
+/// is caught by the first read of it: that read re-fetches the chunk once,
+/// and the rows come out right. The block is verified from then on, and a
+/// second scan issues no chunk read at all.
+#[test]
+fn flipped_bit_in_a_staged_chunk_is_caught_by_its_first_read() {
+    let faults = Arc::new(FaultInjectingStore::new(
+        Arc::new(InMemoryObjectStore::new()),
+        FaultPlan::none().with_event(FaultEvent::BitFlipAt { nth: 1 }),
+    ));
+    let (storage, idx) = striped_index(
+        Arc::clone(&faults) as Arc<dyn ObjectStore>,
+        128,
+        RetryConfig::default(),
+    );
+    let resident = device_scan(&idx, 2).unwrap();
+    purge_all(&storage, &idx);
+    assert_eq!(
+        faults.stats().bit_flips,
+        0,
+        "no shared read before the scan"
+    );
+
+    let before = storage.stats();
     assert_eq!(device_scan(&idx, 2).unwrap(), resident);
     let after = storage.stats();
-    assert_eq!(store.requests.load(Ordering::SeqCst), requests, "{after:?}");
-    assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
+    assert_eq!(faults.stats().bit_flips, 1, "the first shared read flipped");
+    assert!(
+        after.blocks_prefetched > before.blocks_prefetched,
+        "{after:?}"
+    );
+    assert_eq!(after.corruption_refetches - before.corruption_refetches, 1);
+
+    assert_eq!(device_scan(&idx, 2).unwrap(), resident);
+    let again = storage.stats();
+    assert_eq!(again.chunk_reads, after.chunk_reads, "{again:?}");
+    assert_eq!(again.corruption_refetches, after.corruption_refetches);
 }
 
 /// Over runs whose chunks are all local, a batch never stages and issues
@@ -1066,8 +1087,8 @@ fn open_breaker_scan_stages_nothing() {
 }
 
 /// With the block-fetch breaker open, a scan over runs whose blocks are
-/// decoded but whose chunks have left the tiers is served from the decoded
-/// cache: neither its positioning nor its readahead stages, issues a store
+/// verified in RAM but whose chunks have left the SSD is served from RAM:
+/// neither its positioning nor its readahead stages, issues a store
 /// operation or spends a breaker rejection.
 #[test]
 fn open_breaker_decoded_scan_stages_nothing() {
@@ -1082,12 +1103,19 @@ fn open_breaker_decoded_scan_stages_nothing() {
     };
     let (storage, idx) = striped_index(Arc::clone(&faults) as Arc<dyn ObjectStore>, 256, retry);
     let want = device_scan(&idx, 2).unwrap();
-    drop_chunks(&storage, &idx);
+    for run in idx.candidate_runs() {
+        let (h, data) = (run.handle().raw(), run.header().header_chunks);
+        storage.ssd_tier().remove_object_chunks(h, data);
+    }
+    // The breaker trips on a cold object of its own: every block the scan
+    // reads is resident.
+    let bytes = Bytes::from(vec![0u8; 512]);
+    let cold = storage
+        .create_object("cold", bytes, Durability::Persisted, 1, false)
+        .unwrap();
     faults.set_armed(true);
-    let oldest = idx.candidate_runs().pop().unwrap();
-    let chunk = oldest.header().header_chunks;
     for _ in 0..BREAKER_FAILURE_THRESHOLD {
-        assert!(storage.read_chunk(oldest.handle(), chunk).is_err());
+        assert!(storage.read_chunk(cold, 1).is_err());
     }
     assert_eq!(
         storage.breaker().state(OpClass::BlockFetch),

@@ -4,9 +4,10 @@
 //! `batch_lookup` cuts each run's sorted probes into claims of up to
 //! `READAHEAD_DEPTH` target blocks and stages a claim's blocks in one
 //! batched read; `point_lookup` searches run by run with its own staging.
-//! Here the memory and SSD tiers together hold fewer chunks than one claim
-//! window and the decoded cache is off, so a staged chunk can be evicted
-//! before its probe reaches it and the probe falls back to a demand fetch.
+//! Here the RAM and SSD tiers together hold fewer chunks than one claim
+//! window (the RAM budget has no decoded share), so a staged chunk can be
+//! evicted before its probe reaches it and the probe falls back to a
+//! demand fetch.
 //! Staging is advisory: the answers must not notice.
 
 use std::collections::BTreeSet;
@@ -22,12 +23,12 @@ use umzi_storage::{
 };
 
 const CHUNK: usize = 256;
-/// Chunks the memory tier holds, and as many again the SSD tier.
+/// Chunks the RAM tier holds, and as many again the SSD tier.
 const TIER_CHUNKS: u64 = 4;
 
 /// One level-0 run per element of `raw_runs`, run `r` holding its
 /// `(device, msg, beginTS)` versions (duplicates collapse), over a
-/// hierarchy whose chunk tiers hold `2 * TIER_CHUNKS` chunks in all.
+/// hierarchy whose RAM and SSD tiers hold `2 * TIER_CHUNKS` chunks in all.
 fn fixture(raw_runs: &[Vec<(i64, i64, u64)>]) -> (Arc<TieredStorage>, Arc<UmziIndex>) {
     let storage = Arc::new(TieredStorage::new(
         SharedStorage::in_memory(),

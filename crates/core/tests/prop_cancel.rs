@@ -64,7 +64,7 @@ fn fixture(raw_runs: &[Vec<(i64, i64, u64)>]) -> Fixture {
         ),
         TieredConfig {
             chunk_size: 256,
-            // Starve the warm tiers and disable the decoded cache so scans
+            // Starve the RAM and SSD tiers (no decoded share) so scans
             // keep going back to (fault-injectable) shared storage — every
             // checkpoint class stays reachable on every scan, without
             // invalidating live object handles.

@@ -4,8 +4,8 @@
 //! Before positioning, `range_scan` stages every candidate run's bound
 //! blocks — from the block its lower bound lands in through the block its
 //! upper bound lands in, at most `READAHEAD_DEPTH` per run — in one round.
-//! Here the memory and SSD tiers together hold fewer chunks than one run's
-//! window and the decoded cache is off, so a staged chunk is often evicted
+//! Here the RAM and SSD tiers together hold fewer chunks than one run's
+//! window (the RAM budget has no decoded share), so a staged chunk is often evicted
 //! before positioning or the iterator reads it, and the read falls back to
 //! a demand fetch. Staging is advisory: the rows must not notice. The
 //! bounds include empty ranges, bounds on a fence key's columns and
@@ -26,7 +26,7 @@ use umzi_storage::{
 };
 
 const CHUNK: usize = 256;
-/// Chunks the memory tier of the cold hierarchy holds, and as many again
+/// Chunks the RAM tier of the cold hierarchy holds, and as many again
 /// its SSD tier.
 const TIER_CHUNKS: u64 = 4;
 
@@ -52,8 +52,8 @@ fn columns(hashed: bool, d: i64, m: i64) -> (Vec<Datum>, Vec<Datum>) {
 }
 
 /// One level-0 run per element of `raw_runs`, oldest first (duplicates
-/// collapse). `cold` picks the hierarchy: chunk tiers of `2 * TIER_CHUNKS`
-/// chunks in all and no decoded cache, or the default one, which keeps
+/// collapse). `cold` picks the hierarchy: RAM and SSD tiers of
+/// `2 * TIER_CHUNKS` chunks in all, or the default one, which keeps
 /// every run resident.
 fn fixture(raw_runs: &RawRuns, hashed: bool, cold: bool) -> (Arc<TieredStorage>, Arc<UmziIndex>) {
     let config = if cold {

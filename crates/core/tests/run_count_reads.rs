@@ -1,6 +1,6 @@
 //! What a lookup costs as the run count grows, as exact block counts.
 //!
-//! With the decoded cache off every block access is a counted chunk read.
+//! Every block access is counted: a chunk read or a verified RAM hit.
 //! Runs are searched newest to oldest and nothing skips a run that cannot
 //! hold the key: the synopsis keeps per-column min/max, and every run here
 //! spans the same dense key domain. So a hit in the newest run costs one
@@ -13,9 +13,7 @@ use std::sync::Arc;
 use umzi_core::{MergePolicy, UmziConfig, UmziIndex};
 use umzi_encoding::{ColumnType, Datum, IndexDef};
 use umzi_run::{IndexEntry, KeyLayout, Rid, Run, ZoneId};
-use umzi_storage::{
-    DecodedCacheConfig, SharedStorage, TieredConfig, TieredStorage, READAHEAD_DEPTH,
-};
+use umzi_storage::{SharedStorage, TieredConfig, TieredStorage, READAHEAD_DEPTH};
 
 const DEVICES: i64 = 64;
 /// Messages per device in each run.
@@ -29,7 +27,6 @@ fn striped_index(n_runs: i64, chunk_size: usize) -> (Arc<TieredStorage>, Arc<Umz
         SharedStorage::in_memory(),
         TieredConfig {
             chunk_size,
-            decoded_cache: DecodedCacheConfig { capacity_bytes: 0 },
             ..TieredConfig::default()
         },
     ));
@@ -69,6 +66,13 @@ fn striped_index(n_runs: i64, chunk_size: usize) -> (Arc<TieredStorage>, Arc<Umz
     (storage, idx)
 }
 
+/// Block accesses so far, wherever they were served: a chunk read or a
+/// verified RAM hit each.
+fn block_accesses(storage: &TieredStorage) -> u64 {
+    let s = storage.stats();
+    s.chunk_reads + s.decoded.hits
+}
+
 /// How many of `runs` have a block other than their first opening on
 /// `prefix`: each costs a lookup one extra block.
 fn blocks_opened_by(runs: &[Arc<Run>], prefix: &[u8]) -> u64 {
@@ -102,9 +106,9 @@ fn lookup_block_reads_grow_with_the_runs_searched() {
                 let (eq, sort) = ([Datum::Int64(d)], [Datum::Int64(m)]);
                 let key = idx.layout().build_key(&eq, &sort, 0).unwrap();
                 let opened = blocks_opened_by(&runs[..searched], KeyLayout::logical_key(&key));
-                let before = storage.stats().chunk_reads;
+                let before = block_accesses(&storage);
                 let hit = idx.point_lookup(&eq, &sort, u64::MAX).unwrap();
-                let reads = storage.stats().chunk_reads - before;
+                let reads = block_accesses(&storage) - before;
                 assert_eq!(hit.is_some(), residue != n_runs, "{what}, {n_runs} runs");
                 assert_eq!(
                     reads,
@@ -170,9 +174,9 @@ fn batch_lookup_reads_no_block_twice_per_run() {
             "only the absent stripe is left"
         );
 
-        let before = storage.stats().chunk_reads;
+        let before = block_accesses(&storage);
         let out = idx.batch_lookup(&keys, u64::MAX).unwrap();
-        let reads = storage.stats().chunk_reads - before;
+        let reads = block_accesses(&storage) - before;
         let found = out.iter().filter(|o| o.is_some()).count();
         assert_eq!(found, keys.len() - pending.len(), "{n_runs} runs");
         assert!(

@@ -205,47 +205,31 @@ impl Run {
             .map(|_| ())
     }
 
-    /// Fetch data block `b` (0-based): decoded-block cache first, then the
-    /// chunk hierarchy plus a parse (inserting the parsed block back). The
-    /// access-pattern hint steers the cache's scan-resistant replacement:
-    /// point lookups may promote into the protected segment, range scans
-    /// stay probation-only, maintenance sweeps are never admitted.
+    /// Fetch data block `b` (0-based): a verified RAM entry first, then the
+    /// chunk hierarchy plus a checksum and a parse (marking the entry
+    /// verified). The access-pattern hint steers the RAM tier's
+    /// scan-resistant replacement: point lookups may promote into the
+    /// protected segment, range scans stay probation-only, maintenance
+    /// sweeps are never admitted.
     pub fn data_block_as(&self, b: u32, pattern: AccessPattern) -> Result<DataBlock> {
         self.decoded_block(b, pattern)
             .map_or_else(|| self.fetch_block(b, pattern), Ok)
     }
 
-    /// The decoded-cache half of a block read: block `b` if the decoded
-    /// cache holds it. One [`umzi_storage::DecodedBlockCache::get`], so a
-    /// hit or miss is counted exactly once; on `None` the caller completes
-    /// the read with [`Self::fetch_block`].
+    /// The RAM half of a block read: block `b` if RAM holds it verified.
+    /// One [`umzi_storage::RamTier::get`], so a hit or miss is counted
+    /// exactly once and a hit costs no checksum; on `None` the caller
+    /// completes the read with [`Self::fetch_block`].
     pub(crate) fn decoded_block(&self, b: u32, pattern: AccessPattern) -> Option<DataBlock> {
-        if b >= self.header.n_data_blocks {
-            return None;
-        }
-        let hit = self
-            .storage
-            .decoded_cache()
-            .get((self.handle.raw(), b), pattern)?;
-        let block = hit.downcast::<DataBlock>().ok()?;
-        Some(DataBlock::clone(&block))
+        let key = (self.handle.raw(), self.block_chunk(b));
+        let data = self.storage.mem_tier().get(key, pattern)?;
+        // Verified bytes parsed once already, before they were marked.
+        DataBlock::parse(data).ok()
     }
 
     /// The chunk number of data block `b` within the run's object.
     pub fn block_chunk(&self, b: u32) -> u32 {
         self.header.header_chunks + b
-    }
-
-    /// Whether block `b` is held in RAM or on local SSD: decoded, or as a
-    /// chunk in the memory or SSD tier. Pure observer — no cache statistics,
-    /// no recency update.
-    pub fn is_block_local(&self, b: u32) -> bool {
-        self.storage
-            .decoded_cache()
-            .contains((self.handle.raw(), b))
-            || self
-                .storage
-                .is_chunk_local(self.handle, self.block_chunk(b))
     }
 
     /// The data block a probe for the logical key `prefix` reads first: the
@@ -281,12 +265,13 @@ impl Run {
         Some((lo + fences[lo + 1..hi].partition_point(|f| f.as_slice() < prefix)) as u32)
     }
 
-    /// The tier half of a block read: block `b` from the chunk hierarchy,
-    /// checksum-verified, parsed, and admitted to the decoded cache under
-    /// `pattern`. Never consults the decoded cache. The one place a block
-    /// becomes decoded: a block staged ahead of demand
-    /// ([`TieredStorage::prefetch_objects`]) waits in the chunk tiers until
-    /// this read consumes it.
+    /// The tier half of a block read: block `b` through
+    /// [`TieredStorage::read_chunk`] (an unverified RAM copy, the SSD, then
+    /// shared storage), checksum-verified, parsed, and marked verified in
+    /// RAM under `pattern`. Never asks for a verified entry. The one place
+    /// a block is verified: a block staged ahead of demand
+    /// ([`TieredStorage::prefetch_objects`]) waits unverified until this
+    /// read consumes it.
     pub(crate) fn fetch_block(&self, b: u32, pattern: AccessPattern) -> Result<DataBlock> {
         if b >= self.header.n_data_blocks {
             return Err(RunError::Corrupt {
@@ -296,17 +281,12 @@ impl Run {
                 ),
             });
         }
-        let key = (self.handle.raw(), b);
         let chunk_no = self.block_chunk(b);
         let chunk = self.storage.read_chunk(self.handle, chunk_no)?;
         let chunk = self.verify_block_checksum(b, chunk_no, chunk)?;
         let block = DataBlock::parse(chunk)?;
-        self.storage.decoded_cache().insert(
-            key,
-            Arc::new(block.clone()),
-            block.size_bytes() as u64,
-            pattern,
-        );
+        let ram = self.storage.mem_tier();
+        ram.verify((self.handle.raw(), chunk_no), block.data.clone(), pattern);
         Ok(block)
     }
 
@@ -377,7 +357,7 @@ impl Run {
     /// run (`entry_count` when none). Touches at most **one** data block:
     /// the fence index selects the candidate block, then the block's offset
     /// trailer is binary-searched in place. The pattern hint labels that
-    /// block fetch for the decoded cache.
+    /// block fetch for the RAM tier.
     pub fn locate_first_geq_as(&self, target: &[u8], pattern: AccessPattern) -> Result<u64> {
         if self.header.entry_count == 0 {
             return Ok(0);
@@ -451,11 +431,6 @@ impl DataBlock {
     /// Entries in this block.
     pub fn entry_count(&self) -> u16 {
         self.n_entries
-    }
-
-    /// Raw block size in bytes (cache accounting weight).
-    pub fn size_bytes(&self) -> usize {
-        self.data.len()
     }
 
     /// Byte offset of the entry in `slot`, from the offset trailer.

@@ -90,7 +90,7 @@ impl<'a> RunSearcher<'a> {
     /// Stream the newest visible version of each logical key in
     /// `[lower, upper)` (byte bounds from [`KeyLayout::query_range`]),
     /// every block fetch — positioning included — labelled as range-scan
-    /// traffic for the decoded cache's scan-resistant replacement.
+    /// traffic for the RAM tier's scan-resistant replacement.
     ///
     /// Both bounds resolve to *ordinals* up front through the fence index —
     /// one block fetch each — so iteration advances block-by-block with no
@@ -182,8 +182,8 @@ impl<'a> ProbeCursor<'a> {
         }
     }
 
-    /// Block loads are cooperative cancellation checkpoints. A block the
-    /// decoded cache misses is reported to `on_miss` before the tier read
+    /// Block loads are cooperative cancellation checkpoints. A block with no
+    /// verified RAM entry is reported to `on_miss` before the tier read
     /// ([`Run::decoded_block`], then [`Run::fetch_block`]).
     fn load(&mut self, b: u32, on_miss: &mut impl FnMut(u32)) -> Result<&DataBlock> {
         umzi_storage::context::check_current("run_probe_block")?;
@@ -204,8 +204,8 @@ impl<'a> ProbeCursor<'a> {
         self.probe_staging(prefix, |_| {})
     }
 
-    /// [`Self::probe`], calling `on_miss(b)` whenever block `b` misses the
-    /// decoded cache, just before the block is read from the chunk tiers:
+    /// [`Self::probe`], calling `on_miss(b)` whenever block `b` has no
+    /// verified RAM entry, just before the block is read from the tiers:
     /// the one point where a caller learns, at no extra cache lookup, that
     /// this probe may wait on IO, and can stage other blocks to share the
     /// wait.
@@ -294,10 +294,10 @@ impl<'a> RunRangeIter<'a> {
     /// scan's last block. Refilling only on a drained pipeline keeps every
     /// batch at full depth — one batched (concurrently issued) fetch per
     /// `depth` consumed blocks, instead of degrading to one single-block
-    /// batch per step once primed. The window's blocks that are already
-    /// local ([`Run::is_block_local`]) are dropped and the rest go to
+    /// batch per step once primed. The window goes to
     /// [`TieredStorage::prefetch_objects`](umzi_storage::TieredStorage::prefetch_objects),
-    /// whose guards decide whether anything is staged. Advisory: a failed
+    /// which drops its local blocks and whose guards decide whether
+    /// anything is staged. Advisory: a failed
     /// batch is dropped — the demand path fetches (and retries)
     /// synchronously — so readahead can never poison the iterator.
     fn maybe_readahead(&mut self, cur: u32) {
@@ -319,9 +319,7 @@ impl<'a> RunRangeIter<'a> {
         }
         self.prefetched_until = to + 1;
         let run = self.run;
-        let chunks: Vec<u32> = (from..=to)
-            .filter_map(|b| (!run.is_block_local(b)).then_some(run.block_chunk(b)))
-            .collect();
+        let chunks = (from..=to).map(|b| run.block_chunk(b)).collect();
         run.storage().prefetch_objects(&[(run.handle(), chunks)]);
     }
 

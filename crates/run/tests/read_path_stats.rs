@@ -1,6 +1,7 @@
 //! Read-path cost accounting: the fence index must cut the block reads a
 //! point lookup performs by ≥ 4× versus the pre-fence per-entry binary
-//! search, observed through the storage layer's `chunk_reads` counter.
+//! search, observed through the storage layer's counters: every block
+//! access is a chunk read or a verified RAM hit.
 
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use umzi_run::{
     AccessPattern, IndexEntry, KeyLayout, ProbeCursor, Rid, RunBuilder, RunParams, RunSearcher,
     ZoneId,
 };
-use umzi_storage::{DecodedCacheConfig, Durability, SharedStorage, TieredConfig, TieredStorage};
+use umzi_storage::{Durability, SharedStorage, TieredConfig, TieredStorage};
 
 fn layout() -> KeyLayout {
     let def = IndexDef::builder("stats")
@@ -20,18 +21,23 @@ fn layout() -> KeyLayout {
     KeyLayout::new(Arc::new(def))
 }
 
-/// A storage hierarchy with the decoded-block cache disabled, so every
-/// `data_block` call is a real `read_chunk` — isolating what the fence
-/// index alone saves.
-fn storage_no_decoded_cache() -> Arc<TieredStorage> {
+/// A storage hierarchy with 1 KiB blocks.
+fn small_block_storage() -> Arc<TieredStorage> {
     Arc::new(TieredStorage::new(
         SharedStorage::in_memory(),
         TieredConfig {
             chunk_size: 1024,
-            decoded_cache: DecodedCacheConfig { capacity_bytes: 0 },
             ..TieredConfig::default()
         },
     ))
+}
+
+/// Block accesses so far, wherever they were served: every `data_block`
+/// call is one chunk read or one verified RAM hit — isolating what the
+/// fence index alone saves.
+fn block_accesses(storage: &TieredStorage) -> u64 {
+    let s = storage.stats();
+    s.chunk_reads + s.decoded.hits
 }
 
 fn build_multi_block_run(storage: &Arc<TieredStorage>, n: i64) -> umzi_run::Run {
@@ -82,7 +88,7 @@ fn build_run_with_id(storage: &Arc<TieredStorage>, n: i64, run_id: u64) -> umzi_
 
 #[test]
 fn fence_lookup_reads_4x_fewer_blocks_than_scalar() {
-    let storage = storage_no_decoded_cache();
+    let storage = small_block_storage();
     let run = build_multi_block_run(&storage, 4000);
     assert!(
         run.data_block_count() >= 16,
@@ -100,17 +106,17 @@ fn fence_lookup_reads_4x_fewer_blocks_than_scalar() {
 
     // Warm nothing block-specific; fences are persisted in the header.
     let probes = 32;
-    let before = storage.stats().chunk_reads;
+    let before = block_accesses(&storage);
     for _ in 0..probes {
         searcher.find_first_geq(&target, None).unwrap();
     }
-    let fence_reads = storage.stats().chunk_reads - before;
+    let fence_reads = block_accesses(&storage) - before;
 
-    let before = storage.stats().chunk_reads;
+    let before = block_accesses(&storage);
     for _ in 0..probes {
         searcher.find_first_geq_scalar(&target, None).unwrap();
     }
-    let scalar_reads = storage.stats().chunk_reads - before;
+    let scalar_reads = block_accesses(&storage) - before;
 
     assert_eq!(
         fence_reads, probes,
@@ -131,29 +137,28 @@ fn prefix_of(m: i64) -> Vec<u8> {
 
 #[test]
 fn point_lookup_reads_exactly_one_block() {
-    // With the decoded cache off every block access is a counted chunk
-    // read: a point lookup — hit or miss — is one fence search and one
+    // Every block access is counted: a point lookup — hit or miss — is one fence search and one
     // block, not a lower-bound block plus an upper-bound block. The one
     // exception is a key that opens a block other than the first: its
     // prefix sorts below that fence, and only the block before can say
     // whether newer versions of it end there.
-    let storage = storage_no_decoded_cache();
+    let storage = small_block_storage();
     let run = build_multi_block_run(&storage, 4000);
     assert!(run.data_block_count() >= 16);
     let searcher = RunSearcher::new(&run);
     let fences = run.fence_keys().unwrap();
-    let before = storage.stats().chunk_reads;
+    let before = block_accesses(&storage);
     for m in 0..4200 {
         let prefix = prefix_of(m);
-        let reads0 = storage.stats().chunk_reads;
+        let reads0 = block_accesses(&storage);
         let hit = searcher.lookup(&prefix, None, u64::MAX).unwrap();
         assert_eq!(hit.is_some(), m < 4000, "m = {m}");
         let opens_block = fences[1..].iter().any(|f| f.starts_with(&prefix));
-        let reads = storage.stats().chunk_reads - reads0;
+        let reads = block_accesses(&storage) - reads0;
         assert_eq!(reads, 1 + u64::from(opens_block), "m = {m}");
     }
     let blocks = u64::from(run.data_block_count());
-    assert_eq!(storage.stats().chunk_reads - before, 4200 + blocks - 1);
+    assert_eq!(block_accesses(&storage) - before, 4200 + blocks - 1);
 }
 
 #[test]
@@ -161,17 +166,17 @@ fn sorted_batch_reads_each_block_at_most_once() {
     // 256 ascending probes (two in three absent) through one cursor over
     // a 4-block run: a merge-join against the fences, so each block is
     // fetched once however many probes land in it.
-    let storage = storage_no_decoded_cache();
+    let storage = small_block_storage();
     let run = build_multi_block_run(&storage, 80);
     assert_eq!(run.data_block_count(), 4);
     let mut prefixes: Vec<(Vec<u8>, bool)> = (0..256).map(|m| (prefix_of(m), m < 80)).collect();
     prefixes.sort();
-    let before = storage.stats().chunk_reads;
+    let before = block_accesses(&storage);
     let mut cursor = ProbeCursor::new(&run, u64::MAX, AccessPattern::PointLookup);
     for (prefix, present) in &prefixes {
         assert_eq!(cursor.probe(prefix).unwrap().is_some(), *present);
     }
-    let reads = storage.stats().chunk_reads - before;
+    let reads = block_accesses(&storage) - before;
     assert!(reads <= 4, "256 sorted probes read {reads} blocks of 4");
 }
 
@@ -181,7 +186,7 @@ fn bounded_scan_touches_only_spanned_blocks() {
     // so a narrow bounded scan reads only the blocks the range spans plus
     // the two positioning probes — never a trailing block just to discover
     // the upper bound was passed.
-    let storage = storage_no_decoded_cache();
+    let storage = small_block_storage();
     let run = build_multi_block_run(&storage, 4000);
     let entries_per_block = 4000 / run.data_block_count() as i64;
     let l = layout();
@@ -200,13 +205,13 @@ fn bounded_scan_touches_only_spanned_blocks() {
     let expected = (lo_m..hi_m).filter(|m| m % 8 == 3).count();
     let (lower, upper) = (key_of(lo_m), key_of(hi_m));
 
-    let before = storage.stats().chunk_reads;
+    let before = block_accesses(&storage);
     let hits: Vec<_> = searcher
         .scan(&lower, Some(&upper), None, u64::MAX)
         .unwrap()
         .collect::<umzi_run::Result<Vec<_>>>()
         .unwrap();
-    let reads = storage.stats().chunk_reads - before;
+    let reads = block_accesses(&storage) - before;
 
     assert_eq!(hits.len(), expected, "every key in range, exactly once");
     // Two positioning reads (lower + upper fence jumps) plus at most the
@@ -218,20 +223,20 @@ fn bounded_scan_touches_only_spanned_blocks() {
 
     // An empty range costs only the positioning probes, not a discarded
     // data fetch.
-    let before = storage.stats().chunk_reads;
+    let before = block_accesses(&storage);
     let n = searcher
         .scan(&key_of(401), Some(&key_of(401)), None, u64::MAX)
         .unwrap()
         .count();
-    let reads = storage.stats().chunk_reads - before;
+    let reads = block_accesses(&storage) - before;
     assert_eq!(n, 0);
     assert!(reads <= 2, "empty range read {reads} blocks");
 }
 
 #[test]
 fn decoded_cache_eliminates_repeat_reads() {
-    // With the decoded cache on (default config), repeated probes of the
-    // same key stop issuing chunk reads entirely after the first.
+    // Repeated probes of the same key stop issuing chunk reads entirely
+    // after the first: the block is served verified from RAM.
     let storage = Arc::new(TieredStorage::new(
         SharedStorage::in_memory(),
         TieredConfig {

@@ -1,4 +1,4 @@
-//! A capacity-bounded, block-granularity cache tier (memory or SSD).
+//! A capacity-bounded, block-granularity cache tier: the SSD.
 //!
 //! Entries are chunks of immutable objects, keyed by `(object handle, chunk
 //! number)`. Two residency classes exist:
@@ -29,7 +29,6 @@ struct TierInner {
 
 /// One cache tier of the storage hierarchy.
 pub struct CacheTier {
-    name: &'static str,
     capacity: u64,
     latency: LatencyModel,
     inner: Mutex<TierInner>,
@@ -39,7 +38,6 @@ pub struct CacheTier {
 impl std::fmt::Debug for CacheTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheTier")
-            .field("name", &self.name)
             .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
@@ -52,9 +50,8 @@ impl CacheTier {
     /// Pinned insertions may exceed capacity (the alternative — refusing to
     /// hold a non-persisted run — would lose data); only unpinned entries
     /// are evicted to make room.
-    pub fn new(name: &'static str, capacity: u64, latency: LatencyModel) -> Self {
+    pub fn new(capacity: u64, latency: LatencyModel) -> Self {
         Self {
-            name,
             capacity,
             latency,
             inner: Mutex::new(TierInner {
@@ -65,11 +62,6 @@ impl CacheTier {
             }),
             counters: TierCounters::default(),
         }
-    }
-
-    /// Tier name (for diagnostics).
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Configured capacity in bytes.
@@ -267,7 +259,7 @@ mod tests {
 
     #[test]
     fn insert_get_roundtrip() {
-        let tier = CacheTier::new("mem", 1024, LatencyModel::off());
+        let tier = CacheTier::new(1024, LatencyModel::off());
         tier.insert((1, 0), chunk(100), false);
         assert_eq!(tier.get((1, 0)).unwrap().len(), 100);
         assert!(tier.get((1, 1)).is_none());
@@ -279,7 +271,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_pressure() {
-        let tier = CacheTier::new("mem", 300, LatencyModel::off());
+        let tier = CacheTier::new(300, LatencyModel::off());
         tier.insert((1, 0), chunk(100), false);
         tier.insert((1, 1), chunk(100), false);
         tier.insert((1, 2), chunk(100), false);
@@ -296,7 +288,7 @@ mod tests {
 
     #[test]
     fn pinned_chunks_survive_pressure() {
-        let tier = CacheTier::new("ssd", 250, LatencyModel::off());
+        let tier = CacheTier::new(250, LatencyModel::off());
         tier.insert((7, 0), chunk(100), true); // header, pinned
         tier.insert((7, 1), chunk(100), false);
         tier.insert((7, 2), chunk(100), false); // forces eviction of (7,1)
@@ -307,7 +299,7 @@ mod tests {
 
     #[test]
     fn pinned_overflow_is_allowed() {
-        let tier = CacheTier::new("ssd", 100, LatencyModel::off());
+        let tier = CacheTier::new(100, LatencyModel::off());
         tier.insert((1, 0), chunk(80), true);
         tier.insert((2, 0), chunk(80), true);
         // Over capacity, but both pinned chunks are resident.
@@ -318,7 +310,7 @@ mod tests {
 
     #[test]
     fn purge_keeps_header_chunks() {
-        let tier = CacheTier::new("ssd", 10_000, LatencyModel::off());
+        let tier = CacheTier::new(10_000, LatencyModel::off());
         tier.insert((3, 0), chunk(10), true); // header
         for c in 1..=5u32 {
             tier.insert((3, c), chunk(10), false);
@@ -334,7 +326,7 @@ mod tests {
 
     #[test]
     fn replace_same_key_accounts_bytes_once() {
-        let tier = CacheTier::new("mem", 1000, LatencyModel::off());
+        let tier = CacheTier::new(1000, LatencyModel::off());
         tier.insert((1, 0), chunk(100), false);
         tier.insert((1, 0), chunk(200), true); // replace + pin
         assert_eq!(tier.used_bytes(), 200);
@@ -378,13 +370,7 @@ mod tests {
     /// empty). Returns the batched tier.
     fn batch_vs_sequential(capacity: u64, setup: &[Item], batch: &[Item]) -> CacheTier {
         let lat = TierLatency::micros(100, 1);
-        let tier = || {
-            CacheTier::new(
-                "ssd",
-                capacity,
-                LatencyModel::new(lat, LatencyMode::Accounting),
-            )
-        };
+        let tier = || CacheTier::new(capacity, LatencyModel::new(lat, LatencyMode::Accounting));
         let (batched, sequential) = (tier(), tier());
         for t in [&batched, &sequential] {
             for &(key, n, pinned) in setup {
@@ -476,7 +462,7 @@ mod tests {
 
     #[test]
     fn clear_simulates_crash() {
-        let tier = CacheTier::new("ssd", 1000, LatencyModel::off());
+        let tier = CacheTier::new(1000, LatencyModel::off());
         tier.insert((1, 0), chunk(10), true);
         tier.insert((1, 1), chunk(10), false);
         tier.clear();

@@ -91,7 +91,7 @@ impl LatencyModel {
         }
     }
 
-    /// A free (zero-latency) model; used for memory tiers and unit tests.
+    /// A free (zero-latency) model; used for unit tests.
     pub fn off() -> Self {
         Self::new(TierLatency::free(), LatencyMode::Accounting)
     }

@@ -55,7 +55,7 @@ pub mod shared;
 pub mod stats;
 pub mod tiered;
 
-pub use block_cache::{AccessPattern, DecodedBlockCache, DecodedCacheConfig};
+pub use block_cache::{AccessPattern, DecodedCacheConfig, RamTier};
 pub use breaker::{
     BreakerState, CircuitBreaker, BREAKER_COOLDOWN, BREAKER_FAILURE_THRESHOLD,
     BREAKER_HALF_OPEN_PROBES, BREAKER_WINDOW,

@@ -98,6 +98,12 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         Some(&self.slots[idx].as_ref().expect("live slot").value)
     }
 
+    /// A reference without disturbing recency.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        let idx = *self.map.get(key)?;
+        Some(&self.slots[idx].as_ref().expect("live slot").value)
+    }
+
     /// Whether the key is present (does not disturb recency).
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
@@ -123,13 +129,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.map.remove(&slot.key);
         self.free.push(idx);
         Some((slot.key, slot.value))
-    }
-
-    /// Iterate over entries in unspecified order (no recency effect).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|s| (&s.key, &s.value)))
     }
 
     /// Iterate in eviction order, least-recently-used first (no recency

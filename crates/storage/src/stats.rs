@@ -101,30 +101,25 @@ pub struct SharedStats {
     pub charged_latency: Duration,
 }
 
-/// Hit/miss counters of one access pattern against the decoded cache.
+/// Hit/miss counters of one access pattern's verified lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatternCounters {
-    /// Lookups served from the cache.
+    /// Lookups served by a verified RAM entry.
     pub hits: u64,
-    /// Lookups that fell through to the chunk tiers.
+    /// Lookups that fell through to a chunk read.
     pub misses: u64,
 }
 
-impl PatternCounters {
-    /// Hit ratio in `[0, 1]`; `None` when no lookups happened.
-    pub fn hit_ratio(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-}
-
-/// Point-in-time statistics of the decoded-block cache.
+/// Point-in-time statistics of the RAM tier's *verified* entries: the
+/// blocks a read has checksummed, which a block read is served from as a
+/// decoded-block cache would serve it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodedCacheStats {
-    /// Lookups served from the cache (no chunk read, no re-parse), all
+    /// Verified lookups served from RAM (no chunk read, no checksum), all
     /// patterns combined.
     pub hits: u64,
-    /// Lookups that fell through to the chunk tiers, all patterns combined.
+    /// Verified lookups that fell through to a chunk read, all patterns
+    /// combined.
     pub misses: u64,
     /// Point/batch-lookup traffic.
     pub point: PatternCounters,
@@ -132,11 +127,11 @@ pub struct DecodedCacheStats {
     pub scan: PatternCounters,
     /// Background-maintenance traffic (merge, groom).
     pub maintenance: PatternCounters,
-    /// Blocks inserted.
+    /// Blocks that became verified (admitted).
     pub insertions: u64,
-    /// Blocks evicted under capacity pressure.
+    /// Verified blocks evicted under capacity pressure.
     pub evictions: u64,
-    /// Always 0: the cache admits every block it does not bypass (those
+    /// Always 0: the tier admits every block it does not bypass (those
     /// count under `bypassed_inserts`). No counter stands behind this
     /// field; it exists only because `benchmark/src/sut.rs` reads it
     /// (ROADMAP direction 5, dead probes).
@@ -146,19 +141,19 @@ pub struct DecodedCacheStats {
     pub promotions: u64,
     /// Blocks demoted from protected back to probation (segment cap).
     pub demotions: u64,
-    /// Inserts that bypassed the cache entirely: maintenance traffic and
+    /// Verifications that admitted nothing: maintenance traffic and
     /// blocks larger than a shard.
     pub bypassed_inserts: u64,
-    /// Currently resident blocks.
+    /// Currently resident verified blocks.
     pub entries: u64,
-    /// Accounting weight (raw-block bytes) of resident blocks.
+    /// Raw-block bytes of resident verified blocks.
     pub used_bytes: u64,
-    /// Bytes resident in the probation segment.
+    /// Verified bytes resident in the probation segment.
     pub probation_bytes: u64,
-    /// Bytes resident in the protected segment.
+    /// Bytes resident in the protected segment (all verified).
     pub protected_bytes: u64,
-    /// Cumulative raw-block bytes handed to the cache after a decode
-    /// upstream (admitted or not) — approximates total bytes parsed.
+    /// Cumulative raw-block bytes a read verified and decoded (admitted or
+    /// not) — approximates total bytes parsed.
     pub decoded_bytes: u64,
 }
 
@@ -174,17 +169,22 @@ impl DecodedCacheStats {
 /// Combined statistics across the full hierarchy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StorageStats {
-    /// Memory tier.
+    /// The RAM tier as a chunk tier: `hits` / `misses` count the RAM
+    /// lookups of `read_chunk`, verified entries or not; the byte and
+    /// entry figures cover every resident chunk.
     pub mem: TierStats,
     /// SSD tier.
     pub ssd: TierStats,
     /// Shared storage.
     pub shared: SharedStats,
-    /// Decoded-block cache.
+    /// The RAM tier's verified entries: a block read's verified lookups per
+    /// access pattern, and the verified blocks resident.
     pub decoded: DecodedCacheStats,
-    /// Total `read_chunk` calls (block reads through the tiers, whichever
-    /// tier served them) — the per-operation cost metric the read-path
-    /// benchmarks and tests track.
+    /// Total `read_chunk` calls: every block read that misses a verified
+    /// entry, plus raw chunk reads (run headers), whichever tier served
+    /// them. `chunk_reads + decoded.hits` is one count per block access —
+    /// the per-operation cost metric the read-path benchmarks and tests
+    /// track.
     pub chunk_reads: u64,
     /// Virtual latency charged by the SSD tier.
     pub ssd_charged_latency: Duration,
@@ -246,9 +246,9 @@ pub struct StorageStats {
 pub struct TraceProbe {
     /// Total `read_chunk` calls (block reads through the tiers).
     pub chunk_reads: u64,
-    /// Decoded-cache hits across all access patterns.
+    /// Verified RAM hits across all access patterns.
     pub cache_hits: u64,
-    /// Cumulative decoded bytes handed to the decoded cache.
+    /// Cumulative bytes block reads verified and decoded.
     pub decoded_bytes: u64,
     /// Shared-storage operations re-attempted after transient failures.
     pub retries: u64,

@@ -1,8 +1,10 @@
-//! The composed storage hierarchy: memory ← SSD ← shared storage.
+//! The composed storage hierarchy: RAM ← SSD ← shared storage.
 //!
 //! Objects are immutable and read in fixed-size chunks. The read path walks
-//! memory → SSD → shared, promoting chunks downward on miss (§7: purged runs
+//! RAM → SSD → shared, promoting chunks downward on miss (§7: purged runs
 //! are *"transferred from shared storage to the SSD cache on a block-basis"*).
+//! RAM is one tier ([`RamTier`]) holding each chunk once, with a bit saying
+//! whether a block read has verified it; the SSD is a [`CacheTier`].
 //! Objects come in two durabilities (§6.1):
 //!
 //! * [`Durability::Persisted`] — written to shared storage; local tiers are
@@ -25,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use umzi_telemetry::Telemetry;
 
-use crate::block_cache::{DecodedBlockCache, DecodedCacheConfig};
+use crate::block_cache::{DecodedCacheConfig, RamTier};
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::cache::CacheTier;
 use crate::context::{self, OpClass, Priority};
@@ -129,7 +131,9 @@ pub struct TieredConfig {
     /// Chunk (block) size in bytes; the run format aligns its data blocks to
     /// this. Default 8 KiB.
     pub chunk_size: usize,
-    /// Memory-tier capacity in bytes.
+    /// RAM-tier capacity in bytes, less [`Self::decoded_cache`]: the RAM
+    /// tier ([`RamTier`]) is one budget of both fields' sum, shared by
+    /// chunks not yet verified and blocks a read has verified.
     pub mem_capacity: u64,
     /// SSD-tier capacity in bytes.
     pub ssd_capacity: u64,
@@ -139,9 +143,11 @@ pub struct TieredConfig {
     pub shared_latency: TierLatency,
     /// Whether latencies sleep or only account.
     pub latency_mode: LatencyMode,
-    /// Decoded-block cache capacity, its one setting: the shard count
-    /// follows from it. Parsed blocks are served without a chunk read or
-    /// re-parse; a zero capacity disables the cache.
+    /// The rest of the RAM tier's budget: its capacity is
+    /// [`Self::mem_capacity`] plus this, and its shard count follows from
+    /// the sum. Point lookups' re-referenced blocks may hold
+    /// [`crate::block_cache::PROTECTED_FRACTION`] of this share. A verified
+    /// block is served from RAM without a chunk read or a checksum.
     pub decoded_cache: DecodedCacheConfig,
     /// Bounded retry with backoff for transient shared-storage failures.
     pub retry: RetryConfig,
@@ -190,9 +196,9 @@ struct Registry {
 pub struct TieredStorage {
     config: TieredConfig,
     shared: SharedStorage,
-    mem: CacheTier,
+    /// Chunks in RAM, verified by a block read or not.
+    ram: RamTier,
     ssd: CacheTier,
-    decoded: DecodedBlockCache,
     /// Total `read_chunk` calls, regardless of which tier served them.
     chunk_reads: AtomicU64,
     registry: RwLock<Registry>,
@@ -263,19 +269,16 @@ impl std::fmt::Debug for TieredStorage {
 impl TieredStorage {
     /// Build a hierarchy over the given shared storage.
     pub fn new(shared: SharedStorage, config: TieredConfig) -> Self {
-        let mem = CacheTier::new("mem", config.mem_capacity, LatencyModel::off());
+        let ram = RamTier::new(config.mem_capacity, config.decoded_cache.capacity_bytes);
         let ssd = CacheTier::new(
-            "ssd",
             config.ssd_capacity,
             LatencyModel::new(config.ssd_latency, config.latency_mode),
         );
-        let decoded = DecodedBlockCache::new(config.decoded_cache.clone());
         Self {
             config,
             shared,
-            mem,
+            ram,
             ssd,
-            decoded,
             chunk_reads: AtomicU64::new(0),
             registry: RwLock::new(Registry::default()),
             retry_rng: Mutex::new(StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15)),
@@ -330,8 +333,8 @@ impl TieredStorage {
     pub fn trace_probe(&self) -> TraceProbe {
         TraceProbe {
             chunk_reads: self.chunk_reads.load(Ordering::Relaxed),
-            cache_hits: self.decoded.hits_total(),
-            decoded_bytes: self.decoded.decoded_bytes(),
+            cache_hits: self.ram.hits_total(),
+            decoded_bytes: self.ram.decoded_bytes(),
             retries: sum(&self.retries_by_class),
         }
     }
@@ -348,11 +351,13 @@ impl TieredStorage {
     /// * fewer than two of the chunks are not yet local: one fetch is no
     ///   slower on demand.
     ///
-    /// Otherwise each object's non-local chunks are read in one batched
+    /// Otherwise each object's non-local chunks, sorted and deduplicated,
+    /// are read in one batched
     /// fetch, the objects spread over at most [`PREFETCH_MAX_THREADS`]
     /// [`context::fan_out`] workers (a single object runs inline). Staged
-    /// chunks land in the chunk tiers only; the read that consumes one
-    /// decodes it. Advisory: an object whose fetch fails stages nothing, and
+    /// chunks land unverified; the read that consumes one verifies and
+    /// decodes it. This is the one residency check of every staging
+    /// planner. Advisory: an object whose fetch fails stages nothing, and
     /// its reader fetches on demand. Returns the number of chunks staged.
     pub fn prefetch_objects(&self, batches: &[(ObjectHandle, Vec<u32>)]) -> usize {
         if self.breaker.state(OpClass::BlockFetch) != BreakerState::Closed
@@ -365,7 +370,9 @@ impl TieredStorage {
             .iter()
             .filter_map(|&(h, ref chunks)| {
                 let cold = chunks.iter().copied();
-                let cold: Vec<u32> = cold.filter(|&c| !self.is_chunk_local(h, c)).collect();
+                let mut cold: Vec<u32> = cold.filter(|&c| !self.is_chunk_local(h, c)).collect();
+                cold.sort_unstable();
+                cold.dedup();
                 (!cold.is_empty()).then_some((h, cold))
             })
             .collect();
@@ -383,7 +390,7 @@ impl TieredStorage {
     /// [`SharedStorage::get_ranges`] call (telemetry-timed, under the retry
     /// policy) and land in the SSD tier as **one** write
     /// ([`CacheTier::insert_batch`], charged once for the batch's bytes),
-    /// then in the memory tier, through the same path a demand miss takes
+    /// then in the RAM tier, through the same path a demand miss takes
     /// with a batch of one. The batch is truncated at
     /// [`READAHEAD_MAX_INFLIGHT_BYTES`]. Returns the number of chunks staged.
     fn prefetch_chunks(&self, handle: ObjectHandle, chunk_nos: &[u32]) -> Result<usize> {
@@ -439,22 +446,23 @@ impl TieredStorage {
 
     /// Land chunks fetched from shared storage in the local tiers: one SSD
     /// write for the whole batch (the object's header chunks pinned), then
-    /// one memory-tier insert. A demand miss is a batch of one.
+    /// each chunk into the RAM tier, unverified. A demand miss is a batch
+    /// of one.
     fn fill_tiers(&self, handle: ObjectHandle, meta: &ObjectMeta, chunks: &[(u32, Bytes)]) {
-        let items = |pin: bool| {
-            chunks.iter().map(move |(c, data)| {
-                ((handle.0, *c), data.clone(), pin && *c < meta.header_chunks)
-            })
-        };
-        self.ssd.insert_batch(items(true));
-        self.mem.insert_batch(items(false));
+        let key = |c: u32| (handle.0, c);
+        let items = chunks.iter();
+        self.ssd
+            .insert_batch(items.map(|(c, d)| (key(*c), d.clone(), *c < meta.header_chunks)));
+        for (c, data) in chunks {
+            self.ram.land(key(*c), data.clone());
+        }
     }
 
-    /// Whether a chunk is resident in the memory or SSD tier (no latency
-    /// charge, no recency effect, no statistics).
+    /// Whether a chunk is resident in RAM (verified or not) or on the SSD
+    /// tier (no latency charge, no recency effect, no statistics).
     pub fn is_chunk_local(&self, handle: ObjectHandle, chunk_no: u32) -> bool {
         let key = (handle.0, chunk_no);
-        self.mem.contains(key) || self.ssd.contains(key)
+        self.ram.contains(key) || self.ssd.contains(key)
     }
 
     /// Record a freshly staged chunk in the tracking window, aging out the
@@ -776,23 +784,29 @@ impl TieredStorage {
         out
     }
 
-    /// Read one chunk through the hierarchy (memory → SSD → shared),
-    /// promoting on miss.
+    /// Read one chunk through the hierarchy (RAM → SSD → shared),
+    /// landing it in RAM on a miss there.
     pub fn read_chunk(&self, handle: ObjectHandle, chunk_no: u32) -> Result<Bytes> {
         self.chunk_reads.fetch_add(1, Ordering::Relaxed);
         let key = (handle.0, chunk_no);
-        if let Some(data) = self.mem.get(key) {
+        if let Some(data) = self.ram.read(key) {
             self.settle_prefetched(key, true);
             return Ok(data);
         }
         if let Some(data) = self.ssd.get(key) {
             self.settle_prefetched(key, true);
-            self.mem.insert(key, data.clone(), false);
+            self.ram.land(key, data.clone());
             return Ok(data);
         }
         // Miss in both local tiers: go to shared storage (block-basis
-        // transfer into the SSD cache, then memory).
+        // transfer into the SSD cache, then RAM).
         self.settle_prefetched(key, false);
+        self.fetch_and_fill(handle, chunk_no)
+    }
+
+    /// A demand fetch from shared storage, landed in the tiers as a batch
+    /// of one.
+    fn fetch_and_fill(&self, handle: ObjectHandle, chunk_no: u32) -> Result<Bytes> {
         let meta = self.meta(handle)?;
         let data = self.fetch_from_shared(&meta, chunk_no)?;
         self.fill_tiers(handle, &meta, &[(chunk_no, data.clone())]);
@@ -807,12 +821,9 @@ impl TieredStorage {
     pub fn reread_chunk_from_shared(&self, handle: ObjectHandle, chunk_no: u32) -> Result<Bytes> {
         self.corruption_refetches.fetch_add(1, Ordering::Relaxed);
         let key = (handle.0, chunk_no);
-        self.mem.remove(key);
+        self.ram.remove(key);
         self.ssd.remove(key);
-        let meta = self.meta(handle)?;
-        let data = self.fetch_from_shared(&meta, chunk_no)?;
-        self.fill_tiers(handle, &meta, &[(chunk_no, data.clone())]);
-        Ok(data)
+        self.fetch_and_fill(handle, chunk_no)
     }
 
     /// Read an arbitrary byte range, assembled from chunks.
@@ -855,10 +866,9 @@ impl TieredStorage {
                 name: meta.name.to_string(),
             });
         }
-        // Decoded blocks are data blocks; a purge must make the next read
-        // pay the hierarchy walk again (§6.2 semantics), so drop them too.
-        self.decoded.invalidate_object(handle.0);
-        self.mem.remove_object_chunks(handle.0, meta.header_chunks);
+        // A purge must make the next read pay the hierarchy walk again
+        // (§6.2 semantics), so RAM drops the data chunks too.
+        self.ram.remove_object_chunks(handle.0, meta.header_chunks);
         Ok(self.ssd.remove_object_chunks(handle.0, meta.header_chunks))
     }
 
@@ -889,8 +899,7 @@ impl TieredStorage {
     /// storage (if persisted).
     pub fn delete_object(&self, handle: ObjectHandle) -> Result<()> {
         let meta = self.meta(handle)?;
-        self.decoded.invalidate_object(handle.0);
-        self.mem.remove_object_chunks(handle.0, 0);
+        self.ram.remove_object_chunks(handle.0, 0);
         self.ssd.remove_object_chunks(handle.0, 0);
         {
             let mut reg = self.registry.write();
@@ -914,8 +923,7 @@ impl TieredStorage {
     /// Simulate a node crash: all local state (caches, registry) is lost;
     /// shared storage survives. Recovery re-opens objects from shared.
     pub fn simulate_crash(&self) {
-        self.decoded.clear();
-        self.mem.clear();
+        self.ram.clear();
         self.ssd.clear();
         // Tracked prefetches died with the caches; a simulated crash is not
         // wasted readahead, so the window resets without counting.
@@ -934,11 +942,12 @@ impl TieredStorage {
 
     /// Statistics across all tiers.
     pub fn stats(&self) -> StorageStats {
+        let (mem, decoded) = self.ram.stats();
         StorageStats {
-            mem: self.mem.stats(),
+            mem,
             ssd: self.ssd.stats(),
             shared: self.shared.stats(),
-            decoded: self.decoded.stats(),
+            decoded,
             chunk_reads: self.chunk_reads.load(Ordering::Relaxed),
             ssd_charged_latency: self.ssd.latency().charged(),
             retries: sum(&self.retries_by_class),
@@ -964,15 +973,10 @@ impl TieredStorage {
         }
     }
 
-    /// The decoded-block cache (parsed data blocks keyed by
-    /// `(object handle, data block number)`).
-    pub fn decoded_cache(&self) -> &DecodedBlockCache {
-        &self.decoded
-    }
-
-    /// Direct access to the memory tier (tests / cache manager).
-    pub fn mem_tier(&self) -> &CacheTier {
-        &self.mem
+    /// The RAM tier: chunks keyed by `(object handle, chunk number)`, each
+    /// marked verified once a block read has checked it.
+    pub fn mem_tier(&self) -> &RamTier {
+        &self.ram
     }
 
     /// Direct access to the SSD tier (tests / cache manager).

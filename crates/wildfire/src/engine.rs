@@ -288,9 +288,10 @@ impl WildfireEngine {
         self.daemon().map(|d| d.stats())
     }
 
-    /// Decoded-block cache statistics (shared across all shards' indexes),
-    /// including the per-access-pattern counters that show whether scan and
-    /// groom traffic is staying out of the point-lookup working set.
+    /// Statistics of the RAM tier's verified blocks (shared across all
+    /// shards' indexes), including the per-access-pattern counters that
+    /// show whether scan and groom traffic is staying out of the
+    /// point-lookup working set.
     pub fn decoded_cache_stats(&self) -> umzi_storage::DecodedCacheStats {
         self.storage.stats().decoded
     }
@@ -552,8 +553,8 @@ impl WildfireEngine {
     /// probed: see [`UmziIndex::point_lookup`](umzi_core::UmziIndex::point_lookup),
     /// which may also fetch blocks of runs older than the one that answers.
     /// Under an open block-fetch circuit breaker a lookup stages nothing and
-    /// degrades gracefully: it answers from the mem/ssd tiers and the
-    /// decoded cache (counted as a degraded hit) and fails fast only when
+    /// degrades gracefully: it answers from the RAM and SSD tiers (counted
+    /// as a degraded hit) and fails fast only when
     /// the answer truly needs shared storage.
     pub fn get(
         &self,

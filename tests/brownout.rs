@@ -59,7 +59,7 @@ fn brownout_is_typed_bounded_and_heals() {
         ),
         TieredConfig {
             chunk_size: 1024,
-            // Starve the warm tiers and decoded cache so reads keep going
+            // Starve the RAM and SSD tiers (no decoded share) so reads keep going
             // back to (fault-injectable) shared storage — the brownout has
             // to be survived, not dodged by a cache.
             mem_capacity: 2048,

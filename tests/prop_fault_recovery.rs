@@ -248,7 +248,7 @@ proptest! {
             .unwrap();
         let cold_scan = || -> umzi_run::Result<Vec<(Vec<u8>, u64)>> {
             storage.purge_object(run.handle())?;
-            storage.decoded_cache().clear();
+            storage.mem_tier().clear();
             RunSearcher::new(&run)
                 .scan(&lower, upper.as_deref(), None, u64::MAX)?
                 .map(|r| r.map(|h| (h.key.to_vec(), h.begin_ts)))

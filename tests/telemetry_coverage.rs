@@ -11,7 +11,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use umzi::prelude::*;
-use umzi::storage::{context, QueryContext, TelemetryConfig};
+use umzi::storage::{context, DecodedCacheConfig, QueryContext, TelemetryConfig};
 
 const INGEST_CYCLES: u64 = 40;
 const INGEST_BATCH: u64 = 500;
@@ -64,8 +64,8 @@ fn drive_cold_readahead_scan(storage: &Arc<TieredStorage>) {
             .collect();
         idx.build_groomed_run(entries, r + 1, r + 1).unwrap();
     }
-    // Drop every run from the local tiers and the decoded cache, so the
-    // scan pays the shared-storage path.
+    // Drop every run's data chunks from the local tiers, so the scan pays
+    // the shared-storage path.
     for zone in idx.zones() {
         for run in zone.list.snapshot() {
             idx.storage().purge_object(run.handle()).unwrap();
@@ -85,13 +85,15 @@ fn drive_cold_readahead_scan(storage: &Arc<TieredStorage>) {
 
 #[test]
 fn every_histogram_is_fed_and_every_series_named_once() {
-    // Tiers small enough that reads spill past memory and SSD to shared
+    // Tiers small enough that reads spill past RAM and SSD to shared
     // storage — otherwise `block_fetch` never fires on an in-memory run.
+    // The RAM tier's budget is both fields' sum: 256 KiB.
     let storage = Arc::new(TieredStorage::new(
         SharedStorage::in_memory(),
         TieredConfig {
             mem_capacity: 256 << 10,
             ssd_capacity: 512 << 10,
+            decoded_cache: DecodedCacheConfig { capacity_bytes: 0 },
             ..TieredConfig::default()
         },
     ));
