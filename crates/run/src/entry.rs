@@ -49,6 +49,11 @@ impl IndexEntry {
     pub fn rid(&self) -> Result<Rid> {
         Rid::decode(&self.value)
     }
+
+    /// Overwrite the entry's RID in place (the value keeps its length).
+    pub fn set_rid(&mut self, rid: Rid) {
+        rid.encode_to(&mut self.value[..RID_LEN]);
+    }
 }
 
 /// A borrowed view of an entry inside a fetched data block. Zero-copy:

@@ -58,11 +58,18 @@ impl Rid {
         }
     }
 
-    /// Serialize into exactly [`RID_LEN`] bytes.
+    /// Serialize into exactly [`RID_LEN`] bytes appended to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.zone.0);
-        out.extend_from_slice(&self.block_id.to_le_bytes());
-        out.extend_from_slice(&self.offset.to_le_bytes());
+        let start = out.len();
+        out.resize(start + RID_LEN, 0);
+        self.encode_to(&mut out[start..]);
+    }
+
+    /// Serialize over exactly [`RID_LEN`] existing bytes.
+    pub fn encode_to(&self, out: &mut [u8]) {
+        out[0] = self.zone.0;
+        out[1..9].copy_from_slice(&self.block_id.to_le_bytes());
+        out[9..RID_LEN].copy_from_slice(&self.offset.to_le_bytes());
     }
 
     /// Deserialize from the front of `input`.

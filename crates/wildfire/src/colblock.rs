@@ -9,6 +9,12 @@
 //! versions) — since shared storage forbids in-place updates, closures are
 //! recorded in the in-memory image and persisted as sidecar delta objects,
 //! which recovery replays.
+//!
+//! A groomed block holds its rows in commit (`beginTS`) order. A
+//! post-groomed block — one per partition — is clustered on the primary
+//! index: its rows sit in entry-key order (`hash ∥ eq ∥ sort ∥ ¬beginTS`),
+//! so an index range scan resolves its RIDs front to back through the
+//! block.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,7 +57,7 @@ impl ColumnBlock {
     /// pass `None`s — the post-groomer fills prevRID later (§2.1).
     pub fn build(
         kinds: Vec<DatumKind>,
-        rows: &[Vec<Datum>],
+        rows: &[impl AsRef<[Datum]>],
         begin_ts: Vec<u64>,
         prev_rid: Vec<Option<Rid>>,
     ) -> Result<ColumnBlock> {
@@ -64,6 +70,7 @@ impl ColumnBlock {
         let mut columns: Vec<Vec<Datum>> =
             kinds.iter().map(|_| Vec::with_capacity(n_rows)).collect();
         for row in rows {
+            let row = row.as_ref();
             if row.len() != kinds.len() {
                 return Err(WildfireError::RowMismatch(format!(
                     "row has {} columns, block has {}",
@@ -159,11 +166,7 @@ impl ColumnBlock {
         }
         for prev in &self.prev_rid {
             match prev {
-                Some(rid) => {
-                    let mut tmp = Vec::with_capacity(13);
-                    rid.encode_into(&mut tmp);
-                    buf.extend_from_slice(&tmp);
-                }
+                Some(rid) => rid.encode_into(&mut buf),
                 None => {
                     buf.push(NO_PREV_ZONE);
                     buf.extend_from_slice(&[0u8; 12]);
@@ -283,9 +286,7 @@ pub fn serialize_deltas(deltas: &[EndTsDelta]) -> Bytes {
     buf.extend_from_slice(b"UMZIDEL1");
     buf.extend_from_slice(&(deltas.len() as u32).to_le_bytes());
     for d in deltas {
-        let mut tmp = Vec::with_capacity(13);
-        d.rid.encode_into(&mut tmp);
-        buf.extend_from_slice(&tmp);
+        d.rid.encode_into(&mut buf);
         buf.extend_from_slice(&d.end_ts.to_le_bytes());
     }
     let checksum = hash64(&buf);

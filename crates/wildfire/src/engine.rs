@@ -515,6 +515,22 @@ impl WildfireEngine {
         Err(last_err.expect("loop only exhausts after a dangling RID"))
     }
 
+    /// Resolve index outputs of `shard` to records, in output order: one
+    /// [`Shard::fetch_rows`] batch for all of them.
+    fn resolve(shard: &Shard, outs: &[QueryOutput]) -> Result<Vec<RecordView>> {
+        let rids = outs
+            .iter()
+            .map(QueryOutput::rid)
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let rows = shard.fetch_rows(&rids)?;
+        let view = |(rid, (row, begin_ts, _, _))| RecordView {
+            row,
+            begin_ts: Some(begin_ts),
+            rid: Some(rid),
+        };
+        Ok(rids.into_iter().zip(rows).map(view).collect())
+    }
+
     /// Run one engine operation under the caller's ambient query context —
     /// the one installed with [`context::enter`], unbounded when there is
     /// none. The engine installs nothing itself. `op` opens with a
@@ -608,7 +624,7 @@ impl WildfireEngine {
             Self::retry_dangling(|| match s.index().point_lookup(eq, sort, ts)? {
                 Some(out) => {
                     let rid = out.rid()?;
-                    let (row, begin_ts, _, _) = s.fetch_row(rid)?;
+                    let (row, begin_ts, _, _) = s.fetch_rows(&[rid])?.swap_remove(0);
                     Ok(Some(RecordView {
                         row,
                         begin_ts: Some(begin_ts),
@@ -678,8 +694,9 @@ impl WildfireEngine {
         }
     }
 
-    /// Range scan resolving full records (ambient deadline / cancellation
-    /// as in [`Self::scan_index`]).
+    /// Range scan resolving full records: each shard's RIDs in one
+    /// [`Shard::fetch_rows`] batch, which reads a post-groomed block front
+    /// to back (ambient deadline / cancellation as in [`Self::scan_index`]).
     pub fn scan_records(
         &self,
         eq: Vec<Datum>,
@@ -701,42 +718,33 @@ impl WildfireEngine {
     ) -> Result<Vec<RecordView>> {
         // The whole scan retries on a dangling RID: the index snapshot and
         // the RID resolutions must come from the same side of an evolve.
-        let ts = self.resolve_ts(freshness);
-        // RIDs are shard-local: a pinned scan resolves every row against its
-        // one shard, a fan-out scan finds each row's owner.
-        let pinned = self.pinned_shard(&eq);
+        let query = RangeQuery {
+            equality: eq,
+            lower,
+            upper,
+            query_ts: self.resolve_ts(freshness),
+        };
+        // RIDs are shard-local: each shard resolves its own outputs in one
+        // batch, and a fan-out scan then merges the shards by key.
+        let shards = match self.pinned_shard(&query.equality) {
+            Some(shard) => std::slice::from_ref(shard),
+            None => &self.shards[..],
+        };
         Self::retry_dangling(|| {
-            let outs = self.scan_index_inner(
-                eq.clone(),
-                lower.clone(),
-                upper.clone(),
-                Freshness::Snapshot(ts),
-                ReconcileStrategy::PriorityQueue,
-            )?;
-            let mut views = Vec::with_capacity(outs.len());
-            for out in outs {
-                let rid = out.rid()?;
-                let shard = match pinned {
-                    Some(shard) => shard,
-                    None => {
-                        let cols = out.key_columns(self.shards[0].index().layout())?;
-                        let n_eq = self.table.index_equality().len();
-                        let (eqv, sortv) = cols.split_at(n_eq);
-                        let vals = self
-                            .table
-                            .sharding_values_from_index(eqv, sortv)
-                            .expect("full key binds the sharding key");
-                        self.shard_for(&vals)
-                    }
-                };
-                let (row, begin_ts, _, _) = shard.fetch_row(rid)?;
-                views.push(RecordView {
-                    row,
-                    begin_ts: Some(begin_ts),
-                    rid: Some(rid),
-                });
+            let mut keyed = Vec::new();
+            for shard in shards {
+                let outs = shard
+                    .index()
+                    .range_scan(&query, ReconcileStrategy::PriorityQueue)?;
+                let views = Self::resolve(shard, &outs)?;
+                if shards.len() == 1 {
+                    return Ok(views);
+                }
+                keyed.extend(outs.into_iter().map(|out| out.key).zip(views));
             }
-            Ok(views)
+            // Shards hold disjoint keys, each shard's in order.
+            keyed.sort_by(|a, b| a.0.cmp(&b.0));
+            Ok(keyed.into_iter().map(|(_, view)| view).collect())
         })
     }
 
@@ -791,16 +799,16 @@ impl WildfireEngine {
                 if hits.is_empty() {
                     continue;
                 }
-                // Resolve every candidate row, collecting its primary key.
-                let mut resolved = Vec::with_capacity(hits.len());
-                let mut probes = Vec::with_capacity(hits.len());
-                for hit in &hits {
-                    let rid = hit.rid()?;
-                    let (row, begin_ts, _, _) = shard.fetch_row(rid)?;
-                    let (peq, psort, _) = self.table.index_groups(&row);
-                    probes.push((peq, psort));
-                    resolved.push((row, begin_ts, rid));
-                }
+                // Resolve every candidate row in one batch (RIDs come in
+                // secondary-key order), collecting its primary key.
+                let resolved = Self::resolve(shard, &hits)?;
+                let probes: Vec<_> = resolved
+                    .iter()
+                    .map(|view| {
+                        let (peq, psort, _) = self.table.index_groups(&view.row);
+                        (peq, psort)
+                    })
+                    .collect();
                 // One batched validation pass against the primary index,
                 // labelled as scan traffic: these probes serve an analytical
                 // scan and must not promote one-pass blocks into the cache's
@@ -809,13 +817,9 @@ impl WildfireEngine {
                     shard
                         .index()
                         .batch_lookup_as(&probes, ts, AccessPattern::RangeScan)?;
-                for ((row, begin_ts, rid), newest) in resolved.into_iter().zip(current) {
-                    if newest.map(|o| o.begin_ts == begin_ts).unwrap_or(false) {
-                        views.push(RecordView {
-                            row,
-                            begin_ts: Some(begin_ts),
-                            rid: Some(rid),
-                        });
+                for (view, newest) in resolved.into_iter().zip(current) {
+                    if newest.is_some_and(|o| Some(o.begin_ts) == view.begin_ts) {
+                        views.push(view);
                     }
                 }
             }
@@ -1010,6 +1014,87 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.len(), 1);
+    }
+
+    /// A scan whose equality values do not bind the sharding key fans out:
+    /// each shard resolves its own RIDs, in both zones, and the shards
+    /// merge into one key-ordered answer, the same as `scan_index`'s.
+    #[test]
+    fn fan_out_scan_records_resolves_per_shard_and_merges_by_key() {
+        use umzi_encoding::ColumnType;
+        let table = TableDef::builder("fan")
+            .column("device", ColumnType::Int64)
+            .column("msg", ColumnType::Int64)
+            .column("date", ColumnType::Int64)
+            .column("payload", ColumnType::Int64)
+            .primary_key(&["device", "msg"])
+            .sharding_key(&["msg"])
+            .partition_key("date")
+            .index_equality(&["device"])
+            .index_sort(&["msg"])
+            .build()
+            .unwrap();
+        let e = WildfireEngine::create(
+            Arc::new(TieredStorage::in_memory()),
+            Arc::new(table),
+            EngineConfig {
+                n_shards: 3,
+                maintenance: None,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let rows = |msgs: std::ops::Range<i64>, v: i64| {
+            let rows = msgs.flat_map(|m| (0..3).map(move |d| row(d, m, 100 + m % 2, v * 1000 + m)));
+            e.upsert_many(rows.collect()).unwrap();
+        };
+        rows(0..30, 1);
+        rows(10..20, 2); // updates
+        e.quiesce().unwrap();
+        rows(25..40, 3); // groomed, not post-groomed
+        e.groom_all().unwrap();
+
+        let (lo, hi) = (SortBound::Unbounded, SortBound::Unbounded);
+        let eq = vec![Datum::Int64(1)];
+        let recs = e
+            .scan_records(eq.clone(), lo.clone(), hi.clone(), Freshness::Latest)
+            .unwrap();
+        let msgs: Vec<i64> = (0..40).collect();
+        let got: Vec<(i64, i64)> = recs
+            .iter()
+            .map(|r| match (&r.row[1], &r.row[3]) {
+                (Datum::Int64(m), Datum::Int64(p)) => (*m, *p),
+                _ => panic!("bad row {:?}", r.row),
+            })
+            .collect();
+        let version = |m: i64| {
+            if m >= 25 {
+                3
+            } else if (10..20).contains(&m) {
+                2
+            } else {
+                1
+            }
+        };
+        let want: Vec<(i64, i64)> = msgs.iter().map(|&m| (m, version(m) * 1000 + m)).collect();
+        assert_eq!(got, want);
+        let outs = e
+            .scan_index(
+                eq,
+                lo,
+                hi,
+                Freshness::Latest,
+                ReconcileStrategy::PriorityQueue,
+            )
+            .unwrap();
+        let rids: Vec<Option<Rid>> = outs.iter().map(|o| Some(o.rid().unwrap())).collect();
+        assert_eq!(recs.iter().map(|r| r.rid).collect::<Vec<_>>(), rids);
+        let shards_hit = e
+            .shards()
+            .iter()
+            .filter(|s| s.index().run_count() > 0)
+            .count();
+        assert_eq!(shards_hit, 3, "the scan spans every shard");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use engine::{
 };
 pub use error::WildfireError;
 pub use livezone::{CommittedLog, LogRecord};
-pub use shard::{GroomReport, PostGroomReport, Shard, ShardConfig};
+pub use shard::{FetchedRow, GroomReport, PostGroomReport, Shard, ShardConfig};
 pub use table::{iot_table, SecondaryDef, TableDef, TableDefBuilder};
 pub use telemetry::TelemetrySnapshot;
 pub use timestamps::{compose_begin_ts, decompose_begin_ts, OPEN_END_TS};

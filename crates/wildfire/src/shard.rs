@@ -43,6 +43,9 @@ impl Default for ShardConfig {
     }
 }
 
+/// A fetched record with its hidden columns `(row, beginTS, endTS, prevRID)`.
+pub type FetchedRow = (Vec<Datum>, u64, u64, Option<Rid>);
+
 /// Outcome of one groom operation (§2.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroomReport {
@@ -358,9 +361,10 @@ impl Shard {
     // ------------------------------------------------------------------
 
     /// One post-groom cycle: re-organize all groomed blocks since the last
-    /// cycle into partition-ordered post-groomed blocks, set `prevRID` on
-    /// the new records and `endTS` on the versions they replace, and publish
-    /// the evolve notice for the indexer (Figure 5).
+    /// cycle into post-groomed blocks — one per partition, each clustered on
+    /// the primary index — set `prevRID` on the new records and `endTS` on
+    /// the versions they replace, and publish the evolve notice for the
+    /// indexer (Figure 5).
     pub fn post_groom(&self) -> Result<Option<PostGroomReport>> {
         let _g = self.post_groom_lock.lock();
         let lo = self.post_groomed_hi.load(Ordering::Acquire) + 1;
@@ -395,8 +399,8 @@ impl Shard {
             }
         }
 
-        // Partition by the OLAP-friendly partition key, preserving beginTS
-        // order within each partition; assign post-groomed RIDs.
+        // Partition by the OLAP-friendly partition key: one block per
+        // partition (§2.1).
         let mut partitions: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
         for (i, rec) in recs.iter().enumerate() {
             partitions
@@ -404,42 +408,60 @@ impl Shard {
                 .or_default()
                 .push(i);
         }
-        let mut rid_of: Vec<Rid> = vec![Rid::new(ZoneId::POST_GROOMED, 0, 0); recs.len()];
+        let mut part_of: Vec<u32> = vec![0; recs.len()];
         let mut block_ids: Vec<u64> = Vec::with_capacity(partitions.len());
-        for members in partitions.values() {
-            let block_id = self.pg_block_seq.fetch_add(1, Ordering::AcqRel);
-            block_ids.push(block_id);
-            for (offset, &i) in members.iter().enumerate() {
-                rid_of[i] = Rid::new(ZoneId::POST_GROOMED, block_id, offset as u32);
+        for (p, members) in partitions.values().enumerate() {
+            block_ids.push(self.pg_block_seq.fetch_add(1, Ordering::AcqRel));
+            for &i in members {
+                part_of[i] = p as u32;
             }
         }
 
-        // Index entries over the post-groomed rows (same beginTS, new RIDs)
-        // — built before the blocks so the rows can then move, not clone,
-        // into them.
+        // Index entries over the post-groomed rows (same beginTS, new RIDs).
+        // The primary entries are built first, over placeholder RIDs: their
+        // keys fix the rows' order inside each block.
+        let mut rid_of: Vec<Rid> = vec![Rid::new(ZoneId::POST_GROOMED, 0, 0); recs.len()];
         type Groups = (Vec<Datum>, Vec<Datum>, Vec<Datum>);
-        let entries_of = |idx: &UmziIndex, groups: &dyn Fn(&[Datum]) -> Groups| {
+        let entries_of = |idx: &UmziIndex, groups: &dyn Fn(&[Datum]) -> Groups, rids: &[Rid]| {
             let entry = |(rec, &rid): (&Rec, &Rid)| {
                 let (eq, sort, included) = groups(&rec.row);
                 IndexEntry::new(idx.layout(), &eq, &sort, rec.begin_ts, rid, &included)
             };
             recs.iter()
-                .zip(&rid_of)
+                .zip(rids)
                 .map(entry)
                 .collect::<umzi_run::Result<Vec<_>>>()
         };
-        let entries = entries_of(&self.index, &|row| self.table.index_groups(row))?;
+        let mut entries = entries_of(&self.index, &|row| self.table.index_groups(row), &rid_of)?;
 
-        // Version chains. The index's key columns are exactly the primary
-        // key, and an entry key is `logical key ∥ ¬beginTS`: in entry-key
-        // order every record's versions lie side by side, newest first, and
-        // the chain heads — each key's oldest version in the batch — come
-        // out in index-key order.
+        // Each block holds its partition's rows in primary-index entry-key
+        // order (`hash ∥ eq ∥ sort ∥ ¬beginTS`), so a range scan resolves
+        // its RIDs front to back through one block. One sort serves the
+        // offsets and the version chains: the index's key columns are
+        // exactly the primary key, and an entry key is
+        // `logical key ∥ ¬beginTS`, so in entry-key order every record's
+        // versions lie side by side, newest first, and the chain heads —
+        // each key's oldest version in the batch — come out in index-key
+        // order.
+        let mut order: Vec<usize> = (0..recs.len()).collect();
+        order.sort_by(|&a, &b| entries[a].key.cmp(&entries[b].key));
+        for members in partitions.values_mut() {
+            members.clear();
+        }
+        let mut members_of: Vec<&mut Vec<usize>> = partitions.values_mut().collect();
+        for &i in &order {
+            let p = part_of[i] as usize;
+            let offset = members_of[p].len() as u32;
+            rid_of[i] = Rid::new(ZoneId::POST_GROOMED, block_ids[p], offset);
+            members_of[p].push(i);
+        }
+        for (entry, &rid) in entries.iter_mut().zip(&rid_of) {
+            entry.set_rid(rid);
+        }
+
         let mut prev_of: Vec<Option<Rid>> = vec![None; recs.len()];
         let mut end_of: Vec<Option<u64>> = vec![None; recs.len()];
         let logical = |i: usize| KeyLayout::logical_key(&entries[i].key);
-        let mut order: Vec<usize> = (0..recs.len()).collect();
-        order.sort_by(|&a, &b| entries[a].key.cmp(&entries[b].key));
         let mut closed_versions = 0usize;
         let mut heads: Vec<usize> = Vec::new();
         for chain in order.chunk_by(|&a, &b| logical(a) == logical(b)) {
@@ -506,44 +528,40 @@ impl Shard {
         let mut notices = vec![notice(entries)];
         for (si, sidx) in self.secondary.iter().enumerate() {
             let groups = |row: &[Datum]| self.table.secondary_groups(si, row);
-            notices.push(notice(entries_of(sidx, &groups)?));
+            notices.push(notice(entries_of(sidx, &groups, &rid_of)?));
         }
 
-        // Write one (large) post-groomed block per partition.
+        // Write one (large) post-groomed block per partition. The registry
+        // lock is taken only to register each written block: reads resolve
+        // RIDs under it.
         let kinds: Vec<_> = self.table.columns().iter().map(|c| c.ty).collect();
         let mut block_bytes = 0u64;
-        {
-            let mut reg = self.registry.lock();
-            for (members, block_id) in partitions.values().zip(&block_ids) {
-                let begin: Vec<u64> = members.iter().map(|&i| recs[i].begin_ts).collect();
-                let prev: Vec<Option<Rid>> = members.iter().map(|&i| prev_of[i]).collect();
-                let rows: Vec<Vec<Datum>> = members
-                    .iter()
-                    .map(|&i| std::mem::take(&mut recs[i].row))
-                    .collect();
-                let block = ColumnBlock::build(kinds.clone(), &rows, begin, prev)?;
-                for (offset, &i) in members.iter().enumerate() {
-                    if let Some(end) = end_of[i] {
-                        block.set_end_ts(offset, end);
-                    }
+        for (members, &block_id) in partitions.values().zip(&block_ids) {
+            let begin: Vec<u64> = members.iter().map(|&i| recs[i].begin_ts).collect();
+            let prev: Vec<Option<Rid>> = members.iter().map(|&i| prev_of[i]).collect();
+            let rows: Vec<&[Datum]> = members.iter().map(|&i| recs[i].row.as_slice()).collect();
+            let block = ColumnBlock::build(kinds.clone(), &rows, begin, prev)?;
+            for (offset, &i) in members.iter().enumerate() {
+                if let Some(end) = end_of[i] {
+                    block.set_end_ts(offset, end);
                 }
-                let object = format!("{}/blocks/p-{block_id:020}", self.prefix);
-                let payload = block.serialize();
-                block_bytes += payload.len() as u64;
-                self.put_block(&object, payload)?;
-                reg.blocks.insert(
-                    (ZoneId::POST_GROOMED, *block_id),
-                    BlockEntry {
-                        block: Arc::new(block),
-                        object,
-                    },
-                );
             }
-            // Deprecate the consumed groomed blocks; deletion is deferred
-            // until one PSN after the evolve lands (in-flight query grace).
-            let dep: Vec<(ZoneId, u64)> = (lo..=hi).map(|b| (ZoneId::GROOMED, b)).collect();
-            reg.deprecated.insert(psn, dep);
+            let object = format!("{}/blocks/p-{block_id:020}", self.prefix);
+            let payload = block.serialize();
+            block_bytes += payload.len() as u64;
+            self.put_block(&object, payload)?;
+            self.registry.lock().blocks.insert(
+                (ZoneId::POST_GROOMED, block_id),
+                BlockEntry {
+                    block: Arc::new(block),
+                    object,
+                },
+            );
         }
+        // Deprecate the consumed groomed blocks; deletion is deferred until
+        // one PSN after the evolve lands (in-flight query grace).
+        let dep: Vec<(ZoneId, u64)> = (lo..=hi).map(|b| (ZoneId::GROOMED, b)).collect();
+        self.registry.lock().deprecated.insert(psn, dep);
 
         // Persist cross-batch endTS closures as a sidecar delta object.
         if !deltas.is_empty() {
@@ -631,7 +649,7 @@ impl Shard {
     fn cleanup_deprecated_inner(&self, up_to: u64, check_graveyards: bool) -> Result<usize> {
         // A groomed block is still referenced while any groomed-zone run of
         // the primary or a secondary index covers its ID. Snapshot the run
-        // ranges once, BEFORE taking the registry lock — fetch_row takes the
+        // ranges once, BEFORE taking the registry lock — fetch_rows takes the
         // same lock on every read, so no per-block work may happen under it.
         let mut live_ranges: Vec<(u64, u64)> = std::iter::once(&self.index)
             .chain(self.secondary.iter())
@@ -708,23 +726,47 @@ impl Shard {
     // ------------------------------------------------------------------
 
     /// Fetch the row a RID points at, with its hidden columns
-    /// `(row, beginTS, endTS, prevRID)`.
-    pub fn fetch_row(&self, rid: Rid) -> Result<(Vec<Datum>, u64, u64, Option<Rid>)> {
-        let reg = self.registry.lock();
-        let entry = reg
-            .blocks
-            .get(&(rid.zone, rid.block_id))
-            .ok_or_else(|| WildfireError::DanglingRid(format!("{rid}")))?;
-        let i = rid.offset as usize;
-        if i >= entry.block.n_rows() {
-            return Err(WildfireError::DanglingRid(format!("{rid}")));
+    /// `(row, beginTS, endTS, prevRID)`: a batch of one.
+    pub fn fetch_row(&self, rid: Rid) -> Result<FetchedRow> {
+        let mut rows = self.fetch_rows(&[rid])?;
+        Ok(rows.pop().expect("one row per RID"))
+    }
+
+    /// Fetch the rows a list of RIDs points at, in list order (RIDs may come
+    /// in any order and repeat). The registry lock is taken once, to pick
+    /// up the block of each run of RIDs into the same block, and released
+    /// before any row is cloned: grooms and post-grooms register blocks
+    /// under it. A RID into an unknown block or past its block's end fails
+    /// the call with [`WildfireError::DanglingRid`] — the first such RID in
+    /// list order, as a [`Shard::fetch_row`] per RID would.
+    pub fn fetch_rows(&self, rids: &[Rid]) -> Result<Vec<FetchedRow>> {
+        let same_block = |a: &Rid, b: &Rid| (a.zone, a.block_id) == (b.zone, b.block_id);
+        let blocks: Vec<Option<Arc<ColumnBlock>>> = {
+            let reg = self.registry.lock();
+            rids.chunk_by(same_block)
+                .map(|run| {
+                    let entry = reg.blocks.get(&(run[0].zone, run[0].block_id));
+                    entry.map(|e| Arc::clone(&e.block))
+                })
+                .collect()
+        };
+        let mut out = Vec::with_capacity(rids.len());
+        for (run, block) in rids.chunk_by(same_block).zip(blocks) {
+            for &rid in run {
+                let i = rid.offset as usize;
+                let block = match &block {
+                    Some(b) if i < b.n_rows() => b,
+                    _ => return Err(WildfireError::DanglingRid(format!("{rid}"))),
+                };
+                out.push((
+                    block.row(i)?,
+                    block.begin_ts(i),
+                    block.end_ts(i),
+                    block.prev_rid(i),
+                ));
+            }
         }
-        Ok((
-            entry.block.row(i)?,
-            entry.block.begin_ts(i),
-            entry.block.end_ts(i),
-            entry.block.prev_rid(i),
-        ))
+        Ok(out)
     }
 
     /// Number of registered data blocks per zone `(groomed, post-groomed)`.
@@ -1120,6 +1162,194 @@ mod tests {
         let want_deltas: Vec<EndTsDelta> = want_deltas.into_iter().map(|(_, d)| d).collect();
         let got = crate::colblock::deserialize_deltas(&delta_object(&s, report.psn)).unwrap();
         assert_eq!(got, want_deltas);
+    }
+
+    /// Every row of every registered block, through one `fetch_rows`.
+    fn all_rows(s: &Shard) -> BTreeMap<Rid, FetchedRow> {
+        let rids: Vec<Rid> = {
+            let reg = s.registry.lock();
+            reg.blocks
+                .iter()
+                .flat_map(|(&(zone, id), e)| {
+                    (0..e.block.n_rows() as u32).map(move |i| Rid::new(zone, id, i))
+                })
+                .collect()
+        };
+        rids.iter()
+            .copied()
+            .zip(s.fetch_rows(&rids).unwrap())
+            .collect()
+    }
+
+    /// A post-groomed block holds its partition's rows in primary-index key
+    /// order: a scan over one device reads consecutive offsets of each
+    /// block, although the grooms interleave the devices. The partition key
+    /// still picks the block.
+    #[test]
+    fn post_groomed_blocks_are_clustered_on_the_primary_index() {
+        let s = shard();
+        let mut payload = 0;
+        // Four devices round-robin in every groom, two dates alternating
+        // every four messages, so each device has rows in both partitions.
+        for g in 0..3 {
+            let rows = (g * 40..(g + 1) * 40).map(|m| {
+                payload += 1;
+                row(m % 4, m, 100 + (m / 4) % 2, payload)
+            });
+            s.upsert(rows.collect()).unwrap();
+            s.groom().unwrap().unwrap();
+        }
+        let report = s.post_groom().unwrap().unwrap();
+        assert_eq!((report.rows, report.blocks), (120, 2));
+        s.apply_pending_evolves().unwrap();
+        assert_eq!(s.block_counts().1, 2);
+
+        for device in 0..4 {
+            let query = umzi_core::RangeQuery {
+                equality: vec![Datum::Int64(device)],
+                lower: SortBound::Unbounded,
+                upper: SortBound::Unbounded,
+                query_ts: s.read_ts(),
+            };
+            let outs = s
+                .index()
+                .range_scan(&query, ReconcileStrategy::PriorityQueue)
+                .unwrap();
+            assert_eq!(outs.len(), 30);
+            let rids: Vec<Rid> = outs.iter().map(|o| o.rid().unwrap()).collect();
+            let mut offsets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            for rid in &rids {
+                assert_eq!(rid.zone, ZoneId::POST_GROOMED);
+                offsets.entry(rid.block_id).or_default().push(rid.offset);
+            }
+            assert_eq!(offsets.len(), 2, "device {device} spans both partitions");
+            for (block, offsets) in &offsets {
+                assert!(
+                    offsets.windows(2).all(|w| w[1] == w[0] + 1),
+                    "device {device} in block {block}: offsets {offsets:?}"
+                );
+            }
+            // Each block holds one partition (one date).
+            for (rid, (r, ..)) in rids.iter().zip(s.fetch_rows(&rids).unwrap()) {
+                assert_eq!(r[0], Datum::Int64(device));
+                let first = s.fetch_row(Rid::new(rid.zone, rid.block_id, 0)).unwrap();
+                assert_eq!(r[2], first.0[2], "{rid} shares its block's date");
+            }
+        }
+    }
+
+    /// A shard with post-groomed blocks and a groomed block beside them,
+    /// built once for every `fetch_rows` case, with each block's
+    /// `(zone, ID, rows)`.
+    fn fetch_fixture() -> &'static (Arc<Shard>, Vec<(ZoneId, u64, u32)>) {
+        type Fixture = (Arc<Shard>, Vec<(ZoneId, u64, u32)>);
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let s = shard();
+            let mut payload = 0;
+            groom_msgs(&s, &(0..30).collect::<Vec<_>>(), &mut payload);
+            groom_msgs(&s, &(20..40).collect::<Vec<_>>(), &mut payload);
+            s.post_groom().unwrap().unwrap();
+            s.apply_pending_evolves().unwrap();
+            groom_msgs(&s, &[1, 2, 3, 50], &mut payload);
+            let reg = s.registry.lock();
+            let blocks = reg.blocks.iter();
+            let blocks = blocks.map(|(&(z, id), e)| (z, id, e.block.n_rows() as u32));
+            let mut blocks: Vec<_> = blocks.collect();
+            drop(reg);
+            blocks.sort();
+            (s, blocks)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `fetch_rows` over RIDs drawn in any order, sorted or with
+        /// repeats, equals a `fetch_row` per RID and a direct read of each
+        /// block; a RID into an unknown block or past its block's end fails
+        /// the batch with the first such RID's `DanglingRid`.
+        #[test]
+        fn fetch_rows_equals_fetch_row_per_rid(
+            picks in proptest::collection::vec((0u8..32, 0usize..64, 0u32..64, 1usize..4), 0..24),
+            sorted in proptest::prelude::any::<bool>(),
+        ) {
+            let (s, blocks) = fetch_fixture();
+            let mut rids = Vec::new();
+            for (kind, block, offset, copies) in picks {
+                let (zone, id, n_rows) = blocks[block % blocks.len()];
+                let rid = match kind {
+                    0 => Rid::new(zone, 1_000 + id, offset),
+                    1 => Rid::new(zone, id, n_rows + offset % 3),
+                    _ => Rid::new(zone, id, offset % n_rows),
+                };
+                rids.extend(std::iter::repeat_n(rid, copies));
+            }
+            if sorted {
+                rids.sort();
+            }
+            let direct = |rid: &Rid| {
+                let reg = s.registry.lock();
+                let b = &reg.blocks.get(&(rid.zone, rid.block_id))?.block;
+                let i = rid.offset as usize;
+                (i < b.n_rows()).then(|| (b.row(i).unwrap(), b.begin_ts(i), b.end_ts(i), b.prev_rid(i)))
+            };
+            let want: Option<Vec<FetchedRow>> = rids.iter().map(direct).collect();
+            let per_rid: Result<Vec<FetchedRow>> = rids.iter().map(|&r| s.fetch_row(r)).collect();
+            let got = s.fetch_rows(&rids);
+            match (want, got) {
+                (Some(want), Ok(got)) => {
+                    assert_eq!(got, want);
+                    assert_eq!(per_rid.unwrap(), want);
+                }
+                (None, Err(e)) => {
+                    let first = rids.iter().find(|r| direct(r).is_none()).unwrap();
+                    assert!(matches!(&e, WildfireError::DanglingRid(m) if *m == first.to_string()), "{e}");
+                    assert_eq!(per_rid.unwrap_err().to_string(), e.to_string());
+                }
+                (want, got) => panic!("direct read {want:?}, fetch_rows {got:?}"),
+            }
+        }
+    }
+
+    /// A crash after a post-groom whose rows are reordered within their
+    /// block, and which closes versions in an older post-groomed block,
+    /// recovers every block row for row: values, `beginTS`, `endTS` and
+    /// `prevRID`.
+    #[test]
+    fn recovery_restores_every_row_of_reordered_post_groomed_blocks() {
+        let storage = Arc::new(TieredStorage::in_memory());
+        let table = Arc::new(iot_table());
+        let config = ShardConfig::default();
+        let s = Shard::create(Arc::clone(&storage), Arc::clone(&table), 0, config.clone()).unwrap();
+        let mut payload = 0;
+        groom_msgs(&s, &(0..60).collect::<Vec<_>>(), &mut payload);
+        groom_msgs(&s, &(40..80).collect::<Vec<_>>(), &mut payload);
+        s.post_groom().unwrap().unwrap();
+        s.apply_pending_evolves().unwrap();
+        let psn1_blocks = s.block_counts().1 as u64;
+        // Updates of PSN 1's rows, interleaved with new keys.
+        groom_msgs(&s, &[3, 90, 41, 7, 91, 77, 3], &mut payload);
+        groom_msgs(&s, &[50, 92, 7, 13], &mut payload);
+        let report = s.post_groom().unwrap().unwrap();
+        s.apply_pending_evolves().unwrap();
+        let psn1_block =
+            |rid: &Rid| rid.zone == ZoneId::POST_GROOMED && rid.block_id <= psn1_blocks;
+        let before = all_rows(&s);
+        let closed_in_psn1 = before
+            .iter()
+            .filter(|(rid, row)| psn1_block(rid) && row.2 != OPEN_END_TS)
+            .count();
+        assert!(
+            closed_in_psn1 > 0,
+            "PSN 2 closes versions in PSN 1's blocks"
+        );
+        assert!(!delta_object(&s, report.psn).is_empty());
+        drop(s);
+        storage.simulate_crash();
+
+        let s = Shard::recover(storage, table, 0, config).unwrap();
+        assert_eq!(all_rows(&s), before);
     }
 
     /// `EndTsDelta`s are emitted in index-key order, so the same input
