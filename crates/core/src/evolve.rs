@@ -127,15 +127,10 @@ impl UmziIndex {
             for ancestor in &r.header().ancestors {
                 if let Some(a) = self.ancestor_pool.lock().remove(ancestor) {
                     self.bury([a]);
-                } else if let Err(e) = self.storage.with_retry_as(umzi_storage::OpClass::Gc, || {
-                    self.storage.shared().delete(ancestor)
-                }) {
-                    // Never fail the evolve over GC, but don't leak the
-                    // object silently either: count it and park the name
-                    // for the janitor's re-delete pass.
-                    if !matches!(e, umzi_storage::StorageError::NotFound { .. }) {
-                        self.storage.note_gc_delete_failure(ancestor);
-                    }
+                } else {
+                    // Never fail the evolve over GC; a failed delete is
+                    // parked for the janitor's re-delete pass.
+                    self.storage.delete_or_park(ancestor);
                 }
             }
         }

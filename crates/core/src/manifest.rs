@@ -144,15 +144,8 @@ impl Manifest {
             if let Ok(m) = Manifest::deserialize(&data) {
                 return Ok(Some(m));
             }
-            // Torn manifest: free the create-once name. A failed delete is
-            // counted and parked for the janitor instead of leaking.
-            if let Err(e) =
-                storage.with_retry_as(umzi_storage::OpClass::Gc, || storage.shared().delete(name))
-            {
-                if !matches!(e, umzi_storage::StorageError::NotFound { .. }) {
-                    storage.note_gc_delete_failure(name);
-                }
-            }
+            // Torn manifest: free the create-once name.
+            storage.delete_or_park(name);
         }
         Ok(None)
     }
@@ -165,13 +158,7 @@ impl Manifest {
         names.sort();
         let n = names.len().saturating_sub(keep);
         for name in &names[..n] {
-            if let Err(e) =
-                storage.with_retry_as(umzi_storage::OpClass::Gc, || storage.shared().delete(name))
-            {
-                if !matches!(e, umzi_storage::StorageError::NotFound { .. }) {
-                    storage.note_gc_delete_failure(name);
-                }
-            }
+            storage.delete_or_park(name);
         }
         Ok(n)
     }

@@ -253,17 +253,11 @@ impl UmziIndex {
                 for ancestor in &r.header().ancestors {
                     if let Some(a) = self.ancestor_pool.lock().remove(ancestor) {
                         self.bury([a]);
-                    } else if let Err(e) =
-                        self.storage.with_retry_as(umzi_storage::OpClass::Gc, || {
-                            // Post-recovery ancestor without a live handle.
-                            self.storage.shared().delete(ancestor)
-                        })
-                    {
-                        // GC must not fail the merge, but a leaked object
-                        // is counted and parked for the janitor.
-                        if !matches!(e, umzi_storage::StorageError::NotFound { .. }) {
-                            self.storage.note_gc_delete_failure(ancestor);
-                        }
+                    } else {
+                        // Post-recovery ancestor without a live handle. GC
+                        // must not fail the merge; a failed delete is
+                        // parked for the janitor.
+                        self.storage.delete_or_park(ancestor);
                     }
                 }
             }

@@ -615,6 +615,18 @@ impl TieredStorage {
         self.leaked_gc.lock().insert(name.to_owned());
     }
 
+    /// Delete a named shared object nothing references any more (a GC'd
+    /// run, a stale manifest, an orphan block or delta). `NotFound` means it
+    /// is already gone; any other failure is parked with
+    /// [`Self::note_gc_delete_failure`], never dropped, since nothing else
+    /// still knows the name.
+    pub fn delete_or_park(&self, name: &str) {
+        match self.with_retry_as(OpClass::Gc, || self.shared.delete(name)) {
+            Ok(()) | Err(StorageError::NotFound { .. }) => {}
+            Err(_) => self.note_gc_delete_failure(name),
+        }
+    }
+
     /// Object names currently parked for janitor re-delete.
     pub fn leaked_gc_objects(&self) -> Vec<String> {
         self.leaked_gc.lock().iter().cloned().collect()

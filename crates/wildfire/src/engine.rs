@@ -21,7 +21,7 @@ use std::time::Duration;
 use parking_lot::RwLock;
 use umzi_core::{
     Job, MaintEvent, MaintenanceConfig, MaintenanceDaemon, MaintenanceStats, QueryOutput,
-    RangeQuery, ReconcileStrategy, Tick, STALL_TIMEOUT,
+    RangeQuery, ReconcileStrategy, Tick, UmziError, STALL_TIMEOUT,
 };
 use umzi_encoding::Datum;
 use umzi_run::{Rid, SortBound};
@@ -195,36 +195,13 @@ impl std::fmt::Debug for WildfireEngine {
 }
 
 impl WildfireEngine {
-    /// Create a fresh engine (one Umzi index per shard).
+    /// Create a fresh engine (one set of Umzi indexes per shard).
     pub fn create(
         storage: Arc<TieredStorage>,
         table: Arc<TableDef>,
         config: EngineConfig,
     ) -> Result<Arc<WildfireEngine>> {
-        assert!(config.n_shards >= 1, "at least one shard");
-        if let Some(mc) = &config.maintenance {
-            mc.validate()?;
-        }
-        let mut shards = Vec::with_capacity(config.n_shards);
-        for i in 0..config.n_shards {
-            let mut sc = config.shard.clone();
-            sc.umzi.name = String::new(); // derived per shard
-            shards.push(Shard::create(
-                Arc::clone(&storage),
-                Arc::clone(&table),
-                i,
-                sc,
-            )?);
-        }
-        let qmetrics = QueryMetrics::new(storage.telemetry().registry());
-        Ok(Arc::new(WildfireEngine {
-            table,
-            shards,
-            storage,
-            config,
-            daemon: RwLock::new(None),
-            qmetrics,
-        }))
+        Self::open(storage, table, config, false)
     }
 
     /// Recover an engine after a crash (per-shard index + block recovery).
@@ -233,18 +210,33 @@ impl WildfireEngine {
         table: Arc<TableDef>,
         config: EngineConfig,
     ) -> Result<Arc<WildfireEngine>> {
+        Self::open(storage, table, config, true)
+    }
+
+    /// The one open path of [`Self::create`] and [`Self::recover`]:
+    /// validate the configuration, then open (or `recover`) every shard.
+    fn open(
+        storage: Arc<TieredStorage>,
+        table: Arc<TableDef>,
+        config: EngineConfig,
+        recover: bool,
+    ) -> Result<Arc<WildfireEngine>> {
+        if config.n_shards == 0 {
+            return Err(UmziError::Config("an engine needs at least one shard".into()).into());
+        }
         if let Some(mc) = &config.maintenance {
             mc.validate()?;
         }
         let mut shards = Vec::with_capacity(config.n_shards);
         for i in 0..config.n_shards {
             let mut sc = config.shard.clone();
-            sc.umzi.name = String::new();
-            shards.push(Shard::recover(
+            sc.umzi.name = String::new(); // derived per shard
+            shards.push(Shard::open(
                 Arc::clone(&storage),
                 Arc::clone(&table),
                 i,
                 sc,
+                recover,
             )?);
         }
         let qmetrics = QueryMetrics::new(storage.telemetry().registry());
@@ -602,7 +594,7 @@ impl WildfireEngine {
         if freshness == Freshness::Freshest {
             let probe = |s: &Arc<Shard>| {
                 s.live().find_latest(|row| {
-                    let (req, rsort, _) = self.table.index_groups(row);
+                    let (req, rsort, _) = self.table.groups(0, row);
                     req == eq && rsort == sort
                 })
             };
@@ -805,7 +797,7 @@ impl WildfireEngine {
                 let probes: Vec<_> = resolved
                     .iter()
                     .map(|view| {
-                        let (peq, psort, _) = self.table.index_groups(&view.row);
+                        let (peq, psort, _) = self.table.groups(0, &view.row);
                         (peq, psort)
                     })
                     .collect();
@@ -866,7 +858,7 @@ impl WildfireEngine {
                         }
                     }
                 });
-                for idx in std::iter::once(shard.index()).chain(shard.secondary_indexes().iter()) {
+                for idx in shard.indexes() {
                     idx.set_maintenance_hook(Some(Arc::clone(&hook)));
                 }
             }
@@ -903,7 +895,7 @@ impl EngineDaemons {
             // Unhook the ingest path first so late builds don't enqueue
             // into a closing queue, then drain and join the workers.
             for shard in self.engine.shards() {
-                for idx in std::iter::once(shard.index()).chain(shard.secondary_indexes().iter()) {
+                for idx in shard.indexes() {
                     idx.set_maintenance_hook(None);
                 }
             }
@@ -922,6 +914,7 @@ impl Drop for EngineDaemons {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::WildfireError;
     use crate::table::iot_table;
 
     fn row(device: i64, msg: i64, date: i64, payload: i64) -> Vec<Datum> {
@@ -947,22 +940,172 @@ mod tests {
         .unwrap()
     }
 
+    /// Inverted watermarks and zero shards fail `create` and `recover` alike
+    /// with a typed configuration error: no panic, and no engine whose first
+    /// upsert divides by zero.
     #[test]
     fn invalid_maintenance_config_is_an_error_not_a_panic() {
-        let storage = Arc::new(TieredStorage::in_memory());
-        let err = WildfireEngine::create(
-            storage,
-            Arc::new(iot_table()),
-            EngineConfig {
-                maintenance: Some(MaintenanceConfig {
-                    l0_high_watermark: 2,
-                    l0_low_watermark: 8,
-                    ..MaintenanceConfig::default()
-                }),
-                ..EngineConfig::default()
-            },
+        let inverted = EngineConfig {
+            maintenance: Some(MaintenanceConfig {
+                l0_high_watermark: 2,
+                l0_low_watermark: 8,
+                ..MaintenanceConfig::default()
+            }),
+            ..EngineConfig::default()
+        };
+        let no_shards = EngineConfig {
+            n_shards: 0,
+            ..EngineConfig::default()
+        };
+        for (what, config) in [
+            ("inverted watermarks", inverted),
+            ("zero shards", no_shards),
+        ] {
+            for open in [WildfireEngine::create, WildfireEngine::recover] {
+                let storage = Arc::new(TieredStorage::in_memory());
+                let out = open(storage, Arc::new(iot_table()), config.clone());
+                let err = out.expect_err(what);
+                assert!(
+                    matches!(err, WildfireError::Index(UmziError::Config(_))),
+                    "{what}: {err}"
+                );
+            }
+        }
+    }
+
+    /// A crash after a post-groom, when its evolve failed at any one of the
+    /// shared-storage puts it makes, recovers into a pipeline that drains:
+    /// the re-run post-groom finds its own endTS delta already stored, and
+    /// every secondary index answers what the primary does. Secondaries
+    /// evolve before the primary, so at every fault point they are at or
+    /// ahead of it.
+    #[test]
+    fn crash_at_each_evolve_put_recovers_a_draining_pipeline() {
+        use umzi_encoding::ColumnType;
+        use umzi_storage::{
+            FaultEvent, FaultInjectingStore, FaultOp, FaultPlan, InMemoryObjectStore, LatencyModel,
+            ObjectStore, RetryConfig, SharedStorage, TieredConfig,
+        };
+        let table = Arc::new(
+            TableDef::builder("two")
+                .column("device", ColumnType::Int64)
+                .column("msg", ColumnType::Int64)
+                .column("date", ColumnType::Int64)
+                .column("payload", ColumnType::Int64)
+                .primary_key(&["device", "msg"])
+                .sharding_key(&["device"])
+                .partition_key("date")
+                .secondary_index("by_date", &["date"], &[], &[])
+                .secondary_index("by_date_payload", &["date"], &["payload"], &[])
+                .build()
+                .unwrap(),
         );
-        assert!(err.is_err(), "inverted watermarks must fail create");
+        let config = EngineConfig {
+            maintenance: None,
+            ..EngineConfig::default()
+        };
+        let puts = |store: &FaultInjectingStore| store.stats().ops[FaultOp::Put.index()];
+        // Upsert version `v` of each message; an update may move its date.
+        let batch = |e: &WildfireEngine, msgs: std::ops::Range<i64>, v: i64| {
+            let rows = msgs.map(|m| row(m % 4, m, 100 + (m * v) % 3, v * 1000 + m));
+            e.upsert_many(rows.collect()).unwrap();
+        };
+        // Ingest a first batch through the whole pipeline, then a second
+        // (updating the first when `updates`) up to a published post-groom.
+        // Put number `fail_at` fails, with retries off so that it fails the
+        // operation. Returns the store, its engine and the setup's puts.
+        let setup = |updates: bool, fail_at: Option<u64>| {
+            let plan = match fail_at {
+                Some(nth) => FaultPlan::none().with_event(FaultEvent::TransientAt {
+                    op: FaultOp::Put,
+                    nth,
+                }),
+                None => FaultPlan::none(),
+            };
+            let store = Arc::new(FaultInjectingStore::new(
+                Arc::new(InMemoryObjectStore::new()),
+                plan,
+            ));
+            let tiered = TieredConfig {
+                retry: RetryConfig::disabled(),
+                ..TieredConfig::default()
+            };
+            let shared = SharedStorage::new(
+                Arc::clone(&store) as Arc<dyn ObjectStore>,
+                LatencyModel::off(),
+            );
+            let storage = Arc::new(TieredStorage::new(shared, tiered));
+            let e = WildfireEngine::create(storage, Arc::clone(&table), config.clone()).unwrap();
+            batch(&e, 0..40, 1);
+            e.quiesce().unwrap();
+            batch(&e, if updates { 20..60 } else { 40..80 }, 2);
+            e.groom_all().unwrap();
+            assert_eq!(e.post_groom_all().unwrap(), 1);
+            let setup_puts = puts(&store);
+            (store, e, setup_puts)
+        };
+        // Every row through the primary, and each secondary's answer for
+        // every date, as sorted rows.
+        let answers = |e: &WildfireEngine| {
+            let ints = |view: &RecordView| -> Vec<i64> {
+                view.row.iter().map(|d| d.as_i64().unwrap()).collect()
+            };
+            let (lo, hi, latest) = (
+                SortBound::Unbounded,
+                SortBound::Unbounded,
+                Freshness::Latest,
+            );
+            let mut rows: Vec<Vec<i64>> = Vec::new();
+            for device in 0..4 {
+                let eq = vec![Datum::Int64(device)];
+                let recs = e.scan_records(eq, lo.clone(), hi.clone(), latest).unwrap();
+                rows.extend(recs.iter().map(ints));
+            }
+            rows.sort();
+            for name in ["by_date", "by_date_payload"] {
+                for date in 100..103 {
+                    let eq = vec![Datum::Int64(date)];
+                    let hits = e.scan_secondary(name, eq, lo.clone(), hi.clone(), latest);
+                    let mut got: Vec<Vec<i64>> = hits.unwrap().iter().map(ints).collect();
+                    got.sort();
+                    let want: Vec<Vec<i64>> =
+                        rows.iter().filter(|r| r[2] == date).cloned().collect();
+                    assert_eq!(got, want, "{name} at date {date}");
+                }
+            }
+            rows
+        };
+
+        // Drain, then ingest and drain one more post-groom: a secondary that
+        // missed a PSN would fail its next evolve.
+        let finish = |e: &WildfireEngine| -> Result<()> {
+            e.quiesce()?;
+            batch(e, 30..50, 3);
+            e.quiesce()
+        };
+        for updates in [false, true] {
+            // A healthy run counts the evolve's puts and gives the answer.
+            let (store, e, setup_puts) = setup(updates, None);
+            e.evolve_all().unwrap();
+            let evolve_puts = puts(&store) - setup_puts;
+            assert!(evolve_puts >= 6, "a run and a manifest per index");
+            finish(&e).unwrap();
+            let want = answers(&e);
+            assert_eq!(want.len(), if updates { 60 } else { 80 });
+
+            for nth in 1..=evolve_puts {
+                let case = format!("updates {updates}, evolve put {nth} of {evolve_puts}");
+                let (_store, e, _) = setup(updates, Some(setup_puts + nth));
+                assert!(e.evolve_all().is_err(), "{case}: the put did not fail");
+                let storage = Arc::clone(e.storage());
+                drop(e);
+                storage.simulate_crash();
+                let e = WildfireEngine::recover(storage, Arc::clone(&table), config.clone())
+                    .unwrap_or_else(|err| panic!("{case}: recover: {err}"));
+                finish(&e).unwrap_or_else(|err| panic!("{case}: quiesce: {err}"));
+                assert_eq!(answers(&e), want, "{case}");
+            }
+        }
     }
 
     #[test]
@@ -1245,7 +1388,7 @@ mod tests {
         let runs: u64 = e
             .shards()
             .iter()
-            .flat_map(|s| std::iter::once(s.index()).chain(s.secondary_indexes()))
+            .flat_map(|s| s.indexes())
             .flat_map(|idx| idx.all_runs().into_iter().flatten())
             .map(|run| run.size_bytes())
             .sum();

@@ -20,9 +20,10 @@
 //! * **Engine**: shard routing, freshness levels (snapshot / latest /
 //!   freshest-with-live-zone), background daemons — [`WildfireEngine`].
 //! * **Secondary indexes** (§10 future work): PK-suffixed keys reuse the
-//!   whole index machinery; maintained by the same pipeline and validated
-//!   against the primary on scan — [`TableDefBuilder::secondary_index`],
-//!   [`WildfireEngine::scan_secondary`].
+//!   whole index machinery; a table's and a shard's indexes are one list
+//!   with the primary at 0 ([`TableDef::indexes`]), maintained by one
+//!   pipeline and validated against the primary on scan —
+//!   [`TableDefBuilder::secondary_index`], [`WildfireEngine::scan_secondary`].
 //!
 //! Documented substitutions vs. the real Wildfire (see DESIGN.md): columnar
 //! blocks use a self-contained format instead of Parquet; log replication
@@ -46,7 +47,7 @@ pub use engine::{
 pub use error::WildfireError;
 pub use livezone::{CommittedLog, LogRecord};
 pub use shard::{FetchedRow, GroomReport, PostGroomReport, Shard, ShardConfig};
-pub use table::{iot_table, SecondaryDef, TableDef, TableDefBuilder};
+pub use table::{iot_table, IndexShape, TableDef, TableDefBuilder};
 pub use telemetry::TelemetrySnapshot;
 pub use timestamps::{compose_begin_ts, decompose_begin_ts, OPEN_END_TS};
 

@@ -4,7 +4,7 @@
 //! | job | work | typical trigger |
 //! |-----|------|-----------------|
 //! | `Groom` | [`Shard::groom`] — drain the live zone into a groomed block + L0 run | upsert backlog, groom tick |
-//! | `Merge` | [`UmziIndex::merge_at`] on the primary **and secondary** indexes | run built (ingest hook), merge follow-up |
+//! | `Merge` | [`umzi_core::UmziIndex::merge_at`] on every index of the shard | run built (ingest hook), merge follow-up |
 //! | `Evolve` | apply pending evolves, then [`Shard::post_groom`] + apply again | post-groom tick, backpressure relief |
 //! | `RetireDeprecatedBlocks` | graveyard GC on every index, janitor block retirement, adaptive cache maintenance | janitor tick, evolve follow-up |
 //!
@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use umzi_core::{Job, JobExecutor, JobOutcome, JobResult, UmziError, UmziIndex};
+use umzi_core::{Job, JobExecutor, JobOutcome, JobResult, UmziError};
 
 use crate::shard::Shard;
 
@@ -48,11 +48,6 @@ impl EngineExecutor {
             groom_trigger_rows,
             adaptive_cache,
         }
-    }
-
-    /// All indexes of one shard: primary first, then secondaries.
-    fn indexes(shard: &Shard) -> impl Iterator<Item = &Arc<UmziIndex>> {
-        std::iter::once(shard.index()).chain(shard.secondary_indexes().iter())
     }
 }
 
@@ -95,7 +90,7 @@ impl JobExecutor for EngineExecutor {
                 let mut entries = 0u64;
                 let mut bytes = 0u64;
                 let mut merged = false;
-                for idx in Self::indexes(shard) {
+                for idx in shard.indexes() {
                     match idx.merge_at(level) {
                         Ok(Some(report)) => {
                             merged = true;
@@ -167,7 +162,7 @@ impl JobExecutor for EngineExecutor {
             }
             Job::RetireDeprecatedBlocks { .. } => {
                 let mut reclaimed = 0u64;
-                for idx in Self::indexes(shard) {
+                for idx in shard.indexes() {
                     reclaimed += idx.collect_garbage()? as u64;
                 }
                 reclaimed += shard.retire_deprecated_blocks()? as u64;

@@ -1,15 +1,18 @@
 //! A table shard: the unit of grooming, post-grooming and indexing (§2.1).
 //!
 //! Each shard owns a live zone (committed log), the groomed and post-groomed
-//! data blocks, and one Umzi index instance (§3: *"each Umzi index structure
-//! instance serves a single table shard"*). The groom and post-groom
-//! operations live here; background scheduling is in [`crate::engine`].
+//! data blocks, and its Umzi index instances (§3: *"each Umzi index structure
+//! instance serves a single table shard"*): one list, in the order of
+//! [`TableDef::indexes`] — the primary at 0, the secondary indexes (§10)
+//! after it. Groom, post-groom, evolve and block GC each walk that list, and
+//! [`Shard::create`] and [`Shard::recover`] share one open path. The groom
+//! and post-groom operations live here; background scheduling is in
+//! [`crate::engine`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use umzi_core::{EvolveNotice, UmziConfig, UmziIndex};
 use umzi_encoding::Datum;
@@ -96,10 +99,8 @@ pub struct Shard {
     shard_id: usize,
     table: Arc<TableDef>,
     storage: Arc<TieredStorage>,
-    index: Arc<UmziIndex>,
-    /// Secondary indexes (§10 future work), in table-definition order;
-    /// maintained by the same groom/post-groom/evolve pipeline.
-    secondary: Vec<Arc<UmziIndex>>,
+    /// Every index, in [`TableDef::indexes`] order: the primary first.
+    indexes: Vec<Arc<UmziIndex>>,
     config: ShardConfig,
     prefix: String,
     live: CommittedLog,
@@ -114,7 +115,7 @@ pub struct Shard {
     pg_block_seq: AtomicU64,
     /// Published but not yet evolved notices, by PSN (the "metadata" the
     /// post-groomer publishes and the indexer polls, Figure 5). One notice
-    /// per index: primary first, then secondaries in table order.
+    /// per index, in `indexes` order.
     pending_evolves: Mutex<BTreeMap<u64, Vec<EvolveNotice>>>,
     /// Highest published PSN (MaxPSN in Figure 5).
     max_psn: AtomicU64,
@@ -137,48 +138,88 @@ impl std::fmt::Debug for Shard {
 }
 
 impl Shard {
-    /// Create a fresh shard with its Umzi index.
+    /// Create a fresh shard with its Umzi indexes.
     pub fn create(
         storage: Arc<TieredStorage>,
         table: Arc<TableDef>,
         shard_id: usize,
+        config: ShardConfig,
+    ) -> Result<Arc<Shard>> {
+        Self::open(storage, table, shard_id, config, false)
+    }
+
+    /// Rebuild a shard from shared storage: recover every index, reopen
+    /// data blocks, and replay `endTS` deltas. Un-groomed live-zone data and
+    /// unpublished post-grooms are lost, exactly as in Wildfire (the log is
+    /// replicated there; replication is out of scope here).
+    pub fn recover(
+        storage: Arc<TieredStorage>,
+        table: Arc<TableDef>,
+        shard_id: usize,
+        config: ShardConfig,
+    ) -> Result<Arc<Shard>> {
+        Self::open(storage, table, shard_id, config, true)
+    }
+
+    /// The one open path: derive the object names, clamp the groom batch,
+    /// open every index, and, when `recover`ing, reload the blocks. A fresh
+    /// shard is the recovered shard of an empty store.
+    pub(crate) fn open(
+        storage: Arc<TieredStorage>,
+        table: Arc<TableDef>,
+        shard_id: usize,
         mut config: ShardConfig,
+        recover: bool,
     ) -> Result<Arc<Shard>> {
         let prefix = format!("{}/s{shard_id}", table.name());
         if config.umzi.name.is_empty() {
             config.umzi.name = format!("{prefix}/index");
         }
         config.groom_batch_limit = config.groom_batch_limit.min(MAX_COMMIT_SEQ as usize);
-        let index =
-            UmziIndex::create(Arc::clone(&storage), table.index_def(), config.umzi.clone())?;
-        let mut secondary = Vec::new();
-        for (i, s) in table.secondary_indexes().iter().enumerate() {
+        let open_index = if recover {
+            UmziIndex::recover
+        } else {
+            UmziIndex::create
+        };
+        let mut indexes = Vec::with_capacity(table.indexes().len());
+        for (i, shape) in table.indexes().iter().enumerate() {
             let mut cfg = config.umzi.clone();
-            cfg.name = format!("{prefix}/sidx-{}", s.name);
-            secondary.push(UmziIndex::create(
-                Arc::clone(&storage),
-                table.secondary_index_def(i),
-                cfg,
-            )?);
+            if i > 0 {
+                cfg.name = format!("{prefix}/sidx-{}", shape.name);
+            }
+            indexes.push(open_index(Arc::clone(&storage), table.index_def(i), cfg)?);
         }
+        let registry = if recover {
+            Registry::recover(&storage, &prefix)?
+        } else {
+            Registry::default()
+        };
+
+        let max_id = |zone| {
+            let ids = registry.blocks.keys().filter(|(z, _)| *z == zone);
+            ids.map(|&(_, id)| id).max().unwrap_or(0)
+        };
+        let (groomed_max, pg_max) = (max_id(ZoneId::GROOMED), max_id(ZoneId::POST_GROOMED));
+        let covered = indexes[0].covered_groomed_hi(0).unwrap_or(0);
+        let indexed_psn = indexes[0].indexed_psn();
+        let max_ts = compose_begin_ts(groomed_max, MAX_COMMIT_SEQ);
         Ok(Arc::new(Shard {
             shard_id,
             table,
             storage,
-            index,
-            secondary,
+            indexes,
             config,
             prefix,
             live: CommittedLog::new(),
-            registry: Mutex::new(Registry::default()),
-            groom_epoch: AtomicU64::new(1),
-            groomed_hi: AtomicU64::new(0),
-            post_groomed_hi: AtomicU64::new(0),
-            next_psn: AtomicU64::new(1),
-            pg_block_seq: AtomicU64::new(1),
+            registry: Mutex::new(registry),
+            groom_epoch: AtomicU64::new(groomed_max + 1),
+            groomed_hi: AtomicU64::new(groomed_max),
+            post_groomed_hi: AtomicU64::new(covered),
+            next_psn: AtomicU64::new(indexed_psn + 1),
+            pg_block_seq: AtomicU64::new(pg_max + 1),
             pending_evolves: Mutex::new(BTreeMap::new()),
-            max_psn: AtomicU64::new(0),
-            current_ts: AtomicU64::new(0),
+            max_psn: AtomicU64::new(indexed_psn),
+            current_ts: AtomicU64::new(if groomed_max > 0 { max_ts } else { 0 }),
             groom_lock: Mutex::new(()),
             post_groom_lock: Mutex::new(()),
         }))
@@ -194,20 +235,26 @@ impl Shard {
         &self.table
     }
 
+    /// Every index of the shard, in [`TableDef::indexes`] order.
+    pub(crate) fn indexes(&self) -> &[Arc<UmziIndex>] {
+        &self.indexes
+    }
+
     /// The shard's primary Umzi index.
     pub fn index(&self) -> &Arc<UmziIndex> {
-        &self.index
+        &self.indexes[0]
     }
 
     /// The shard's secondary indexes, in table-definition order.
     pub fn secondary_indexes(&self) -> &[Arc<UmziIndex>] {
-        &self.secondary
+        &self.indexes[1..]
     }
 
     /// Look up a secondary index by name.
     pub fn secondary_index(&self, name: &str) -> Option<&Arc<UmziIndex>> {
-        let (i, _) = self.table.secondary_index(name)?;
-        self.secondary.get(i)
+        let shapes = &self.table.indexes()[1..];
+        let i = shapes.iter().position(|shape| shape.name == name)?;
+        self.secondary_indexes().get(i)
     }
 
     /// The storage hierarchy.
@@ -248,14 +295,16 @@ impl Shard {
     // ------------------------------------------------------------------
 
     /// One groom cycle: drain the committed log, assign monotonic `beginTS`,
-    /// write a groomed columnar block, and build a level-0 index run (§5.2).
+    /// write a groomed columnar block, and build a level-0 run over it in
+    /// every index, primary first (§5.2).
     ///
-    /// A failure before the primary index run is published loses no row:
-    /// the drained batch goes back to the head of the committed log with
-    /// its commit sequences, and a block already written is unregistered
-    /// and its object deleted or parked, so the next groom indexes every
-    /// row under a fresh block ID. A failure building a secondary index's
-    /// run, after the primary run is published, is not rolled back.
+    /// A failure before the first index run — the primary's — is published
+    /// loses no row: the drained batch goes back to the head of the
+    /// committed log with its commit sequences, and a block already written
+    /// is unregistered and its object deleted or parked, so the next groom
+    /// indexes every row under a fresh block ID. Once a run points into the
+    /// block nothing is rolled back: a later index's failure leaves the
+    /// block and the published runs in place.
     pub fn groom(&self) -> Result<Option<GroomReport>> {
         let _g = self.groom_lock.lock();
         let batch = self.live.drain(self.config.groom_batch_limit);
@@ -271,28 +320,38 @@ impl Shard {
             .collect();
         let max_begin_ts = *begin_ts.last().expect("non-empty batch");
 
-        let block_bytes = match self.groom_primary(block_id, &rows, &begin_ts) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                self.live.requeue_front(batch);
+        let kinds = self.table.columns().iter().map(|c| c.ty).collect();
+        let block = ColumnBlock::build(kinds, &rows, begin_ts.clone(), vec![None; rows.len()]);
+        let (object, block_bytes) =
+            match block.and_then(|b| self.store_block(ZoneId::GROOMED, block_id, b)) {
+                Ok(stored) => stored,
+                Err(e) => {
+                    self.live.requeue_front(batch);
+                    return Err(e);
+                }
+            };
+        for (i, index) in self.indexes.iter().enumerate() {
+            let build = || -> Result<()> {
+                let entry = |(offset, row): (usize, &Vec<Datum>)| {
+                    let (eq, sort, included) = self.table.groups(i, row);
+                    let rid = Rid::new(ZoneId::GROOMED, block_id, offset as u32);
+                    IndexEntry::new(index.layout(), &eq, &sort, begin_ts[offset], rid, &included)
+                };
+                let entries = rows.iter().enumerate().map(entry);
+                let entries = entries.collect::<umzi_run::Result<Vec<_>>>()?;
+                index.build_groomed_run(entries, block_id, block_id)?;
+                Ok(())
+            };
+            if let Err(e) = build() {
+                if i == 0 {
+                    // No run points into the block yet: take it back.
+                    let key = (ZoneId::GROOMED, block_id);
+                    self.registry.lock().blocks.remove(&key);
+                    self.storage.delete_or_park(&object);
+                    self.live.requeue_front(batch);
+                }
                 return Err(e);
             }
-        };
-        // Secondary indexes follow the same build path (§10 future work).
-        for (si, sidx) in self.secondary.iter().enumerate() {
-            let mut entries = Vec::with_capacity(rows.len());
-            for (i, row) in rows.iter().enumerate() {
-                let (eq, sort, included) = self.table.secondary_groups(si, row);
-                entries.push(IndexEntry::new(
-                    sidx.layout(),
-                    &eq,
-                    &sort,
-                    begin_ts[i],
-                    Rid::new(ZoneId::GROOMED, block_id, i as u32),
-                    &included,
-                )?);
-            }
-            sidx.build_groomed_run(entries, block_id, block_id)?;
         }
 
         self.groomed_hi.store(block_id, Ordering::Release);
@@ -303,57 +362,6 @@ impl Shard {
             max_begin_ts,
             block_bytes,
         }))
-    }
-
-    /// The part of a groom that fails cleanly: write and register groomed
-    /// block `block_id`, then publish the primary index run over it (the
-    /// groomer also builds indexes over the groomed data, §2.1). Returns
-    /// the block's serialized size. On error nothing of it remains: a
-    /// registered block is unregistered before its object is deleted or
-    /// parked, and no run points into it.
-    fn groom_primary(&self, block_id: u64, rows: &[Vec<Datum>], begin_ts: &[u64]) -> Result<u64> {
-        let kinds = self.table.columns().iter().map(|c| c.ty).collect();
-        let block = Arc::new(ColumnBlock::build(
-            kinds,
-            rows,
-            begin_ts.to_vec(),
-            vec![None; rows.len()],
-        )?);
-        let object = format!("{}/blocks/g-{block_id:020}", self.prefix);
-        let payload = block.serialize();
-        let block_bytes = payload.len() as u64;
-        self.put_block(&object, payload)?;
-        let key = (ZoneId::GROOMED, block_id);
-        self.registry.lock().blocks.insert(
-            key,
-            BlockEntry {
-                block,
-                object: object.clone(),
-            },
-        );
-
-        let index = || -> Result<()> {
-            let mut entries = Vec::with_capacity(rows.len());
-            for (i, row) in rows.iter().enumerate() {
-                let (eq, sort, included) = self.table.index_groups(row);
-                entries.push(IndexEntry::new(
-                    self.index.layout(),
-                    &eq,
-                    &sort,
-                    begin_ts[i],
-                    Rid::new(ZoneId::GROOMED, block_id, i as u32),
-                    &included,
-                )?);
-            }
-            self.index.build_groomed_run(entries, block_id, block_id)?;
-            Ok(())
-        };
-        if let Err(e) = index() {
-            self.registry.lock().blocks.remove(&key);
-            delete_or_park(&self.storage, &object);
-            return Err(e);
-        }
-        Ok(block_bytes)
     }
 
     // ------------------------------------------------------------------
@@ -421,18 +429,18 @@ impl Shard {
         // The primary entries are built first, over placeholder RIDs: their
         // keys fix the rows' order inside each block.
         let mut rid_of: Vec<Rid> = vec![Rid::new(ZoneId::POST_GROOMED, 0, 0); recs.len()];
-        type Groups = (Vec<Datum>, Vec<Datum>, Vec<Datum>);
-        let entries_of = |idx: &UmziIndex, groups: &dyn Fn(&[Datum]) -> Groups, rids: &[Rid]| {
+        let entries_of = |i: usize, rids: &[Rid]| {
+            let layout = self.indexes[i].layout();
             let entry = |(rec, &rid): (&Rec, &Rid)| {
-                let (eq, sort, included) = groups(&rec.row);
-                IndexEntry::new(idx.layout(), &eq, &sort, rec.begin_ts, rid, &included)
+                let (eq, sort, included) = self.table.groups(i, &rec.row);
+                IndexEntry::new(layout, &eq, &sort, rec.begin_ts, rid, &included)
             };
             recs.iter()
                 .zip(rids)
                 .map(entry)
                 .collect::<umzi_run::Result<Vec<_>>>()
         };
-        let mut entries = entries_of(&self.index, &|row| self.table.index_groups(row), &rid_of)?;
+        let mut entries = entries_of(0, &rid_of)?;
 
         // Each block holds its partition's rows in primary-index entry-key
         // order (`hash ∥ eq ∥ sort ∥ ¬beginTS`), so a range scan resolves
@@ -493,11 +501,11 @@ impl Shard {
                 let keys: Vec<(Vec<Datum>, Vec<Datum>)> = chunk
                     .iter()
                     .map(|&head| {
-                        let (eq, sort, _) = self.table.index_groups(&recs[head].row);
+                        let (eq, sort, _) = self.table.groups(0, &recs[head].row);
                         (eq, sort)
                     })
                     .collect();
-                let found = self.index.batch_lookup(&keys, snapshot)?;
+                let found = self.index().batch_lookup(&keys, snapshot)?;
                 // One lock per chunk to close the in-memory images that are
                 // resident.
                 let reg = self.registry.lock();
@@ -526,9 +534,8 @@ impl Shard {
             entries,
         };
         let mut notices = vec![notice(entries)];
-        for (si, sidx) in self.secondary.iter().enumerate() {
-            let groups = |row: &[Datum]| self.table.secondary_groups(si, row);
-            notices.push(notice(entries_of(sidx, &groups, &rid_of)?));
+        for i in 1..self.indexes.len() {
+            notices.push(notice(entries_of(i, &rid_of)?));
         }
 
         // Write one (large) post-groomed block per partition. The registry
@@ -546,30 +553,30 @@ impl Shard {
                     block.set_end_ts(offset, end);
                 }
             }
-            let object = format!("{}/blocks/p-{block_id:020}", self.prefix);
-            let payload = block.serialize();
-            block_bytes += payload.len() as u64;
-            self.put_block(&object, payload)?;
-            self.registry.lock().blocks.insert(
-                (ZoneId::POST_GROOMED, block_id),
-                BlockEntry {
-                    block: Arc::new(block),
-                    object,
-                },
-            );
+            block_bytes += self.store_block(ZoneId::POST_GROOMED, block_id, block)?.1;
         }
         // Deprecate the consumed groomed blocks; deletion is deferred until
         // one PSN after the evolve lands (in-flight query grace).
         let dep: Vec<(ZoneId, u64)> = (lo..=hi).map(|b| (ZoneId::GROOMED, b)).collect();
         self.registry.lock().deprecated.insert(psn, dep);
 
-        // Persist cross-batch endTS closures as a sidecar delta object.
+        // Persist cross-batch endTS closures as a sidecar delta object. A
+        // crash after this put and before the PSN's evolve landed makes the
+        // recovered shard re-run the same post-groom under the same PSN; its
+        // delta bytes are deterministic, so an equal stored object is this
+        // one, not a collision.
         if !deltas.is_empty() {
             let name = format!("{}/deltas/d-{psn:020}", self.prefix);
             let payload = serialize_deltas(&deltas);
-            self.storage.with_retry_as(OpClass::Delta, || {
-                self.storage.shared().put(&name, payload.clone())
-            })?;
+            let (storage, shared) = (&self.storage, self.storage.shared());
+            let mut put =
+                storage.with_retry_as(OpClass::Delta, || shared.put(&name, payload.clone()));
+            if matches!(put, Err(StorageError::AlreadyExists { .. }))
+                && storage.with_retry_as(OpClass::Delta, || shared.get(&name))? == payload
+            {
+                put = Ok(());
+            }
+            put?;
         }
 
         // Publish for the indexer (Figure 5): metadata first, then MaxPSN.
@@ -596,26 +603,26 @@ impl Shard {
     /// evolve operations ran.
     pub fn apply_pending_evolves(&self) -> Result<usize> {
         let mut applied = 0;
-        while self.index.indexed_psn() < self.max_psn() {
-            let next = self.index.indexed_psn() + 1;
-            let Some(notices) = self.pending_evolves.lock().remove(&next) else {
+        while self.index().indexed_psn() < self.max_psn() {
+            let next = self.index().indexed_psn() + 1;
+            let Some(mut notices) = self.pending_evolves.lock().remove(&next) else {
                 break; // published but not yet enqueued (racing post-groom)
             };
-            let mut notices = notices.into_iter();
-            let primary_notice = notices.next().expect("primary notice");
-            // Secondaries evolve FIRST: the primary's IndexedPSN gates both
-            // post-groom resumption and deprecated-block cleanup, so after a
-            // crash the secondaries can only be AHEAD, and a regenerated
-            // notice they already applied is safely skipped below.
-            for (sidx, notice) in self.secondary.iter().zip(notices) {
-                match sidx.evolve(notice) {
+            // Secondaries evolve FIRST, the primary last: the primary's
+            // IndexedPSN gates both post-groom resumption and
+            // deprecated-block cleanup, so after a crash the secondaries can
+            // only be AHEAD, and a regenerated notice they already applied
+            // is safely skipped below.
+            notices.rotate_left(1);
+            let primary_last = self.indexes[1..].iter().chain(&self.indexes[..1]);
+            for (index, notice) in primary_last.zip(notices) {
+                match index.evolve(notice) {
                     Ok(_) => {}
                     Err(umzi_core::UmziError::PsnOutOfOrder { expected, got })
                         if expected > got => {} // already applied pre-crash
                     Err(e) => return Err(e.into()),
                 }
             }
-            self.index.evolve(primary_notice)?;
             applied += 1;
             self.cleanup_deprecated(next.saturating_sub(1))?;
         }
@@ -631,7 +638,7 @@ impl Shard {
     /// blocks are reclaimed as soon as run GC finishes instead of waiting
     /// for the next evolve. Returns the number of blocks deleted.
     pub fn retire_deprecated_blocks(&self) -> Result<usize> {
-        self.cleanup_deprecated_inner(self.index.indexed_psn(), true)
+        self.cleanup_deprecated_inner(self.index().indexed_psn(), true)
     }
 
     /// Delete deprecated groomed blocks whose deprecating PSN is ≤ `up_to`
@@ -648,11 +655,12 @@ impl Shard {
 
     fn cleanup_deprecated_inner(&self, up_to: u64, check_graveyards: bool) -> Result<usize> {
         // A groomed block is still referenced while any groomed-zone run of
-        // the primary or a secondary index covers its ID. Snapshot the run
-        // ranges once, BEFORE taking the registry lock — fetch_rows takes the
-        // same lock on every read, so no per-block work may happen under it.
-        let mut live_ranges: Vec<(u64, u64)> = std::iter::once(&self.index)
-            .chain(self.secondary.iter())
+        // any index covers its ID. Snapshot the run ranges once, BEFORE
+        // taking the registry lock — fetch_rows takes the same lock on every
+        // read, so no per-block work may happen under it.
+        let mut live_ranges: Vec<(u64, u64)> = self
+            .indexes
+            .iter()
             .flat_map(|idx| {
                 idx.zones()
                     .iter()
@@ -667,7 +675,7 @@ impl Shard {
             // unlinked-but-undeleted runs as coverage: an in-flight query
             // that snapshotted the lists before run GC can still resolve
             // RIDs through them.
-            for idx in std::iter::once(&self.index).chain(self.secondary.iter()) {
+            for idx in &self.indexes {
                 live_ranges.extend(idx.graveyard_groomed_ranges());
             }
         }
@@ -695,20 +703,35 @@ impl Shard {
         };
         let deleted = victims.len();
         for entry in victims {
-            delete_or_park(&self.storage, &entry.object);
+            self.storage.delete_or_park(&entry.object);
         }
         Ok(deleted)
     }
 
-    /// Persist a column block to shared storage. Blocks are served from
-    /// the in-RAM registry and recovery reads them straight from shared
-    /// storage, so they never enter the chunk tiers — whose SSD occupancy is
-    /// what §6.2's cache manager weighs when it purges index runs.
-    fn put_block(&self, object: &str, payload: Bytes) -> Result<()> {
+    /// Persist column block `block_id` of `zone` to shared storage and
+    /// register it; returns its object name and serialized size. Blocks are
+    /// served from the in-RAM registry and recovery reads them straight from
+    /// shared storage, so they never enter the chunk tiers — whose SSD
+    /// occupancy is what §6.2's cache manager weighs when it purges runs.
+    fn store_block(
+        &self,
+        zone: ZoneId,
+        block_id: u64,
+        block: ColumnBlock,
+    ) -> Result<(String, u64)> {
+        let tag = if zone == ZoneId::GROOMED { "g" } else { "p" };
+        let object = format!("{}/blocks/{tag}-{block_id:020}", self.prefix);
+        let payload = block.serialize();
+        let bytes = payload.len() as u64;
         self.storage.with_retry_as(OpClass::BlockFetch, || {
-            self.storage.shared().put(object, payload.clone())
+            self.storage.shared().put(&object, payload.clone())
         })?;
-        Ok(())
+        let entry = BlockEntry {
+            block: Arc::new(block),
+            object: object.clone(),
+        };
+        self.registry.lock().blocks.insert((zone, block_id), entry);
+        Ok((object, bytes))
     }
 
     /// Deprecated groomed blocks awaiting deferred deletion (observability).
@@ -784,42 +807,13 @@ impl Shard {
             .count();
         (g, p)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Recovery
-    // ------------------------------------------------------------------
-
-    /// Rebuild a shard from shared storage: recover the index, reopen data
-    /// blocks, and replay `endTS` deltas. Un-groomed live-zone data and
-    /// unpublished post-grooms are lost, exactly as in Wildfire (the log is
-    /// replicated there; replication is out of scope here).
-    pub fn recover(
-        storage: Arc<TieredStorage>,
-        table: Arc<TableDef>,
-        shard_id: usize,
-        mut config: ShardConfig,
-    ) -> Result<Arc<Shard>> {
-        let prefix = format!("{}/s{shard_id}", table.name());
-        if config.umzi.name.is_empty() {
-            config.umzi.name = format!("{prefix}/index");
-        }
-        config.groom_batch_limit = config.groom_batch_limit.min(MAX_COMMIT_SEQ as usize);
-        let index =
-            UmziIndex::recover(Arc::clone(&storage), table.index_def(), config.umzi.clone())?;
-        let mut secondary = Vec::new();
-        for (i, s) in table.secondary_indexes().iter().enumerate() {
-            let mut cfg = config.umzi.clone();
-            cfg.name = format!("{prefix}/sidx-{}", s.name);
-            secondary.push(UmziIndex::recover(
-                Arc::clone(&storage),
-                table.secondary_index_def(i),
-                cfg,
-            )?);
-        }
-
+impl Registry {
+    /// Reload a shard's data blocks from shared storage (§5.5) and replay
+    /// its `endTS` delta sidecars onto them.
+    fn recover(storage: &TieredStorage, prefix: &str) -> Result<Registry> {
         let mut registry = Registry::default();
-        let mut groomed_max = 0u64;
-        let mut pg_max = 0u64;
         for object in storage.with_retry_as(OpClass::BlockFetch, || {
             storage.shared().list(&format!("{prefix}/blocks/"))
         })? {
@@ -831,30 +825,18 @@ impl Shard {
                     // Torn put from a groom that died mid-write: nothing
                     // references it (the groom never committed a run), and
                     // storage is create-once, so delete it to free the name.
-                    delete_or_park(&storage, &object);
+                    storage.delete_or_park(&object);
                     continue;
                 }
             };
             let file = object.rsplit('/').next().unwrap_or("");
             let (zone, id) = match file.split_once('-') {
-                Some(("g", id)) => (
-                    ZoneId::GROOMED,
-                    id.parse::<u64>().map_err(|_| {
-                        WildfireError::DanglingRid(format!("bad block name {object}"))
-                    })?,
-                ),
-                Some(("p", id)) => (
-                    ZoneId::POST_GROOMED,
-                    id.parse::<u64>().map_err(|_| {
-                        WildfireError::DanglingRid(format!("bad block name {object}"))
-                    })?,
-                ),
+                Some(("g", id)) => (ZoneId::GROOMED, id),
+                Some(("p", id)) => (ZoneId::POST_GROOMED, id),
                 _ => continue,
             };
-            match zone {
-                ZoneId::GROOMED => groomed_max = groomed_max.max(id),
-                _ => pg_max = pg_max.max(id),
-            }
+            let bad_name = |_| WildfireError::DanglingRid(format!("bad block name {object}"));
+            let id = id.parse::<u64>().map_err(bad_name)?;
             registry
                 .blocks
                 .insert((zone, id), BlockEntry { block, object });
@@ -869,7 +851,7 @@ impl Shard {
                 Err(_) => {
                     // Torn delta sidecar: the post-groom that wrote it
                     // failed, so its PSN was never published. Free the name.
-                    delete_or_park(&storage, &object);
+                    storage.delete_or_park(&object);
                     continue;
                 }
             };
@@ -883,43 +865,7 @@ impl Shard {
                 }
             }
         }
-
-        let covered = index.covered_groomed_hi(0).unwrap_or(0);
-        let indexed_psn = index.indexed_psn();
-        let max_ts = compose_begin_ts(groomed_max, MAX_COMMIT_SEQ);
-        Ok(Arc::new(Shard {
-            shard_id,
-            table,
-            storage,
-            index,
-            secondary,
-            config,
-            prefix,
-            live: CommittedLog::new(),
-            registry: Mutex::new(registry),
-            groom_epoch: AtomicU64::new(groomed_max + 1),
-            groomed_hi: AtomicU64::new(groomed_max),
-            post_groomed_hi: AtomicU64::new(covered),
-            next_psn: AtomicU64::new(indexed_psn + 1),
-            pg_block_seq: AtomicU64::new(pg_max + 1),
-            pending_evolves: Mutex::new(BTreeMap::new()),
-            max_psn: AtomicU64::new(indexed_psn),
-            current_ts: AtomicU64::new(if groomed_max > 0 { max_ts } else { 0 }),
-            groom_lock: Mutex::new(()),
-            post_groom_lock: Mutex::new(()),
-        }))
-    }
-}
-
-/// Delete an unreferenced block or delta object from shared storage. A
-/// failed delete is counted and parked for the janitor's re-attempt
-/// ([`TieredStorage::retry_leaked_deletes`]), never dropped: nothing else
-/// still knows the name.
-fn delete_or_park(storage: &TieredStorage, object: &str) {
-    if let Err(e) = storage.with_retry_as(OpClass::Gc, || storage.shared().delete(object)) {
-        if !matches!(e, StorageError::NotFound { .. }) {
-            storage.note_gc_delete_failure(object);
-        }
+        Ok(registry)
     }
 }
 

@@ -6,6 +6,11 @@
 //! the partition key is for organizing data in a way that benefits the
 //! analytics queries."* The paper's running IoT example shards by device ID
 //! and partitions by date.
+//!
+//! A table's indexes are one list of [`IndexShape`]s: the primary at
+//! position 0, the secondary indexes (§10) after it. [`TableDef::index_def`]
+//! and [`TableDef::groups`] take a position in that list, so a shard builds,
+//! evolves and probes every index through the same code.
 
 use std::sync::Arc;
 
@@ -14,24 +19,23 @@ use umzi_encoding::{encode_datums, hash64, ColumnDef, ColumnType, Datum, IndexDe
 use crate::error::WildfireError;
 use crate::Result;
 
-/// A secondary index over non-key columns (the paper's §10 future work).
+/// The shape of one index of a table: the primary at position 0 of
+/// [`TableDef::indexes`], the secondary indexes (the paper's §10 future
+/// work) after it in declaration order.
 ///
 /// Uniqueness of logical keys — which the multi-version reconciliation
 /// machinery relies on — is obtained by appending the primary-key columns
-/// to the sort columns (the AsterixDB approach the paper cites [12]), so a
-/// secondary index reuses the exact same run format and query paths as the
-/// primary. Queries bind only the user-visible prefix of the sort columns.
+/// to a secondary's sort columns (the AsterixDB approach the paper cites
+/// [12]), so every index reuses the exact same run format and query paths.
+/// Queries bind only the user-visible prefix of the sort columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecondaryDef {
-    /// Index name (unique within the table).
+pub struct IndexShape {
+    /// Index name, unique within the table (`pk` for the primary).
     pub name: String,
     /// Equality-column indices.
     pub equality: Vec<usize>,
-    /// Sort-column indices *including* the appended primary-key suffix.
+    /// Sort-column indices; a secondary's include the primary-key suffix.
     pub sort: Vec<usize>,
-    /// Number of leading `sort` entries that are user columns (the rest is
-    /// the primary-key suffix).
-    pub user_sort_len: usize,
     /// Included-column indices.
     pub included: Vec<usize>,
 }
@@ -44,12 +48,8 @@ pub struct TableDef {
     primary_key: Vec<usize>,
     sharding_key: Vec<usize>,
     partition_key: Option<usize>,
-    /// Primary-index shape: which primary-key columns are equality columns
-    /// and which are sort columns (equality ∪ sort == primary key).
-    index_equality: Vec<usize>,
-    index_sort: Vec<usize>,
-    index_included: Vec<usize>,
-    secondary: Vec<SecondaryDef>,
+    /// Every index, the primary first (equality ∪ sort == primary key).
+    indexes: Vec<IndexShape>,
 }
 
 /// A pending secondary-index declaration: `(name, equality, sort,
@@ -111,21 +111,6 @@ impl TableDef {
         self.partition_key
     }
 
-    /// Index equality-column indices.
-    pub fn index_equality(&self) -> &[usize] {
-        &self.index_equality
-    }
-
-    /// Index sort-column indices.
-    pub fn index_sort(&self) -> &[usize] {
-        &self.index_sort
-    }
-
-    /// Index included-column indices.
-    pub fn index_included(&self) -> &[usize] {
-        &self.index_included
-    }
-
     /// Validate a row against the schema.
     pub fn check_row(&self, row: &[Datum]) -> Result<()> {
         if row.len() != self.columns.len() {
@@ -164,31 +149,36 @@ impl TableDef {
         }
     }
 
-    /// Derive the Umzi primary-index definition for this table.
-    pub fn index_def(&self) -> Arc<IndexDef> {
-        let mut b = IndexDef::builder(format!("{}-pk", self.name));
-        for &i in &self.index_equality {
-            let c = &self.columns[i];
-            b = b.equality(c.name.clone(), c.ty);
+    /// Every index of the table: the primary at 0, then the secondary
+    /// indexes in declaration order.
+    pub fn indexes(&self) -> &[IndexShape] {
+        &self.indexes
+    }
+
+    /// Derive the Umzi definition of index `i` (0: the primary).
+    pub fn index_def(&self, i: usize) -> Arc<IndexDef> {
+        let shape = &self.indexes[i];
+        let mut b = IndexDef::builder(format!("{}-{}", self.name, shape.name));
+        for &c in &shape.equality {
+            b = b.equality(self.columns[c].name.clone(), self.columns[c].ty);
         }
-        for &i in &self.index_sort {
-            let c = &self.columns[i];
-            b = b.sort(c.name.clone(), c.ty);
+        for &c in &shape.sort {
+            b = b.sort(self.columns[c].name.clone(), self.columns[c].ty);
         }
-        for &i in &self.index_included {
-            let c = &self.columns[i];
-            b = b.included(c.name.clone(), c.ty);
+        for &c in &shape.included {
+            b = b.included(self.columns[c].name.clone(), self.columns[c].ty);
         }
         Arc::new(b.build().expect("validated at TableDef::build"))
     }
 
-    /// Split a row into the index's (equality, sort, included) value groups.
-    pub fn index_groups(&self, row: &[Datum]) -> (Vec<Datum>, Vec<Datum>, Vec<Datum>) {
-        let pick = |idxs: &[usize]| idxs.iter().map(|&i| row[i].clone()).collect::<Vec<_>>();
+    /// Split a row into index `i`'s (equality, sort, included) value groups.
+    pub fn groups(&self, i: usize, row: &[Datum]) -> (Vec<Datum>, Vec<Datum>, Vec<Datum>) {
+        let shape = &self.indexes[i];
+        let pick = |idxs: &[usize]| idxs.iter().map(|&c| row[c].clone()).collect::<Vec<_>>();
         (
-            pick(&self.index_equality),
-            pick(&self.index_sort),
-            pick(&self.index_included),
+            pick(&shape.equality),
+            pick(&shape.sort),
+            pick(&shape.included),
         )
     }
 
@@ -196,12 +186,13 @@ impl TableDef {
     /// and sort groups, in index order). `None` if some sharding column is
     /// not bound — the query must then fan out to all shards.
     pub fn sharding_values_from_index(&self, eq: &[Datum], sort: &[Datum]) -> Option<Vec<Datum>> {
+        let primary = &self.indexes[0];
         self.sharding_key
             .iter()
             .map(|col| {
-                if let Some(p) = self.index_equality.iter().position(|i| i == col) {
+                if let Some(p) = primary.equality.iter().position(|i| i == col) {
                     eq.get(p).cloned()
-                } else if let Some(p) = self.index_sort.iter().position(|i| i == col) {
+                } else if let Some(p) = primary.sort.iter().position(|i| i == col) {
                     sort.get(p).cloned()
                 } else {
                     None
@@ -220,48 +211,7 @@ impl TableDef {
     pub fn sharding_within_equality(&self) -> bool {
         self.sharding_key
             .iter()
-            .all(|c| self.index_equality.contains(c))
-    }
-
-    /// The table's secondary indexes.
-    pub fn secondary_indexes(&self) -> &[SecondaryDef] {
-        &self.secondary
-    }
-
-    /// Find a secondary index by name.
-    pub fn secondary_index(&self, name: &str) -> Option<(usize, &SecondaryDef)> {
-        self.secondary
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.name == name)
-    }
-
-    /// Derive the Umzi definition for secondary index `i`.
-    pub fn secondary_index_def(&self, i: usize) -> Arc<IndexDef> {
-        let s = &self.secondary[i];
-        let mut b = IndexDef::builder(format!("{}-{}", self.name, s.name));
-        for &c in &s.equality {
-            b = b.equality(self.columns[c].name.clone(), self.columns[c].ty);
-        }
-        for &c in &s.sort {
-            b = b.sort(self.columns[c].name.clone(), self.columns[c].ty);
-        }
-        for &c in &s.included {
-            b = b.included(self.columns[c].name.clone(), self.columns[c].ty);
-        }
-        Arc::new(b.build().expect("validated at TableDef::build"))
-    }
-
-    /// Split a row into secondary index `i`'s (equality, sort-with-PK-suffix,
-    /// included) value groups.
-    pub fn secondary_groups(
-        &self,
-        i: usize,
-        row: &[Datum],
-    ) -> (Vec<Datum>, Vec<Datum>, Vec<Datum>) {
-        let s = &self.secondary[i];
-        let pick = |idxs: &[usize]| idxs.iter().map(|&c| row[c].clone()).collect::<Vec<_>>();
-        (pick(&s.equality), pick(&s.sort), pick(&s.included))
+            .all(|c| self.indexes[0].equality.contains(c))
     }
 }
 
@@ -394,8 +344,6 @@ impl TableDefBuilder {
         } else {
             resolve(&self.index_sort)?
         };
-        let index_included = resolve(&self.index_included)?;
-
         // The index key must cover the whole primary key so point lookups
         // identify exactly one record.
         let mut key_cols: Vec<usize> = index_equality.iter().chain(&index_sort).copied().collect();
@@ -408,9 +356,14 @@ impl TableDefBuilder {
                 "index equality ∪ sort columns must equal the primary key".into(),
             ));
         }
+        let mut indexes = vec![IndexShape {
+            name: "pk".into(),
+            equality: index_equality,
+            sort: index_sort,
+            included: resolve(&self.index_included)?,
+        }];
 
         // Secondary indexes: resolve and append the primary-key suffix.
-        let mut secondary = Vec::with_capacity(self.secondary.len());
         let mut sec_names = std::collections::HashSet::new();
         for (name, eq_names, sort_names, inc_names) in &self.secondary {
             if !sec_names.insert(name.as_str()) {
@@ -420,24 +373,21 @@ impl TableDefBuilder {
             }
             let equality = resolve(eq_names)?;
             let mut sort = resolve(sort_names)?;
-            let included = resolve(inc_names)?;
             if equality.is_empty() && sort.is_empty() {
                 return Err(WildfireError::InvalidTable(format!(
                     "secondary index {name:?} has no key columns"
                 )));
             }
-            let user_sort_len = sort.len();
             for &pk in &primary_key {
                 if !equality.contains(&pk) && !sort.contains(&pk) {
                     sort.push(pk);
                 }
             }
-            secondary.push(SecondaryDef {
+            indexes.push(IndexShape {
                 name: name.clone(),
                 equality,
                 sort,
-                user_sort_len,
-                included,
+                included: resolve(inc_names)?,
             });
         }
 
@@ -447,10 +397,7 @@ impl TableDefBuilder {
             primary_key,
             sharding_key,
             partition_key,
-            index_equality,
-            index_sort,
-            index_included,
-            secondary,
+            indexes,
         })
     }
 }
@@ -481,9 +428,11 @@ mod tests {
         assert_eq!(t.primary_key(), &[0, 1]);
         assert_eq!(t.sharding_key(), &[0]);
         assert_eq!(t.partition_key(), Some(2));
-        assert_eq!(t.index_equality(), &[0]);
-        assert_eq!(t.index_sort(), &[1]);
-        let def = t.index_def();
+        assert_eq!(
+            (&t.indexes()[0].equality[..], &t.indexes()[0].sort[..]),
+            (&[0][..], &[1][..])
+        );
+        let def = t.index_def(0);
         assert_eq!(def.equality_columns().len(), 1);
         assert_eq!(def.sort_columns().len(), 1);
         assert_eq!(def.included_columns().len(), 1);
