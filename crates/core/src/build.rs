@@ -38,9 +38,6 @@ impl UmziIndex {
         run.seal();
         self.zones[0].list.push_front(Arc::clone(&run));
         self.counters.builds.fetch_add(1, Ordering::Relaxed);
-        // Ingest-path daemon trigger: a new level-0 run may satisfy the
-        // merge condition.
-        self.notify_maintenance(crate::index::MaintEvent::RunBuilt { level });
         Ok(run)
     }
 

@@ -3,10 +3,11 @@
 //! The paper dedicates one thread per level plus a janitor; this subsystem
 //! generalizes that into a **prioritized job scheduler**: maintenance work
 //! is described as [`Job`]s (groom, merge, evolve, retire-deprecated-blocks)
-//! enqueued from the ingest path and from periodic ticks, deduplicated
-//! against the pending queue, and drained by a configurable pool of worker
-//! threads. Finished jobs enqueue their follow-ups (a groom poke its merge,
-//! a merge the next level's merge, an evolve the janitor), so work chains
+//! enqueued by the embedder's ingest path and by periodic ticks,
+//! deduplicated against the pending queue, and drained by a configurable
+//! pool of worker threads. A finished job's [`JobOutcome::follow_ups`] (a
+//! groom's level-0 merge, a merge the next level's merge, an evolve the
+//! janitor) are the only way one job schedules another, so work chains
 //! event-driven instead of polling. The janitor thread is the daemon's one
 //! clock: it enqueues every periodic tick — its own retire tick and the
 //! embedder's (the Wildfire groom and post-groom cadence) — and pumps due
@@ -20,7 +21,8 @@
 //!
 //! Embedders supply a [`JobExecutor`]: the Wildfire engine installs one
 //! covering the full groom → merge → evolve → retire pipeline across
-//! shards.
+//! shards, and its synchronous `quiesce` runs the same executor's jobs
+//! inline.
 
 mod job;
 mod retry;
@@ -311,7 +313,7 @@ impl Drop for MaintenanceDaemon {
 mod tests {
     use super::*;
     use crate::config::{MergePolicy, UmziConfig};
-    use crate::index::{MaintEvent, UmziIndex};
+    use crate::index::UmziIndex;
     use std::time::Duration;
     use umzi_encoding::{ColumnType, Datum, IndexDef};
     use umzi_run::{IndexEntry, Rid, ZoneId};
@@ -331,7 +333,9 @@ mod tests {
         UmziIndex::create(storage, def, cfg).unwrap()
     }
 
-    fn add_groom(idx: &UmziIndex, block: u64, n: i64) {
+    /// Build a level-0 run over `n` entries of `block`, then enqueue the
+    /// level-0 merge, as an embedder's groom job returns it as a follow-up.
+    fn add_groom(daemon: &MaintenanceDaemon, idx: &UmziIndex, block: u64, n: i64) {
         let es: Vec<IndexEntry> = (0..n)
             .map(|i| {
                 IndexEntry::new(
@@ -346,6 +350,7 @@ mod tests {
             })
             .collect();
         idx.build_groomed_run(es, block, block).unwrap();
+        daemon.enqueue(Job::Merge { shard: 0, level: 0 });
     }
 
     /// The merge arm of an embedder's executor over one bare index; every
@@ -381,17 +386,10 @@ mod tests {
         }
     }
 
-    /// A daemon merging `index` in the background: every built run enqueues
-    /// its level's merge through the index's maintenance hook.
+    /// A daemon merging `index` in the background: each merge enqueues the
+    /// next, and [`add_groom`] pokes level 0.
     fn spawn_merging(index: &Arc<UmziIndex>, config: MaintenanceConfig) -> Arc<MaintenanceDaemon> {
-        let daemon =
-            MaintenanceDaemon::spawn(Arc::new(MergeExecutor(Arc::clone(index))), config, &[]);
-        let hooked = Arc::clone(&daemon);
-        index.set_maintenance_hook(Some(Arc::new(move |ev: MaintEvent| {
-            let (MaintEvent::RunBuilt { level } | MaintEvent::EvolveApplied { level, .. }) = ev;
-            hooked.enqueue(Job::Merge { shard: 0, level });
-        })));
-        daemon
+        MaintenanceDaemon::spawn(Arc::new(MergeExecutor(Arc::clone(index))), config, &[])
     }
 
     /// Ported from the old `Maintainer` test: builds trigger background
@@ -411,7 +409,7 @@ mod tests {
         );
 
         for b in 1..=8u64 {
-            add_groom(&idx, b, 20);
+            add_groom(&daemon, &idx, b, 20);
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while std::time::Instant::now() < deadline {
@@ -446,7 +444,7 @@ mod tests {
             },
         );
         for b in 1..=12u64 {
-            add_groom(&idx, b, 10);
+            add_groom(&daemon, &idx, b, 10);
         }
         daemon.shutdown();
         assert!(daemon.is_idle(), "graceful shutdown leaves the queue empty");
@@ -592,7 +590,7 @@ mod tests {
             },
         );
         for b in 1..=4u64 {
-            add_groom(&idx, b, 5);
+            add_groom(&daemon, &idx, b, 5);
         }
         assert!(daemon.wait_idle(Duration::from_secs(5)));
         let s = daemon.stats();

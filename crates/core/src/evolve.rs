@@ -137,10 +137,6 @@ impl UmziIndex {
         self.bury(removed);
 
         self.counters.evolves.fetch_add(1, Ordering::Relaxed);
-        // Ingest-path daemon trigger: the new run may satisfy the receiving
-        // zone's merge condition, and GC'd runs unblock deferred
-        // deprecated-block retirement.
-        self.notify_maintenance(crate::index::MaintEvent::EvolveApplied { level, gc_runs });
         Ok(EvolveReport {
             psn: notice.psn,
             new_run_id: run.run_id(),

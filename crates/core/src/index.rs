@@ -27,31 +27,6 @@ pub struct ZoneState {
     pub list: RunList,
 }
 
-/// What an index operation just did — fired through the maintenance hook so
-/// an attached daemon can enqueue follow-up work from the ingest path
-/// instead of polling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintEvent {
-    /// A run was published at `level` (a groom build at level 0, or an
-    /// evolve build at the receiving zone's entry level).
-    RunBuilt {
-        /// The new run's level.
-        level: u32,
-    },
-    /// An evolve completed: a run entered the next zone at `level` and
-    /// `gc_runs` covered runs were unlinked.
-    EvolveApplied {
-        /// Entry level of the receiving zone.
-        level: u32,
-        /// Covered runs garbage-collected by step 3.
-        gc_runs: usize,
-    },
-}
-
-/// Callback an attached maintenance daemon registers to learn about index
-/// operations. Must be cheap and non-blocking (it runs on the ingest path).
-pub type MaintenanceHook = Arc<dyn Fn(MaintEvent) + Send + Sync>;
-
 /// Operation counters (monotonic).
 #[derive(Debug, Default)]
 pub struct IndexCounters {
@@ -95,8 +70,6 @@ pub struct UmziIndex {
     /// "each level is assigned a dedicated index maintenance thread").
     pub(crate) level_locks: Vec<Mutex<()>>,
     pub(crate) counters: IndexCounters,
-    /// Daemon notification hook; `None` when no daemon is attached.
-    pub(crate) maintenance_hook: Mutex<Option<MaintenanceHook>>,
 }
 
 impl std::fmt::Debug for UmziIndex {
@@ -153,23 +126,8 @@ impl UmziIndex {
             ancestor_pool: Mutex::new(std::collections::HashMap::new()),
             level_locks: (0..=max_level).map(|_| Mutex::new(())).collect(),
             counters: IndexCounters::default(),
-            maintenance_hook: Mutex::new(None),
             zones,
             config,
-        }
-    }
-
-    /// Register (or clear) the maintenance hook a daemon uses to receive
-    /// [`MaintEvent`]s from the build and evolve paths.
-    pub fn set_maintenance_hook(&self, hook: Option<MaintenanceHook>) {
-        *self.maintenance_hook.lock() = hook;
-    }
-
-    /// Fire the maintenance hook, if any.
-    pub(crate) fn notify_maintenance(&self, event: MaintEvent) {
-        let hook = self.maintenance_hook.lock().clone();
-        if let Some(h) = hook {
-            h(event);
         }
     }
 

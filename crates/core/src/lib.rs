@@ -21,6 +21,11 @@
 //! * **Multi-tier storage** (§6): non-persisted levels with ancestor
 //!   tracking, SSD cache management with a current cached level
 //!   ([`UmziIndex::cache_maintain`]).
+//! * **Background maintenance** (§5.1): [`MaintenanceDaemon`], a
+//!   prioritized job queue drained by worker threads. The embedder's
+//!   [`JobExecutor`] runs each [`Job`], and a job's
+//!   [`JobOutcome::follow_ups`] are the only way one job schedules another:
+//!   index operations call back into no daemon.
 //! * **Queries** (§7): [`UmziIndex::range_scan`],
 //!   [`UmziIndex::point_lookup`], [`UmziIndex::batch_lookup`], with set- and
 //!   priority-queue reconciliation ([`ReconcileStrategy`]).
@@ -82,7 +87,7 @@ pub use daemon::{
 };
 pub use error::UmziError;
 pub use evolve::{EvolveNotice, EvolveReport};
-pub use index::{IndexCounters, MaintEvent, MaintenanceHook, UmziIndex, ZoneState};
+pub use index::{IndexCounters, UmziIndex, ZoneState};
 pub use manifest::Manifest;
 pub use merge::MergeReport;
 pub use query::{QueryOutput, RangeQuery};

@@ -4,12 +4,14 @@
 //! committed logs (live zone); a [`umzi_core::MaintenanceDaemon`] worker
 //! pool drains a prioritized job queue of groom / merge / evolve / janitor
 //! work, fed from the **ingest path** (upserts poke `Groom` once a backlog
-//! accumulates, index builds poke `Merge` through the maintenance hook) and
-//! from the daemon's janitor, which ticks the paper's cadence (groomer every
-//! second, §2.1; post-groomer every 20 s, §8.4). The daemon's backpressure
-//! gate stalls ingest when the level-0 run count reaches the configured
-//! high watermark and resumes at the low watermark, so sustained writes
-//! cannot outrun grooming.
+//! accumulates, a stalled writer pokes level-0 merges and evolves), from
+//! the follow-ups each finished job returns (a groom its level-0 merge, an
+//! evolve its merge and the janitor), and from the daemon's janitor, which
+//! ticks the paper's cadence (groomer every second, §2.1; post-groomer
+//! every 20 s, §8.4). The daemon's backpressure gate stalls ingest when the
+//! level-0 run count reaches the configured high watermark and resumes at
+//! the low watermark, so sustained writes cannot outrun grooming.
+//! [`WildfireEngine::quiesce`] runs the same executor's jobs inline.
 //!
 //! Queries route by sharding key when it is bound, otherwise fan out; shard
 //! key spaces are disjoint, so cross-shard results concatenate without
@@ -20,8 +22,8 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 use umzi_core::{
-    Job, MaintEvent, MaintenanceConfig, MaintenanceDaemon, MaintenanceStats, QueryOutput,
-    RangeQuery, ReconcileStrategy, Tick, UmziError, STALL_TIMEOUT,
+    Job, MaintenanceConfig, MaintenanceDaemon, MaintenanceStats, QueryOutput, RangeQuery,
+    ReconcileStrategy, Tick, UmziError, STALL_TIMEOUT,
 };
 use umzi_encoding::Datum;
 use umzi_run::{Rid, SortBound};
@@ -177,6 +179,9 @@ pub struct WildfireEngine {
     shards: Vec<Arc<Shard>>,
     storage: Arc<TieredStorage>,
     config: EngineConfig,
+    /// The one maintenance executor: the daemon's workers and
+    /// [`WildfireEngine::quiesce`] run every job through it.
+    executor: Arc<EngineExecutor>,
     /// The running maintenance daemon, set by [`WildfireEngine::start_daemons`];
     /// the ingest path reads it to enqueue jobs and pass the backpressure
     /// gate.
@@ -240,11 +245,20 @@ impl WildfireEngine {
             )?);
         }
         let qmetrics = QueryMetrics::new(storage.telemetry().registry());
+        let executor = Arc::new(EngineExecutor::new(
+            shards.clone(),
+            config.groom_trigger_rows,
+            config
+                .maintenance
+                .as_ref()
+                .is_some_and(|mc| mc.adaptive_cache),
+        ));
         Ok(Arc::new(WildfireEngine {
             table,
             shards,
             storage,
             config,
+            executor,
             daemon: RwLock::new(None),
             qmetrics,
         }))
@@ -420,7 +434,8 @@ impl WildfireEngine {
         out
     }
 
-    /// Groom every shard once (manual ticking; daemons call this too).
+    /// Groom every shard once (manual ticking; the daemon's groom job calls
+    /// [`Shard::groom`] through the executor).
     pub fn groom_all(&self) -> Result<usize> {
         let mut n = 0;
         for s in &self.shards {
@@ -451,17 +466,25 @@ impl WildfireEngine {
         Ok(n)
     }
 
-    /// Drain the whole pipeline synchronously: groom, post-groom, evolve,
-    /// merge and GC until quiescent. Deterministic tests and examples.
+    /// Drain the whole pipeline synchronously on the calling thread, through
+    /// the daemon's executor: rounds in which every shard runs a `Groom`, an
+    /// `Evolve` (post-groom included), each level's `Merge` until idle, in
+    /// ascending level order, and the janitor, until a round grooms, evolves
+    /// and merges nothing. Every index is merged and collected, as under
+    /// the daemon. Deterministic tests and examples.
     pub fn quiesce(&self) -> Result<()> {
+        let worked = |job| self.executor.run(job).map(|outcome| outcome.did_work);
         loop {
             let mut progressed = false;
-            progressed |= self.groom_all()? > 0;
-            progressed |= self.post_groom_all()? > 0;
-            progressed |= self.evolve_all()? > 0;
-            for s in &self.shards {
-                progressed |= s.index().drain_merges()? > 0;
-                s.index().collect_garbage()?;
+            for (shard, s) in self.shards.iter().enumerate() {
+                progressed |= worked(Job::Groom { shard })?;
+                progressed |= worked(Job::Evolve { shard })?;
+                for level in 0..=s.index().config().max_level() {
+                    while worked(Job::Merge { shard, level })? {
+                        progressed = true;
+                    }
+                }
+                worked(Job::RetireDeprecatedBlocks { shard })?;
             }
             if !progressed {
                 return Ok(());
@@ -826,42 +849,13 @@ impl WildfireEngine {
     /// shut down or dropped.
     pub fn start_daemons(self: &Arc<Self>) -> EngineDaemons {
         let daemon = self.config.maintenance.clone().map(|mc| {
-            let executor = Arc::new(EngineExecutor::new(
-                self.shards.to_vec(),
-                self.config.groom_trigger_rows,
-                mc.adaptive_cache,
-            ));
             let ticks: [Tick; 2] = [
                 (self.config.groom_interval, |shard| Job::Groom { shard }),
                 (self.config.post_groom_interval, |shard| Job::Evolve {
                     shard,
                 }),
             ];
-            let daemon = MaintenanceDaemon::spawn(executor, mc, &ticks);
-            // Ingest-path hooks: every index build / evolve enqueues its
-            // follow-up maintenance instead of waiting for a poll. Weak so
-            // the hook (held by the index, held by the executor, held by
-            // the daemon's workers) doesn't keep the daemon alive forever.
-            for (si, shard) in self.shards.iter().enumerate() {
-                let weak = Arc::downgrade(&daemon);
-                let hook: umzi_core::MaintenanceHook = Arc::new(move |ev: MaintEvent| {
-                    let Some(daemon) = weak.upgrade() else { return };
-                    match ev {
-                        MaintEvent::RunBuilt { level } => {
-                            daemon.enqueue(Job::Merge { shard: si, level });
-                        }
-                        MaintEvent::EvolveApplied { level, gc_runs } => {
-                            daemon.enqueue(Job::Merge { shard: si, level });
-                            if gc_runs > 0 {
-                                daemon.enqueue(Job::RetireDeprecatedBlocks { shard: si });
-                            }
-                        }
-                    }
-                });
-                for idx in shard.indexes() {
-                    idx.set_maintenance_hook(Some(Arc::clone(&hook)));
-                }
-            }
+            let daemon = MaintenanceDaemon::spawn(Arc::clone(&self.executor) as _, mc, &ticks);
             *self.daemon.write() = Some(Arc::clone(&daemon));
             daemon
         });
@@ -892,14 +886,15 @@ impl EngineDaemons {
 
     fn stop(&mut self) {
         if let Some(daemon) = self.daemon.take() {
-            // Unhook the ingest path first so late builds don't enqueue
-            // into a closing queue, then drain and join the workers.
-            for shard in self.engine.shards() {
-                for idx in shard.indexes() {
-                    idx.set_maintenance_hook(None);
+            // Detach the ingest path from this daemon only: a later
+            // `start_daemons` may have put another one in the slot. Then
+            // drain and join the workers.
+            {
+                let mut slot = self.engine.daemon.write();
+                if slot.as_ref().is_some_and(|d| Arc::ptr_eq(d, &daemon)) {
+                    *slot = None;
                 }
             }
-            *self.engine.daemon.write() = None;
             daemon.shutdown();
         }
     }
@@ -926,18 +921,21 @@ mod tests {
         ]
     }
 
+    /// One shard, no daemon: tests drive maintenance themselves.
+    fn inline_config() -> EngineConfig {
+        EngineConfig {
+            maintenance: None,
+            ..EngineConfig::default()
+        }
+    }
+
     fn engine(n_shards: usize) -> Arc<WildfireEngine> {
         let storage = Arc::new(TieredStorage::in_memory());
-        WildfireEngine::create(
-            storage,
-            Arc::new(iot_table()),
-            EngineConfig {
-                n_shards,
-                maintenance: None,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap()
+        let config = EngineConfig {
+            n_shards,
+            ..inline_config()
+        };
+        WildfireEngine::create(storage, Arc::new(iot_table()), config).unwrap()
     }
 
     /// Inverted watermarks and zero shards fail `create` and `recover` alike
@@ -975,8 +973,8 @@ mod tests {
 
     /// A crash after a post-groom, when its evolve failed at any one of the
     /// shared-storage puts it makes, recovers into a pipeline that drains:
-    /// the re-run post-groom finds its own endTS delta already stored, and
-    /// every secondary index answers what the primary does. Secondaries
+    /// recovery deletes the endTS delta the re-run post-groom writes again,
+    /// and every secondary index answers what the primary does. Secondaries
     /// evolve before the primary, so at every fault point they are at or
     /// ahead of it.
     #[test]
@@ -1106,6 +1104,146 @@ mod tests {
                 assert_eq!(answers(&e), want, "{case}");
             }
         }
+    }
+
+    /// A groom that lands between a failed evolve and a crash makes the
+    /// recovered shard's re-run post-groom span one more groomed block, so
+    /// its endTS delta differs from the one stored under the same PSN.
+    /// Recovery deletes every delta above the primary's IndexedPSN, so the
+    /// re-run and every later post-groom write theirs, and all updates are
+    /// visible.
+    #[test]
+    fn a_groom_between_a_failed_evolve_and_a_crash_does_not_block_post_groom() {
+        use umzi_storage::{
+            FaultInjectingStore, FaultPlan, InMemoryObjectStore, LatencyModel, ObjectStore,
+            RetryConfig, SharedStorage, TieredConfig,
+        };
+        let store = Arc::new(FaultInjectingStore::new(
+            Arc::new(InMemoryObjectStore::new()),
+            FaultPlan::none(),
+        ));
+        let shared = SharedStorage::new(
+            Arc::clone(&store) as Arc<dyn ObjectStore>,
+            LatencyModel::off(),
+        );
+        let tiered = TieredConfig {
+            retry: RetryConfig::disabled(),
+            ..TieredConfig::default()
+        };
+        let storage = Arc::new(TieredStorage::new(shared, tiered));
+        let (table, config) = (Arc::new(iot_table()), inline_config());
+        // Upsert version `v` of each message.
+        let batch = |e: &WildfireEngine, msgs: std::ops::Range<i64>, v: i64| {
+            let rows = msgs.map(|m| row(m % 4, m, 100, v * 1000 + m));
+            e.upsert_many(rows.collect()).unwrap();
+        };
+        let e = WildfireEngine::create(Arc::clone(&storage), Arc::clone(&table), config.clone())
+            .unwrap();
+        batch(&e, 0..40, 1);
+        e.quiesce().unwrap();
+        // Updates across batches: the post-groom stores an endTS delta.
+        batch(&e, 0..20, 2);
+        e.groom_all().unwrap();
+        assert_eq!(e.post_groom_all().unwrap(), 1);
+        store.crash();
+        assert!(e.evolve_all().is_err(), "the evolve did not fail");
+        store.revive();
+        // More cross-batch updates, groomed before the crash.
+        batch(&e, 20..30, 3);
+        assert_eq!(e.groom_all().unwrap(), 1);
+        drop(e);
+        storage.simulate_crash();
+
+        let e = WildfireEngine::recover(storage, table, config).unwrap();
+        e.quiesce().unwrap();
+        batch(&e, 30..35, 4);
+        e.quiesce().unwrap();
+        let version = |m: i64| match m {
+            0..20 => 2,
+            20..30 => 3,
+            30..35 => 4,
+            _ => 1,
+        };
+        for device in 0..4 {
+            let recs = e
+                .scan_records(
+                    vec![Datum::Int64(device)],
+                    SortBound::Unbounded,
+                    SortBound::Unbounded,
+                    Freshness::Latest,
+                )
+                .unwrap();
+            let got: Vec<(i64, i64)> = recs
+                .iter()
+                .map(|r| (r.row[1].as_i64().unwrap(), r.row[3].as_i64().unwrap()))
+                .collect();
+            let want: Vec<(i64, i64)> = (0..40)
+                .filter(|m| m % 4 == device)
+                .map(|m| (m, version(m) * 1000 + m))
+                .collect();
+            assert_eq!(got, want, "device {device}");
+        }
+    }
+
+    /// `quiesce` merges and collects every index, not only the primary: a
+    /// secondary's runs stay within the merge policy's bound and its
+    /// graveyard empties, round after round.
+    #[test]
+    fn quiesce_keeps_secondary_indexes_merged_and_collected() {
+        use umzi_encoding::ColumnType;
+        let table = TableDef::builder("orders")
+            .column("customer", ColumnType::Int64)
+            .column("order", ColumnType::Int64)
+            .column("day", ColumnType::Int64)
+            .column("amount", ColumnType::Int64)
+            .primary_key(&["customer", "order"])
+            .sharding_key(&["customer"])
+            .partition_key("day")
+            .secondary_index("by_day", &["day"], &[], &[])
+            .build()
+            .unwrap();
+        let e = WildfireEngine::create(
+            Arc::new(TieredStorage::in_memory()),
+            Arc::new(table),
+            inline_config(),
+        )
+        .unwrap();
+        for round in 0..40 {
+            let orders = (round * 50..(round + 1) * 50).map(|o| row(o % 7, o, o % 3, o));
+            e.upsert_many(orders.collect()).unwrap();
+            e.quiesce().unwrap();
+        }
+        let shard = &e.shards()[0];
+        let merge = shard.index().config().merge;
+        let bound = (shard.index().config().max_level() as usize + 1) * merge.k;
+        let primary_runs = shard.index().run_count();
+        assert!(primary_runs <= bound, "primary: {primary_runs} runs");
+        for idx in shard.indexes() {
+            let name = &idx.config().name;
+            assert_eq!(idx.graveyard_len(), 0, "{name}: buried runs never deleted");
+            assert_eq!(idx.run_count(), primary_runs, "{name}: runs");
+        }
+    }
+
+    /// Dropping the handle of an earlier `start_daemons` leaves the newer
+    /// daemon attached: the ingest path still reaches it.
+    #[test]
+    fn a_stale_daemon_handle_does_not_detach_a_newer_daemon() {
+        let e = WildfireEngine::create(
+            Arc::new(TieredStorage::in_memory()),
+            Arc::new(iot_table()),
+            EngineConfig::default(),
+        )
+        .unwrap();
+        let first = e.start_daemons();
+        let second = e.start_daemons();
+        drop(first);
+        assert!(
+            e.maintenance_stats().is_some(),
+            "the newer daemon was detached"
+        );
+        drop(second);
+        assert!(e.maintenance_stats().is_none());
     }
 
     #[test]

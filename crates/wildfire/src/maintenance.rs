@@ -1,21 +1,26 @@
 //! The engine's maintenance-job executor: how each [`Job`] kind maps onto
-//! the Wildfire pipeline (Figure 1 + §5).
+//! the Wildfire pipeline (Figure 1 + §5), and what each job schedules next.
+//! The daemon's workers and [`crate::WildfireEngine::quiesce`] both run
+//! jobs through [`EngineExecutor::run`]; a job's `follow_ups` are the only
+//! way one job schedules another.
 //!
 //! | job | work | typical trigger |
 //! |-----|------|-----------------|
 //! | `Groom` | [`Shard::groom`] — drain the live zone into a groomed block + L0 run | upsert backlog, groom tick |
-//! | `Merge` | [`umzi_core::UmziIndex::merge_at`] on every index of the shard | run built (ingest hook), merge follow-up |
+//! | `Merge` | [`umzi_core::UmziIndex::merge_at`] on every index of the shard | groom, evolve or merge follow-up, backpressure relief |
 //! | `Evolve` | apply pending evolves, then [`Shard::post_groom`] + apply again | post-groom tick, backpressure relief |
-//! | `RetireDeprecatedBlocks` | graveyard GC on every index, janitor block retirement, adaptive cache maintenance | janitor tick, evolve follow-up |
+//! | `RetireDeprecatedBlocks` | graveyard GC on every index, janitor block retirement, parked-delete retry, adaptive cache maintenance | janitor tick, merge or evolve follow-up |
 //!
-//! Every job reports the shard-max level-0 run count back to the daemon so
-//! the ingest backpressure gate tracks reality without polling.
+//! Every job but the janitor reports the shard-max level-0 run count back
+//! to the daemon so the ingest backpressure gate tracks reality without
+//! polling.
 
 use std::sync::Arc;
 
 use umzi_core::{Job, JobExecutor, JobOutcome, JobResult, UmziError};
 
 use crate::shard::Shard;
+use crate::Result;
 
 /// The level-0 run count the backpressure gate watches: the worst shard
 /// (queries against that shard pay for every one of its runs). The ingest
@@ -49,22 +54,10 @@ impl EngineExecutor {
             adaptive_cache,
         }
     }
-}
 
-impl JobExecutor for EngineExecutor {
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn telemetry(&self) -> Option<Arc<umzi_storage::Telemetry>> {
-        // Every shard stacks on the same storage hierarchy; the first
-        // shard's handle is the engine-wide one.
-        self.shards
-            .first()
-            .map(|s| Arc::clone(s.index().storage().telemetry()))
-    }
-
-    fn execute(&self, job: Job) -> JobResult {
+    /// Run one job on the calling thread and report what it did and what
+    /// should run next.
+    pub(crate) fn run(&self, job: Job) -> Result<JobOutcome> {
         let shard = &self.shards[job.shard()];
         match job {
             Job::Groom { shard: si } => {
@@ -184,5 +177,23 @@ impl JobExecutor for EngineExecutor {
                 })
             }
         }
+    }
+}
+
+impl JobExecutor for EngineExecutor {
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn telemetry(&self) -> Option<Arc<umzi_storage::Telemetry>> {
+        // Every shard stacks on the same storage hierarchy; the first
+        // shard's handle is the engine-wide one.
+        self.shards
+            .first()
+            .map(|s| Arc::clone(s.index().storage().telemetry()))
+    }
+
+    fn execute(&self, job: Job) -> JobResult {
+        Ok(self.run(job)?)
     }
 }

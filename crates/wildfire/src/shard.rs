@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use umzi_core::{EvolveNotice, UmziConfig, UmziIndex};
 use umzi_encoding::Datum;
 use umzi_run::{IndexEntry, KeyLayout, Rid, ZoneId};
-use umzi_storage::{context, OpClass, Priority, StorageError, TieredStorage};
+use umzi_storage::{context, OpClass, Priority, TieredStorage};
 
 use crate::colblock::{serialize_deltas, ColumnBlock, EndTsDelta};
 use crate::error::WildfireError;
@@ -190,7 +190,7 @@ impl Shard {
             indexes.push(open_index(Arc::clone(&storage), table.index_def(i), cfg)?);
         }
         let registry = if recover {
-            Registry::recover(&storage, &prefix)?
+            Registry::recover(&storage, &prefix, indexes[0].indexed_psn())?
         } else {
             Registry::default()
         };
@@ -199,8 +199,12 @@ impl Shard {
             let ids = registry.blocks.keys().filter(|(z, _)| *z == zone);
             ids.map(|&(_, id)| id).max().unwrap_or(0)
         };
-        let (groomed_max, pg_max) = (max_id(ZoneId::GROOMED), max_id(ZoneId::POST_GROOMED));
         let covered = indexes[0].covered_groomed_hi(0).unwrap_or(0);
+        // The janitor may have retired every groomed block up to the
+        // primary's evolve watermark: block IDs and timestamps resume above
+        // both.
+        let groomed_max = max_id(ZoneId::GROOMED).max(covered);
+        let pg_max = max_id(ZoneId::POST_GROOMED);
         let indexed_psn = indexes[0].indexed_psn();
         let max_ts = compose_begin_ts(groomed_max, MAX_COMMIT_SEQ);
         Ok(Arc::new(Shard {
@@ -561,22 +565,15 @@ impl Shard {
         self.registry.lock().deprecated.insert(psn, dep);
 
         // Persist cross-batch endTS closures as a sidecar delta object. A
-        // crash after this put and before the PSN's evolve landed makes the
-        // recovered shard re-run the same post-groom under the same PSN; its
-        // delta bytes are deterministic, so an equal stored object is this
-        // one, not a collision.
+        // crash before the PSN's evolve landed on the primary leaves no
+        // stale delta under this name: recovery deletes it, and the
+        // recovered shard re-runs the post-groom under the same PSN.
         if !deltas.is_empty() {
             let name = format!("{}/deltas/d-{psn:020}", self.prefix);
             let payload = serialize_deltas(&deltas);
-            let (storage, shared) = (&self.storage, self.storage.shared());
-            let mut put =
-                storage.with_retry_as(OpClass::Delta, || shared.put(&name, payload.clone()));
-            if matches!(put, Err(StorageError::AlreadyExists { .. }))
-                && storage.with_retry_as(OpClass::Delta, || shared.get(&name))? == payload
-            {
-                put = Ok(());
-            }
-            put?;
+            let shared = self.storage.shared();
+            self.storage
+                .with_retry_as(OpClass::Delta, || shared.put(&name, payload.clone()))?;
         }
 
         // Publish for the indexer (Figure 5): metadata first, then MaxPSN.
@@ -811,8 +808,13 @@ impl Shard {
 
 impl Registry {
     /// Reload a shard's data blocks from shared storage (§5.5) and replay
-    /// its `endTS` delta sidecars onto them.
-    fn recover(storage: &TieredStorage, prefix: &str) -> Result<Registry> {
+    /// its `endTS` delta sidecars onto them, up to the primary index's
+    /// `indexed_psn`. A delta above it belongs to a post-groom whose evolve
+    /// never landed on the primary; the recovered shard re-runs that
+    /// post-groom under the same PSN, possibly over more groomed blocks, so
+    /// the delta is deleted, not replayed, and recovery fails if it cannot
+    /// be.
+    fn recover(storage: &TieredStorage, prefix: &str, indexed_psn: u64) -> Result<Registry> {
         let mut registry = Registry::default();
         for object in storage.with_retry_as(OpClass::BlockFetch, || {
             storage.shared().list(&format!("{prefix}/blocks/"))
@@ -845,6 +847,14 @@ impl Registry {
         for object in storage.with_retry_as(OpClass::Delta, || {
             storage.shared().list(&format!("{prefix}/deltas/"))
         })? {
+            let file = object.rsplit('/').next().unwrap_or("");
+            let Some(psn) = file.strip_prefix("d-").and_then(|n| n.parse::<u64>().ok()) else {
+                continue;
+            };
+            if psn > indexed_psn {
+                storage.with_retry_as(OpClass::Delta, || storage.shared().delete(&object))?;
+                continue;
+            }
             let data = storage.with_retry_as(OpClass::Delta, || storage.shared().get(&object))?;
             let deltas = match crate::colblock::deserialize_deltas(&data) {
                 Ok(d) => d,
@@ -1603,5 +1613,40 @@ mod tests {
         // New grooms don't collide with recovered block IDs.
         s.upsert(vec![row(3, 100, 100, 1)]).unwrap();
         s.groom().unwrap().unwrap();
+    }
+
+    /// Once the janitor has retired every groomed block, recovery still
+    /// resumes block IDs and timestamps above the primary's evolve
+    /// watermark: the recovered shard reads what it read before the crash,
+    /// and its next groomed block is not one the watermark already covers.
+    #[test]
+    fn recovery_resumes_above_retired_groomed_blocks() {
+        let storage = Arc::new(TieredStorage::in_memory());
+        let table = Arc::new(iot_table());
+        let config = ShardConfig::default();
+        let s = Shard::create(Arc::clone(&storage), Arc::clone(&table), 0, config.clone()).unwrap();
+        s.upsert((0..4).map(|m| row(3, m, 100, m)).collect())
+            .unwrap();
+        s.groom().unwrap().unwrap();
+        s.post_groom().unwrap().unwrap();
+        s.apply_pending_evolves().unwrap();
+        s.index().collect_garbage().unwrap();
+        assert_eq!(s.retire_deprecated_blocks().unwrap(), 1);
+        assert_eq!(s.block_counts().0, 0, "every groomed block retired");
+        let read_ts = s.read_ts();
+        drop(s);
+        storage.simulate_crash();
+
+        let s = Shard::recover(storage, table, 0, config).unwrap();
+        assert!(s.read_ts() >= read_ts, "recovered reads start at ts 0");
+        s.upsert(vec![row(3, 9, 100, 9)]).unwrap();
+        assert_eq!(s.groom().unwrap().unwrap().block_id, 2);
+        for m in [0, 9] {
+            let key = [Datum::Int64(m)];
+            let hit = s
+                .index()
+                .point_lookup(&[Datum::Int64(3)], &key, s.read_ts());
+            assert!(hit.unwrap().is_some(), "msg {m}");
+        }
     }
 }

@@ -313,8 +313,9 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
     let daemons = engine.start_daemons();
     let daemon = Arc::clone(daemons.daemon().expect("maintenance configured"));
 
-    // Hot flood: 10x the cold rate, groomed inline each round so the daemon
-    // queue always holds fresh level-0 merge work for the hot shard.
+    // Hot flood: 10x the cold rate, groomed inline each round, each groom
+    // followed by the level-0 merge the daemon's groom job would schedule,
+    // so the daemon queue always holds fresh merge work for the hot shard.
     let stop = Arc::new(AtomicBool::new(false));
     let hot_acked = Arc::new(AtomicU64::new(0));
     // A stall that outlives the writer's 2 s budget rejects the batch;
@@ -327,6 +328,7 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
         let hot_acked = Arc::clone(&hot_acked);
+        let daemon = Arc::clone(&daemon);
         std::thread::spawn(move || {
             let mut msg = 0i64;
             while !stop.load(Ordering::Acquire) {
@@ -339,7 +341,13 @@ fn cold_shard_groom_completes_under_hot_merge_pressure() {
                     Err(WildfireError::Backpressure { .. }) => {}
                     Err(e) => panic!("hot ingest failed: {e}"),
                 }
-                engine.shards()[0].groom().expect("inline hot groom");
+                if engine.shards()[0]
+                    .groom()
+                    .expect("inline hot groom")
+                    .is_some()
+                {
+                    daemon.enqueue(Job::Merge { shard: 0, level: 0 });
+                }
                 std::thread::sleep(Duration::from_millis(2));
             }
         })
