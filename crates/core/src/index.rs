@@ -40,6 +40,11 @@ pub struct IndexCounters {
     pub gc_runs: AtomicU64,
     /// Merge conflicts (abandoned merges).
     pub merge_conflicts: AtomicU64,
+    /// Exact-key probes a run's key filter rejected.
+    pub filter_rejects: AtomicU64,
+    /// Exact-key probes a run's key filter passed that found no version of
+    /// their key (false positives).
+    pub filter_false_passes: AtomicU64,
 }
 
 /// The Umzi unified multi-zone index.

@@ -7,13 +7,15 @@
 //! pruned by their synopses (§4.2). Per-run results are reconciled with the
 //! set or priority-queue strategy (§7.1.2).
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use umzi_encoding::{hash_prefix, Datum, IndexDef};
+use umzi_encoding::{encode_datum, hash_prefix, Datum, IndexDef};
 use umzi_run::synopsis::encode_eq_values;
 use umzi_run::{
-    AccessPattern, KeyLayout, ProbeCursor, Rid, Run, RunSearcher, SearchHit, SortBound,
+    AccessPattern, FilterCounts, KeyLayout, ProbeCursor, ProbeKey, Rid, Run, RunSearcher,
+    SearchHit, SortBound,
 };
 use umzi_storage::context::{self, fan_out};
 use umzi_storage::telemetry::QueryTrace;
@@ -95,8 +97,7 @@ fn thread_budget() -> usize {
 
 /// A claim of one run's batch probes: a run of consecutive pending probes
 /// (`probes`, positions in the run's pending list) and the distinct blocks
-/// they read first (`blocks`, ascending; empty when the claim never
-/// stages).
+/// they read (`blocks`, ascending; empty when the claim never stages).
 struct Claim {
     probes: std::ops::Range<usize>,
     blocks: Vec<u32>,
@@ -106,8 +107,11 @@ struct Claim {
 /// most [`READAHEAD_DEPTH`] distinct target blocks each, in one pass that
 /// gallops over the run's in-RAM fences ([`Run::probe_block_from`]). A claim
 /// boundary is a block boundary, so no two claims read first the same
-/// block. The run must have data blocks.
+/// block. A key that opens the block after its target reads on into it, so
+/// that block joins the key's claim too (and may take it one past the
+/// depth). The run must have data blocks.
 fn plan_claims<'p>(run: &Run, prefixes: impl Iterator<Item = &'p [u8]>) -> Vec<Claim> {
+    let fences = &run.header().fence_keys;
     let mut claims: Vec<Claim> = Vec::new();
     for (i, prefix) in prefixes.enumerate() {
         let from = claims
@@ -125,7 +129,12 @@ fn plan_claims<'p>(run: &Run, prefixes: impl Iterator<Item = &'p [u8]>) -> Vec<C
                 blocks: vec![b],
             }),
         }
-        claims.last_mut().expect("pushed above").probes.end = i + 1;
+        let claim = claims.last_mut().expect("pushed above");
+        claim.probes.end = i + 1;
+        let next = fences.get(b as usize + 1);
+        if next.is_some_and(|f| KeyLayout::logical_key(f) == prefix) {
+            claim.blocks.push(b + 1);
+        }
     }
     claims
 }
@@ -294,17 +303,18 @@ impl UmziIndex {
 
     /// Point lookup (§7.2): the full key (all equality and sort columns) is
     /// specified; runs are searched newest→oldest and the search stops at
-    /// the first match.
+    /// the first match. The key is hashed once, and each run's key filter
+    /// skips, from one cache line, a run that holds no version of it.
     ///
     /// Over runs purged to shared storage that search would be a chain of
     /// dependent fetches, although the in-RAM fences already name the one
     /// block each run would need. So the first probe whose block has no
     /// verified RAM entry stages, in one concurrent round, that block and
-    /// the target block of every candidate run not yet searched
-    /// ([`Self::stage`]); the probes that follow find their blocks local.
-    /// The trade: a lookup may fetch blocks of runs older than the one that
-    /// answers it. A lookup whose blocks are all verified in RAM stages
-    /// nothing and does no extra work.
+    /// the target block of every candidate run not yet searched whose
+    /// filter passes the key ([`Self::stage`]); the probes that follow find
+    /// their blocks local. The trade: a lookup may fetch blocks of runs
+    /// older than the one that answers it. A lookup whose blocks are all
+    /// verified in RAM stages nothing and does no extra work.
     pub fn point_lookup(
         &self,
         equality: &[Datum],
@@ -330,36 +340,60 @@ impl UmziIndex {
         // Build a full key and strip the timestamp to get the exact logical
         // prefix (also validates arity and kinds).
         let full = self.layout.build_key(equality, sort_values, 0)?;
-        let prefix = KeyLayout::logical_key(&full);
+        let key = ProbeKey::new(KeyLayout::logical_key(&full));
         let eq_encoded = encode_eq_values(equality);
-        let bound = SortBound::Included(sort_values.to_vec());
+        // The first sort value bounds the lookup on both sides; encoded once.
+        let sort0 = sort_values.first().map(|v| {
+            let mut out = Vec::with_capacity(9);
+            encode_datum(v, &mut out);
+            out
+        });
         let may_match = |run: &Run| {
+            let s0 = sort0.as_deref();
             run.header()
                 .synopsis
-                .may_match(&eq_encoded, &bound, &bound, query_ts)
+                .may_match_encoded(&eq_encoded, s0, s0, query_ts)
         };
 
         let candidates = self.candidate_runs();
         let mut staged = false;
+        let mut filter = FilterCounts::default();
+        let mut found = None;
         for (i, run) in candidates.iter().enumerate() {
             if !may_match(run) {
                 continue;
             }
-            let hit = ProbeCursor::new(run, query_ts, AccessPattern::PointLookup).probe_staging(
-                prefix,
-                |missed| {
-                    if !std::mem::replace(&mut staged, true) {
-                        let rest = candidates[i + 1..].iter().filter(|r| may_match(r));
-                        let targets = rest.map(|r| (&**r, r.probe_block(prefix)));
-                        self.stage(std::iter::once((&**run, Some(missed))).chain(targets));
-                    }
-                },
-            )?;
-            if let Some(hit) = hit {
-                return Ok(Some(QueryOutput::from_hit(hit)));
+            let mut cursor = ProbeCursor::new(run, query_ts, AccessPattern::PointLookup);
+            let hit = cursor.probe_staging(key, |missed| {
+                if !std::mem::replace(&mut staged, true) {
+                    let rest = candidates[i + 1..]
+                        .iter()
+                        .filter(|r| may_match(r) && r.may_hold(&key));
+                    let targets = rest.map(|r| (&**r, r.probe_block(key.prefix())));
+                    self.stage(std::iter::once((&**run, Some(missed))).chain(targets));
+                }
+            });
+            filter += cursor.filter_counts();
+            if let Some(hit) = hit? {
+                found = Some(QueryOutput::from_hit(hit));
+                break;
             }
         }
-        Ok(None)
+        self.count_filter(filter);
+        Ok(found)
+    }
+
+    /// Add what runs' key filters did for a lookup to the index counters.
+    fn count_filter(&self, filter: FilterCounts) {
+        let c = &self.counters;
+        for (counter, n) in [
+            (&c.filter_rejects, filter.rejected),
+            (&c.filter_false_passes, filter.false_passes),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Stage, ahead of the reads that need them, the `blocks` of each run in
@@ -402,6 +436,9 @@ impl UmziIndex {
     /// stages nothing. Under [`Priority::Background`](umzi_storage::Priority)
     /// nothing is staged and a run's probes stay one claim. Runs stay
     /// sequential so the paper's newest-first early exit is preserved.
+    /// Each key is hashed once per batch, and a run's probes its key filter
+    /// rejects are dropped before the claims are cut, so no claim stages a
+    /// block that no probe reads.
     pub fn batch_lookup(
         &self,
         keys: &[(Vec<Datum>, Vec<Datum>)],
@@ -435,11 +472,6 @@ impl UmziIndex {
         query_ts: u64,
         pattern: AccessPattern,
     ) -> Result<Vec<Option<QueryOutput>>> {
-        struct Probe {
-            prefix: Vec<u8>,
-            pos: usize,
-        }
-
         /// Below this many pending probes, thread spawn overhead beats the
         /// fan-out win and the run is searched on the calling thread.
         const PARALLEL_THRESHOLD: usize = 32;
@@ -467,17 +499,22 @@ impl UmziIndex {
                     col_maxs[i] = col;
                 }
             }
-            probes.push(Probe { prefix, pos });
+            probes.push((prefix, pos));
         }
         // "We first sort the input keys by the hash value, equality column
         // values, and sort column values, to improve search efficiency."
-        probes.sort_by(|a, b| a.prefix.cmp(&b.prefix));
+        probes.sort_unstable();
+        let probes: Vec<(ProbeKey<'_>, usize)> = probes
+            .iter()
+            .map(|(prefix, pos)| (ProbeKey::new(prefix), *pos))
+            .collect();
 
         let mut results: Vec<Option<QueryOutput>> = vec![None; keys.len()];
         let mut remaining = probes.len();
         // Asked of the OS by the first run with enough pending probes.
         let mut budget: Option<usize> = None;
         let background = context::current().priority() == Priority::Background;
+        let mut filter = FilterCounts::default();
 
         // "The sorted input keys are searched against each run sequentially
         // from newest to oldest, one run at a time, until all keys are found
@@ -493,46 +530,54 @@ impl UmziIndex {
             {
                 continue;
             }
-            let pending: Vec<&Probe> = probes.iter().filter(|p| results[p.pos].is_none()).collect();
-            let claims = if background || run.data_block_count() == 0 {
+            let unresolved = probes.iter().filter(|(_, pos)| results[*pos].is_none());
+            let pending: Vec<&(ProbeKey, usize)> =
+                unresolved.filter(|(key, _)| run.may_hold(key)).collect();
+            filter.rejected += (remaining - pending.len()) as u64;
+            if pending.is_empty() {
+                continue;
+            }
+            let claims = if background {
                 vec![Claim {
                     probes: 0..pending.len(),
                     blocks: Vec::new(),
                 }]
             } else {
-                plan_claims(&run, pending.iter().map(|p| p.prefix.as_slice()))
+                plan_claims(&run, pending.iter().map(|(key, _)| key.prefix()))
             };
             // One forward cursor per claim: the claim's probes ascend.
-            let probe_claim = |claim: &Claim| -> umzi_run::Result<Vec<(usize, SearchHit)>> {
+            type Found = (Vec<(usize, SearchHit)>, FilterCounts);
+            let probe_claim = |claim: &Claim| -> umzi_run::Result<Found> {
                 let mut cursor = ProbeCursor::new(&run, query_ts, pattern);
                 let mut staged = false;
                 let mut found = Vec::new();
-                for probe in &pending[claim.probes.clone()] {
-                    let hit = cursor.probe_staging(&probe.prefix, |missed| {
+                for &&(key, pos) in &pending[claim.probes.clone()] {
+                    let hit = cursor.probe_staging(key, |missed| {
                         if !std::mem::replace(&mut staged, true) {
                             let blocks = claim.blocks.iter().copied().chain([missed]);
                             self.stage([(&*run, blocks)]);
                         }
                     })?;
                     if let Some(hit) = hit {
-                        found.push((probe.pos, hit));
+                        found.push((pos, hit));
                     }
                 }
-                Ok(found)
+                Ok((found, cursor.filter_counts()))
             };
             let threads = if pending.len() < PARALLEL_THRESHOLD || claims.len() < 2 {
                 1
             } else {
                 *budget.get_or_insert_with(thread_budget)
             };
-            for (pos, hit) in fan_out(&claims, threads, probe_claim)?
-                .into_iter()
-                .flatten()
-            {
-                results[pos] = Some(QueryOutput::from_hit(hit));
-                remaining -= 1;
+            for (found, counts) in fan_out(&claims, threads, probe_claim)? {
+                filter += counts;
+                for (pos, hit) in found {
+                    results[pos] = Some(QueryOutput::from_hit(hit));
+                    remaining -= 1;
+                }
             }
         }
+        self.count_filter(filter);
         Ok(results)
     }
 }

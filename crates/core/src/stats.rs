@@ -28,6 +28,12 @@ pub struct IndexStats {
     pub gc_runs: u64,
     /// Abandoned merges.
     pub merge_conflicts: u64,
+    /// Exact-key probes (point and batch lookups) that a run's key filter
+    /// rejected, each without a fence search or a block read.
+    pub filter_rejects: u64,
+    /// Exact-key probes a run's key filter passed that found no version of
+    /// their key in the run: the filters' false positives.
+    pub filter_false_passes: u64,
     /// Always 0: the partitioned parallel reconcile is gone (every range
     /// scan merges sequentially behind readahead). The field stays, without
     /// a counter or an exported series, only because `benchmark/src/sut.rs`
@@ -71,6 +77,8 @@ impl UmziIndex {
             evolves: self.counters.evolves.load(Ordering::Relaxed),
             gc_runs: self.counters.gc_runs.load(Ordering::Relaxed),
             merge_conflicts: self.counters.merge_conflicts.load(Ordering::Relaxed),
+            filter_rejects: self.counters.filter_rejects.load(Ordering::Relaxed),
+            filter_false_passes: self.counters.filter_false_passes.load(Ordering::Relaxed),
             parallel_scans: 0,
             scan_partitions: 0,
             watermarks: (0..self.watermarks.len())

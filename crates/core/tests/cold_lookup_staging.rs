@@ -3,9 +3,10 @@
 //!
 //! Runs are searched newest to oldest and the search stops at the first
 //! match (§7.2), so over runs purged to shared storage a lookup used to be a
-//! chain of dependent fetches. On its first verified-lookup miss a point
-//! lookup now fetches the target block of every remaining candidate run at
-//! once; a batch lookup cuts each run's sorted probes into claims of at
+//! chain of dependent fetches. A run whose key filter rejects the key is
+//! skipped without a block. On its first verified-lookup miss a point
+//! lookup now fetches the target block of every remaining candidate run
+//! whose filter passes the key at once; a batch lookup cuts each run's sorted probes into claims of at
 //! most `READAHEAD_DEPTH` target blocks and fetches a claim's blocks in one
 //! batched read. A range scan fetches every candidate run's bound blocks in
 //! one round before it positions any run. The reads that follow find their
@@ -25,7 +26,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use umzi_core::{MergePolicy, RangeQuery, ReconcileStrategy, UmziConfig, UmziError, UmziIndex};
 use umzi_encoding::{ColumnType, Datum, IndexDef};
-use umzi_run::{IndexEntry, KeyLayout, Rid, Run, RunSearcher, SortBound, ZoneId};
+use umzi_run::{IndexEntry, KeyLayout, ProbeKey, Rid, Run, RunSearcher, SortBound, ZoneId};
 use umzi_storage::{
     context, BreakerState, CancelToken, Durability, FaultEvent, FaultInjectingStore, FaultOp,
     FaultPlan, InMemoryObjectStore, LatencyModel, ObjectStore, OpClass, Priority, QueryContext,
@@ -47,14 +48,42 @@ const STRIPE: i64 = RUNS + 1;
 /// pins below compare charges exactly.
 const SSD_LATENCY: TierLatency = TierLatency::micros(100, 1);
 
+/// `beginTS` base of the shadow versions in [`shadowed_index`]: above
+/// [`SNAPSHOT`], so a lookup at the snapshot sees none of them.
+const SHADOW_TS: u64 = 1000;
+/// The snapshot lookups over [`shadowed_index`] read at.
+const SNAPSHOT: u64 = SHADOW_TS - 1;
+
 /// `RUNS` striped runs over `store`. Every run spans the same key domain, so
 /// no synopsis prunes an interior key and a key of residue 0 is held only
-/// by the oldest run. With 8 KiB chunks a run is one data block; with 256 B
+/// by the oldest run: every newer run's key filter rejects it (but for a
+/// false positive). With 8 KiB chunks a run is one data block; with 256 B
 /// chunks it is several, and the fences pick the block a probe reads.
 fn striped_index(
     store: Arc<dyn ObjectStore>,
     chunk_size: usize,
     retry: RetryConfig,
+) -> (Arc<TieredStorage>, Arc<UmziIndex>) {
+    build_index(store, chunk_size, retry, false)
+}
+
+/// [`striped_index`], where every run newer than the oldest also holds a
+/// version of every residue-0 key, written after [`SNAPSHOT`]. At the
+/// snapshot a residue-0 key is still answered by the oldest run alone, but
+/// every run's filter passes it, so a lookup probes a block in every run.
+fn shadowed_index(
+    store: Arc<dyn ObjectStore>,
+    chunk_size: usize,
+    retry: RetryConfig,
+) -> (Arc<TieredStorage>, Arc<UmziIndex>) {
+    build_index(store, chunk_size, retry, true)
+}
+
+fn build_index(
+    store: Arc<dyn ObjectStore>,
+    chunk_size: usize,
+    retry: RetryConfig,
+    shadowed: bool,
 ) -> (Arc<TieredStorage>, Arc<UmziIndex>) {
     let storage = Arc::new(TieredStorage::new(
         SharedStorage::new(store, LatencyModel::off()),
@@ -81,20 +110,25 @@ fn striped_index(
     let idx = UmziIndex::create(Arc::clone(&storage), def, config).unwrap();
     for r in 0..RUNS {
         let block = r as u64 + 1;
-        let entries: Vec<IndexEntry> = (0..DEVICES * MSGS_PER_RUN)
-            .map(|i| {
-                let (d, m) = (i % DEVICES, (i / DEVICES) * STRIPE + r);
-                IndexEntry::new(
-                    idx.layout(),
-                    &[Datum::Int64(d)],
-                    &[Datum::Int64(m)],
-                    block,
-                    Rid::new(ZoneId::GROOMED, block, i as u32),
-                    &[],
-                )
-                .unwrap()
-            })
+        let entry = |i: i64, residue: i64, ts: u64| {
+            let (d, m) = (i % DEVICES, (i / DEVICES) * STRIPE + residue);
+            IndexEntry::new(
+                idx.layout(),
+                &[Datum::Int64(d)],
+                &[Datum::Int64(m)],
+                ts,
+                Rid::new(ZoneId::GROOMED, block, i as u32),
+                &[],
+            )
+            .unwrap()
+        };
+        let mut entries: Vec<IndexEntry> = (0..DEVICES * MSGS_PER_RUN)
+            .map(|i| entry(i, r, block))
             .collect();
+        if shadowed && r > 0 {
+            let shadow_ts = SHADOW_TS + block;
+            entries.extend((0..DEVICES * MSGS_PER_RUN).map(|i| entry(i, 0, shadow_ts)));
+        }
         idx.build_groomed_run(entries, block, block).unwrap();
     }
     assert_eq!(idx.candidate_runs().len() as i64, RUNS);
@@ -112,10 +146,24 @@ fn key(i: i64, d: i64, residue: i64) -> (Vec<Datum>, Vec<Datum>) {
 
 type Answer = Option<(Bytes, u64, Bytes)>;
 
-fn lookup(idx: &UmziIndex, (eq, sort): &(Vec<Datum>, Vec<Datum>)) -> Result<Answer, UmziError> {
+fn lookup(idx: &UmziIndex, key: &(Vec<Datum>, Vec<Datum>)) -> Result<Answer, UmziError> {
+    lookup_at(idx, key, u64::MAX)
+}
+
+fn lookup_at(
+    idx: &UmziIndex,
+    (eq, sort): &(Vec<Datum>, Vec<Datum>),
+    query_ts: u64,
+) -> Result<Answer, UmziError> {
     Ok(idx
-        .point_lookup(eq, sort, u64::MAX)?
+        .point_lookup(eq, sort, query_ts)?
         .map(|o| (o.key, o.begin_ts, o.value)))
+}
+
+/// The logical key of `key`, as the runs' filters and fences see it.
+fn prefix_of(idx: &UmziIndex, (eq, sort): &(Vec<Datum>, Vec<Datum>)) -> Vec<u8> {
+    let full = idx.layout().build_key(eq, sort, 0).unwrap();
+    KeyLayout::logical_key(&full).to_vec()
 }
 
 /// A key paired with its message residue.
@@ -271,24 +319,28 @@ impl ObjectStore for OverlapGate {
     }
 }
 
-/// A key held only by the oldest of four purged runs: the lookup's fetches
-/// of the four runs' blocks are in flight at once, and the answer is the
-/// one the resident runs give.
+/// A key every run's filter passes but only the oldest of four purged runs
+/// answers at the snapshot: the lookup's fetches of the four runs' blocks
+/// are in flight at once, and the answer is the one the resident runs give.
 #[test]
 fn cold_lookup_overlaps_its_run_fetches() {
     let gate = Arc::new(OverlapGate::default());
-    let (storage, idx) = striped_index(
+    let (storage, idx) = shadowed_index(
         Arc::clone(&gate) as Arc<dyn ObjectStore>,
         256,
         RetryConfig::default(),
     );
     let k = key(5, 2, 0);
-    let resident = lookup(&idx, &k).unwrap();
-    assert!(resident.is_some());
+    let resident = lookup_at(&idx, &k, SNAPSHOT).unwrap();
+    assert_eq!(
+        resident.as_ref().map(|r| r.1),
+        Some(1),
+        "the oldest run's version"
+    );
     purge_all(&storage, &idx);
 
     gate.armed.store(true, Ordering::SeqCst);
-    let cold = lookup(&idx, &k).unwrap();
+    let cold = lookup_at(&idx, &k, SNAPSHOT).unwrap();
     gate.armed.store(false, Ordering::SeqCst);
     assert_eq!(cold, resident);
     assert_eq!(gate.flight.lock().unwrap().peak, RUNS as usize);
@@ -303,8 +355,9 @@ fn cold_lookup_overlaps_its_run_fetches() {
 /// Over runs whose chunks are all local, lookups never stage, and each
 /// block's first touch is the one verified-lookup miss it ever counts. With
 /// one block per run, a lookup for residue `r` searches runs `RUNS - 1`
-/// down to `r` (all of them for the absent residue), so the hits are the
-/// blocks searched minus one miss per run.
+/// down to `r` (all of them for the absent residue) and reads the block of
+/// each whose filter passes the key, so the hits are those blocks minus
+/// one miss per run.
 #[test]
 fn warm_lookups_never_stage_and_count_each_miss_once() {
     let (storage, idx) = striped_index(
@@ -316,6 +369,7 @@ fn warm_lookups_never_stage_and_count_each_miss_once() {
         assert_eq!(run.data_block_count(), 1);
         assert!(storage.is_fully_cached(run.handle()).unwrap());
     }
+    let runs = idx.candidate_runs(); // newest first
     let before = storage.stats();
     let mut searched = 0;
     // The newest run's residue first, so the first lookups touch the runs
@@ -329,11 +383,17 @@ fn warm_lookups_never_stage_and_count_each_miss_once() {
         let k = key(i as i64, i as i64 % DEVICES, residue);
         let hit = lookup(&idx, &k).unwrap();
         assert_eq!(hit.is_some(), residue != RUNS, "residue {residue}");
-        searched += if residue == RUNS {
+        let probe = prefix_of(&idx, &k);
+        let probe = ProbeKey::new(&probe);
+        let searched_runs = if residue == RUNS {
             RUNS
         } else {
             RUNS - residue
-        } as u64;
+        } as usize;
+        searched += runs[..searched_runs]
+            .iter()
+            .filter(|run| run.may_hold(&probe))
+            .count() as u64;
     }
     let after = storage.stats();
     assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
@@ -420,23 +480,72 @@ fn cancelled_cold_lookup_is_exact_or_typed_at_every_checkpoint() {
 /// its cold lookup fetches one run at a time, as before.
 #[test]
 fn background_lookup_stages_nothing() {
-    let (storage, idx) = striped_index(
+    let (storage, idx) = shadowed_index(
         Arc::new(InMemoryObjectStore::new()),
         256,
         RetryConfig::default(),
     );
     let k = key(5, 2, 0);
-    let want = lookup(&idx, &k).unwrap();
+    let want = lookup_at(&idx, &k, SNAPSHOT).unwrap();
     purge_all(&storage, &idx);
     let before = storage.stats();
     let got = {
         let _g = context::enter(QueryContext::unbounded().with_priority(Priority::Background));
-        lookup(&idx, &k).unwrap()
+        lookup_at(&idx, &k, SNAPSHOT).unwrap()
     };
     assert_eq!(got, want);
     let after = storage.stats();
     assert_eq!(after.blocks_prefetched, before.blocks_prefetched);
     assert!(after.shared.reads >= before.shared.reads + RUNS as u64);
+}
+
+/// A cold lookup stages, and reads, blocks only of runs whose key filter
+/// passes the key: for a key held only by the oldest run, the newer runs
+/// cost nothing but their false positives. Each run read costs its target
+/// block, plus the next one where the key opens it.
+#[test]
+fn cold_lookup_fetches_only_runs_whose_filter_passes() {
+    let store = Arc::new(RequestCounter::default());
+    let (storage, idx) = striped_index(
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+        256,
+        RetryConfig::default(),
+    );
+    let runs = idx.candidate_runs(); // newest first
+    let mut skipped = 0;
+    for i in 0..MSGS_PER_RUN - 2 {
+        let k = key(i, i % DEVICES, 0);
+        let want = lookup(&idx, &k).unwrap();
+        assert!(want.is_some());
+        let prefix = prefix_of(&idx, &k);
+        let probe = ProbeKey::new(&prefix);
+        let passing: Vec<_> = runs.iter().filter(|run| run.may_hold(&probe)).collect();
+        assert!(passing
+            .last()
+            .is_some_and(|run| Arc::ptr_eq(run, &runs[RUNS as usize - 1])));
+        skipped += RUNS as usize - passing.len();
+        let blocks: usize = passing
+            .iter()
+            .map(|run| {
+                let fences = run.fence_keys().unwrap();
+                let opens = fences[1..].iter().any(|f| f.starts_with(&prefix));
+                1 + usize::from(opens)
+            })
+            .sum();
+
+        purge_all(&storage, &idx);
+        store.sizes.lock().unwrap().clear();
+        assert_eq!(lookup(&idx, &k).unwrap(), want);
+        let fetched: usize = store.sizes.lock().unwrap().iter().map(|&(r, _)| r).sum();
+        assert_eq!(fetched, blocks, "key {i}: {passing:?}");
+    }
+    // Nearly every newer run is skipped (the filters pass ~2.5 % of keys
+    // they do not hold).
+    let newer = (RUNS as usize - 1) * (MSGS_PER_RUN - 2) as usize;
+    assert!(
+        skipped * 10 >= newer * 9,
+        "{skipped} of {newer} runs skipped"
+    );
 }
 
 /// With the block-fetch breaker open, a cold lookup stages nothing: it
@@ -535,12 +644,12 @@ impl ObjectStore for RequestCounter {
 }
 
 /// A batch over purged multi-block runs fetches each claim's blocks in one
-/// request. Newest first, run `r` sees the keys no newer run holds; if they
-/// read first `K` distinct blocks of it, its claims are ⌈K / 16⌉ requests.
-/// A key that opens a block reads on into it: that costs a request of its
-/// own when no claim stages the block, and may when it is a later claim's
-/// first, reached before that claim stages it. A batch fetching block by
-/// block costs at least `K` requests per run.
+/// request. Newest first, run `r` sees the keys no newer run holds and its
+/// filter passes. They read first `K` distinct blocks of it, and a key that
+/// opens a block reads on into it; a claim stages both kinds, so if the
+/// keys read `B` distinct blocks in all, the run's claims are at most
+/// ⌈B / 16⌉ requests. A batch fetching block by block costs at least `K`
+/// requests per run.
 #[test]
 fn cold_batch_fetches_each_claim_window_in_one_request() {
     let store = Arc::new(RequestCounter::default());
@@ -558,13 +667,12 @@ fn cold_batch_fetches_each_claim_window_in_one_request() {
 
     let (mut bound, mut block_by_block) = (0, 0);
     for (run, r) in idx.candidate_runs().iter().zip((0..RUNS).rev()) {
+        // The probes no newer run resolved and this run's filter passes.
         let prefixes: Vec<Vec<u8>> = keys
             .iter()
             .filter(|(residue, _)| *residue <= r || *residue == RUNS)
-            .map(|(_, (eq, sort))| {
-                let full = idx.layout().build_key(eq, sort, 0).unwrap();
-                KeyLayout::logical_key(&full).to_vec()
-            })
+            .map(|(_, k)| prefix_of(&idx, k))
+            .filter(|p| run.may_hold(&ProbeKey::new(p)))
             .collect();
         let targets: BTreeSet<u32> = prefixes
             .iter()
@@ -577,8 +685,10 @@ fn cold_batch_fetches_each_claim_window_in_one_request() {
                 prefixes.iter().any(|p| p.as_slice() == logical)
             })
             .collect();
-        let claims = targets.len().div_ceil(READAHEAD_DEPTH as usize);
-        bound += claims + opened.difference(&targets).count() + (claims - 1);
+        bound += targets
+            .union(&opened)
+            .count()
+            .div_ceil(READAHEAD_DEPTH as usize);
         block_by_block += targets.len();
     }
     assert!(

@@ -1,18 +1,19 @@
 //! What a lookup costs as the run count grows, as exact block counts.
 //!
 //! Every block access is counted: a chunk read or a verified RAM hit.
-//! Runs are searched newest to oldest and nothing skips a run that cannot
-//! hold the key: the synopsis keeps per-column min/max, and every run here
-//! spans the same dense key domain. So a hit in the newest run costs one
-//! block, a hit in the oldest run or a miss costs one block per run — plus
-//! one where the key opens a block other than the run's first (the
-//! exception `point_lookup_reads_exactly_one_block` documents).
+//! Runs are searched newest to oldest. The synopsis keeps per-column
+//! min/max and every run here spans the same dense key domain, so it skips
+//! nothing; each run's key filter skips, without a block, a run that holds
+//! no version of the key. So a lookup costs one block per run searched whose
+//! filter passes the key — plus one where the key opens a block other than
+//! the run's first (the exception `point_lookup_reads_exactly_one_block`
+//! documents).
 
 use std::sync::Arc;
 
 use umzi_core::{MergePolicy, UmziConfig, UmziIndex};
 use umzi_encoding::{ColumnType, Datum, IndexDef};
-use umzi_run::{IndexEntry, KeyLayout, Rid, Run, ZoneId};
+use umzi_run::{IndexEntry, KeyLayout, ProbeKey, Rid, Run, ZoneId};
 use umzi_storage::{SharedStorage, TieredConfig, TieredStorage, READAHEAD_DEPTH};
 
 const DEVICES: i64 = 64;
@@ -73,20 +74,19 @@ fn block_accesses(storage: &TieredStorage) -> u64 {
     s.chunk_reads + s.decoded.hits
 }
 
-/// How many of `runs` have a block other than their first opening on
-/// `prefix`: each costs a lookup one extra block.
-fn blocks_opened_by(runs: &[Arc<Run>], prefix: &[u8]) -> u64 {
-    runs.iter()
-        .filter(|run| {
-            run.fence_keys().unwrap()[1..]
-                .iter()
-                .any(|fence| fence.starts_with(prefix))
-        })
-        .count() as u64
+/// Whether a block of `run` other than its first opens on `prefix`: that
+/// costs a lookup one extra block.
+fn opens_a_block(run: &Run, prefix: &[u8]) -> bool {
+    run.fence_keys().unwrap()[1..]
+        .iter()
+        .any(|fence| fence.starts_with(prefix))
 }
 
 #[test]
 fn lookup_block_reads_grow_with_the_runs_searched() {
+    // Runs searched that hold no version of the key, and how many of them
+    // the filters passed anyway.
+    let (mut non_holders, mut false_passes) = (0, 0);
     for n_runs in [1i64, 8, 32] {
         let (storage, idx) = striped_index(n_runs, 1024);
         let runs = idx.candidate_runs(); // newest first
@@ -99,25 +99,46 @@ fn lookup_block_reads_grow_with_the_runs_searched() {
             ("absent key", n_runs, n_runs as usize),
         ];
         for (what, residue, searched) in cases {
+            let mut passed = 0;
             // Interior messages only: inside every run's min/max, so the
             // synopsis has no say.
             for i in 1..MSGS_PER_RUN - 1 {
                 let (d, m) = ((i * 7) % DEVICES, i * stripe + residue);
                 let (eq, sort) = ([Datum::Int64(d)], [Datum::Int64(m)]);
                 let key = idx.layout().build_key(&eq, &sort, 0).unwrap();
-                let opened = blocks_opened_by(&runs[..searched], KeyLayout::logical_key(&key));
+                let prefix = KeyLayout::logical_key(&key);
+                let probe = ProbeKey::new(prefix);
+                if residue != n_runs {
+                    let holder = &runs[(n_runs - 1 - residue) as usize];
+                    assert!(holder.may_hold(&probe), "{what}: a present key must pass");
+                }
+                let passing: Vec<_> = runs[..searched]
+                    .iter()
+                    .filter(|run| run.may_hold(&probe))
+                    .collect();
+                passed += passing.len();
+                let want: u64 = passing
+                    .iter()
+                    .map(|run| 1 + u64::from(opens_a_block(run, prefix)))
+                    .sum();
                 let before = block_accesses(&storage);
                 let hit = idx.point_lookup(&eq, &sort, u64::MAX).unwrap();
                 let reads = block_accesses(&storage) - before;
                 assert_eq!(hit.is_some(), residue != n_runs, "{what}, {n_runs} runs");
-                assert_eq!(
-                    reads,
-                    searched as u64 + opened,
-                    "{what}, {n_runs} runs, key ({d}, {m})"
-                );
+                assert_eq!(reads, want, "{what}, {n_runs} runs, key ({d}, {m})");
             }
+            let lookups = (MSGS_PER_RUN - 2) as usize;
+            let holders = if residue == n_runs { 0 } else { lookups };
+            non_holders += lookups * searched - holders;
+            false_passes += passed - holders;
         }
     }
+    // Runs that hold no version of a key are skipped: the filters pass at
+    // most 4 % of them.
+    assert!(
+        false_passes * 25 <= non_holders,
+        "{false_passes} of {non_holders} non-holding runs passed"
+    );
 }
 
 #[test]

@@ -6,9 +6,11 @@
 //!
 //! [`RunBuilder`] accepts entries in ascending key order (callers sort; the
 //! builder verifies) and streams them into fixed-size data blocks while
-//! accumulating the offset array, per-block entry counts and the synopsis in
-//! one pass. `finish` assembles `header ∥ blocks` and writes the object
-//! through [`TieredStorage`] with the durability the level requires.
+//! accumulating the offset array, per-block entry counts, the synopsis and
+//! the key filter's hashes (one per distinct logical key) in one pass.
+//! `finish` builds the key filter, assembles `header ∥ blocks` and writes
+//! the object through [`TieredStorage`] with the durability the level
+//! requires.
 
 use std::sync::Arc;
 
@@ -18,6 +20,7 @@ use umzi_storage::{Durability, TieredStorage};
 
 use crate::entry::IndexEntry;
 use crate::error::RunError;
+use crate::filter::KeyFilter;
 use crate::format::RunHeader;
 use crate::key::KeyLayout;
 use crate::reader::Run;
@@ -72,6 +75,9 @@ pub struct RunBuilder {
     /// Entries per offset-array bucket.
     bucket_counts: Vec<u64>,
     synopsis: Synopsis,
+    /// [`KeyFilter::hash`] of each distinct logical key, in key order. The
+    /// filter is sized by their number, so it is built in `finish`.
+    key_hashes: Vec<u32>,
     last_key: Vec<u8>,
     count: u64,
 }
@@ -102,6 +108,7 @@ impl RunBuilder {
             cur_first_key: Vec::new(),
             bucket_counts: vec![0; buckets],
             synopsis: Synopsis::empty(n_key_cols),
+            key_hashes: Vec::new(),
             last_key: Vec::new(),
             count: 0,
         }
@@ -158,6 +165,11 @@ impl RunBuilder {
         let col_slices: Vec<&[u8]> = ranges.iter().map(|r| &key[r.clone()]).collect();
         let begin_ts = KeyLayout::begin_ts_of(key)?;
         self.synopsis.observe(&col_slices, begin_ts);
+        // Keys ascend, so a key's versions are adjacent and hash once.
+        let logical = KeyLayout::logical_key(key);
+        if self.count == 0 || logical != KeyLayout::logical_key(&self.last_key) {
+            self.key_hashes.push(KeyFilter::hash(logical));
+        }
 
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
@@ -235,6 +247,7 @@ impl RunBuilder {
             block_prefix_counts: self.prefix_counts.clone(),
             fence_keys: std::mem::take(&mut self.fence_keys),
             block_checksums: std::mem::take(&mut self.block_checksums),
+            key_filter: KeyFilter::build(&std::mem::take(&mut self.key_hashes)),
             synopsis: self.synopsis.clone(),
             ancestors: self.params.ancestors.clone(),
         };

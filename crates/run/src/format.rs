@@ -4,7 +4,7 @@
 //! version), checksummed, and stable. Layout:
 //!
 //! ```text
-//! magic "UMZIRN01"            8 B
+//! magic "UMZIRN02"            8 B
 //! header_len                  u32   total header bytes incl. checksum
 //! version                     u16
 //! flags                       u16   bit 0: has offset array
@@ -25,27 +25,35 @@
 //!                             1): the first key of each data block
 //! block_checksums             u64 × n_data_blocks (flag bit 2): hash64 of
 //!                             each raw data block, for read-path integrity
+//! key_filter_blocks           u32   512-bit blocks of the key filter
+//! key_filter                  64 B × key_filter_blocks: blocked Bloom filter
+//!                             over the distinct logical keys, ≤ 8 bits per
+//!                             key (`crate::filter`)
 //! synopsis                    min/max beginTS + per-column byte ranges
 //! ancestors                   persisted ancestor run names (§6.1)
 //! checksum                    u64   hash64 of all preceding bytes
 //! ```
 //!
 //! The fence index lets a searcher pick the one data block that can contain
-//! the first key ≥ a bound without touching storage. Every run with data
-//! blocks carries both the fence index and the block checksums; a header
-//! missing either section is rejected as corrupt.
+//! the first key ≥ a bound without touching storage, and the key filter
+//! lets an exact-key probe skip a run that holds no version of its key.
+//! Every run with data blocks carries the fence index and the block
+//! checksums; a header missing either section is rejected as corrupt. A
+//! header of an earlier format (magic `UMZIRN01`, no key filter) is
+//! rejected as corrupt too: there is no fallback.
 
 use umzi_encoding::hash64;
 
 use crate::error::RunError;
+use crate::filter::KeyFilter;
 use crate::rid::ZoneId;
 use crate::synopsis::{ColumnRange, Synopsis};
 use crate::Result;
 
 /// Current run-format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
-const MAGIC: &[u8; 8] = b"UMZIRN01";
+const MAGIC: &[u8; 8] = b"UMZIRN02";
 const FLAG_HAS_OFFSET_ARRAY: u16 = 1;
 const FLAG_HAS_FENCE_INDEX: u16 = 2;
 const FLAG_HAS_BLOCK_CHECKSUMS: u16 = 4;
@@ -91,6 +99,8 @@ pub struct RunHeader {
     /// `block_checksums[b]` = `hash64` of raw data block `b`, verified on
     /// every cache-miss block read; length `n_data_blocks`.
     pub block_checksums: Vec<u64>,
+    /// Blocked Bloom filter over the run's distinct logical keys.
+    pub key_filter: KeyFilter,
     /// Key-column min/max synopsis.
     pub synopsis: Synopsis,
     /// Persisted ancestor runs (non-persisted-level recovery, §6.1).
@@ -152,6 +162,8 @@ impl RunHeader {
                 w.u64(c);
             }
         }
+        w.u32(self.key_filter.block_count() as u32);
+        self.key_filter.write_to(&mut w.buf);
         // Synopsis.
         w.u64(self.synopsis.min_begin_ts());
         w.u64(self.synopsis.max_begin_ts());
@@ -289,6 +301,14 @@ impl RunHeader {
         } else {
             Vec::new()
         };
+        let filter_blocks = r.u32()? as usize;
+        let key_filter = filter_blocks
+            .checked_mul(crate::filter::BLOCK_BYTES)
+            .and_then(|len| r.take(len).ok())
+            .map(KeyFilter::from_bytes)
+            .ok_or_else(|| RunError::Corrupt {
+                context: format!("key filter of {filter_blocks} blocks truncated"),
+            })?;
         let min_begin_ts = r.u64()?;
         let max_begin_ts = r.u64()?;
         let syn_count = r.u64()?;
@@ -328,6 +348,7 @@ impl RunHeader {
             block_prefix_counts,
             fence_keys,
             block_checksums,
+            key_filter,
             synopsis,
             ancestors,
         })
@@ -415,6 +436,14 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// A two-block filter (128 keys at 8 bits each).
+    fn sample_filter() -> KeyFilter {
+        let hashes: Vec<u32> = (0..128u64)
+            .map(|i| KeyFilter::hash(&i.to_be_bytes()))
+            .collect();
+        KeyFilter::build(&hashes)
+    }
+
     fn sample_header() -> RunHeader {
         let mut synopsis = Synopsis::empty(2);
         synopsis.observe(&[b"aa".as_slice(), b"x".as_slice()], 100);
@@ -436,6 +465,7 @@ mod tests {
             block_prefix_counts: vec![500, 1000, 1234],
             fence_keys: vec![b"aaa".to_vec(), b"mmm".to_vec(), b"zzz".to_vec()],
             block_checksums: vec![0x1111, 0x2222, 0x3333],
+            key_filter: sample_filter(),
             synopsis,
             ancestors: vec!["runs/old-1".into(), "runs/old-2".into()],
         }
@@ -452,6 +482,8 @@ mod tests {
         assert_eq!(parsed.block_prefix_counts, h.block_prefix_counts);
         assert_eq!(parsed.fence_keys, h.fence_keys);
         assert_eq!(parsed.block_checksums, h.block_checksums);
+        assert_eq!(parsed.key_filter.block_count(), 2);
+        assert_eq!(parsed.key_filter, h.key_filter);
         assert_eq!(parsed.synopsis, h.synopsis);
         assert_eq!(parsed.ancestors, h.ancestors);
         assert_eq!(parsed.header_chunks, 1);
@@ -520,6 +552,73 @@ mod tests {
             RunHeader::deserialize(&buf),
             Err(RunError::Corrupt { .. })
         ));
+    }
+
+    /// Byte offset of the key filter's bits in a serialized header.
+    fn filter_offset(h: &RunHeader, buf: &[u8]) -> usize {
+        let mut bits = Vec::new();
+        h.key_filter.write_to(&mut bits);
+        let at = buf
+            .windows(bits.len())
+            .position(|w| w == bits.as_slice())
+            .expect("the filter's bits are in the header");
+        let count = &buf[at - 4..at];
+        assert_eq!(count, (h.key_filter.block_count() as u32).to_le_bytes());
+        at
+    }
+
+    /// A flipped bit anywhere in the filter fails the header checksum: the
+    /// header is `Corrupt`, never a filter that rejects present keys.
+    #[test]
+    fn flipped_filter_byte_is_corrupt() {
+        let h = sample_header();
+        let clean = h.serialize(4096);
+        let at = filter_offset(&h, &clean);
+        for i in [0, 1, 63, 64, h.key_filter.byte_len() - 1] {
+            let mut buf = clean.clone();
+            buf[at + i] ^= 0x10;
+            match RunHeader::deserialize(&buf) {
+                Err(RunError::Corrupt { context }) => assert!(context.contains("checksum")),
+                other => panic!("flipped filter byte {i} must be Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// A filter block count that overruns the header is `Corrupt` even when
+    /// the checksum is recomputed to match.
+    #[test]
+    fn overlong_filter_is_corrupt() {
+        let h = sample_header();
+        let mut buf = h.serialize(4096);
+        let at = filter_offset(&h, &buf);
+        buf[at - 4..at].copy_from_slice(&u32::MAX.to_le_bytes());
+        let len = RunHeader::peek_len(&buf).unwrap();
+        let sum = hash64(&buf[..len - 8]);
+        buf[len - 8..len].copy_from_slice(&sum.to_le_bytes());
+        match RunHeader::deserialize(&buf) {
+            Err(RunError::Corrupt { context }) => assert!(context.contains("key filter")),
+            other => panic!("overlong filter must be Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A header of the format before the key filter (magic `UMZIRN01`) is
+    /// `Corrupt`: there is no fallback reader.
+    #[test]
+    fn old_magic_header_is_corrupt() {
+        let mut buf = sample_header().serialize(4096);
+        buf[..8].copy_from_slice(b"UMZIRN01");
+        let len = RunHeader::peek_len(&sample_header().serialize(4096)).unwrap();
+        let sum = hash64(&buf[..len - 8]);
+        buf[len - 8..len].copy_from_slice(&sum.to_le_bytes());
+        for result in [
+            RunHeader::peek_len(&buf).map(|_| ()),
+            RunHeader::deserialize(&buf).map(|_| ()),
+        ] {
+            match result {
+                Err(RunError::Corrupt { context }) => assert!(context.contains("magic")),
+                other => panic!("old magic must be Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

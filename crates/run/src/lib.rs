@@ -23,7 +23,9 @@
 //! exist — an *offset array* of `2^n` entry ordinals mapping the most
 //! significant `n` bits of the hash to a narrowed binary-search range
 //! (Figure 2). It also records *ancestor runs* for the non-persisted-level
-//! recovery protocol (§6.1).
+//! recovery protocol (§6.1), and a *key filter* ([`KeyFilter`]): a blocked
+//! Bloom filter over the run's distinct logical keys, which every exact-key
+//! probe checks before any fence search or block read.
 //!
 //! Data blocks are sized to the storage chunk so cache residency is decided
 //! block-by-block, and each carries an offset trailer for O(1) in-block slot
@@ -80,6 +82,7 @@
 pub mod builder;
 pub mod entry;
 pub mod error;
+pub mod filter;
 pub mod format;
 pub mod key;
 pub mod reader;
@@ -90,11 +93,12 @@ pub mod synopsis;
 pub use builder::{RunBuilder, RunParams};
 pub use entry::{EntryRef, IndexEntry};
 pub use error::RunError;
+pub use filter::KeyFilter;
 pub use format::{RunHeader, FORMAT_VERSION};
 pub use key::{KeyLayout, SortBound};
 pub use reader::{DataBlock, Run};
 pub use rid::{Rid, ZoneId, RID_LEN};
-pub use search::{ProbeCursor, RunRangeIter, RunSearcher, SearchHit};
+pub use search::{FilterCounts, ProbeCursor, ProbeKey, RunRangeIter, RunSearcher, SearchHit};
 pub use synopsis::Synopsis;
 pub use umzi_storage::AccessPattern;
 

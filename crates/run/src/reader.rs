@@ -19,6 +19,7 @@ use crate::error::RunError;
 use crate::format::RunHeader;
 use crate::key::KeyLayout;
 use crate::rid::ZoneId;
+use crate::search::ProbeKey;
 use crate::Result;
 
 /// An opened, immutable index run.
@@ -54,17 +55,20 @@ impl std::fmt::Debug for Run {
 impl Run {
     /// Open a run by object name, validating the header and definition
     /// fingerprint. The parsed header — fence index, block prefix counts,
-    /// checksums, synopsis, offset array — lives in RAM for the run's
-    /// lifetime, so no read after this one touches a header chunk.
+    /// checksums, key filter, synopsis, offset array — lives in RAM for the
+    /// run's lifetime, so no read after this one touches a header chunk.
     pub fn open(storage: Arc<TieredStorage>, name: &str, layout: KeyLayout) -> Result<Run> {
         // Opening pins the first chunk only. It tells the full header size;
-        // a longer header is read once through the tiers and then parsed.
+        // a longer header is staged in one round (its chunks after the
+        // first, in one batched fetch), read through the tiers and parsed.
         let handle = storage.open_object(name, 1)?;
         let first = storage.read_chunk(handle, 0)?;
         let header_len = RunHeader::peek_len(&first)?;
         let header = if header_len <= first.len() {
             RunHeader::deserialize(&first)?
         } else {
+            let header_chunks = header_len.div_ceil(storage.chunk_size()) as u32;
+            storage.prefetch_objects(&[(handle, (1..header_chunks).collect())]);
             let full = storage.read_range(handle, 0, header_len)?;
             RunHeader::deserialize(&full)?
         };
@@ -225,6 +229,12 @@ impl Run {
         let data = self.storage.mem_tier().get(key, pattern)?;
         // Verified bytes parsed once already, before they were marked.
         DataBlock::parse(data).ok()
+    }
+
+    /// Whether this run may hold a version of `key`, from its key filter
+    /// alone: `false` is exact, and costs one cache line and no block.
+    pub fn may_hold(&self, key: &ProbeKey<'_>) -> bool {
+        self.header.key_filter.may_contain(key.hash())
     }
 
     /// The chunk number of data block `b` within the run's object.
@@ -673,6 +683,76 @@ mod tests {
         ));
         let run = Run::open(Arc::clone(&storage), "runs/t", layout()).unwrap();
         (faulty, storage, run)
+    }
+
+    /// An object store that counts read requests: one per `get_range`, one
+    /// per `get_ranges` batch.
+    #[derive(Default)]
+    struct RequestCounter {
+        inner: InMemoryObjectStore,
+        requests: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ObjectStore for RequestCounter {
+        fn put(&self, name: &str, data: Bytes) -> umzi_storage::Result<()> {
+            self.inner.put(name, data)
+        }
+        fn get(&self, name: &str) -> umzi_storage::Result<Bytes> {
+            self.inner.get(name)
+        }
+        fn get_range(&self, name: &str, offset: u64, len: usize) -> umzi_storage::Result<Bytes> {
+            self.requests.fetch_add(1, Ordering::SeqCst);
+            self.inner.get_range(name, offset, len)
+        }
+        fn get_ranges(
+            &self,
+            name: &str,
+            ranges: &[(u64, usize)],
+        ) -> umzi_storage::Result<Vec<Bytes>> {
+            self.requests.fetch_add(1, Ordering::SeqCst);
+            self.inner.get_ranges(name, ranges)
+        }
+        fn len(&self, name: &str) -> umzi_storage::Result<u64> {
+            self.inner.len(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn list(&self, prefix: &str) -> umzi_storage::Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, name: &str) -> umzi_storage::Result<()> {
+            self.inner.delete(name)
+        }
+    }
+
+    /// Opening a run whose header spans several chunks over a cold store
+    /// costs two fetch rounds, whatever the header's length: the first
+    /// chunk (which tells the length), then every other header chunk in one
+    /// batched request.
+    #[test]
+    fn multi_chunk_header_opens_in_two_fetch_rounds() {
+        let store = Arc::new(RequestCounter::default());
+        let cfg = TieredConfig {
+            chunk_size: 1024,
+            ..TieredConfig::default()
+        };
+        let shared = || {
+            let inner = Arc::clone(&store) as Arc<dyn ObjectStore>;
+            SharedStorage::new(inner, LatencyModel::off())
+        };
+        let built = build_run(&Arc::new(TieredStorage::new(shared(), cfg.clone())), 5000);
+        let header_chunks = built.header().header_chunks;
+        assert!(header_chunks >= 4, "{header_chunks} header chunks");
+
+        let cold = Arc::new(TieredStorage::new(shared(), cfg));
+        let before = store.requests.load(Ordering::SeqCst);
+        let run = Run::open(Arc::clone(&cold), "runs/t", layout()).unwrap();
+        assert_eq!(store.requests.load(Ordering::SeqCst) - before, 2);
+        assert_eq!(run.header(), built.header());
+        let s = cold.stats();
+        assert_eq!(s.blocks_prefetched, u64::from(header_chunks - 1), "{s:?}");
+        assert_eq!(s.prefetch_hits, s.blocks_prefetched, "{s:?}");
     }
 
     #[test]

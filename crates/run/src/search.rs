@@ -14,6 +14,7 @@ use bytes::Bytes;
 use umzi_storage::{AccessPattern, READAHEAD_DEPTH};
 
 use crate::entry::EntryRef;
+use crate::filter::KeyFilter;
 use crate::key::KeyLayout;
 use crate::reader::{DataBlock, Run};
 use crate::rid::Rid;
@@ -40,6 +41,52 @@ impl SearchHit {
     /// Decode the RID.
     pub fn rid(&self) -> Result<Rid> {
         Rid::decode(&self.value)
+    }
+}
+
+/// An exact-key probe: a logical key (the full `hash ∥ eq ∥ sort` bytes)
+/// and its [`KeyFilter::hash`], computed once and tested against every run
+/// the probe visits.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbeKey<'a> {
+    prefix: &'a [u8],
+    hash: u32,
+}
+
+impl<'a> ProbeKey<'a> {
+    /// Hash the logical key `prefix` for the runs' key filters.
+    pub fn new(prefix: &'a [u8]) -> Self {
+        Self {
+            prefix,
+            hash: KeyFilter::hash(prefix),
+        }
+    }
+
+    /// The logical key.
+    pub fn prefix(&self) -> &'a [u8] {
+        self.prefix
+    }
+
+    /// The key-filter hash of [`Self::prefix`].
+    pub(crate) fn hash(&self) -> u32 {
+        self.hash
+    }
+}
+
+/// What runs' key filters did for a set of exact-key probes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FilterCounts {
+    /// Probes a filter rejected: no fence search, no block read.
+    pub rejected: u64,
+    /// Probes a filter passed that found no version of their key in the
+    /// run: the filter's false positives.
+    pub false_passes: u64,
+}
+
+impl std::ops::AddAssign for FilterCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.rejected += other.rejected;
+        self.false_passes += other.false_passes;
     }
 }
 
@@ -136,10 +183,11 @@ impl<'a> RunSearcher<'a> {
 
     /// Point lookup: the newest visible version of one logical key.
     /// `logical_prefix` is the full `hash ∥ eq ∥ sort` prefix. A fresh
-    /// [`ProbeCursor`] and one probe: the fence index picks the one block
-    /// that can hold the key's newest version, so a lookup fetches **one**
-    /// block (a second only when the key's versions run on into the next
-    /// block, which includes a key that opens a block). `_bucket` is
+    /// [`ProbeCursor`] and one probe: a key the run's filter rejects costs no
+    /// block; otherwise the fence index picks the one block that can hold
+    /// the key's newest version, so a lookup fetches **one** block (a second
+    /// only when the key's versions run on into the next block, which
+    /// includes a key that opens a block). `_bucket` is
     /// accepted for callers that have it at hand and is not consulted — the
     /// fence index is already finer than the offset array.
     pub fn lookup(
@@ -148,18 +196,21 @@ impl<'a> RunSearcher<'a> {
         _bucket: Option<u32>,
         query_ts: u64,
     ) -> Result<Option<SearchHit>> {
-        ProbeCursor::new(self.run, query_ts, AccessPattern::PointLookup).probe(logical_prefix)
+        ProbeCursor::new(self.run, query_ts, AccessPattern::PointLookup)
+            .probe(ProbeKey::new(logical_prefix))
     }
 }
 
 /// Forward cursor for exact-key probes in one run — the only place an exact
-/// key's versions are walked. It holds the data block the last probe ended
-/// in, so a batch of probes fed in ascending key order (§7.2: *"we first
-/// sort the input keys ... to improve search efficiency"*) is one pass over
-/// the run: a probe whose key still falls in the held block costs no fetch
-/// and two fence comparisons; otherwise the fence index is galloped forward
-/// from the held block ([`Run::probe_block_from`]) and **one** block is
-/// fetched. A probe behind the cursor is still answered correctly, by a
+/// key's versions are walked. A probe first asks the run's key filter
+/// ([`Run::may_hold`]): a key the run cannot hold costs one cache line and
+/// no fence search or block. The cursor holds the data block the last probe
+/// ended in, so a batch of probes fed in ascending key order (§7.2: *"we
+/// first sort the input keys ... to improve search efficiency"*) is one pass
+/// over the run: a probe whose key still falls in the held block costs no
+/// fetch and two fence comparisons; otherwise the fence index is galloped
+/// forward from the held block ([`Run::probe_block_from`]) and **one** block
+/// is fetched. A probe behind the cursor is still answered correctly, by a
 /// full fence search.
 pub struct ProbeCursor<'a> {
     run: &'a Run,
@@ -168,6 +219,7 @@ pub struct ProbeCursor<'a> {
     pattern: AccessPattern,
     /// The held block and its number.
     cur: Option<(u32, DataBlock)>,
+    filter: FilterCounts,
 }
 
 impl<'a> ProbeCursor<'a> {
@@ -179,7 +231,13 @@ impl<'a> ProbeCursor<'a> {
             query_ts,
             pattern,
             cur: None,
+            filter: FilterCounts::default(),
         }
+    }
+
+    /// What the run's key filter did for this cursor's probes so far.
+    pub fn filter_counts(&self) -> FilterCounts {
+        self.filter
     }
 
     /// Block loads are cooperative cancellation checkpoints. A block with no
@@ -197,11 +255,10 @@ impl<'a> ProbeCursor<'a> {
         Ok(&self.cur.insert((b, block)).1)
     }
 
-    /// The newest version of the logical key `prefix` (the full
-    /// `hash ∥ eq ∥ sort` bytes) with `beginTS ≤ queryTS`, if this run holds
-    /// one.
-    pub fn probe(&mut self, prefix: &[u8]) -> Result<Option<SearchHit>> {
-        self.probe_staging(prefix, |_| {})
+    /// The newest version of the logical key `key` with
+    /// `beginTS ≤ queryTS`, if this run holds one.
+    pub fn probe(&mut self, key: ProbeKey<'_>) -> Result<Option<SearchHit>> {
+        self.probe_staging(key, |_| {})
     }
 
     /// [`Self::probe`], calling `on_miss(b)` whenever block `b` has no
@@ -211,11 +268,15 @@ impl<'a> ProbeCursor<'a> {
     /// wait.
     pub fn probe_staging(
         &mut self,
-        prefix: &[u8],
+        key: ProbeKey<'_>,
         mut on_miss: impl FnMut(u32),
     ) -> Result<Option<SearchHit>> {
         umzi_storage::context::check_current("run_probe")?;
-        let (fences, query_ts) = (self.run.fence_keys()?, self.query_ts);
+        if !self.run.may_hold(&key) {
+            self.filter.rejected += 1;
+            return Ok(None);
+        }
+        let (prefix, fences, query_ts) = (key.prefix(), self.run.fence_keys()?, self.query_ts);
         if fences.is_empty() {
             return Ok(None);
         }
@@ -233,6 +294,9 @@ impl<'a> ProbeCursor<'a> {
         };
         let mut b = target;
         let mut slot = block.partition_point_geq(prefix)?;
+        // Whether a version of the key was seen: a passed probe that sees
+        // none is a filter false positive.
+        let mut seen = false;
         loop {
             if slot == block.entry_count() {
                 // Versions may straddle the block boundary; the next fence
@@ -243,13 +307,14 @@ impl<'a> ProbeCursor<'a> {
                         block = self.load(b, &mut on_miss)?;
                         slot = 0;
                     }
-                    _ => return Ok(None),
+                    _ => break,
                 }
             }
             let key = block.key_at(slot)?;
             if KeyLayout::logical_key(key) != prefix {
-                return Ok(None);
+                break;
             }
+            seen = true;
             let begin_ts = KeyLayout::begin_ts_of(key)?;
             if begin_ts <= query_ts {
                 let entry = block.entry(slot)?;
@@ -262,6 +327,8 @@ impl<'a> ProbeCursor<'a> {
             // Newer than the snapshot: try the next (older) version.
             slot += 1;
         }
+        self.filter.false_passes += u64::from(!seen);
+        Ok(None)
     }
 }
 

@@ -115,6 +115,25 @@ impl Synopsis {
         upper: &SortBound,
         query_ts: u64,
     ) -> bool {
+        self.may_match_encoded(
+            eq_encoded,
+            first_bound_encoded(lower).as_deref(),
+            first_bound_encoded(upper).as_deref(),
+            query_ts,
+        )
+    }
+
+    /// [`Self::may_match`] with each sort bound given as the encoding of its
+    /// first datum (`None` when unbounded), so a caller that checks many
+    /// runs encodes its bounds once: a point lookup passes its first sort
+    /// value's encoding as both.
+    pub fn may_match_encoded(
+        &self,
+        eq_encoded: &[Vec<u8>],
+        lower0: Option<&[u8]>,
+        upper0: Option<&[u8]>,
+        query_ts: u64,
+    ) -> bool {
         if self.entry_count == 0 {
             return false;
         }
@@ -134,15 +153,15 @@ impl Synopsis {
         // tuple-ordered bounds.
         let n_eq = eq_encoded.len();
         if let Some(range) = self.columns.get(n_eq) {
-            if let Some(lo0) = first_bound_encoded(lower) {
+            if let Some(lo0) = lower0 {
                 // Excluded vs Included both reduce to: if the bound's first
                 // datum already exceeds the run max, nothing can match.
-                if lo0.as_slice() > range.max.as_slice() {
+                if lo0 > range.max.as_slice() {
                     return false;
                 }
             }
-            if let Some(hi0) = first_bound_encoded(upper) {
-                if hi0.as_slice() < range.min.as_slice() {
+            if let Some(hi0) = upper0 {
+                if hi0 < range.min.as_slice() {
                     return false;
                 }
             }
@@ -245,6 +264,26 @@ mod tests {
         assert!(!q(99), "all versions newer than snapshot");
         assert!(q(100));
         assert!(q(500));
+    }
+
+    /// A point check with the sort value encoded once answers exactly as
+    /// `may_match` with that value as both inclusive bounds.
+    #[test]
+    fn encoded_point_check_equals_may_match() {
+        let s = build(&[(4, 10, 50), (6, 20, 60)]);
+        for d in 3..8 {
+            for m in 8..23 {
+                for ts in [40, 50, 100] {
+                    let bound = SortBound::Included(vec![Datum::Int64(m)]);
+                    let m0 = enc(m);
+                    assert_eq!(
+                        s.may_match_encoded(&[enc(d)], Some(&m0), Some(&m0), ts),
+                        s.may_match(&[enc(d)], &bound, &bound, ts),
+                        "({d}, {m}) at {ts}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use umzi_encoding::{hash_prefix, ColumnType, Datum, IndexDef};
 use umzi_run::{
-    AccessPattern, IndexEntry, KeyLayout, ProbeCursor, Rid, Run, RunBuilder, RunParams,
+    AccessPattern, IndexEntry, KeyLayout, ProbeCursor, ProbeKey, Rid, Run, RunBuilder, RunParams,
     RunSearcher, SortBound, ZoneId,
 };
 use umzi_storage::{Durability, SharedStorage, TieredConfig, TieredStorage};
@@ -325,7 +325,7 @@ proptest! {
                 .map(|ord| run.entry(ord).unwrap())
                 .find(|e| e.logical_key() == prefix.as_slice() && e.begin_ts().unwrap() <= query_ts)
                 .map(|e| (e.key.to_vec(), e.value.to_vec(), e.begin_ts().unwrap()));
-            prop_assert_eq!(&flat(cursor.probe(prefix).unwrap()), &want);
+            prop_assert_eq!(&flat(cursor.probe(ProbeKey::new(prefix)).unwrap()), &want);
             let fresh = RunSearcher::new(&run).lookup(prefix, None, query_ts).unwrap();
             prop_assert_eq!(&flat(fresh), &want);
         }
@@ -333,7 +333,7 @@ proptest! {
         // right: probes behind it fall back to a full fence search.
         for prefix in prefixes.iter().rev() {
             let fresh = RunSearcher::new(&run).lookup(prefix, None, query_ts).unwrap();
-            prop_assert_eq!(flat(cursor.probe(prefix).unwrap()), flat(fresh));
+            prop_assert_eq!(flat(cursor.probe(ProbeKey::new(prefix)).unwrap()), flat(fresh));
         }
     }
 

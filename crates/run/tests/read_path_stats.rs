@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use umzi_encoding::{ColumnType, Datum, IndexDef};
 use umzi_run::{
-    AccessPattern, IndexEntry, KeyLayout, ProbeCursor, Rid, RunBuilder, RunParams, RunSearcher,
-    ZoneId,
+    AccessPattern, IndexEntry, KeyLayout, ProbeCursor, ProbeKey, Rid, RunBuilder, RunParams,
+    RunSearcher, ZoneId,
 };
 use umzi_storage::{Durability, SharedStorage, TieredConfig, TieredStorage};
 
@@ -137,28 +137,44 @@ fn prefix_of(m: i64) -> Vec<u8> {
 
 #[test]
 fn point_lookup_reads_exactly_one_block() {
-    // Every block access is counted: a point lookup — hit or miss — is one fence search and one
-    // block, not a lower-bound block plus an upper-bound block. The one
-    // exception is a key that opens a block other than the first: its
-    // prefix sorts below that fence, and only the block before can say
-    // whether newer versions of it end there.
+    // Every block access is counted. A key the run's filter rejects costs no
+    // block at all; every present key passes. A key the filter passes — hit
+    // or false positive — is one fence search and one block, not a
+    // lower-bound block plus an upper-bound block. The one exception is a
+    // key that opens a block other than the first: its prefix sorts below
+    // that fence, and only the block before can say whether newer versions
+    // of it end there.
     let storage = small_block_storage();
     let run = build_multi_block_run(&storage, 4000);
     assert!(run.data_block_count() >= 16);
     let searcher = RunSearcher::new(&run);
     let fences = run.fence_keys().unwrap();
     let before = block_accesses(&storage);
-    for m in 0..4200 {
+    let (mut want_total, mut passed_absent) = (0, 0);
+    for m in 0..5000 {
         let prefix = prefix_of(m);
+        let passes = run.may_hold(&ProbeKey::new(&prefix));
+        assert!(passes || m >= 4000, "present key m = {m} must pass");
+        passed_absent += u64::from(passes && m >= 4000);
         let reads0 = block_accesses(&storage);
         let hit = searcher.lookup(&prefix, None, u64::MAX).unwrap();
         assert_eq!(hit.is_some(), m < 4000, "m = {m}");
         let opens_block = fences[1..].iter().any(|f| f.starts_with(&prefix));
         let reads = block_accesses(&storage) - reads0;
-        assert_eq!(reads, 1 + u64::from(opens_block), "m = {m}");
+        let want = u64::from(passes) * (1 + u64::from(opens_block));
+        assert_eq!(reads, want, "m = {m}");
+        want_total += want;
     }
     let blocks = u64::from(run.data_block_count());
-    assert_eq!(block_accesses(&storage) - before, 4200 + blocks - 1);
+    assert_eq!(block_accesses(&storage) - before, want_total);
+    // Present keys read 4000 + (blocks - 1); of the 1000 absent keys only
+    // the filter's false positives — at most 4 % — read a block (none
+    // opens one).
+    assert_eq!(want_total, 4000 + blocks - 1 + passed_absent);
+    assert!(
+        passed_absent <= 40,
+        "{passed_absent} of 1000 absent keys passed"
+    );
 }
 
 #[test]
@@ -174,7 +190,10 @@ fn sorted_batch_reads_each_block_at_most_once() {
     let before = block_accesses(&storage);
     let mut cursor = ProbeCursor::new(&run, u64::MAX, AccessPattern::PointLookup);
     for (prefix, present) in &prefixes {
-        assert_eq!(cursor.probe(prefix).unwrap().is_some(), *present);
+        assert_eq!(
+            cursor.probe(ProbeKey::new(prefix)).unwrap().is_some(),
+            *present
+        );
     }
     let reads = block_accesses(&storage) - before;
     assert!(reads <= 4, "256 sorted probes read {reads} blocks of 4");

@@ -214,6 +214,8 @@ fn fold_shard(out: &mut MetricsSnapshot, shard: usize, s: &IndexStats) {
         evolves => "evolves_total",
         gc_runs => "gc_runs_total",
         merge_conflicts => "merge_conflicts_total",
+        filter_rejects => "filter_rejects_total",
+        filter_false_passes => "filter_false_passes_total",
         // Always 0 (see `IndexStats`): no series.
         parallel_scans: _, scan_partitions: _,
         watermarks => "watermark" per &zones,
@@ -589,7 +591,8 @@ mod tests {
     /// The compatibility promise: every series in the golden list is still
     /// emitted under the same name and labels. The list is what the exporter
     /// emitted at `fe07704` minus the six series of the deleted read
-    /// admission and the three of the deleted cache admission filter;
+    /// admission and the three of the deleted cache admission filter, plus
+    /// the two key-filter counters;
     /// those, the series of the deleted partitioned scan and the ten
     /// `umzi_health_*` aliases of numbers exported elsewhere must stay
     /// gone.
@@ -601,7 +604,7 @@ mod tests {
         let prom: BTreeSet<&str> = prom.iter().map(String::as_str).collect();
 
         let golden = include_str!("../tests/data/series_at_fe07704.txt");
-        assert_eq!(golden.lines().count(), 237, "golden list truncated");
+        assert_eq!(golden.lines().count(), 239, "golden list truncated");
         for name in golden.lines() {
             assert!(prom.contains(name), "series {name} disappeared");
         }
