@@ -17,16 +17,14 @@
 //! not deleted — they are recorded as the new run's ancestors and parked in
 //! the ancestor pool until the chain re-enters a persisted level.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use umzi_run::{DataBlock, EntryRef, Run};
 
 use crate::error::UmziError;
 use crate::index::UmziIndex;
+use crate::reconcile::merge_streams;
 use crate::Result;
 
 /// Outcome of one completed merge.
@@ -47,70 +45,57 @@ pub struct MergeReport {
     pub sealed: bool,
 }
 
-/// Sequential cursor over all entries of a run, reusing the current block.
-pub(crate) struct RunCursor {
-    run: Arc<Run>,
-    ordinal: u64,
-    block: Option<(u32, DataBlock)>,
+/// Every entry of a run in key order, stepping through its data blocks
+/// one after another.
+struct RunCursor<'a> {
+    run: &'a Run,
+    block: Option<DataBlock>,
+    /// Next slot of `block`.
+    slot: u16,
+    /// Next block to fetch.
+    next_block: u32,
 }
 
-impl RunCursor {
-    pub(crate) fn new(run: Arc<Run>) -> Self {
+impl<'a> RunCursor<'a> {
+    fn new(run: &'a Run) -> Self {
         Self {
             run,
-            ordinal: 0,
             block: None,
+            slot: 0,
+            next_block: 0,
         }
     }
+}
 
-    /// Fetch the entry at the cursor, or `None` at end of run.
-    pub(crate) fn current(&mut self) -> Result<Option<EntryRef>> {
-        if self.ordinal >= self.run.entry_count() {
-            return Ok(None);
-        }
-        let (b, slot) = self.run.locate(self.ordinal)?;
-        let reuse = matches!(&self.block, Some((idx, _)) if *idx == b);
-        if !reuse {
+impl Iterator for RunCursor<'_> {
+    type Item = umzi_run::Result<EntryRef>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(block) = &self.block {
+                if self.slot < block.entry_count() {
+                    self.slot += 1;
+                    return Some(block.entry(self.slot - 1));
+                }
+            }
+            if self.next_block >= self.run.data_block_count() {
+                return None;
+            }
             // Merges sweep every input block exactly once: maintenance
             // traffic, never admitted to the decoded cache.
-            self.block = Some((
-                b,
-                self.run
-                    .data_block_as(b, umzi_run::AccessPattern::Maintenance)?,
-            ));
+            let fetched = self
+                .run
+                .data_block_as(self.next_block, umzi_run::AccessPattern::Maintenance);
+            self.next_block += 1;
+            self.slot = 0;
+            match fetched {
+                Ok(block) => self.block = Some(block),
+                Err(e) => {
+                    self.next_block = self.run.data_block_count();
+                    return Some(Err(e));
+                }
+            }
         }
-        let (_, block) = self.block.as_ref().expect("block just set");
-        Ok(Some(block.entry(slot)?))
-    }
-
-    pub(crate) fn advance(&mut self) {
-        self.ordinal += 1;
-    }
-}
-
-struct HeapKey {
-    key: Bytes,
-    idx: usize,
-}
-
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.idx == other.idx
-    }
-}
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Min-heap by (key, stream index).
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.idx.cmp(&self.idx))
     }
 }
 
@@ -187,10 +172,7 @@ impl UmziIndex {
         // K-way merge of all versions — Umzi is a multi-version index, so
         // merges combine runs without dropping older versions (time travel
         // needs them; version GC is endTS-driven in the data zones).
-        let mut cursors: Vec<RunCursor> = inputs
-            .iter()
-            .map(|r| RunCursor::new(Arc::clone(r)))
-            .collect();
+        let cursors: Vec<RunCursor> = inputs.iter().map(|r| RunCursor::new(r)).collect();
         let new_run = self.build_run_sorted(
             zone_idx,
             level + 1,
@@ -199,26 +181,7 @@ impl UmziIndex {
             0,
             ancestors,
             |builder| {
-                let mut heap = BinaryHeap::with_capacity(cursors.len());
-                for (idx, c) in cursors.iter_mut().enumerate() {
-                    if let Some(e) = c.current()? {
-                        heap.push(HeapKey {
-                            key: e.key.clone(),
-                            idx,
-                        });
-                    }
-                }
-                while let Some(HeapKey { idx, .. }) = heap.pop() {
-                    let entry = cursors[idx].current()?.expect("heap entry exists");
-                    builder.push_raw(&entry.key, &entry.value)?;
-                    cursors[idx].advance();
-                    if let Some(e) = cursors[idx].current()? {
-                        heap.push(HeapKey {
-                            key: e.key.clone(),
-                            idx,
-                        });
-                    }
-                }
+                merge_streams(cursors, |e| builder.push_raw(&e.key, &e.value))?;
                 Ok(())
             },
         )?;

@@ -219,16 +219,44 @@ impl UmziIndex {
         query: &RangeQuery,
         strategy: ReconcileStrategy,
     ) -> Result<Vec<QueryOutput>> {
+        let mut out = Vec::new();
+        self.range_scan_into(query, strategy, |hit| {
+            out.push(QueryOutput::from_hit(hit));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The RIDs of [`Self::range_scan`]'s outputs (priority-queue
+    /// reconcile), in key order, decoded as the merge emits each hit: no
+    /// [`QueryOutput`] is built.
+    pub fn range_scan_rids(&self, query: &RangeQuery) -> Result<Vec<Rid>> {
+        let mut out = Vec::new();
+        self.range_scan_into(query, ReconcileStrategy::PriorityQueue, |hit| {
+            out.push(hit.rid()?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`Self::range_scan`] handing each output hit to `sink` in key order;
+    /// traced as one `range_scan_seq` whatever the sink keeps.
+    fn range_scan_into(
+        &self,
+        query: &RangeQuery,
+        strategy: ReconcileStrategy,
+        sink: impl FnMut(SearchHit) -> umzi_run::Result<()>,
+    ) -> Result<()> {
         let tel = self.storage.telemetry();
         if !tel.is_enabled() {
-            return self.range_scan_impl(query, strategy, None);
+            return self.range_scan_impl(query, strategy, None, sink);
         }
         // Storage-counter deltas attribute block/cache/retry activity to
         // this scan only approximately: the counters are hierarchy-global,
         // so a concurrent neighbour's IO lands in this trace too.
         let probe0 = self.storage.trace_probe();
         let mut trace = QueryTrace::begin("range_scan_seq");
-        let out = self.range_scan_impl(query, strategy, Some(&mut trace));
+        let out = self.range_scan_impl(query, strategy, Some(&mut trace), sink);
         let probe = self.storage.trace_probe().since(&probe0);
         trace.blocks_read = probe.chunk_reads;
         trace.cache_hits = probe.cache_hits;
@@ -245,7 +273,8 @@ impl UmziIndex {
         query: &RangeQuery,
         strategy: ReconcileStrategy,
         mut trace: Option<&mut QueryTrace>,
-    ) -> Result<Vec<QueryOutput>> {
+        sink: impl FnMut(SearchHit) -> umzi_run::Result<()>,
+    ) -> Result<()> {
         let (lower, upper) =
             self.layout
                 .query_range(&query.equality, &query.lower, &query.upper)?;
@@ -291,14 +320,14 @@ impl UmziIndex {
             t.position_nanos = t.elapsed_nanos() - t.plan_nanos;
         }
 
-        let hits = match strategy {
-            ReconcileStrategy::Set => reconcile_set(iters)?,
-            ReconcileStrategy::PriorityQueue => reconcile_pq(iters)?,
-        };
+        match strategy {
+            ReconcileStrategy::Set => reconcile_set(iters)?.into_iter().try_for_each(sink)?,
+            ReconcileStrategy::PriorityQueue => reconcile_pq(iters, sink)?,
+        }
         if let Some(t) = trace {
             t.merge_nanos = t.elapsed_nanos() - t.plan_nanos - t.position_nanos;
         }
-        Ok(hits.into_iter().map(QueryOutput::from_hit).collect())
+        Ok(())
     }
 
     /// Point lookup (§7.2): the full key (all equality and sort columns) is

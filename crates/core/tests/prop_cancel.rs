@@ -183,6 +183,39 @@ proptest! {
         // data, whatever state the abort left caches and readahead in.
         let again = fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue).unwrap();
         prop_assert_eq!(&flat(&fx.index, &again), &want);
+
+        // Range-disjoint runs, each leading the merge for 260+ entries in
+        // one streak (no heap traffic): a trip anywhere before the scan's
+        // last checkpoint, here in the middle of a streak, aborts typed,
+        // and the next scan is exact.
+        let streaks: Vec<Vec<(i64, i64, u64)>> = raw_runs
+            .iter()
+            .enumerate()
+            .map(|(r, entries)| {
+                let base = r as i64 * 1_000;
+                (0..260 + entries.len() as i64).map(|m| (device, base + m, 1)).collect()
+            })
+            .collect();
+        let fx = fixture(&streaks);
+        let want = oracle(&streaks, device);
+        let counting = CancelToken::new();
+        let full = {
+            let _g = context::enter(QueryContext::unbounded().with_cancel(counting.clone()));
+            fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue).unwrap()
+        };
+        prop_assert_eq!(&flat(&fx.index, &full), &want);
+        let checkpoints = counting.checkpoints_observed();
+        let token = CancelToken::trip_after(1 + u64::from(trip) * checkpoints / 64);
+        let out = {
+            let _g = context::enter(QueryContext::unbounded().with_cancel(token.clone()));
+            fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue)
+        };
+        match out {
+            Err(e) => prop_assert!(is_query_abort(&e), "untyped abort: {e}"),
+            Ok(_) => prop_assert!(false, "a trip before checkpoint {} was ignored", checkpoints),
+        }
+        let again = fx.index.range_scan(&query, ReconcileStrategy::PriorityQueue).unwrap();
+        prop_assert_eq!(&flat(&fx.index, &again), &want);
     }
 
     /// Cancel a sorted batch probe at its n-th checkpoint. The batch holds

@@ -530,20 +530,20 @@ impl WildfireEngine {
         Err(last_err.expect("loop only exhausts after a dangling RID"))
     }
 
-    /// Resolve index outputs of `shard` to records, in output order: one
-    /// [`Shard::fetch_rows`] batch for all of them.
-    fn resolve(shard: &Shard, outs: &[QueryOutput]) -> Result<Vec<RecordView>> {
-        let rids = outs
-            .iter()
-            .map(QueryOutput::rid)
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        let rows = shard.fetch_rows(&rids)?;
-        let view = |(rid, (row, begin_ts, _, _))| RecordView {
+    /// Resolve RIDs of `shard` to records, in RID order: one
+    /// [`Shard::fetch_rows`] batch for all of them. The one RID → record
+    /// step of `get`, `scan_records` and `scan_secondary`.
+    fn resolve<'r>(
+        shard: &Shard,
+        rids: &'r [Rid],
+    ) -> Result<impl Iterator<Item = RecordView> + 'r> {
+        let rows = shard.fetch_rows(rids)?;
+        let view = |(&rid, (row, begin_ts, _, _))| RecordView {
             row,
             begin_ts: Some(begin_ts),
             rid: Some(rid),
         };
-        Ok(rids.into_iter().zip(rows).map(view).collect())
+        Ok(rids.iter().zip(rows).map(view))
     }
 
     /// Run one engine operation under the caller's ambient query context —
@@ -637,15 +637,7 @@ impl WildfireEngine {
         let ts = self.resolve_ts(freshness);
         let lookup = |s: &Arc<Shard>| -> Result<Option<RecordView>> {
             Self::retry_dangling(|| match s.index().point_lookup(eq, sort, ts)? {
-                Some(out) => {
-                    let rid = out.rid()?;
-                    let (row, begin_ts, _, _) = s.fetch_rows(&[rid])?.swap_remove(0);
-                    Ok(Some(RecordView {
-                        row,
-                        begin_ts: Some(begin_ts),
-                        rid: Some(rid),
-                    }))
-                }
+                Some(out) => Ok(Self::resolve(s, &[out.rid()?])?.next()),
                 None => Ok(None),
             })
         };
@@ -740,21 +732,26 @@ impl WildfireEngine {
             query_ts: self.resolve_ts(freshness),
         };
         // RIDs are shard-local: each shard resolves its own outputs in one
-        // batch, and a fan-out scan then merges the shards by key.
-        let shards = match self.pinned_shard(&query.equality) {
-            Some(shard) => std::slice::from_ref(shard),
-            None => &self.shards[..],
-        };
+        // batch. A pinned scan takes its RIDs straight from the merge; a
+        // fan-out scan keeps the keys to merge the shards by.
+        if let Some(shard) = self.pinned_shard(&query.equality) {
+            return Self::retry_dangling(|| {
+                let rids = shard.index().range_scan_rids(&query)?;
+                let views = Self::resolve(shard, &rids)?.collect();
+                Ok(views)
+            });
+        }
         Self::retry_dangling(|| {
             let mut keyed = Vec::new();
-            for shard in shards {
+            for shard in &self.shards {
                 let outs = shard
                     .index()
                     .range_scan(&query, ReconcileStrategy::PriorityQueue)?;
-                let views = Self::resolve(shard, &outs)?;
-                if shards.len() == 1 {
-                    return Ok(views);
-                }
+                let rids = outs
+                    .iter()
+                    .map(QueryOutput::rid)
+                    .collect::<std::result::Result<Vec<_>, _>>()?;
+                let views = Self::resolve(shard, &rids)?;
                 keyed.extend(outs.into_iter().map(|out| out.key).zip(views));
             }
             // Shards hold disjoint keys, each shard's in order.
@@ -810,13 +807,13 @@ impl WildfireEngine {
                         "no secondary index named {index_name:?}"
                     )));
                 };
-                let hits = sidx.range_scan(&query, ReconcileStrategy::PriorityQueue)?;
-                if hits.is_empty() {
+                let rids = sidx.range_scan_rids(&query)?;
+                if rids.is_empty() {
                     continue;
                 }
                 // Resolve every candidate row in one batch (RIDs come in
                 // secondary-key order), collecting its primary key.
-                let resolved = Self::resolve(shard, &hits)?;
+                let resolved: Vec<RecordView> = Self::resolve(shard, &rids)?.collect();
                 let probes: Vec<_> = resolved
                     .iter()
                     .map(|view| {

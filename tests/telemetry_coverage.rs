@@ -83,6 +83,44 @@ fn drive_cold_readahead_scan(storage: &Arc<TieredStorage>) {
     assert_eq!(rows.len(), 8_000);
 }
 
+/// A `scan_records` pinned to one shard takes its RIDs straight from the
+/// merge, with no index outputs built; it must still be traced as the one
+/// range scan it is: one `range_scan_seq` duration and one slow-query
+/// record (the threshold is zero). Run with the daemons stopped, so no
+/// other operation lands in the log.
+fn scan_records_is_traced_once_per_shard_scanned(engine: &WildfireEngine) {
+    let traced = || {
+        let snap = engine.telemetry();
+        let scans = snap
+            .histogram("umzi_query_duration_nanos{op=\"range_scan_seq\"}")
+            .map_or(0, |h| h.count());
+        let logged = snap.slow_queries.len() as u64 + snap.slow_queries_evicted;
+        (scans, logged, snap.slow_queries.last().map(|r| r.op))
+    };
+    let (scans, logged, _) = traced();
+    let rows = engine
+        .scan_records(
+            vec![Datum::Int64(7)],
+            SortBound::Unbounded,
+            SortBound::Unbounded,
+            Freshness::Latest,
+        )
+        .unwrap();
+    assert!(!rows.is_empty(), "device 7 has rows");
+    let (scans_after, logged_after, last) = traced();
+    assert_eq!(
+        scans_after - scans,
+        1,
+        "one range_scan_seq per shard scanned"
+    );
+    assert_eq!(
+        logged_after - logged,
+        1,
+        "one slow-query record per shard scanned"
+    );
+    assert_eq!(last, Some("range_scan_seq"));
+}
+
 #[test]
 fn every_histogram_is_fed_and_every_series_named_once() {
     // Tiers small enough that reads spill past RAM and SSD to shared
@@ -183,6 +221,7 @@ fn every_histogram_is_fed_and_every_series_named_once() {
     );
     let snap = engine.telemetry();
     daemons.shutdown();
+    scan_records_is_traced_once_per_shard_scanned(&engine);
 
     let mut empty = Vec::new();
     for (name, h) in &snap.metrics.histograms {
